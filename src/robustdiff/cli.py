@@ -156,7 +156,11 @@ def sample_per_class(
     out = {}
     for c in range(config.cond_dim):
         out[c] = diffusion.heun_sample(
-            net, prototypes[c], guidance, schedule, per_class, seed + c
+            diffusion.guided(net, prototypes[c], guidance),
+            net.x_dim,
+            schedule,
+            per_class,
+            seed + c,
         )
     return out
 
@@ -167,6 +171,15 @@ def cmd_sample(args) -> int:
         print(f"no checkpoint at {ckpt_dir}", file=sys.stderr)
         return 2
     net, config, ckpt = trainer.load_checkpoint(ckpt_dir)
+    if config.variant != "vanilla" and ckpt.prototypes is None:
+        # A diverged run saves no prototypes; one-hot rows are not the
+        # conditions a pseudo-condition variant was trained on.
+        print(
+            f"{ckpt_dir} is a {config.variant} checkpoint without prototypes.txt "
+            "(did training diverge?); not sampling it",
+            file=sys.stderr,
+        )
+        return 2
     per_class = sample_per_class(
         net, config, args.per_class, args.seed, args.w, ckpt.prototypes
     )
@@ -312,6 +325,8 @@ def cmd_reproduce(args) -> int:
         noise_kind = args.noise
         jobs = args.jobs or 1
 
+    if jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -340,14 +355,13 @@ def cmd_reproduce(args) -> int:
         for variant in variants
         for seed in seeds
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = []
-        for cell in cells:
-            outcomes.append(run_cell(cell))
-            variant, eta, seed = cell[0], cell[1], cell[2]
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # pool.map yields in cell order as results arrive; with jobs == 1 the
+        # builtin map runs each cell here and no worker process starts.
+        mapped = (pool.map if jobs > 1 else map)(run_cell, cells)
+        for (variant, eta, seed, *_), outcome in zip(cells, mapped):
+            outcomes.append(outcome)
             print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
 
     failures = [o["failed"] for o in outcomes if "failed" in o]

@@ -1,24 +1,23 @@
-"""Demonstration-side diffusion: sigma schedule, perturbation kernel, denoiser
-parameterization, score-matching loss, guidance, and the deterministic
-second-order sampler.
+"""Demonstration-side diffusion: sigma schedule, denoiser parameterization,
+trunk input, score-matching loss, guidance, and the deterministic second-order
+sampler.
 
 Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
-forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0; the
-score is recovered as (D - x_t) / sigma^2.
+forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
+preconditioning, Karras et al. 2022); the samplers and the loss see it only as
+a batched callable (x, sigma) -> denoised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .network import ScoreNetwork
 
-# Distinguished unconditional token: callers pass UNCOND (or an all-zero
-# vector, which is what it stands for) to request the unconditional branch.
-UNCOND = None
+Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,6 @@ def mirror_sigma(sigma, schedule: NoiseSchedule):
     return (a + b - s) ** schedule.rho
 
 
-def perturb(x0: np.ndarray, sigma, eps: np.ndarray) -> np.ndarray:
-    """Forward kernel: x_t = x0 + sigma * eps."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if np.any(np.asarray(sigma) < 0):
-        raise ValueError("sigma must be >= 0")
-    if x0.shape != eps.shape:
-        raise ValueError("eps must match x0 shape")
-    return x0 + np.asarray(sigma) * eps
-
-
-@dataclass
-class DenoiserOutput:
-    denoised: np.ndarray
-    score: np.ndarray
-
-
 def c_skip(sigma, sigma_data):
     return sigma_data**2 / (sigma**2 + sigma_data**2)
 
@@ -107,81 +89,65 @@ def loss_weight(sigma, sigma_data):
     return (sigma**2 + sigma_data**2) / (sigma * sigma_data) ** 2
 
 
-def resolve_cond(cond, cond_dim: int, batch: int | None = None) -> np.ndarray:
-    """Normalize a condition argument: UNCOND becomes the all-zero vector."""
-    if cond is UNCOND:
-        c = np.zeros(cond_dim)
-    else:
-        c = np.asarray(cond, dtype=np.float64)
-    if c.shape[-1] != cond_dim:
-        raise ValueError(f"condition width {c.shape[-1]}, expected {cond_dim}")
-    if batch is not None and c.ndim == 1:
-        c = np.broadcast_to(c, (batch, cond_dim))
-    return c
+def trunk_input(x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+    """Trunk input rows: the preconditioned point x_in = c_in(sigma) * x, the
+    noise channel c_noise(sigma) and the condition channels.
+
+    `sigma` is a scalar or one value per row; `cond` has one row per point.
+    """
+    noise = np.broadcast_to(c_noise(sigma), (x_in.shape[0], 1))
+    return np.concatenate([x_in, noise, cond], axis=1)
 
 
-def network_input(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (x_t.shape[0], 1))
-    c = resolve_cond(cond, net.cond_dim, x_t.shape[0])
-    c = np.atleast_2d(c)
-    sd = net.sigma_data
-    return np.concatenate(
-        [c_in(sig, sd) * x_t, c_noise(sig), c], axis=1
-    )
-
-
-def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond=UNCOND) -> DenoiserOutput:
-    """Preconditioned denoiser evaluation.
+def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
+    """Preconditioned denoiser on a (batch, x_dim) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
-    c_noise(sigma), cond); the score follows from the exact algebraic relation
-    score = (denoised - x_t) / sigma^2.
+    c_noise(sigma), cond). `cond` is one row per point or a single row shared
+    by the batch; the all-zero row is the unconditional branch.
     """
     if np.any(np.asarray(sigma) <= 0):
         raise ValueError("sigma must be > 0")
-    x_arr = np.asarray(x_t, dtype=np.float64)
-    squeeze = x_arr.ndim == 1
-    x2 = np.atleast_2d(x_arr)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (x2.shape[0], 1))
-    raw = net.demo_out(network_input(net, x2, sig, cond))
+    x = np.asarray(x_t, dtype=np.float64)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (x.shape[0], 1))
+    c = np.broadcast_to(cond, (x.shape[0], net.cond_dim))
     sd = net.sigma_data
-    den = c_skip(sig, sd) * x2 + c_out(sig, sd) * raw
-    score = (den - x2) / sig**2
-    if squeeze:
-        return DenoiserOutput(den[0], score[0])
-    return DenoiserOutput(den, score)
+    raw = net.demo_out(trunk_input(c_in(sig, sd) * x, sig, c))
+    return c_skip(sig, sd) * x + c_out(sig, sd) * raw
 
 
-Denoiser = Union[ScoreNetwork, Callable[[np.ndarray, float], np.ndarray]]
+def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
+    """Classifier-free guidance (Ho & Salimans 2022) as a denoiser.
 
+    Returns (x, sigma) -> D_u + w * (D_c - D_u), where D_c is conditioned on
+    `cond` and D_u on the all-zero row; w = 1 is D_c alone. Since the score is
+    (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u).
+    """
+    if w < 1.0:
+        raise ValueError("guidance scale w must be >= 1")
+    uncond = np.zeros(net.cond_dim)
 
-def _denoised_fn(net_or_fn: Denoiser, cond, w: float):
-    """Uniform denoiser interface: (x, sigma) -> denoised, with guidance."""
-    if isinstance(net_or_fn, ScoreNetwork):
+    def fn(x, sigma):
+        d_cond = denoise(net, x, sigma, cond)
+        if w == 1.0:
+            return d_cond
+        d_unc = denoise(net, x, sigma, uncond)
+        return d_unc + w * (d_cond - d_unc)
 
-        def fn(x, sigma):
-            d_cond = denoise(net_or_fn, x, sigma, cond).denoised
-            if w == 1.0:
-                return d_cond
-            d_unc = denoise(net_or_fn, x, sigma, UNCOND).denoised
-            return d_unc + w * (d_cond - d_unc)
-
-        return fn
-    return lambda x, sigma: net_or_fn(x, sigma)
+    return fn
 
 
 def dsm_loss(
-    net_or_fn: Denoiser,
+    denoiser: Denoiser,
     x0: np.ndarray,
-    cond,
     sigmas: np.ndarray,
     eps: np.ndarray,
+    sigma_data: float,
 ) -> float:
     """Denoising score-matching loss.
 
-    Mean over the batch of lambda(sigma) * ||D(x0 + sigma*eps, sigma, cond) - x0||^2.
-    `cond` may be a (batch, cond_dim) array, a single vector, or UNCOND.
+    Mean over the batch of lambda(sigma) * ||D(x0 + sigma*eps, sigma) - x0||^2,
+    with D called once on the whole batch and sigma as a (batch, 1) column.
     """
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     if x0.shape[0] == 0:
@@ -191,59 +157,36 @@ def dsm_loss(
         raise ValueError("sigma must be > 0")
     eps = np.asarray(eps, dtype=np.float64).reshape(x0.shape)
     x_t = x0 + sig * eps
-    if isinstance(net_or_fn, ScoreNetwork):
-        den = denoise(net_or_fn, x_t, sig, cond).denoised
-        sd = net_or_fn.sigma_data
-    else:
-        den = np.stack([net_or_fn(x_t[i], float(sig[i, 0])) for i in range(len(x_t))])
-        sd = 0.5
-    err = ((den - x0) ** 2).sum(axis=1, keepdims=True)
-    return float(np.mean(loss_weight(sig, sd) * err))
-
-
-def cfg_score(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, w: float) -> np.ndarray:
-    """Guided score: s_uncond + w * (s_cond - s_uncond)."""
-    if w < 1.0:
-        raise ValueError("guidance scale w must be >= 1")
-    s_cond = denoise(net, x_t, sigma, cond).score
-    if w == 1.0:
-        return s_cond
-    s_unc = denoise(net, x_t, sigma, UNCOND).score
-    return s_unc + w * (s_cond - s_unc)
+    err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
+    return float(np.mean(loss_weight(sig, sigma_data) * err))
 
 
 def heun_sample(
-    net_or_fn: Denoiser,
-    cond,
-    w: float,
+    denoiser: Denoiser,
+    x_dim: int,
     schedule: NoiseSchedule,
     count: int,
     seed: int,
 ) -> np.ndarray:
     """Deterministic probability-flow sampler, Heun second order.
 
-    Starts from N(0, sigma_max^2 I); per step the slope is
-    d = (x - D(x, sigma)) / sigma, with a midpoint correction except on the
-    final step to sigma = 0, which is Euler-only.
+    Starts from N(0, sigma_max^2 I) in x_dim dimensions; per step the slope
+    is d = (x - D(x, sigma)) / sigma, with a midpoint correction except on
+    the final step to sigma = 0, which is Euler-only.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     grid = sigma_grid(schedule)
     rng = np.random.default_rng(seed)
-    if isinstance(net_or_fn, ScoreNetwork):
-        x_dim = net_or_fn.x_dim
-    else:
-        x_dim = 2
     x = rng.standard_normal((count, x_dim)) * grid[0]
-    dfn = _denoised_fn(net_or_fn, cond, w)
     for i in range(len(grid) - 1):
         s, s_next = grid[i], grid[i + 1]
-        d = (x - dfn(x, s)) / s
+        d = (x - denoiser(x, s)) / s
         x_euler = x + (s_next - s) * d
         if s_next == 0.0:
             x = x_euler
         else:
-            d_next = (x_euler - dfn(x_euler, s_next)) / s_next
+            d_next = (x_euler - denoiser(x_euler, s_next)) / s_next
             x = x + (s_next - s) * 0.5 * (d + d_next)
     return x
 

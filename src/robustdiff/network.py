@@ -1,9 +1,10 @@
 """Score network: shared MLP trunk with a demonstration head and a condition head.
 
 The trunk consumes a preconditioned input vector (scaled point, log-noise
-channel, condition channels). Both heads are linear readouts of the trunk
-features, so trunk updates move both outputs — the parameter-sharing that lets
-the condition head ride on representations learned by denoising.
+channel, condition channels), built by diffusion.trunk_input. Both heads are
+linear readouts of the trunk features, so trunk updates move both outputs —
+the parameter-sharing that lets the condition head ride on representations
+learned by denoising.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class ScoreNetwork:
     hidden: int = 64
     depth: int = 3
     sigma_data: float = 0.5
-    activation: str = "silu"
 
     @classmethod
     def create(
@@ -90,7 +90,7 @@ class ScoreNetwork:
     def trunk_var(self, tape: MlpTape, net_in) -> Var:
         h = net_in
         for k in self.trunk_layers:
-            h = tape.dense(h, k, self.activation)
+            h = tape.dense(h, k, "silu")
         return h
 
     def demo_var(self, tape: MlpTape, net_in) -> Var:
@@ -98,14 +98,3 @@ class ScoreNetwork:
 
     def cond_var(self, tape: MlpTape, net_in) -> Var:
         return tape.dense(self.trunk_var(tape, net_in), self.cond_head_layer, None)
-
-    def copy(self) -> "ScoreNetwork":
-        return ScoreNetwork(
-            self.params.copy(),
-            self.x_dim,
-            self.cond_dim,
-            self.hidden,
-            self.depth,
-            self.sigma_data,
-            self.activation,
-        )

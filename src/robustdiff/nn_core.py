@@ -12,9 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Activation = str  # "silu" | "tanh"
-
-_ACTIVATIONS = ("silu", "tanh")
+Activation = str  # "silu"; None selects no activation
 
 
 class ShapeError(ValueError):
@@ -77,9 +75,6 @@ class ParamBundle:
             out.append((slice(off, off + i * o), slice(off + i * o, off + (i + 1) * o)))
             off += (i + 1) * o
         return out
-
-    def copy(self) -> "ParamBundle":
-        return ParamBundle(list(self.layer_shapes), self.values.copy(), self.version)
 
 
 def init_params(
@@ -184,35 +179,9 @@ def vscale(a, s: float) -> Var:
     return Var(a.value * s, (a,), lambda g: (g * s,))
 
 
-def vmatmul(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-
-    def vjp(g):
-        return g @ b.value.T, a.value.T @ g
-
-    return Var(a.value @ b.value, (a, b), vjp)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Saturates exactly at 0/1 in float64 beyond +-60; avoids exp overflow.
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-
-
-def vsilu(a) -> Var:
-    a = _as_var(a)
-    sig = _sigmoid(a.value)
-    out = a.value * sig
-
-    def vjp(g):
-        return (g * (sig * (1.0 + a.value * (1.0 - sig))),)
-
-    return Var(out, (a,), vjp)
-
-
-def vtanh(a) -> Var:
-    a = _as_var(a)
-    t = np.tanh(a.value)
-    return Var(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def vsquare(a) -> Var:
@@ -263,13 +232,6 @@ def vdense(x, w, b, activation: Activation | None) -> Var:
         sig = _sigmoid(z)
         out = z * sig
         dact = sig * (1.0 + z * (1.0 - sig))
-
-        def vjp(g):
-            gz = g * dact
-            return gz @ w.value.T, x.value.T @ gz, gz.sum(axis=0) if gz.ndim == 2 else gz
-    elif activation == "tanh":
-        out = np.tanh(z)
-        dact = 1.0 - out * out
 
         def vjp(g):
             gz = g * dact
@@ -355,34 +317,6 @@ class MlpTape:
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-
-def mlp_forward(
-    params: ParamBundle, x: np.ndarray, activation: Activation = "silu"
-) -> np.ndarray:
-    """Plain forward pass; activation on every layer except the last.
-
-    Accepts a single input vector or a (batch, in_dim) matrix.
-    """
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"activation must be one of {_ACTIVATIONS}")
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    h = x[None, :] if squeeze else x
-    if h.shape[-1] != params.layer_shapes[0][0]:
-        raise ShapeError(
-            f"input width {h.shape[-1]} does not match first layer "
-            f"in_dim {params.layer_shapes[0][0]}"
-        )
-    for k in range(params.n_layers):
-        w, b = params.layer(k)
-        h = h @ w + b
-        if k < params.n_layers - 1:
-            if activation == "silu":
-                h = h * _sigmoid(h)
-            else:
-                h = np.tanh(h)
-    return h[0] if squeeze else h
 
 
 def grad(

@@ -83,5 +83,9 @@ def load_table(path) -> PseudoTable:
             parts = line.split()
             rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
     rows.sort()
+    if not rows or [i for i, _ in rows] != list(range(len(rows))):
+        raise ValueError(f"{path}: pseudo-table indices are not 0..n-1")
+    if len({len(vals) for _, vals in rows}) != 1:
+        raise ValueError(f"{path}: pseudo-table rows differ in width")
     entries = np.array([r[1] for r in rows])
     return PseudoTable(entries, np.zeros(len(rows), dtype=np.int64))

@@ -2,30 +2,29 @@
 
 The condition runs the noise schedule in the opposite direction from the
 demonstration: fully random where the demonstration is clean (t = 0) and
-exactly clean where the demonstration is pure noise (t = T). The perturbation
-kernel mirrors the demonstration grid index-for-index; the pseudo-condition
-estimate integrates the learned condition score field from its random boundary
-state to the clean end with an Euler solver over the reversed grid.
+clean where the demonstration is pure noise (t = T). At demonstration time t
+the condition noise level is mirror_sigma(t), the continuous mirror of the
+demonstration grid. The pseudo-condition estimate integrates the learned
+condition score field from its random boundary state to the clean end with an
+Euler solver over the reversed grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import nn_core
-from .diffusion import NoiseSchedule, c_in, c_noise, mirror_sigma, sigma_grid
+from .diffusion import NoiseSchedule, mirror_sigma, trunk_input
 from .network import ScoreNetwork
 
 
 @dataclass
 class RdcState:
-    """Boundary specification of the condition process.
+    """The condition process's schedule and centering.
 
-    mu / sigma0 describe the t = 0 state (fully random condition); the clean
-    state at t = T is whatever pseudo condition the table currently holds.
     `center` is subtracted from condition values before they enter the trunk,
     so the condition channels carry only the informative deviation from the
     population mean (an uninformative table then looks like the unconditional
@@ -34,103 +33,31 @@ class RdcState:
 
     schedule: NoiseSchedule
     cond_dim: int
-    mu: np.ndarray = None
-    sigma0: float = 1.0
     center: np.ndarray = None
 
     def __post_init__(self):
         if self.cond_dim < 1:
             raise ValueError("cond_dim must be positive")
-        if self.mu is None:
-            self.mu = np.zeros(self.cond_dim)
-        self.mu = np.asarray(self.mu, dtype=np.float64)
-        if self.mu.shape != (self.cond_dim,):
-            raise ValueError("mu must have cond_dim entries")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
         if self.center is None:
             self.center = np.zeros(self.cond_dim)
         self.center = np.asarray(self.center, dtype=np.float64)
         if self.center.shape != (self.cond_dim,):
             raise ValueError("center must have cond_dim entries")
 
-    @property
-    def t_min(self) -> float:
-        # Quadrature floor guarding the 1/(2t) singularity; reuses the grid floor.
-        return self.schedule.sigma_min
 
+def cond_channels(y, t, state: RdcState):
+    """Condition channels of the trunk input at demonstration time t.
 
-def mirror_index(t_index: int, schedule: NoiseSchedule) -> int:
-    if not 0 <= t_index <= schedule.num_steps:
-        raise IndexError(f"t_index {t_index} out of [0, {schedule.num_steps}]")
-    return schedule.num_steps - t_index
-
-
-def rdc_sigma(t_index: int, schedule: NoiseSchedule) -> float:
-    """Condition noise level at grid position t_index.
-
-    Indexing follows the demonstration grid (0 is the t = T end), so the
-    condition level there is exactly 0 and grows to sigma_max at the t = 0 end.
+    (y - center) / sqrt(mirror_sigma(t)^2 + 1): heavily noised conditions
+    stay at unit magnitude, nearly clean ones pass at full strength. `t` is a
+    scalar or a (batch, 1) column; `y` is a numpy array or a tape Var.
     """
-    return float(sigma_grid(schedule)[mirror_index(t_index, schedule)])
-
-
-def perturb_condition(
-    y: np.ndarray, t_index: int, eps: np.ndarray, state: RdcState
-) -> np.ndarray:
-    """y_t = y + rdc_sigma(t) * eps; identity at the clean (t = T) end."""
-    y = np.asarray(y, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if y.shape[-1] != state.cond_dim or eps.shape != y.shape:
-        raise ValueError("condition/noise dimensions must equal cond_dim")
-    return y + rdc_sigma(t_index, state.schedule) * eps
-
-
-def cond_input_scale(rdc_sig):
-    """Scale applied to condition channels before they enter the trunk.
-
-    Keeps heavily noised conditions at unit magnitude; clean conditions
-    (rdc_sigma = 0) pass through at full strength.
-    """
-    return 1.0 / np.sqrt(np.asarray(rdc_sig, dtype=np.float64) ** 2 + 1.0)
-
-
-def head_input(
-    net: ScoreNetwork, x_t: np.ndarray, tau, y_t: np.ndarray, schedule: NoiseSchedule
-) -> np.ndarray:
-    """Trunk input for a condition-score evaluation at continuous time tau."""
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    y_t = np.atleast_2d(np.asarray(y_t, dtype=np.float64))
-    tau = np.broadcast_to(np.asarray(tau, dtype=np.float64), (x_t.shape[0], 1))
-    sd = net.sigma_data
-    scale = cond_input_scale(mirror_sigma(tau, schedule))
-    return np.concatenate([c_in(tau, sd) * x_t, c_noise(tau), scale * y_t], axis=1)
-
-
-def condition_score_head(
-    net: ScoreNetwork,
-    x_t: np.ndarray,
-    t_index: int,
-    y_t: np.ndarray,
-    schedule: NoiseSchedule,
-) -> np.ndarray:
-    """Condition-score estimate at grid position t_index, sharing the trunk."""
-    y_arr = np.asarray(y_t, dtype=np.float64)
-    if y_arr.shape[-1] != net.cond_dim:
-        raise ValueError(f"condition width {y_arr.shape[-1]}, expected {net.cond_dim}")
-    grid = sigma_grid(schedule)
-    if not 0 <= t_index <= schedule.num_steps:
-        raise IndexError(f"t_index {t_index} out of [0, {schedule.num_steps}]")
-    # The trailing grid entry is exactly 0; clamp to the grid floor so the
-    # log-noise channel stays finite.
-    tau = max(float(grid[t_index]), schedule.sigma_min)
-    squeeze = y_arr.ndim == 1
-    out = net.cond_out(head_input(net, x_t, tau, y_arr, schedule))
-    return out[0] if squeeze else out
+    scale = 1.0 / np.sqrt(mirror_sigma(t, state.schedule) ** 2 + 1.0)
+    return (y - state.center) * scale
 
 
 def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
-    """k+1 ascending time nodes from t_min to T along the reversed grid law."""
+    """k+1 ascending time nodes from sigma_min to T along the reversed grid law."""
     if k < 1:
         raise ValueError("need at least one quadrature node")
     a = schedule.sigma_max ** (1.0 / schedule.rho)
@@ -142,32 +69,27 @@ def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
 FieldFn = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
 
 
-def _node_input_const(
-    net: ScoreNetwork, x_context: np.ndarray, tau: float, n: int
-) -> np.ndarray:
-    """Constant part of a quadrature-node input: context features + node time.
+def head_field(net: ScoreNetwork, state: RdcState) -> FieldFn:
+    """The condition head of `net` as a field (x, t, y) -> s.
 
-    `x_context` is expected on the trunk's preconditioned point scale already
-    (the caller applies c_in for whatever noise level the context carries).
+    `x` is the context on the trunk's preconditioned point scale (the caller
+    applies c_in for whatever noise level the context carries).
     """
-    return np.concatenate([x_context, np.full((n, 1), c_noise(tau))], axis=1)
+    return lambda x, t, y: net.cond_out(trunk_input(x, t, cond_channels(y, t, state)))
 
 
 def estimate_pseudo(
-    net_or_field: Union[ScoreNetwork, FieldFn],
+    field: FieldFn,
     x_context: np.ndarray,
     y_start: np.ndarray,
     state: RdcState,
     k: int,
 ) -> np.ndarray:
-    """Deterministic pseudo-condition estimate.
+    """Deterministic pseudo-condition estimate (numpy reference).
 
     Solves d y / dt = -s(y_t, t) / (2t) from the random boundary state
-    `y_start` up to t = T with k Euler nodes on [t_min, T]; equivalently
-    returns y_start minus the accumulated quadrature of s / (2t). The field
-    may be a ScoreNetwork (condition head on shared trunk features of
-    `x_context`, which must already be on the preconditioned point scale) or
-    a raw callable (x, t, y_t) -> vector.
+    `y_start` up to t = T with k Euler nodes on [sigma_min, T]; equivalently
+    returns y_start minus the accumulated quadrature of s / (2t).
     """
     y = np.atleast_2d(np.asarray(y_start, dtype=np.float64)).copy()
     squeeze = np.asarray(y_start).ndim == 1
@@ -178,18 +100,7 @@ def estimate_pseudo(
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        if isinstance(net_or_field, ScoreNetwork):
-            scale = float(cond_input_scale(mirror_sigma(tau, state.schedule)))
-            net_in = np.concatenate(
-                [
-                    _node_input_const(net_or_field, x_ctx, tau, y.shape[0]),
-                    scale * (y - state.center),
-                ],
-                axis=1,
-            )
-            s = net_or_field.cond_out(net_in)
-        else:
-            s = np.atleast_2d(np.asarray(net_or_field(x_ctx, tau, y), dtype=np.float64))
+        s = np.atleast_2d(np.asarray(field(x_ctx, tau, y), dtype=np.float64))
         if not np.all(np.isfinite(s)):
             raise nn_core.NonFiniteError(
                 f"non-finite condition score at quadrature node {node} (t={tau:g})"
@@ -206,27 +117,19 @@ def estimate_pseudo_var(
     state: RdcState,
     k: int,
 ) -> nn_core.Var:
-    """Differentiable twin of estimate_pseudo for training (batched)."""
+    """Differentiable twin of estimate_pseudo over head_field (batched)."""
     y = nn_core.Var(np.atleast_2d(np.asarray(y_start, dtype=np.float64)))
     x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
-    n = y.value.shape[0]
+    no_cond = np.empty((x_ctx.shape[0], 0))
     times = quad_times(state.schedule, k)
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        scale = float(cond_input_scale(mirror_sigma(tau, state.schedule)))
-        x_part = _node_input_const(net, x_ctx, tau, n)
-        y_in = nn_core.vscale(nn_core.vsub(y, nn_core.Var(state.center)), scale)
-        net_in = nn_core.vconcat([nn_core.Var(x_part), y_in], axis=1)
+        # The condition columns are on the tape, so they join the rest there.
+        net_in = nn_core.vconcat(
+            [nn_core.Var(trunk_input(x_ctx, tau, no_cond)), cond_channels(y, tau, state)],
+            axis=1,
+        )
         s = net.cond_var(tape, net_in)
         y = nn_core.vsub(y, nn_core.vscale(s, dt / (2.0 * tau)))
     return y
-
-
-def cond_loss(y_phi: np.ndarray, y_tilde: np.ndarray) -> float:
-    """Squared Euclidean distance between the estimate and the given condition."""
-    a = np.asarray(y_phi, dtype=np.float64)
-    b = np.asarray(y_tilde, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError("condition vectors must share a shape")
-    return float(((a - b) ** 2).sum())

@@ -29,12 +29,11 @@ from . import nn_core, pseudo, rdc
 from .diffusion import (
     NoiseSchedule,
     c_in,
-    c_noise,
     c_out,
     c_skip,
     loss_weight,
     mirror_sigma,
-    sigma_grid,
+    trunk_input,
 )
 from .network import ScoreNetwork
 from .nn_core import OptState, Var
@@ -92,9 +91,7 @@ class TrainConfig:
         return NoiseSchedule(self.sigma_min, self.sigma_max, self.rho, self.num_steps)
 
     def rdc_state(self, center=None) -> rdc.RdcState:
-        return rdc.RdcState(
-            self.schedule(), self.cond_dim, sigma0=self.y0_std, center=center
-        )
+        return rdc.RdcState(self.schedule(), self.cond_dim, center=center)
 
     def stop_policy(self) -> pseudo.EarlyStopPolicy:
         return pseudo.EarlyStopPolicy(self.early_stop_iters)
@@ -222,7 +219,7 @@ def _dsm_condition(
     config: TrainConfig,
     draws: IterationDraws,
     phase2: bool,
-    center: np.ndarray,
+    state: rdc.RdcState,
 ) -> np.ndarray:
     """Conditioning channels for the denoising term, before guidance drop.
 
@@ -233,11 +230,10 @@ def _dsm_condition(
         return data.noisy_onehot[draws.idx]
     entries = table.get(draws.idx)
     if phase2 or config.variant == "pc_only":
-        return entries - center
+        return entries - state.center
     # Reverse-time kernel: condition noise level mirrors the demonstration's.
-    sig_c = mirror_sigma(draws.sigma, config.schedule())
-    y_t = entries + sig_c * draws.eps_c
-    return rdc.cond_input_scale(sig_c) * (y_t - center)
+    y_t = entries + mirror_sigma(draws.sigma, state.schedule) * draws.eps_c
+    return rdc.cond_channels(y_t, draws.sigma, state)
 
 
 def loss_step(
@@ -256,21 +252,17 @@ def loss_step(
     x0 = data.points[draws.idx]
     y_til = data.noisy_onehot[draws.idx]
     sd = net.sigma_data
-    if config.variant == "vanilla":
-        center = np.zeros(config.cond_dim)
-    else:
-        center = table.entries.mean(axis=0)
+    center = None if config.variant == "vanilla" else table.entries.mean(axis=0)
+    state = config.rdc_state(center)
 
-    cond = _dsm_condition(data, table, config, draws, phase2, center)
+    cond = _dsm_condition(data, table, config, draws, phase2, state)
     cond = np.where(draws.drop, 0.0, cond)
 
     x_t = x0 + draws.sigma * draws.eps_x
-    net_in = np.concatenate(
-        [c_in(draws.sigma, sd) * x_t, c_noise(draws.sigma), cond], axis=1
-    )
+    x_in = c_in(draws.sigma, sd) * x_t
 
     tape = nn_core.MlpTape(net.params)
-    raw = net.demo_var(tape, Var(net_in))
+    raw = net.demo_var(tape, Var(trunk_input(x_in, draws.sigma, cond)))
     # denoised - x0 = (c_skip * x_t - x0) + c_out * raw
     base = c_skip(draws.sigma, sd) * x_t - x0
     err = nn_core.vadd(nn_core.vmul(raw, c_out(draws.sigma, sd)), Var(base))
@@ -281,22 +273,13 @@ def loss_step(
     if config.variant != "vanilla" and not phase2:
         # Context = the same noised point the denoiser consumes, already on
         # the preconditioned scale for its own noise level.
-        x_ctx = c_in(draws.sigma, sd) * x_t
         if config.variant == "pc_rdc":
             y_phi_var = rdc.estimate_pseudo_var(
-                tape,
-                net,
-                x_ctx,
-                draws.y_start,
-                config.rdc_state(center),
-                config.quad_nodes,
+                tape, net, x_in, draws.y_start, state, config.quad_nodes
             )
         else:
-            head_in = np.concatenate([x_ctx, c_noise(draws.sigma)], axis=1)
-            full_in = nn_core.vconcat(
-                [Var(head_in), Var(table.get(draws.idx) - center)], axis=1
-            )
-            y_phi_var = net.cond_var(tape, full_in)
+            pc_in = trunk_input(x_in, draws.sigma, table.get(draws.idx) - state.center)
+            y_phi_var = net.cond_var(tape, Var(pc_in))
         diff = nn_core.vsub(y_phi_var, Var(y_til))
         cond_term_var = nn_core.vscale(nn_core.vsum(nn_core.vsquare(diff)), 1.0 / b)
         total = nn_core.vadd(demo_var, cond_term_var)
@@ -450,8 +433,14 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
             raise ValueError("unrecognized optimizer checkpoint header")
         parts = f.readline().split()
         step, size = int(parts[1]), int(parts[3])
-        m = np.frombuffer(f.read(size * 8), dtype="<f8").astype(np.float64)
-        v = np.frombuffer(f.read(size * 8), dtype="<f8").astype(np.float64)
+        body = f.read()
+    if size != params.values.size or len(body) != 2 * 8 * size:
+        raise ValueError(
+            f"optimizer checkpoint holds {len(body)} bytes for size {size}; "
+            f"expected two moments of {params.values.size} float64 values"
+        )
+    m = np.frombuffer(body[: 8 * size], dtype="<f8").astype(np.float64)
+    v = np.frombuffer(body[8 * size :], dtype="<f8").astype(np.float64)
     opt = OptState(m, v, step)
     if (outdir / "pseudo.txt").exists():
         table = pseudo.load_table(outdir / "pseudo.txt")

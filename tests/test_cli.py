@@ -35,3 +35,46 @@ class TestPipeline:
         out = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
         assert (ckpt / "prototypes.txt").exists()
+
+
+def _reproduce_args(out, *extra):
+    return ["reproduce", "--out", str(out), "--etas", "0.4", "--seeds", "0",
+            "--variants", "vanilla,pc_rdc", *_set_args(),
+            "--set", "n_per_class=20", "--set", "per_class_samples=10", *extra]
+
+
+class TestReproduce:
+    def test_jobs2_prints_one_line_per_cell(self, tmp_path, capsys):
+        cli.main(_reproduce_args(tmp_path / "r", "--jobs", "2"))
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("finished ")]
+        assert lines == ["finished vanilla eta=0.4 seed=0", "finished pc_rdc eta=0.4 seed=0"]
+
+    def test_jobs_below_one_is_usage_error(self, tmp_path):
+        assert cli.main(_reproduce_args(tmp_path / "r", "--jobs=-1")) == 1
+
+    def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
+        # The gates may fail on a run this small, so the exit code is not asserted.
+        cli.main(_reproduce_args(tmp_path / "j1", "--jobs", "1"))
+        cli.main(_reproduce_args(tmp_path / "j2", "--jobs", "2"))
+        cli.main(["reproduce", "--out", str(tmp_path / "rerun"),
+                  "--manifest", str(tmp_path / "j1" / "manifest.txt")])
+        want = (tmp_path / "j1" / "results.csv").read_bytes()
+        assert want.count(b"\n") == 3  # header + 2 cells
+        assert (tmp_path / "j2" / "results.csv").read_bytes() == want
+        assert (tmp_path / "rerun" / "results.csv").read_bytes() == want
+
+
+class TestSample:
+    def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        ckpt = tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
+                         "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         *_set_args(), "--set", "lr=1e18"]) == 2
+        assert not (ckpt / "prototypes.txt").exists()
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert "without prototypes.txt" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()

@@ -1,24 +1,21 @@
 import numpy as np
 import pytest
 
-from robustdiff import diffusion
 from robustdiff.diffusion import (
-    UNCOND,
-    DenoiserOutput,
     NoiseSchedule,
     c_in,
     c_noise,
     c_out,
     c_skip,
-    cfg_score,
     denoise,
     dsm_loss,
+    guided,
     heun_sample,
     loss_weight,
     mirror_sigma,
-    perturb,
     read_samples,
     sigma_grid,
+    trunk_input,
     write_samples,
 )
 from robustdiff.network import ScoreNetwork
@@ -75,36 +72,20 @@ class TestSchedule:
         assert np.allclose(mirrored, grid[::-1], rtol=1e-9)
 
 
-class TestPerturb:
-    def test_zero_sigma_identity(self):
-        x0 = np.array([0.3, -0.7])
-        eps = np.array([5.0, -9.0])
-        assert np.array_equal(perturb(x0, 0.0, eps), x0)
+UNCOND = np.zeros(4)
 
-    def test_arithmetic_case(self):
-        got = perturb(np.array([1.0, 2.0]), 2.0, np.array([0.5, -1.0]))
-        assert np.array_equal(got, np.array([2.0, 0.0]))
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            perturb(np.zeros(2), -0.1, np.zeros(2))
-
-    def test_monte_carlo_variance(self):
-        # sample variance of each coordinate of (x_t - x0) within 3% of sigma^2
-        rng = np.random.default_rng(12)
-        sigma = 1.7
-        eps = rng.standard_normal((100_000, 2))
-        x_t = perturb(np.zeros((100_000, 2)), sigma, eps)
-        var = x_t.var(axis=0)
-        assert np.all(np.abs(var - sigma**2) < 0.03 * sigma**2)
+def score(net, x, sigma, cond):
+    """Score from the denoiser through the exact relation (D - x) / sigma^2."""
+    return (denoise(net, x, sigma, cond) - x) / sigma**2
 
 
 class TestDenoise:
     def test_small_sigma_limit_returns_input(self):
         net = random_net(1)
-        x = np.array([0.4, -1.2])
+        x = np.array([[0.4, -1.2]])
         out = denoise(net, x, 1e-8, UNCOND)
-        assert np.allclose(out.denoised, x, atol=1e-6)
+        assert np.allclose(out, x, atol=1e-6)
 
     def test_cskip_half_at_sigma_data(self):
         assert c_skip(0.5, 0.5) == pytest.approx(0.5)
@@ -122,75 +103,87 @@ class TestDenoise:
         )
         raw = net.demo_out(net_in[None, :])[0]
         want = c_skip(sigma, sd) * x + c_out(sigma, sd) * raw
-        got = denoise(net, x, sigma, cond)
-        assert np.allclose(got.denoised, want, rtol=1e-12)
-
-    def test_score_relation_exact_randomized(self):
-        net = random_net(3)
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            x = rng.normal(size=2)
-            sigma = float(np.exp(rng.uniform(-5, 4)))
-            cond = rng.normal(size=4)
-            out = denoise(net, x, sigma, cond)
-            assert np.array_equal(out.score, (out.denoised - x) / sigma**2)
+        got = denoise(net, x[None, :], sigma, cond)[0]
+        assert np.allclose(got, want, rtol=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
         net = random_net(0)
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
-                denoise(net, np.zeros(2), bad, UNCOND)
+                denoise(net, np.zeros((1, 2)), bad, UNCOND)
 
     def test_uncond_equals_zero_vector(self):
+        # guidance on the all-zero row is the unconditional branch alone
         net = random_net(5)
-        x = np.array([0.1, 0.2])
-        a = denoise(net, x, 1.0, UNCOND)
+        x = np.array([[0.1, 0.2]])
+        a = guided(net, np.zeros(4), 3.0)(x, 1.0)
         b = denoise(net, x, 1.0, np.zeros(4))
-        assert np.array_equal(a.denoised, b.denoised)
+        assert np.array_equal(a, b)
+
+
+class TestTrunkInput:
+    def test_layout_scalar_and_column_sigma(self):
+        x_in = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cond = np.array([[0.5, 0, 0, 0], [0, 0, 0, -0.5]])
+        got = trunk_input(x_in, 0.8, cond)
+        assert np.array_equal(got[:, :2], x_in)
+        assert np.array_equal(got[:, 2], np.full(2, c_noise(0.8)))
+        assert np.array_equal(got[:, 3:], cond)
+        col = np.array([[0.8], [0.8]])
+        assert np.array_equal(trunk_input(x_in, col, cond), got)
 
 
 class TestDsmLoss:
     def test_oracle_denoiser_gives_zero(self):
         # with eps = 0, an identity denoiser returns x0 exactly
         x0 = np.random.default_rng(0).normal(size=(8, 2))
-        loss = dsm_loss(lambda x, s: x, x0, None, np.full(8, 0.7), np.zeros((8, 2)))
+        loss = dsm_loss(lambda x, s: x, x0, np.full(8, 0.7), np.zeros((8, 2)), 0.5)
         assert loss == 0.0
 
     def test_cheating_oracle_returns_x0(self):
-        # per-sample oracle that returns the true x0 regardless of noise
+        # an oracle that returns the true x0 regardless of noise
         x0 = np.random.default_rng(1).normal(size=(5, 2))
         eps = np.random.default_rng(2).normal(size=(5, 2))
-        calls = iter(range(5))
-        oracle = lambda x, s: x0[next(calls)]
-        loss = dsm_loss(oracle, x0, None, np.full(5, 1.3), eps)
+        loss = dsm_loss(lambda x, s: x0, x0, np.full(5, 1.3), eps, 0.5)
         assert loss == 0.0
 
     def test_weight_value_at_sigma_data(self):
         assert loss_weight(0.5, 0.5) == pytest.approx(8.0)
+
+    def test_weight_uses_given_sigma_data(self):
+        # D = x_t + 1 with eps = 0: error 1 per coordinate, weighted at sigma_data
+        x0 = np.zeros((1, 2))
+        loss = dsm_loss(lambda x, s: x + 1.0, x0, np.array([0.9]), np.zeros((1, 2)), 2.5)
+        assert loss == pytest.approx(2.0 * loss_weight(0.9, 2.5), rel=1e-15)
 
     def test_single_sample_recomputation(self):
         net = random_net(6)
         x0 = np.array([[1.0, -0.5]])
         eps = np.array([[0.3, 0.8]])
         sigma = np.array([0.9])
-        got = dsm_loss(net, x0, np.zeros(4), sigma, eps)
-        den = denoise(net, x0[0] + 0.9 * eps[0], 0.9, np.zeros(4)).denoised
+        got = dsm_loss(
+            lambda x, s: denoise(net, x, s, np.zeros(4)), x0, sigma, eps, net.sigma_data
+        )
+        den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4))[0]
         want = loss_weight(0.9, net.sigma_data) * float(((den - x0[0]) ** 2).sum())
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_batch_rejected(self):
-        net = random_net(0)
         with pytest.raises(ValueError):
-            dsm_loss(net, np.zeros((0, 2)), None, np.zeros(0), np.zeros((0, 2)))
+            dsm_loss(lambda x, s: x, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), 0.5)
 
 
 class TestCfgScore:
+    """Classifier-free guidance through diffusion.guided; its score is
+    (D - x) / sigma^2 of the guided denoiser D."""
+
     def test_w1_is_conditional_score_bitwise(self):
         net = random_net(7)
-        x = np.array([0.2, 0.4])
+        x = np.array([[0.2, 0.4]])
         cond = np.array([0.0, 1.0, 0.0, 0.0])
-        guided = cfg_score(net, x, 1.0, cond, 1.0)
-        assert np.array_equal(guided, denoise(net, x, 1.0, cond).score)
+        got = guided(net, cond, 1.0)(x, 1.0)
+        assert np.array_equal(got, denoise(net, x, 1.0, cond))
+        assert np.array_equal((got - x) / 1.0**2, score(net, x, 1.0, cond))
 
     def test_formula_arithmetic(self):
         # Eq: s_u + w (s_c - s_u); with s_u = (1,0), s_c = (3,0), w = 1.5 -> (4,0)
@@ -199,28 +192,29 @@ class TestCfgScore:
 
     def test_matches_two_call_combination(self):
         net = random_net(8)
-        x = np.array([-0.3, 0.9])
+        x = np.array([[-0.3, 0.9]])
         cond = np.array([0.0, 0.0, 1.0, 0.0])
         for w in (1.5, 2.0, 3.0):
-            got = cfg_score(net, x, 0.7, cond, w)
-            s_c = denoise(net, x, 0.7, cond).score
-            s_u = denoise(net, x, 0.7, UNCOND).score
+            got = (guided(net, cond, w)(x, 0.7) - x) / 0.7**2
+            s_c = score(net, x, 0.7, cond)
+            s_u = score(net, x, 0.7, UNCOND)
             assert np.allclose(got, s_u + w * (s_c - s_u), rtol=1e-12)
 
     def test_zero_uncond_linearity(self):
         # when the unconditional score is exactly zero, w scales the conditional
         net = random_net(9)
-        x = np.array([0.5, -0.5])
+        x = np.array([[0.5, -0.5]])
         cond = np.array([1.0, 0.0, 0.0, 0.0])
-        s_c = denoise(net, x, 1.2, cond).score
-        s_u = denoise(net, x, 1.2, UNCOND).score
+        s_c = score(net, x, 1.2, cond)
+        s_u = score(net, x, 1.2, UNCOND)
         synthetic = s_u + 2.0 * (s_c - s_u) + s_u  # algebra check of Eq. shape
-        assert np.allclose(cfg_score(net, x, 1.2, cond, 2.0) + s_u, synthetic, rtol=1e-12)
+        got = (guided(net, cond, 2.0)(x, 1.2) - x) / 1.2**2
+        assert np.allclose(got + s_u, synthetic, rtol=1e-12)
 
     def test_w_below_one_rejected(self):
         net = random_net(0)
         with pytest.raises(ValueError):
-            cfg_score(net, np.zeros(2), 1.0, np.zeros(4), 0.5)
+            guided(net, np.zeros(4), 0.5)
 
 
 class TestHeunSample:
@@ -228,25 +222,30 @@ class TestHeunSample:
         # With D == 0 each step maps x -> x * sigma_next / sigma_cur exactly,
         # so the final step to sigma = 0 lands every chain on the origin.
         sch = NoiseSchedule(num_steps=6)
-        out = heun_sample(lambda x, s: np.zeros_like(x), None, 1.0, sch, 64, seed=5)
+        out = heun_sample(lambda x, s: np.zeros_like(x), 2, sch, 64, seed=5)
         assert np.array_equal(out, np.zeros((64, 2)))
 
     def test_analytic_gaussian_moments(self):
         sch = NoiseSchedule(num_steps=18)
-        out = heun_sample(lambda x, s: x / (1 + s * s), None, 1.0, sch, 10_000, seed=16)
+        out = heun_sample(lambda x, s: x / (1 + s * s), 2, sch, 10_000, seed=16)
         assert np.all(np.abs(out.mean(axis=0)) < 0.05)
         assert np.all(np.abs(out.var(axis=0) - 1.0) < 0.1)
 
     def test_same_seed_bitwise_identical(self):
         net = random_net(10)
         sch = NoiseSchedule(num_steps=5)
-        a = heun_sample(net, np.array([1.0, 0, 0, 0]), 2.0, sch, 16, seed=3)
-        b = heun_sample(net, np.array([1.0, 0, 0, 0]), 2.0, sch, 16, seed=3)
+        cond = np.array([1.0, 0, 0, 0])
+        a = heun_sample(guided(net, cond, 2.0), net.x_dim, sch, 16, seed=3)
+        b = heun_sample(guided(net, cond, 2.0), net.x_dim, sch, 16, seed=3)
         assert np.array_equal(a, b)
+
+    def test_x_dim_sets_sample_width(self):
+        out = heun_sample(lambda x, s: np.zeros_like(x), 3, NoiseSchedule(num_steps=4), 5, 0)
+        assert out.shape == (5, 3)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            heun_sample(lambda x, s: x, None, 1.0, NoiseSchedule(num_steps=4), 0, 0)
+            heun_sample(lambda x, s: x, 2, NoiseSchedule(num_steps=4), 0, 0)
 
 
 class TestSampleDump:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from robustdiff import nn_core
+from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
@@ -13,7 +14,6 @@ from robustdiff.nn_core import (
     grad,
     init_params,
     load_params,
-    mlp_forward,
     save_params,
     value_and_grad,
     vmean,
@@ -24,24 +24,29 @@ from robustdiff.nn_core import (
 )
 
 
-def hand_forward(params, x, activation):
-    """Independent loop-based forward pass used as the oracle."""
+def hand_forward(net, x):
+    """Independent loop-based demo_out pass (SiLU trunk, linear demonstration
+    head) used as the oracle."""
     h = list(x)
-    for k in range(params.n_layers):
-        w, b = params.layer(k)
+    for k in net.trunk_layers + [net.demo_head_layer]:
+        w, b = net.params.layer(k)
         out = []
         for j in range(w.shape[1]):
             acc = b[j]
             for i in range(w.shape[0]):
                 acc += h[i] * w[i, j]
             out.append(acc)
-        if k < params.n_layers - 1:
-            if activation == "silu":
-                out = [v / (1.0 + np.exp(-v)) for v in out]
-            else:
-                out = [np.tanh(v) for v in out]
+        if k != net.demo_head_layer:
+            out = [v / (1.0 + np.exp(-v)) for v in out]
         h = out
     return np.array(h)
+
+
+def random_net(seed, hidden=5, depth=2):
+    net = ScoreNetwork.create(hidden=hidden, depth=depth, seed=seed)
+    rng = np.random.default_rng(seed + 7)
+    net.params.values[:] = rng.normal(0, 0.7, net.params.values.size)
+    return net
 
 
 def fd_gradient(params, loss_fn, h=1e-4):
@@ -63,44 +68,47 @@ def max_rel_err(a, b):
 
 
 class TestMlpForward:
+    """The plain forward pass, ScoreNetwork.demo_out."""
+
     def test_identity_layer(self):
-        params = ParamBundle([(2, 2)], np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]))
-        out = mlp_forward(params, np.array([1.0, 2.0]))
-        assert np.array_equal(out, np.array([1.0, 2.0]))
+        # an identity demonstration head reads the trunk features out unchanged
+        net = random_net(0, hidden=2, depth=1)
+        w, b = net.params.layer(net.demo_head_layer)
+        w[:] = np.eye(2)
+        b[:] = 0.0
+        x = np.random.default_rng(1).normal(size=(3, net.in_dim))
+        assert np.array_equal(net.demo_out(x), net.trunk_features(x))
 
     def test_constant_bias_layer(self):
-        # zero weights, bias 0.5: every input maps to 0.5
-        params = ParamBundle([(3, 1)], np.array([0.0, 0.0, 0.0, 0.5]))
-        for x in ([1.0, 2.0, 3.0], [-4.0, 0.0, 9.0]):
-            assert mlp_forward(params, np.array(x)) == pytest.approx(0.5)
+        # zero head weights, bias 0.5: every input maps to 0.5
+        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
+        _, b = net.params.layer(net.demo_head_layer)
+        b[:] = 0.5
+        for x in ([1.0, 2.0, 3.0, 0, 0, 0, 1.0], [-4.0, 0.0, 9.0, 1.0, 0, 0, 0]):
+            assert np.array_equal(net.demo_out(np.array([x])), np.full((1, 2), 0.5))
 
-    @pytest.mark.parametrize("activation", ["silu", "tanh"])
-    def test_two_layer_matches_hand_oracle(self, activation):
-        rng = np.random.default_rng(11)
-        params = init_params([(3, 5), (5, 2)], seed=4)
-        params.values[:] = rng.normal(0, 0.7, params.values.size)
-        x = rng.normal(size=3)
-        got = mlp_forward(params, x, activation)
-        want = hand_forward(params, x, activation)
+    def test_two_layer_matches_hand_oracle(self):
+        net = random_net(4)
+        x = np.random.default_rng(11).normal(size=net.in_dim)
+        got = net.demo_out(x[None, :])[0]
+        want = hand_forward(net, x)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_dimension_mismatch_rejected(self):
-        params = init_params([(3, 2)], seed=0)
+        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         with pytest.raises(ShapeError):
-            mlp_forward(params, np.zeros(4))
+            net.demo_out(np.zeros((1, net.in_dim + 1)))
 
     def test_pure_function_bitwise(self):
-        params = init_params([(4, 8), (8, 2)], seed=1)
-        x = np.random.default_rng(2).normal(size=(6, 4))
-        a = mlp_forward(params, x)
-        b = mlp_forward(params, x)
-        assert np.array_equal(a, b)
+        net = random_net(1, hidden=8)
+        x = np.random.default_rng(2).normal(size=(6, net.in_dim))
+        assert np.array_equal(net.demo_out(x), net.demo_out(x))
 
     def test_batched_matches_per_row(self):
-        params = init_params([(3, 4), (4, 2)], seed=9)
-        x = np.random.default_rng(3).normal(size=(5, 3))
-        batched = mlp_forward(params, x)
-        rows = np.stack([mlp_forward(params, r) for r in x])
+        net = random_net(9, hidden=4)
+        x = np.random.default_rng(3).normal(size=(5, net.in_dim))
+        batched = net.demo_out(x)
+        rows = np.concatenate([net.demo_out(r[None, :]) for r in x])
         assert np.allclose(batched, rows, rtol=1e-14)
 
 
@@ -136,9 +144,8 @@ class TestGrad:
         rng = np.random.default_rng(42)
         builders = [
             lambda t, x, y: vmean(vsquare(vsub(t.forward(x, "silu"), Var(y)))),
-            lambda t, x, y: vmean(vsquare(vsub(t.forward(x, "tanh"), Var(y)))),
             lambda t, x, y: vsum(vmul(t.forward(x, "silu"), Var(y))),
-            lambda t, x, y: vmean(vmul(t.forward(x, "tanh"), t.forward(x, "tanh"))),
+            lambda t, x, y: vmean(vmul(t.forward(x, "silu"), t.forward(x, "silu"))),
         ]
         for trial in range(100):
             shapes = [(2, 3), (3, 2)] if trial % 2 else [(2, 4), (4, 4), (4, 1)]

@@ -148,3 +148,14 @@ class TestSnapshot:
         lines = path.read_text().splitlines()
         assert lines[0].split()[0] == "0"
         assert lines[1] == "1 0.5 -0.25"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 0.5 0.5\n2 0.5 0.5\n", "0 0.5 0.5\n0 0.5 0.5\n", "0 0.5 0.5\n1 0.5\n", ""],
+        ids=["index_gap", "repeated_index", "unequal_width", "empty"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, text):
+        path = tmp_path / "pseudo.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_table(path)

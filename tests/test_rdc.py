@@ -1,24 +1,21 @@
 import numpy as np
 import pytest
 
-from robustdiff import nn_core, rdc
-from robustdiff.diffusion import NoiseSchedule, sigma_grid
+from robustdiff import nn_core
+from robustdiff.diffusion import NoiseSchedule, c_in, c_noise, mirror_sigma, sigma_grid
 from robustdiff.network import ScoreNetwork
 from robustdiff.rdc import (
     RdcState,
-    cond_loss,
-    condition_score_head,
+    cond_channels,
     estimate_pseudo,
     estimate_pseudo_var,
-    mirror_index,
-    perturb_condition,
+    head_field,
     quad_times,
-    rdc_sigma,
 )
 
 
-def make_state(num_steps=10, sigma0=1.0):
-    return RdcState(NoiseSchedule(num_steps=num_steps), 4, sigma0=sigma0)
+def make_state(num_steps=10, center=None):
+    return RdcState(NoiseSchedule(num_steps=num_steps), 4, center=center)
 
 
 def random_net(seed=0, hidden=10, depth=2):
@@ -28,96 +25,57 @@ def random_net(seed=0, hidden=10, depth=2):
     return net
 
 
-class TestRdcSigma:
-    def test_clean_end_is_exactly_zero(self):
-        sch = NoiseSchedule(num_steps=12)
-        assert rdc_sigma(0, sch) == 0.0  # index 0 is the t = T end
-
-    def test_noisy_end_is_sigma_max(self):
-        sch = NoiseSchedule(num_steps=12)
-        assert rdc_sigma(12, sch) == 80.0
-
-    def test_index_mirror_oracle_every_index(self):
-        sch = NoiseSchedule(num_steps=9)
-        grid = sigma_grid(sch)
-        for i in range(sch.num_steps + 1):
-            assert rdc_sigma(i, sch) == grid[sch.num_steps - i]
-            assert mirror_index(mirror_index(i, sch), sch) == i
-
-    def test_monotone_against_demonstration_direction(self):
-        sch = NoiseSchedule(num_steps=15)
-        vals = [rdc_sigma(i, sch) for i in range(16)]
-        assert np.all(np.diff(vals) > 0)  # grows as the demonstration gets cleaner
-
-    def test_out_of_range_rejected(self):
-        sch = NoiseSchedule(num_steps=5)
-        for bad in (-1, 6):
-            with pytest.raises(IndexError):
-                rdc_sigma(bad, sch)
-
-
-class TestPerturbCondition:
-    def test_clean_boundary_identity_for_any_noise(self):
-        state = make_state()
-        y = np.array([1.0, 0.0, 0.0, 0.0])
-        eps = np.array([9.0, -5.0, 3.0, 2.0])
-        assert np.array_equal(perturb_condition(y, 0, eps, state), y)
-
-    def test_arithmetic_case(self):
-        state = make_state()
-        sch = state.schedule
-        # find the index whose rdc sigma we can plug in directly
-        idx = 3
-        sig = rdc_sigma(idx, sch)
-        y = np.array([1.0, 0.0, 0.0, 0.0])
-        eps = np.array([0.0, 0.5, 0.0, 0.0])
-        got = perturb_condition(y, idx, eps, state)
-        assert np.allclose(got, y + sig * eps, rtol=0, atol=0)
-
-    def test_dimension_mismatch_rejected(self):
-        state = make_state()
-        with pytest.raises(ValueError):
-            perturb_condition(np.zeros(3), 1, np.zeros(3), state)
-        with pytest.raises(ValueError):
-            perturb_condition(np.zeros(4), 1, np.zeros(3), state)
-
-    def test_monte_carlo_variance_mid_grid(self):
-        state = make_state()
+class TestCondChannels:
+    def test_formula_oracle(self):
+        state = make_state(center=np.array([0.1, 0.2, 0.3, 0.4]))
         rng = np.random.default_rng(8)
-        idx = 5
-        sig = rdc_sigma(idx, state.schedule)
-        eps = rng.standard_normal((100_000, 4))
-        y_t = perturb_condition(np.zeros((100_000, 4)), idx, eps, state)
-        assert np.all(np.abs(y_t.var(axis=0) - sig**2) < 0.03 * sig**2)
+        y = rng.normal(size=(6, 4))
+        t = np.exp(rng.uniform(-6, 4, size=(6, 1)))
+        got = cond_channels(y, t, state)
+        for i in range(6):
+            sig_c = float(mirror_sigma(t[i, 0], state.schedule))
+            want = (y[i] - state.center) / np.sqrt(sig_c**2 + 1.0)
+            assert np.allclose(got[i], want, rtol=1e-14)
 
-    def test_fully_noisy_boundary_variance_is_sigma_max_sq(self):
+    def test_scale_grows_towards_demonstration_noise(self):
+        # the condition gets cleaner as the demonstration gets noisier
         state = make_state()
-        rng = np.random.default_rng(9)
-        eps = rng.standard_normal((100_000, 4))
-        y_t = perturb_condition(np.zeros((100_000, 4)), state.schedule.num_steps, eps, state)
-        assert np.all(np.abs(y_t.var(axis=0) - 80.0**2) < 0.03 * 80.0**2)
+        ts = sigma_grid(state.schedule)[:-1][::-1]  # ascending
+        scales = [float(cond_channels(np.ones((1, 4)), t, state)[0, 0]) for t in ts]
+        assert np.all(np.diff(scales) > 0)
+        assert scales[0] == pytest.approx(1.0 / np.sqrt(80.0**2 + 1.0), rel=1e-12)
+        assert scales[-1] == pytest.approx(1.0, abs=1e-5)
+
+    def test_tape_twin_bitwise(self):
+        state = make_state(center=np.array([0.5, -0.5, 0.0, 1.0]))
+        y = np.random.default_rng(9).normal(size=(3, 4))
+        fast = cond_channels(y, 0.3, state)
+        slow = cond_channels(nn_core.Var(y), 0.3, state)
+        assert np.array_equal(fast, slow.value)
 
 
 class TestConditionScoreHead:
+    """The condition head as a field over continuous time (rdc.head_field)."""
+
     def test_zero_initialized_head_returns_zero(self):
         net = ScoreNetwork.create(hidden=8, depth=2, seed=4)  # heads start at zero
-        sch = NoiseSchedule(num_steps=6)
-        out = condition_score_head(net, np.array([0.5, -0.5]), 2, np.ones(4), sch)
-        assert np.array_equal(out, np.zeros(4))
+        field = head_field(net, make_state(num_steps=6))
+        out = field(np.array([[0.5, -0.5]]), 0.7, np.ones((1, 4)))
+        assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_trunk_sharing_perturbation_sensitivity(self):
         net = random_net(5)
-        sch = NoiseSchedule(num_steps=6)
-        x = np.array([0.3, 0.3])
-        y = np.array([0.2, 0.1, 0.0, 0.0])
+        field = head_field(net, make_state(num_steps=6))
+        x = np.array([[0.3, 0.3]])
+        y = np.array([[0.2, 0.1, 0.0, 0.0]])
         from robustdiff.diffusion import denoise
 
-        demo_before = denoise(net, x, 1.0, y).denoised
-        cond_before = condition_score_head(net, x, 2, y, sch)
+        demo_before = denoise(net, x, 1.0, y)
+        cond_before = field(x, 1.0, y)
         # nudge one trunk weight: both heads must move
         net.params.values[3] += 0.05
-        demo_after = denoise(net, x, 1.0, y).denoised
-        cond_after = condition_score_head(net, x, 2, y, sch)
+        demo_after = denoise(net, x, 1.0, y)
+        cond_after = field(x, 1.0, y)
         assert not np.allclose(demo_before, demo_after)
         assert not np.allclose(cond_before, cond_after)
 
@@ -126,25 +84,21 @@ class TestConditionScoreHead:
         sch = NoiseSchedule(num_steps=8)
         x = np.array([0.4, 0.9])
         y = np.array([0.3, -0.2, 0.5, 0.1])
-        t_index = 3
-        got = condition_score_head(net, x, t_index, y, sch)
+        tau = sigma_grid(sch)[3]
+        x_ctx = c_in(tau, net.sigma_data) * x
+        got = head_field(net, RdcState(sch, 4))(x_ctx[None, :], tau, y[None, :])[0]
         # independent recomposition from trunk + head passes
-        from robustdiff.diffusion import c_in, c_noise, mirror_sigma
-
-        tau = sigma_grid(sch)[t_index]
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau, sch)) ** 2 + 1.0)
-        net_in = np.concatenate(
-            [c_in(tau, net.sigma_data) * x, [c_noise(tau)], scale * y]
-        )
+        net_in = np.concatenate([x_ctx, [c_noise(tau)], scale * y])
         feats = net.trunk_features(net_in[None, :])
         w, b = net.params.layer(net.cond_head_layer)
         want = (feats @ w + b)[0]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_wrong_condition_width_rejected(self):
-        net = random_net(0)
+        field = head_field(random_net(0), make_state(num_steps=4))
         with pytest.raises(ValueError):
-            condition_score_head(net, np.zeros(2), 1, np.zeros(3), NoiseSchedule(num_steps=4))
+            field(np.zeros((1, 2)), 1.0, np.zeros((1, 3)))
 
 
 class TestEstimatePseudo:
@@ -152,7 +106,7 @@ class TestEstimatePseudo:
         net = ScoreNetwork.create(hidden=8, depth=2, seed=1)  # zero cond head
         state = make_state()
         y0 = np.array([0.7, -0.3, 0.2, 0.0])
-        got = estimate_pseudo(net, np.zeros(2), y0, state, 8)
+        got = estimate_pseudo(head_field(net, state), np.zeros(2), y0, state, 8)
         assert np.array_equal(got, y0)
 
     def test_constant_head_matches_direct_summation(self):
@@ -168,7 +122,7 @@ class TestEstimatePseudo:
             (times[m + 1] - times[m]) / (2.0 * times[m]) for m in range(k)
         )
         y0 = np.array([0.1, 0.2, 0.3, 0.4])
-        got = estimate_pseudo(net, np.zeros(2), y0, state, k)
+        got = estimate_pseudo(head_field(net, state), np.zeros(2), y0, state, k)
         assert np.allclose(got, y0 - c * total, rtol=1e-12)
 
     def test_linearity_in_head_output(self):
@@ -211,7 +165,7 @@ class TestEstimatePseudo:
         rng = np.random.default_rng(3)
         x_ctx = rng.normal(size=(5, 2))
         y0 = rng.normal(size=(5, 4))
-        fast = estimate_pseudo(net, x_ctx, y0, state, 6)
+        fast = estimate_pseudo(head_field(net, state), x_ctx, y0, state, 6)
         tape = nn_core.MlpTape(net.params)
         slow = estimate_pseudo_var(tape, net, x_ctx, y0, state, 6)
         assert np.allclose(fast, slow.value, rtol=1e-12)
@@ -246,41 +200,13 @@ class TestEstimatePseudo:
         assert np.max(np.abs(g - fd) / scale) < 1e-4
 
 
-class TestCondLoss:
-    def test_equal_vectors_zero(self):
-        y = np.array([0.25, 0.25, 0.25, 0.25])
-        assert cond_loss(y, y) == 0.0
-
-    def test_arithmetic_case(self):
-        a = np.array([1.0, 0.0, 0.0, 0.0])
-        b = np.array([0.0, 1.0, 0.0, 0.0])
-        assert cond_loss(a, b) == 2.0
-
-    def test_brute_force_oracle(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            want = sum((float(a[i]) - float(b[i])) ** 2 for i in range(4))
-            assert cond_loss(a, b) == pytest.approx(want, rel=1e-14)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cond_loss(np.zeros(4), np.zeros(3))
-
-
 class TestRdcState:
     def test_validation(self):
         sch = NoiseSchedule(num_steps=4)
         with pytest.raises(ValueError):
             RdcState(sch, 0)
         with pytest.raises(ValueError):
-            RdcState(sch, 4, sigma0=0.0)
-        with pytest.raises(ValueError):
-            RdcState(sch, 4, mu=np.zeros(3))
-
-    def test_t_min_reuses_grid_floor(self):
-        state = make_state()
-        assert state.t_min == state.schedule.sigma_min
+            RdcState(sch, 4, center=np.zeros(3))
 
     def test_quad_times_span(self):
         sch = NoiseSchedule(num_steps=7)

@@ -165,7 +165,8 @@ class TestLossStep:
         # independent recomputation through the public dsm_loss contract
         cond = np.where(draws.drop, 0.0, tdata.noisy_onehot[draws.idx])
         want = diffusion.dsm_loss(
-            net, tdata.points[draws.idx], cond, draws.sigma.ravel(), draws.eps_x
+            lambda x, sig: diffusion.denoise(net, x, sig, cond),
+            tdata.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert res.demo_term == pytest.approx(want, rel=1e-12)
 
@@ -186,21 +187,23 @@ class TestLossStep:
         center = table.entries.mean(axis=0)
         sig_c = diffusion.mirror_sigma(draws.sigma, cfg.schedule())
         y_t = table.entries[draws.idx] + sig_c * draws.eps_c
-        cond = rdc.cond_input_scale(sig_c) * (y_t - center)
+        cond = rdc.cond_channels(y_t, draws.sigma, cfg.rdc_state(center))
         cond = np.where(draws.drop, 0.0, cond)
         demo_want = diffusion.dsm_loss(
-            net, tdata.points[draws.idx], cond, draws.sigma.ravel(), draws.eps_x
+            lambda x, sig: diffusion.denoise(net, x, sig, cond),
+            tdata.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert res.demo_term == pytest.approx(demo_want, rel=1e-10)
 
         # condition term: numpy twin of the quadrature + squared error
         x_t = tdata.points[draws.idx] + draws.sigma * draws.eps_x
         x_ctx = diffusion.c_in(draws.sigma, net.sigma_data) * x_t
+        state = cfg.rdc_state(center)
         y_phi = rdc.estimate_pseudo(
-            net, x_ctx, draws.y_start, cfg.rdc_state(center), cfg.quad_nodes
+            rdc.head_field(net, state), x_ctx, draws.y_start, state, cfg.quad_nodes
         )
         cond_want = np.mean(
-            [rdc.cond_loss(y_phi[i], tdata.noisy_onehot[draws.idx][i]) for i in range(4)]
+            [((y_phi[i] - tdata.noisy_onehot[draws.idx][i]) ** 2).sum() for i in range(4)]
         )
         assert res.cond_term == pytest.approx(cond_want, rel=1e-10)
         assert res.loss == pytest.approx(demo_want + cond_want, rel=1e-10)
@@ -320,6 +323,22 @@ class TestCheckpointIO:
         assert np.array_equal(loaded.opt.first_moment, ckpt.opt.first_moment)
         assert loaded.iteration == ckpt.iteration
         assert loaded.config_digest == ckpt.config_digest
+
+    @pytest.mark.parametrize(
+        "size_delta, values_delta",
+        [(0, -12), (0, 1), (-1, -2)],
+        ids=["cut_short_96_bytes", "trailing_value", "size_not_param_count"],
+    )
+    def test_bad_optimizer_moments_rejected(self, tmp_path, size_delta, values_delta):
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        ckpt = train(cfg, tiny_dataset())
+        save_checkpoint(tmp_path, ckpt, cfg)
+        n = ckpt.params.values.size
+        body = np.zeros(2 * n + values_delta).astype("<f8").tobytes()
+        header = f"robustdiff-opt 1\nstep 4 size {n + size_delta}\n".encode()
+        (tmp_path / "opt.ckpt").write_bytes(header + body)
+        with pytest.raises(ValueError, match="optimizer checkpoint"):
+            load_checkpoint(tmp_path)
 
     def test_vanilla_checkpoint_has_no_pseudo_file(self, tmp_path):
         cfg = tiny_config(variant="vanilla", total_iters=4, early_stop_iters=2)
