@@ -166,6 +166,8 @@ def sample_per_class(
 
 
 def cmd_sample(args) -> int:
+    if args.w is not None and args.w < 1.0:
+        raise UsageError("--w must be >= 1")
     ckpt_dir = Path(args.checkpoint)
     if not (ckpt_dir / "model.ckpt").exists():
         print(f"no checkpoint at {ckpt_dir}", file=sys.stderr)
@@ -316,14 +318,14 @@ def cmd_reproduce(args) -> int:
             for k, v in manifest.items()
             if k not in ("command", "etas", "seeds", "variants", "noise", "jobs")
         }
-        jobs = args.jobs or int(manifest.get("jobs", "1"))
+        jobs = args.jobs if args.jobs is not None else int(manifest.get("jobs", "1"))
     else:
         base_values = _merge_settings(args)
         etas = [float(v) for v in args.etas.split(",")] if args.etas else list(DEFAULT_ETAS)
         seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else list(DEFAULT_SEEDS)
         variants = args.variants.split(",") if args.variants else list(trainer.VARIANTS)
         noise_kind = args.noise
-        jobs = args.jobs or 1
+        jobs = args.jobs if args.jobs is not None else 1
 
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")

@@ -148,7 +148,11 @@ def load_dataset(path) -> list[LabeledSample]:
             raise ValueError("bad dataset header")
         for i, line in enumerate(f):
             x1, x2, clean, noisy = line.strip().split(",")
-            samples.append(
-                LabeledSample(np.array([float(x1), float(x2)]), int(clean), int(noisy), i)
-            )
+            clean, noisy = int(clean), int(noisy)
+            if not (0 <= clean < N_CLASSES and 0 <= noisy < N_CLASSES):
+                raise ValueError(
+                    f"{path}: record {i} has class ids {clean},{noisy}; "
+                    f"expected 0..{N_CLASSES - 1}"
+                )
+            samples.append(LabeledSample(np.array([float(x1), float(x2)]), clean, noisy, i))
     return samples

@@ -25,7 +25,10 @@ def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
     # Chunk the distance matrix to keep memory flat for large sets.
     for lo in range(0, gen.shape[0], 512):
         chunk = gen[lo : lo + 512]
-        d2 = ((chunk[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        # Squared distances summed axis by axis on (chunk, ref) arrays.
+        d2 = (chunk[:, :1] - ref[:, 0]) ** 2
+        for a in range(1, gen.shape[1]):
+            d2 += (chunk[:, a : a + 1] - ref[:, a]) ** 2
         nearest = ref[np.argmin(d2, axis=1)]
         total += np.abs(chunk - nearest).mean(axis=1).sum()
     return float(total / gen.shape[0])

@@ -9,12 +9,12 @@ learned by denoising.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn_core
-from .nn_core import MlpTape, ParamBundle, Var
+from .nn_core import MlpTape, ParamBundle, RecordedPass
 
 
 @dataclass
@@ -25,6 +25,8 @@ class ScoreNetwork:
     hidden: int = 64
     depth: int = 3
     sigma_data: float = 0.5
+    # Training-step buffers, kept with the network across iterations.
+    tape: MlpTape = field(default_factory=MlpTape, init=False, repr=False, compare=False)
 
     @classmethod
     def create(
@@ -73,8 +75,10 @@ class ScoreNetwork:
         h = self._check_input(net_in)
         for k in self.trunk_layers:
             w, b = self.params.layer(k)
-            h = h @ w + b
-            h = h * nn_core._sigmoid(h)  # SiLU
+            z = h @ w
+            z += b
+            h = nn_core._sigmoid(z)
+            h *= z  # SiLU
         return h
 
     def demo_out(self, net_in: np.ndarray) -> np.ndarray:
@@ -85,16 +89,14 @@ class ScoreNetwork:
         w, b = self.params.layer(self.cond_head_layer)
         return self.trunk_features(net_in) @ w + b
 
-    # -- differentiable paths (shared tape) ----------------------------------
+    # -- recorded paths (training step) --------------------------------------
 
-    def trunk_var(self, tape: MlpTape, net_in) -> Var:
-        h = net_in
-        for k in self.trunk_layers:
-            h = tape.dense(h, k, "silu")
-        return h
+    def demo_var(self, tape: MlpTape, net_in: np.ndarray) -> RecordedPass:
+        """Record a trunk + demonstration-head pass on `tape`."""
+        layers = self.trunk_layers + [self.demo_head_layer]
+        return tape.record(self._check_input(net_in), layers)
 
-    def demo_var(self, tape: MlpTape, net_in) -> Var:
-        return tape.dense(self.trunk_var(tape, net_in), self.demo_head_layer, None)
-
-    def cond_var(self, tape: MlpTape, net_in) -> Var:
-        return tape.dense(self.trunk_var(tape, net_in), self.cond_head_layer, None)
+    def cond_var(self, tape: MlpTape, net_in: np.ndarray) -> RecordedPass:
+        """Record a trunk + condition-head pass on `tape`."""
+        layers = self.trunk_layers + [self.cond_head_layer]
+        return tape.record(self._check_input(net_in), layers)

@@ -1,4 +1,5 @@
-"""Minimal MLP machinery: flat parameter bundles, reverse-mode gradients, Adam.
+"""Minimal MLP machinery: flat parameter bundles, recorded passes with a
+hand-written backward, Adam.
 
 Everything runs on float64 numpy arrays. Parameters of a network live in one
 flat array; per-layer weight/bias views are created on demand so the optimizer
@@ -7,12 +8,10 @@ and checkpointing never have to know the layer structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-
-Activation = str  # "silu"; None selects no activation
 
 
 class ShapeError(ValueError):
@@ -37,7 +36,6 @@ class ParamBundle:
 
     layer_shapes: list[tuple[int, int]]
     values: np.ndarray
-    version: int = 0
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -99,252 +97,130 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# Reverse-mode tape
+# Recorded passes and their hand-written backward
 # ---------------------------------------------------------------------------
 
 
-class Var:
-    """Node in the computation tape: value plus a closure producing parent grads."""
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), written into `out` when given.
 
-    __slots__ = ("value", "parents", "vjp", "grad")
-
-    def __init__(self, value, parents=(), vjp=None):
-        self.value = value
-        self.parents = parents
-        self.vjp = vjp
-        self.grad = None
-
-    # Convenience operators; all standard numpy broadcasting rules apply.
-    def __add__(self, other):
-        return vadd(self, other)
-
-    def __sub__(self, other):
-        return vsub(self, other)
-
-    def __mul__(self, other):
-        return vmul(self, other)
-
-    def __neg__(self):
-        return vscale(self, -1.0)
+    Clipping z from below keeps exp from overflowing. No upper clip is needed:
+    1 + exp(-z) rounds to 1.0 in float64 for every z >= 60.
+    """
+    s = np.maximum(z, -60.0, out=out)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def _as_var(x) -> Var:
-    if isinstance(x, Var):
-        return x
-    return Var(np.asarray(x, dtype=np.float64))
+@dataclass
+class RecordedPass:
+    """What the backward of one pass reads.
 
+    The pass ran `x` through `layers` in order: SiLU layers, then one linear
+    readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
+    SiLU derivative of layers[j]. `h` and `dact` live in buffers of the tape
+    that recorded them and are overwritten by its next step.
+    """
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum grad back down to `shape` after numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    nd = grad.ndim - len(shape)
-    if nd > 0:
-        grad = grad.sum(axis=tuple(range(nd)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
-def vadd(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return Var(a.value + b.value, (a, b), vjp)
-
-
-def vsub(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Var(a.value - b.value, (a, b), vjp)
-
-
-def vmul(a, b) -> Var:
-    a, b = _as_var(a), _as_var(b)
-
-    def vjp(g):
-        return _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)
-
-    return Var(a.value * b.value, (a, b), vjp)
-
-
-def vscale(a, s: float) -> Var:
-    a = _as_var(a)
-    return Var(a.value * s, (a,), lambda g: (g * s,))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Saturates exactly at 0/1 in float64 beyond +-60; avoids exp overflow.
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
-
-
-def vsquare(a) -> Var:
-    a = _as_var(a)
-    return Var(a.value * a.value, (a,), lambda g: (g * (2.0 * a.value),))
-
-
-def vsum(a, axis=None, keepdims=False) -> Var:
-    a = _as_var(a)
-    out = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.value.shape).copy(),)
-
-    return Var(out, (a,), vjp)
-
-
-def vmean(a) -> Var:
-    a = _as_var(a)
-    n = a.value.size
-    return Var(a.value.mean(), (a,), lambda g: (np.full(a.value.shape, g / n),))
-
-
-def vconcat(parts: Sequence, axis: int = 1) -> Var:
-    parts = [_as_var(p) for p in parts]
-    sizes = [p.value.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts), vjp)
-
-
-def vdense(x, w, b, activation: Activation | None) -> Var:
-    """Fused affine + activation: one tape node per layer keeps graphs small."""
-    x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    z = x.value @ w.value + b.value
-    if activation is None:
-        out = z
-
-        def vjp(g):
-            return g @ w.value.T, x.value.T @ g, g.sum(axis=0) if g.ndim == 2 else g
-    elif activation == "silu":
-        sig = _sigmoid(z)
-        out = z * sig
-        dact = sig * (1.0 + z * (1.0 - sig))
-
-        def vjp(g):
-            gz = g * dact
-            return gz @ w.value.T, x.value.T @ gz, gz.sum(axis=0) if gz.ndim == 2 else gz
-    else:
-        raise ValueError(f"unknown activation {activation!r}")
-    return Var(out, (x, w, b), vjp)
-
-
-def backward(root: Var) -> None:
-    """Accumulate gradients of a scalar root into every reachable node."""
-    if np.ndim(root.value) != 0:
-        raise ShapeError("backward expects a scalar root")
-    order: list[Var] = []
-    seen: set[int] = set()
-    stack = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    for node in order:
-        node.grad = None
-    root.grad = np.ones(())
-    for node in reversed(order):
-        if node.grad is None or node.vjp is None:
-            continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if parent.grad is None:
-                parent.grad = g
-            else:
-                parent.grad = parent.grad + g
+    layers: list[int]
+    x: np.ndarray
+    h: list[np.ndarray]
+    dact: list[np.ndarray]
+    out: np.ndarray
 
 
 class MlpTape:
-    """Leaf Vars for every layer of a ParamBundle, plus gradient gathering."""
+    """Passes recorded through one ParamBundle, and the gradient they give.
 
-    def __init__(self, params: ParamBundle):
-        self.params = params
-        self.leaves: list[tuple[Var, Var]] = []
-        for k in range(params.n_layers):
-            w, b = params.layer(k)
-            self.leaves.append((Var(w), Var(b)))
-
-    def dense(self, x, layer: int, activation: Activation | None) -> Var:
-        w, b = self.leaves[layer]
-        return vdense(x, w, b, activation)
-
-    def forward(
-        self,
-        x,
-        activation: Activation = "silu",
-        layers: Sequence[int] | None = None,
-        check_finite: bool = False,
-    ) -> Var:
-        """Run x through the listed layers; activation on all but the last."""
-        idx = list(layers) if layers is not None else list(range(self.params.n_layers))
-        h = _as_var(x)
-        for pos, k in enumerate(idx):
-            act = activation if pos < len(idx) - 1 else None
-            h = self.dense(h, k, act)
-            if check_finite and not np.all(np.isfinite(h.value)):
-                raise NonFiniteError(f"non-finite output at layer {k}")
-        return h
-
-    def flat_grad(self) -> np.ndarray:
-        out = np.zeros_like(self.params.values)
-        for (ws, bs), (wv, bv) in zip(self.params.layer_slices(), self.leaves):
-            if wv.grad is not None:
-                out[ws] = wv.grad.ravel()
-            if bv.grad is not None:
-                out[bs] = bv.grad
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def grad(
-    params: ParamBundle,
-    loss_fn: Callable[[MlpTape], Var],
-    check_finite: bool = True,
-) -> np.ndarray:
-    """Gradient of a scalar loss built on a tape over `params`.
-
-    `loss_fn` receives an MlpTape and must return a scalar Var.
+    One step calls `start`, then `record` once per pass, then `backward` on
+    each pass that reaches the loss. The first contribution to a layer's
+    gradient is assigned and later ones are added, in the order of the
+    `backward` calls. Activation and scratch buffers are kept across steps
+    and reallocated only when a shape changes (a new batch size), so a step
+    allocates no (batch x width) arrays; `grads` is a fresh array per step.
     """
-    value, g = value_and_grad(params, loss_fn, check_finite=check_finite)
-    return g
 
+    def __init__(self):
+        self.params: ParamBundle | None = None
+        self.grads: np.ndarray | None = None
+        self._slices: list[tuple[slice, slice]] = []
+        self._touched: list[bool] = []
+        self._n_passes = 0
+        self._buffers: dict = {}
 
-def value_and_grad(
-    params: ParamBundle,
-    loss_fn: Callable[[MlpTape], Var],
-    check_finite: bool = True,
-) -> tuple[float, np.ndarray]:
-    tape = MlpTape(params)
-    loss = loss_fn(tape)
-    if not isinstance(loss, Var):
-        raise TypeError("loss_fn must return a Var")
-    if check_finite and not np.isfinite(loss.value):
-        raise NonFiniteError("loss is not finite")
-    backward(loss)
-    return float(loss.value), tape.flat_grad()
+    def start(self, params: ParamBundle) -> None:
+        """Begin a step on `params` with an all-zero gradient."""
+        self.params = params
+        self.grads = np.zeros_like(params.values)
+        self._slices = params.layer_slices()
+        self._touched = [False] * params.n_layers
+        self._n_passes = 0
+
+    def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape)
+        return buf
+
+    def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
+        """Run x through `layers`, SiLU on all but the last, and record it."""
+        n = self._n_passes
+        self._n_passes += 1
+        h, hs, dacts = x, [], []
+        for j, k in enumerate(layers[:-1]):
+            w, b = self.params.layer(k)
+            shape = (x.shape[0], w.shape[1])
+            z = np.matmul(h, w, out=self._buffer("z", shape))
+            z += b
+            s = _sigmoid(z, out=self._buffer("sigmoid", shape))
+            h = np.multiply(z, s, out=self._buffer(("h", n, j), shape))
+            # SiLU derivative: s * (1 + z * (1 - s))
+            d = np.subtract(1.0, s, out=self._buffer(("dact", n, j), shape))
+            d *= z
+            d += 1.0
+            d *= s
+            hs.append(h)
+            dacts.append(d)
+        w, b = self.params.layer(layers[-1])
+        return RecordedPass(list(layers), x, hs, dacts, h @ w + b)
+
+    def backward(
+        self, rec: RecordedPass, g_out: np.ndarray, input_grad: bool = False
+    ) -> np.ndarray | None:
+        """Walk `rec` in reverse from g_out = dL/d(rec.out).
+
+        Adds the pass's weight and bias gradients into `grads`. Returns
+        dL/d(rec.x) when `input_grad` is set, otherwise None.
+        """
+        inputs = [rec.x] + rec.h
+        g = g_out
+        for j in reversed(range(len(rec.layers))):
+            k = rec.layers[j]
+            if j < len(rec.dact):
+                g = np.multiply(g, rec.dact[j], out=self._buffer("gz", g.shape))
+            self._add_layer_grads(k, inputs[j], g)
+            if j == 0:
+                break
+            w, _ = self.params.layer(k)
+            g = np.matmul(g, w.T, out=self._buffer("g", (g.shape[0], w.shape[0])))
+        if not input_grad:
+            return None
+        w, _ = self.params.layer(rec.layers[0])
+        return g @ w.T
+
+    def _add_layer_grads(self, k: int, x: np.ndarray, gz: np.ndarray) -> None:
+        ws, bs = self._slices[k]
+        gw = self.grads[ws].reshape(x.shape[1], gz.shape[1])
+        gb = self.grads[bs]
+        if self._touched[k]:
+            gw += np.matmul(x.T, gz, out=self._buffer(("dw", k), gw.shape))
+            gb += np.sum(gz, axis=0, out=self._buffer(("db", k), gb.shape))
+        else:
+            np.matmul(x.T, gz, out=gw)
+            np.sum(gz, axis=0, out=gb)
+            self._touched[k] = True
 
 
 @dataclass
@@ -389,7 +265,7 @@ def adam_step(
         # Contract: an all-zero gradient must leave values exactly untouched,
         # whatever momentum the state carries.
         new_values = params.values.copy()
-    new_params = ParamBundle(list(params.layer_shapes), new_values, params.version + 1)
+    new_params = ParamBundle(list(params.layer_shapes), new_values)
     return new_params, OptState(m, v, t)
 
 

@@ -47,10 +47,17 @@ def ensemble_update(table: PseudoTable, idx, y_phi: np.ndarray, alpha: float) ->
     y_phi = np.asarray(y_phi, dtype=np.float64).reshape(idx_arr.size, table.cond_dim)
     if not np.all(np.isfinite(y_phi)):
         raise ValueError("pseudo-condition update must be finite")
-    # Sequential so repeated indices inside one batch each take effect.
-    for i, row in zip(idx_arr, y_phi):
-        table.entries[i] = alpha * table.entries[i] + (1.0 - alpha) * row
+    # In rounds: each applies the earliest pending occurrence of every index
+    # at once, so an index repeated in the batch is updated once per
+    # occurrence, in batch order, as a row-by-row loop would.
+    pending = np.arange(idx_arr.size)
+    while pending.size:
+        _, first = np.unique(idx_arr[pending], return_index=True)
+        rows = pending[first]
+        i = idx_arr[rows]
+        table.entries[i] = alpha * table.entries[i] + (1.0 - alpha) * y_phi[rows]
         table.update_count[i] += 1
+        pending = np.delete(pending, first)
     return table
 
 

@@ -45,15 +45,19 @@ class RdcState:
             raise ValueError("center must have cond_dim entries")
 
 
+def _cond_scale(t, state: RdcState):
+    """d cond_channels / d y at time t."""
+    return 1.0 / np.sqrt(mirror_sigma(t, state.schedule) ** 2 + 1.0)
+
+
 def cond_channels(y, t, state: RdcState):
     """Condition channels of the trunk input at demonstration time t.
 
     (y - center) / sqrt(mirror_sigma(t)^2 + 1): heavily noised conditions
     stay at unit magnitude, nearly clean ones pass at full strength. `t` is a
-    scalar or a (batch, 1) column; `y` is a numpy array or a tape Var.
+    scalar or a (batch, 1) column.
     """
-    scale = 1.0 / np.sqrt(mirror_sigma(t, state.schedule) ** 2 + 1.0)
-    return (y - state.center) * scale
+    return (y - state.center) * _cond_scale(t, state)
 
 
 def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
@@ -116,20 +120,45 @@ def estimate_pseudo_var(
     y_start: np.ndarray,
     state: RdcState,
     k: int,
-) -> nn_core.Var:
-    """Differentiable twin of estimate_pseudo over head_field (batched)."""
-    y = nn_core.Var(np.atleast_2d(np.asarray(y_start, dtype=np.float64)))
+) -> tuple[np.ndarray, list[nn_core.RecordedPass]]:
+    """Recorded twin of estimate_pseudo over head_field (batched).
+
+    Takes the same Euler steps and records each node's condition-head pass on
+    `tape`. Returns the estimate and the k node passes, which
+    estimate_pseudo_adjoint walks back.
+    """
+    y = np.atleast_2d(np.asarray(y_start, dtype=np.float64))
     x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
-    no_cond = np.empty((x_ctx.shape[0], 0))
     times = quad_times(state.schedule, k)
+    nodes = []
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        # The condition columns are on the tape, so they join the rest there.
-        net_in = nn_core.vconcat(
-            [nn_core.Var(trunk_input(x_ctx, tau, no_cond)), cond_channels(y, tau, state)],
-            axis=1,
-        )
-        s = net.cond_var(tape, net_in)
-        y = nn_core.vsub(y, nn_core.vscale(s, dt / (2.0 * tau)))
-    return y
+        rec = net.cond_var(tape, trunk_input(x_ctx, tau, cond_channels(y, tau, state)))
+        nodes.append(rec)
+        y = y - (dt / (2.0 * tau)) * rec.out
+    return y, nodes
+
+
+def estimate_pseudo_adjoint(
+    tape: nn_core.MlpTape,
+    nodes: list[nn_core.RecordedPass],
+    g_y: np.ndarray,
+    state: RdcState,
+) -> None:
+    """Backward of estimate_pseudo_var from g_y = dL/d(estimate).
+
+    Discretise-then-differentiate (the discrete Neural-ODE adjoint of Chen et
+    al. 2018): the Euler steps y_{n+1} = y_n - dt_n / (2 tau_n) * s_n are
+    walked from the last node to the first. Node n's score gradient goes
+    through its recorded pass into tape.grads, and the pass's condition
+    channels carry the rest of dL/dy_n. The start state is a draw, so node 0
+    needs no input gradient.
+    """
+    times = quad_times(state.schedule, len(nodes))
+    for node in reversed(range(len(nodes))):
+        tau = float(times[node])
+        dt = float(times[node + 1] - times[node])
+        g_in = tape.backward(nodes[node], -g_y * (dt / (2.0 * tau)), input_grad=node > 0)
+        if node > 0:
+            g_y = g_y + g_in[:, -state.cond_dim :] * _cond_scale(tau, state)

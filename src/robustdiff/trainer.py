@@ -36,7 +36,7 @@ from .diffusion import (
     trunk_input,
 )
 from .network import ScoreNetwork
-from .nn_core import OptState, Var
+from .nn_core import OptState
 
 VARIANTS = ("vanilla", "pc_only", "pc_rdc")
 
@@ -261,39 +261,45 @@ def loss_step(
     x_t = x0 + draws.sigma * draws.eps_x
     x_in = c_in(draws.sigma, sd) * x_t
 
-    tape = nn_core.MlpTape(net.params)
-    raw = net.demo_var(tape, Var(trunk_input(x_in, draws.sigma, cond)))
+    tape = net.tape
+    tape.start(net.params)
+    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, cond))
     # denoised - x0 = (c_skip * x_t - x0) + c_out * raw
-    base = c_skip(draws.sigma, sd) * x_t - x0
-    err = nn_core.vadd(nn_core.vmul(raw, c_out(draws.sigma, sd)), Var(base))
-    weighted = nn_core.vmul(nn_core.vsquare(err), loss_weight(draws.sigma, sd))
-    demo_var = nn_core.vscale(nn_core.vsum(weighted), 1.0 / b)
+    out_scale = c_out(draws.sigma, sd)
+    weight = loss_weight(draws.sigma, sd)
+    err = demo.out * out_scale + (c_skip(draws.sigma, sd) * x_t - x0)
+    inv_b = 1.0 / b
+    demo_term = ((err * err) * weight).sum() * inv_b
+    # The denoising pass goes back first: the order in which the passes add
+    # into a layer's gradient fixes its bits.
+    tape.backward(demo, ((inv_b * weight) * (2.0 * err)) * out_scale)
 
-    y_phi_var = None
+    y_phi = None
+    cond_term = 0.0
     if config.variant != "vanilla" and not phase2:
         # Context = the same noised point the denoiser consumes, already on
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
-            y_phi_var = rdc.estimate_pseudo_var(
+            y_phi, nodes = rdc.estimate_pseudo_var(
                 tape, net, x_in, draws.y_start, state, config.quad_nodes
             )
         else:
             pc_in = trunk_input(x_in, draws.sigma, table.get(draws.idx) - state.center)
-            y_phi_var = net.cond_var(tape, Var(pc_in))
-        diff = nn_core.vsub(y_phi_var, Var(y_til))
-        cond_term_var = nn_core.vscale(nn_core.vsum(nn_core.vsquare(diff)), 1.0 / b)
-        total = nn_core.vadd(demo_var, cond_term_var)
-    else:
-        cond_term_var = None
-        total = demo_var
-
-    nn_core.backward(total)
+            pc = net.cond_var(tape, pc_in)
+            y_phi = pc.out
+        diff = y_phi - y_til
+        cond_term = (diff * diff).sum() * inv_b
+        g_y = inv_b * (2.0 * diff)
+        if config.variant == "pc_rdc":
+            rdc.estimate_pseudo_adjoint(tape, nodes, g_y, state)
+        else:
+            tape.backward(pc, g_y)
     return LossStepResult(
-        loss=float(total.value),
-        grads=tape.flat_grad(),
-        demo_term=float(demo_var.value),
-        cond_term=float(cond_term_var.value) if cond_term_var is not None else 0.0,
-        y_phi=None if y_phi_var is None else y_phi_var.value,
+        loss=float(demo_term + cond_term),
+        grads=tape.grads,
+        demo_term=float(demo_term),
+        cond_term=float(cond_term),
+        y_phi=y_phi,
     )
 
 
@@ -454,6 +460,11 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
                 parts = line.split()
                 rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
         rows.sort()
+        c = config.cond_dim
+        if [i for i, _ in rows] != list(range(c)) or any(len(v) != c for _, v in rows):
+            raise ValueError(
+                f"{outdir / 'prototypes.txt'}: expected rows 0..{c - 1} of {c} values each"
+            )
         protos = np.array([r[1] for r in rows])
     ckpt = Checkpoint(
         params, table, opt, int(meta["iteration"]), meta["config_digest"], protos

@@ -51,6 +51,8 @@ class TestReproduce:
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
         assert cli.main(_reproduce_args(tmp_path / "r", "--jobs=-1")) == 1
+        assert cli.main(_reproduce_args(tmp_path / "r0", "--jobs", "0")) == 1
+        assert not (tmp_path / "r0" / "manifest.txt").exists()
 
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.
@@ -64,7 +66,46 @@ class TestReproduce:
         assert (tmp_path / "rerun" / "results.csv").read_bytes() == want
 
 
+def _gen_and_train(tmp_path):
+    data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+    assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
+                     "--out", str(data)]) == 0
+    assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
+    return data, ckpt
+
+
+class TestReaders:
+    def test_out_of_range_class_id_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        for bad in ("4", "-1"):
+            lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad  # noisy label
+            data.write_text("\n".join(lines) + "\n")
+            code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                             *_set_args()])
+            assert code == 2
+            assert "class ids" in capsys.readouterr().err
+
+    def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys):
+        _, ckpt = _gen_and_train(tmp_path)
+        protos = ckpt / "prototypes.txt"
+        rows = protos.read_text().splitlines()
+        protos.write_text(rows[0] + "\n" + rows[2] + "\n")
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert "prototypes.txt" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
+
 class TestSample:
+    def test_guidance_below_one_is_usage_error(self, tmp_path, capsys):
+        # rejected before the (absent) checkpoint is looked at
+        code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--w", "0.5"])
+        assert code == 1
+        assert "--w must be >= 1" in capsys.readouterr().err
+
     def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         ckpt = tmp_path / "ckpt"

@@ -74,6 +74,32 @@ class TestMae:
         assert mae(gen, ref) == pytest.approx(brute_force_mae(gen, ref), rel=1e-10)
 
 
+class TestMaeBroadcastOracle:
+    @staticmethod
+    def broadcast_mae(gen, ref):
+        """The (chunk, ref, 2) broadcast formula, chunked as mae chunks."""
+        total = 0.0
+        for lo in range(0, gen.shape[0], 512):
+            chunk = gen[lo : lo + 512]
+            d2 = ((chunk[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+            nearest = ref[np.argmin(d2, axis=1)]
+            total += np.abs(chunk - nearest).mean(axis=1).sum()
+        return float(total / gen.shape[0])
+
+    def test_bitwise_equal_with_exact_ties(self):
+        rng = np.random.default_rng(6)
+        for trial in range(20):
+            # integer grids give many exactly equidistant references
+            ref = rng.integers(-3, 4, size=(int(rng.integers(1, 60)), 2)).astype(float)
+            gen = rng.integers(-3, 4, size=(int(rng.integers(1, 700)), 2)) + 0.5 * rng.integers(0, 2, size=(1, 2))
+            assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"grid trial {trial}"
+            # random floats with duplicated references
+            ref = rng.normal(size=(int(rng.integers(1, 40)), 2))
+            ref = np.concatenate([ref, ref[: len(ref) // 2]])
+            gen = rng.normal(size=(int(rng.integers(1, 600)), 2))
+            assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"float trial {trial}"
+
+
 class TestCentroids:
     def test_single_point_per_class(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])

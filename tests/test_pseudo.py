@@ -75,6 +75,27 @@ class TestEnsembleUpdate:
         # two sequential updates on index 1: 0 -> 0.5 -> 0.75
         assert table.entries[1, 0] == pytest.approx(0.75)
 
+    def test_matches_row_by_row_loop(self):
+        # oracle: the sequential loop, one row at a time in batch order
+        def loop_update(entries, counts, idx, y_phi, alpha):
+            for i, row in zip(idx, y_phi):
+                entries[i] = alpha * entries[i] + (1.0 - alpha) * row
+                counts[i] += 1
+
+        rng = np.random.default_rng(3)
+        for trial in range(50):
+            n, batch = int(rng.integers(1, 12)), int(rng.integers(1, 40))  # many repeats
+            table = init_pseudo(n, 3)
+            table.entries[:] = rng.normal(size=(n, 3))
+            entries, counts = table.entries.copy(), table.update_count.copy()
+            idx = rng.integers(0, n, size=batch)
+            y_phi = rng.normal(size=(batch, 3))
+            alpha = float(rng.uniform(0, 1))
+            loop_update(entries, counts, idx, y_phi, alpha)
+            ensemble_update(table, idx, y_phi, alpha)
+            assert np.array_equal(table.entries, entries), f"trial {trial}"
+            assert np.array_equal(table.update_count, counts), f"trial {trial}"
+
     def test_invalid_alpha_rejected(self):
         table = init_pseudo(1, 1)
         for bad in (-0.1, 1.1):

@@ -235,6 +235,33 @@ class TestLossStep:
         scale = np.maximum(np.maximum(np.abs(res.grads), np.abs(fd)), 1e-6)
         assert np.max(np.abs(res.grads - fd) / scale) < 1e-4
 
+    def test_buffer_reuse_leaks_nothing(self):
+        # the network's tape reuses its buffers from one step to the next
+        cfg = tiny_config(batch_size=3)
+        samples = tiny_dataset()
+        tdata = TrainData.from_samples(samples, cfg.cond_dim)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
+                                  sigma_data=cfg.sigma_data, seed=8)
+        net.params.values[:] = np.random.default_rng(8).normal(0, 0.3, net.params.values.size)
+        table = pseudo.init_pseudo(tdata.size, cfg.cond_dim)
+        draws = [draw_iteration(np.random.default_rng(s), tdata.size, cfg, True) for s in (1, 2)]
+        first = loss_step(net, tdata, table, cfg, draws[0], 0)
+        grads, y_phi = first.grads.copy(), first.y_phi.copy()
+        loss_step(net, tdata, table, cfg, draws[1], 0)
+        assert np.array_equal(first.grads, grads)
+        assert np.array_equal(first.y_phi, y_phi)
+        again = loss_step(net, tdata, table, cfg, draws[0], 0)
+        assert np.array_equal(again.grads, grads) and again.loss == first.loss
+        # batch 3 then 4 on one network gives what a fresh network gives
+        cfg4 = tiny_config(batch_size=4)
+        draws4 = draw_iteration(np.random.default_rng(3), tdata.size, cfg4, True)
+        fresh = ScoreNetwork(net.params, hidden=cfg.hidden, depth=cfg.depth,
+                             sigma_data=cfg.sigma_data)
+        got = loss_step(net, tdata, table, cfg4, draws4, 0)
+        want = loss_step(fresh, tdata, table, cfg4, draws4, 0)
+        assert np.array_equal(got.grads, want.grads)
+        assert np.array_equal(got.y_phi, want.y_phi)
+
     def test_loss_finite_through_run(self):
         cfg = tiny_config(total_iters=30, early_stop_iters=10)
         samples = tiny_dataset()
