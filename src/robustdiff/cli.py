@@ -89,6 +89,8 @@ def _merge_settings(args) -> dict[str, str]:
 
 
 def cmd_gen_data(args) -> int:
+    if args.n_per_class < 1:
+        raise UsageError("--n-per-class must be >= 1")
     samples = data_mod.make_toy_dataset(args.n_per_class, args.seed)
     if args.eta > 0:
         spec = data_mod.NoiseSpec(
@@ -168,6 +170,8 @@ def sample_per_class(
 def cmd_sample(args) -> int:
     if args.w is not None and args.w < 1.0:
         raise UsageError("--w must be >= 1")
+    if args.per_class < 1:
+        raise UsageError("--per-class must be >= 1")
     ckpt_dir = Path(args.checkpoint)
     if not (ckpt_dir / "model.ckpt").exists():
         print(f"no checkpoint at {ckpt_dir}", file=sys.stderr)

@@ -112,6 +112,11 @@ class TrainData:
     def from_samples(cls, samples, cond_dim: int) -> "TrainData":
         pts = data_mod.points(samples)
         noisy = data_mod.noisy_labels(samples)
+        if noisy.size and not (noisy.min() >= 0 and noisy.max() < cond_dim):
+            raise ValueError(
+                f"noisy labels span {noisy.min()}..{noisy.max()}; "
+                f"cond_dim={cond_dim} needs them in 0..{cond_dim - 1}"
+            )
         onehot = np.zeros((len(samples), cond_dim))
         onehot[np.arange(len(samples)), noisy] = 1.0
         return cls(pts, onehot, noisy, data_mod.clean_labels(samples))

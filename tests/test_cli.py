@@ -87,6 +87,14 @@ class TestReaders:
             assert code == 2
             assert "class ids" in capsys.readouterr().err
 
+    def test_labels_beyond_cond_dim_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                         *_set_args(), "--set", "cond_dim=3"])
+        assert code == 2
+        assert "cond_dim=3 needs them in 0..2" in capsys.readouterr().err
+
     def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys):
         _, ckpt = _gen_and_train(tmp_path)
         protos = ckpt / "prototypes.txt"
@@ -105,6 +113,17 @@ class TestSample:
         code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--w", "0.5"])
         assert code == 1
         assert "--w must be >= 1" in capsys.readouterr().err
+
+    def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):
+        code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--per-class", "0"])
+        assert code == 1
+        assert "--per-class must be >= 1" in capsys.readouterr().err
+
+    def test_gen_data_n_per_class_below_one_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "0", "--out", str(data)]) == 1
+        assert "--n-per-class must be >= 1" in capsys.readouterr().err
+        assert not data.exists()
 
     def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from robustdiff.metrics import (
+    DIST_BLOCK,
     CentroidClassifier,
     RunResult,
     cell_medians,
@@ -98,6 +101,47 @@ class TestMaeBroadcastOracle:
             ref = np.concatenate([ref, ref[: len(ref) // 2]])
             gen = rng.normal(size=(int(rng.integers(1, 600)), 2))
             assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"float trial {trial}"
+
+    def test_bitwise_equal_with_block_edges_inside_chunks(self):
+        rng = np.random.default_rng(7)
+        for trial in range(3):
+            n_ref = int(rng.integers(3000, 3500))
+            assert DIST_BLOCK // n_ref < 512  # block edges fall inside a chunk
+            n_gen = int(rng.integers(513, 1100))
+            # a sparse integer grid: exact ties between references at unequal
+            # per-axis deviations (0,5)/(3,4), so the first index matters
+            ref = rng.integers(-200, 201, size=(n_ref, 2)).astype(float)
+            gen = rng.integers(-200, 201, size=(n_gen, 2)).astype(float)
+            assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"sparse grid trial {trial}"
+            # a dense one: ties in every row, and equal generated points on
+            # both sides of every block edge
+            ref = rng.integers(-3, 4, size=(n_ref, 2)).astype(float)
+            gen = rng.integers(-3, 4, size=(n_gen, 2)) + 0.5 * rng.integers(0, 2, size=(1, 2))
+            assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"grid trial {trial}"
+            ref = rng.normal(size=(n_ref, 2))
+            gen = rng.normal(size=(n_gen, 2))
+            assert mae(gen, ref) == self.broadcast_mae(gen, ref), f"float trial {trial}"
+
+    def test_bitwise_equal_beyond_one_block_of_references(self):
+        rng = np.random.default_rng(8)
+        ref = rng.integers(-3, 4, size=(DIST_BLOCK + 5, 2)).astype(float)
+        gen = rng.integers(-3, 4, size=(7, 2)) + 0.5 * rng.integers(0, 2, size=(1, 2))
+        assert mae(gen, ref) == self.broadcast_mae(gen, ref)
+
+
+class TestMaeMemory:
+    def test_peak_bounded_whatever_the_reference_size(self):
+        rng = np.random.default_rng(9)
+        gen = rng.normal(size=(1000, 2))
+        ref = rng.normal(size=(20000, 2))
+        # numpy reports its array buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            mae(gen, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestCentroids:
