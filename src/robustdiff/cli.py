@@ -7,6 +7,7 @@ values. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -24,6 +25,7 @@ DEFAULT_ETAS = (0.2, 0.4, 0.6, 0.8)
 DEFAULT_SEEDS = (0, 1, 2)
 DYNAMICS_ETA = 0.4
 DYNAMICS_EVERY = 500
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -142,19 +144,15 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sample_per_class(
-    net, config: TrainConfig, per_class: int, seed: int, w=None, prototypes=None
-):
+def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, prototypes):
     """Per-class samples, conditioned on the class prototype vectors.
 
     `prototypes` holds one condition row per class: the identity (one-hot)
     for the vanilla variant, the learned per-label pseudo-condition means for
-    the pseudo-condition variants. Defaults to one-hot when absent.
+    the pseudo-condition variants. `w` None means `config.guidance_w`.
     """
     guidance = config.guidance_w if w is None else w
     schedule = config.schedule()
-    if prototypes is None:
-        prototypes = np.eye(config.cond_dim)
     out = {}
     for c in range(config.cond_dim):
         out[c] = diffusion.heun_sample(
@@ -173,18 +171,10 @@ def cmd_sample(args) -> int:
     if args.per_class < 1:
         raise UsageError("--per-class must be >= 1")
     ckpt_dir = Path(args.checkpoint)
-    if not (ckpt_dir / "model.ckpt").exists():
-        print(f"no checkpoint at {ckpt_dir}", file=sys.stderr)
-        return 2
     net, config, ckpt = trainer.load_checkpoint(ckpt_dir)
-    if config.variant != "vanilla" and ckpt.prototypes is None:
-        # A diverged run saves no prototypes; one-hot rows are not the
-        # conditions a pseudo-condition variant was trained on.
-        print(
-            f"{ckpt_dir} is a {config.variant} checkpoint without prototypes.txt "
-            "(did training diverge?); not sampling it",
-            file=sys.stderr,
-        )
+    if ckpt.diverged:
+        print(f"{ckpt_dir}: training diverged at iteration {ckpt.iteration}; not sampling it",
+              file=sys.stderr)
         return 2
     per_class = sample_per_class(
         net, config, args.per_class, args.seed, args.w, ckpt.prototypes
@@ -276,12 +266,7 @@ def run_cell(cell) -> dict:
     dyn_rows = []
 
     def snapshot(iteration, net, table):
-        if variant == "vanilla":
-            protos = np.eye(config.cond_dim)
-        else:
-            protos = trainer.class_prototypes(
-                table, noisy_lbl, config.cond_dim, config.proto_floor
-            )
+        protos = trainer.sampling_prototypes(config, table, noisy_lbl)
         per_class = sample_per_class(net, config, 250, seeds["eval"] + 7, None, protos)
         acc = metrics.controllability_acc(per_class, clf)
         dyn_rows.append((variant, seed, iteration, acc))
@@ -310,6 +295,16 @@ def run_cell(cell) -> dict:
     return {"result": result, "dynamics": dyn_rows}
 
 
+def _worker_blas_env(jobs: int) -> dict[str, str]:
+    """The BLAS thread variables the `reproduce` cells run under: the user's
+    own, else 1 each when several workers would each size a BLAS pool to all
+    cores (a 3-cell sweep took 3.5x as long on 2 cores with two such workers)."""
+    env = {k: os.environ[k] for k in BLAS_THREAD_VARS if k in os.environ}
+    if jobs > 1 and not env:
+        env = dict.fromkeys(BLAS_THREAD_VARS, "1")
+    return env
+
+
 def cmd_reproduce(args) -> int:
     if args.manifest:
         manifest = parse_config_file(args.manifest)
@@ -335,6 +330,7 @@ def cmd_reproduce(args) -> int:
         raise UsageError("--jobs must be >= 1")
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
+    blas_env = _worker_blas_env(jobs)
 
     # Self-contained manifest: rerunning it reproduces every byte of results.
     with open(outdir / "manifest.txt", "w") as f:
@@ -344,6 +340,9 @@ def cmd_reproduce(args) -> int:
         f.write(f"variants = {','.join(variants)}\n")
         f.write(f"noise = {noise_kind}\n")
         f.write(f"jobs = {jobs}\n")
+        # A comment, so a rerun from this manifest does not read it back.
+        threads = " ".join(f"{k}={v}" for k, v in blas_env.items()) or "unset"
+        f.write(f"# BLAS threads: {threads}\n")
         defaults = {
             k: str(v)
             for k, v in asdict(TrainConfig()).items()
@@ -362,13 +361,23 @@ def cmd_reproduce(args) -> int:
         for seed in seeds
     ]
     outcomes = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # pool.map yields in cell order as results arrive; with jobs == 1 the
-        # builtin map runs each cell here and no worker process starts.
-        mapped = (pool.map if jobs > 1 else map)(run_cell, cells)
-        for (variant, eta, seed, *_), outcome in zip(cells, mapped):
-            outcomes.append(outcome)
-            print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
+    # Spawned, not forked: BLAS sizes its pool when numpy loads, which a forked
+    # worker inherits from this process; a spawned one loads it under `added`.
+    added = {k: v for k, v in blas_env.items() if k not in os.environ}
+    os.environ.update(added)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            # pool.map yields in cell order as results arrive; with jobs == 1
+            # the builtin map runs each cell here and no worker process starts.
+            mapped = (pool.map if jobs > 1 else map)(run_cell, cells)
+            for (variant, eta, seed, *_), outcome in zip(cells, mapped):
+                outcomes.append(outcome)
+                print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
+    finally:
+        for k in added:
+            del os.environ[k]
 
     failures = [o["failed"] for o in outcomes if "failed" in o]
     results = [o["result"] for o in outcomes if "result" in o]

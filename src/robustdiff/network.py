@@ -17,6 +17,14 @@ from . import nn_core
 from .nn_core import MlpTape, ParamBundle, RecordedPass
 
 
+def layer_shapes(x_dim: int, cond_dim: int, hidden: int, depth: int) -> list[tuple[int, int]]:
+    """(in_dim, out_dim) per layer: the trunk, then the demonstration head and
+    the condition head."""
+    in_dim = x_dim + 1 + cond_dim
+    shapes = [(in_dim, hidden)] + [(hidden, hidden)] * (depth - 1)
+    return shapes + [(hidden, x_dim), (hidden, cond_dim)]
+
+
 @dataclass
 class ScoreNetwork:
     params: ParamBundle
@@ -39,9 +47,7 @@ class ScoreNetwork:
         seed: int = 0,
     ) -> "ScoreNetwork":
         """Fresh network; trunk Glorot-initialized, both heads start at zero."""
-        in_dim = x_dim + 1 + cond_dim
-        shapes = [(in_dim, hidden)] + [(hidden, hidden)] * (depth - 1)
-        shapes += [(hidden, x_dim), (hidden, cond_dim)]  # demo head, cond head
+        shapes = layer_shapes(x_dim, cond_dim, hidden, depth)
         params = nn_core.init_params(shapes, seed, zero_layers=(depth, depth + 1))
         return cls(params, x_dim, cond_dim, hidden, depth, sigma_data)
 

@@ -268,31 +268,3 @@ def adam_step(
     new_params = ParamBundle(list(params.layer_shapes), new_values)
     return new_params, OptState(m, v, t)
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint format: versioned header, shape list, little-endian float64 body
-# ---------------------------------------------------------------------------
-
-_CKPT_HEADER = b"robustdiff-params 1\n"
-
-
-def save_params(path, params: ParamBundle) -> None:
-    shapes = " ".join(f"{i}x{o}" for i, o in params.layer_shapes)
-    with open(path, "wb") as f:
-        f.write(_CKPT_HEADER)
-        f.write(f"{shapes}\n".encode("ascii"))
-        f.write(params.values.astype("<f8").tobytes())
-
-
-def load_params(path) -> ParamBundle:
-    with open(path, "rb") as f:
-        header = f.readline()
-        if header != _CKPT_HEADER:
-            raise ValueError(f"unrecognized checkpoint header {header!r}")
-        shape_line = f.readline().decode("ascii").strip()
-        shapes = []
-        for tok in shape_line.split():
-            i, o = tok.split("x")
-            shapes.append((int(i), int(o)))
-        values = np.frombuffer(f.read(), dtype="<f8").astype(np.float64)
-    return ParamBundle(shapes, values)

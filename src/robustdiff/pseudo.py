@@ -75,24 +75,3 @@ def should_stop(iteration: int, policy: EarlyStopPolicy) -> bool:
         raise ValueError("iteration must be >= 0")
     return iteration >= policy.budget_iters
 
-
-def save_table(path, table: PseudoTable) -> None:
-    with open(path, "w") as f:
-        for i in range(table.size):
-            vals = " ".join(repr(float(v)) for v in table.entries[i])
-            f.write(f"{i} {vals}\n")
-
-
-def load_table(path) -> PseudoTable:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            parts = line.split()
-            rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
-    rows.sort()
-    if not rows or [i for i, _ in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: pseudo-table indices are not 0..n-1")
-    if len({len(vals) for _, vals in rows}) != 1:
-        raise ValueError(f"{path}: pseudo-table rows differ in width")
-    entries = np.array([r[1] for r in rows])
-    return PseudoTable(entries, np.zeros(len(rows), dtype=np.int64))

@@ -17,15 +17,20 @@ table; `pc_only` reads the condition head directly as the pseudo estimate;
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import struct
 import time
-from dataclasses import dataclass, field, asdict
+import zipfile
+import zlib
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import data as data_mod
-from . import nn_core, pseudo, rdc
+from . import network, nn_core, pseudo, rdc
 from .diffusion import (
     NoiseSchedule,
     c_in,
@@ -133,7 +138,8 @@ class Checkpoint:
     opt: OptState
     iteration: int
     config_digest: str
-    prototypes: np.ndarray | None = None  # (C, C) sampling conditions per class
+    prototypes: np.ndarray  # (C, C) sampling conditions per class
+    diverged: bool = False
 
 
 def class_prototypes(
@@ -171,10 +177,20 @@ def class_prototypes(
     return protos
 
 
+def sampling_prototypes(config: TrainConfig, table: pseudo.PseudoTable, noisy) -> np.ndarray:
+    """The per-class sampling conditions of a `config.variant` run: one-hot
+    rows for vanilla, class_prototypes of the table otherwise."""
+    if config.variant == "vanilla":
+        return np.eye(config.cond_dim)
+    return class_prototypes(table, noisy, config.cond_dim, config.proto_floor)
+
+
 class TrainingDiverged(RuntimeError):
+    """Carries the last finite state, flagged so that it is never sampled."""
+
     def __init__(self, message: str, checkpoint: Checkpoint):
         super().__init__(message)
-        self.checkpoint = checkpoint
+        self.checkpoint = replace(checkpoint, diverged=True)
 
 
 @dataclass
@@ -338,7 +354,8 @@ def train(
     opt = OptState.fresh(net.params)
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
-    log_f = open(log_path, "a") if log_path else None
+    # Line-buffered, so a running cell's log can be followed.
+    log_f = open(log_path, "a", buffering=1) if log_path else None
     t_start = time.perf_counter()
     iteration = 0
     try:
@@ -350,9 +367,10 @@ def train(
             draws = draw_iteration(rng, tdata.size, config, cond_path)
             result = loss_step(net, tdata, table, config, draws, iteration)
             if not np.isfinite(result.loss):
+                protos = sampling_prototypes(config, table, tdata.noisy)
                 raise TrainingDiverged(
                     f"non-finite loss at iteration {iteration}",
-                    Checkpoint(net.params, table, opt, iteration, digest),
+                    Checkpoint(net.params, table, opt, iteration, digest, protos),
                 )
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, result.y_phi, config.alpha)
@@ -377,110 +395,122 @@ def train(
     finally:
         if log_f:
             log_f.close()
-    if config.variant == "vanilla":
-        protos = np.eye(config.cond_dim)
-    else:
-        protos = class_prototypes(table, tdata.noisy, config.cond_dim, config.proto_floor)
+    protos = sampling_prototypes(config, table, tdata.noisy)
     return Checkpoint(net.params, table, opt, config.total_iters, digest, protos)
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint persistence: params in the binary format, optimizer moments in a
-# sibling binary file, pseudo table as text, config echo in meta.txt
+# Checkpoint persistence: one np.savez archive per checkpoint directory
 # ---------------------------------------------------------------------------
 
-_OPT_HEADER = b"robustdiff-opt 1\n"
+CHECKPOINT_FILE = "checkpoint.npz"
 
 
 def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None:
+    """Write `checkpoint` and its config to `outdir/checkpoint.npz`, an
+    uncompressed np.savez archive of these entries (P parameters, L layers,
+    N table rows, C condition channels):
+
+    - `params` float64 (P,), `layer_shapes` int64 (L, 2);
+    - `adam_m`, `adam_v` float64 (P,), `adam_step` int64 ();
+    - `table_entries` float64 (N, C), `table_updates` int64 (N,);
+    - `prototypes` float64 (C, C);
+    - `iteration` int64 (), `diverged` bool ();
+    - `config_digest` str (), `config_json` str (): the digest and every
+      TrainConfig field as a JSON object.
+
+    The archive is written to a temporary file and moved over the old one
+    with os.replace: a reader finds the old checkpoint or the new one, never
+    a mix, and a failed write leaves no temporary file.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    nn_core.save_params(outdir / "model.ckpt", checkpoint.params)
-    with open(outdir / "opt.ckpt", "wb") as f:
-        f.write(_OPT_HEADER)
-        f.write(f"step {checkpoint.opt.step_count} size {checkpoint.opt.first_moment.size}\n".encode())
-        f.write(checkpoint.opt.first_moment.astype("<f8").tobytes())
-        f.write(checkpoint.opt.second_moment.astype("<f8").tobytes())
-    if config.variant != "vanilla":
-        pseudo.save_table(outdir / "pseudo.txt", checkpoint.pseudo)
-    if checkpoint.prototypes is not None:
-        with open(outdir / "prototypes.txt", "w") as f:
-            for c, row in enumerate(checkpoint.prototypes):
-                vals = " ".join(repr(float(v)) for v in row)
-                f.write(f"{c} {vals}\n")
-    with open(outdir / "meta.txt", "w") as f:
-        f.write(f"iteration = {checkpoint.iteration}\n")
-        f.write(f"config_digest = {checkpoint.config_digest}\n")
-        for k, v in sorted(asdict(config).items()):
-            f.write(f"{k} = {v}\n")
+    entries = {
+        "params": checkpoint.params.values,
+        "layer_shapes": np.array(checkpoint.params.layer_shapes, dtype=np.int64),
+        "adam_m": checkpoint.opt.first_moment,
+        "adam_v": checkpoint.opt.second_moment,
+        "adam_step": np.int64(checkpoint.opt.step_count),
+        "table_entries": checkpoint.pseudo.entries,
+        "table_updates": checkpoint.pseudo.update_count.astype(np.int64),
+        "prototypes": checkpoint.prototypes,
+        "iteration": np.int64(checkpoint.iteration),
+        "diverged": np.bool_(checkpoint.diverged),
+        "config_digest": np.str_(checkpoint.config_digest),
+        "config_json": np.str_(json.dumps(asdict(config))),
+    }
+    tmp = outdir / (CHECKPOINT_FILE + ".tmp")
+    try:
+        # A file object, so that np.savez appends no ".npz" to the name.
+        with open(tmp, "wb") as f:
+            np.savez(f, **entries)
+        os.replace(tmp, outdir / CHECKPOINT_FILE)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# What damaged bytes raise in np.load and zipfile: a broken zip structure, an
+# unknown compression method, a set encryption bit, a bad .npy header, a cut.
+_ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, struct.error, EOFError, OSError,
+                   ValueError, NotImplementedError, RuntimeError)
 
 
 def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
-    outdir = Path(outdir)
-    meta: dict[str, str] = {}
-    with open(outdir / "meta.txt") as f:
-        for line in f:
-            if "=" in line:
-                k, v = line.split("=", 1)
-                meta[k.strip()] = v.strip()
-    kwargs = {
-        name: (meta[name] if name == "variant" else _coerce(meta[name]))
-        for name in TrainConfig.__dataclass_fields__
-        if name in meta
-    }
-    config = TrainConfig(**kwargs)
-    params = nn_core.load_params(outdir / "model.ckpt")
-    net = ScoreNetwork(
-        params,
-        x_dim=config.x_dim,
-        cond_dim=config.cond_dim,
-        hidden=config.hidden,
-        depth=config.depth,
-        sigma_data=config.sigma_data,
+    """Read the archive save_checkpoint wrote.
+
+    Raises FileNotFoundError when `outdir` holds no archive, and ValueError,
+    naming the file, when the archive fails its CRC check, lacks an entry,
+    has an entry of the wrong dtype or shape, or stores a config whose digest
+    differs from the stored one.
+    """
+    path = Path(outdir) / CHECKPOINT_FILE
+    if not path.is_file():
+        raise FileNotFoundError(f"no checkpoint archive {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            # Every member is read in full and checked against its CRC first,
+            # so damaged bytes cannot load as other values.
+            bad = archive.zip.testzip()
+            if bad is not None:
+                raise ValueError(f"member {bad} fails its CRC check")
+            stored = {key: archive[key] for key in archive.files}
+    except _ARCHIVE_ERRORS as exc:
+        raise ValueError(f"{path}: unreadable checkpoint archive ({exc})") from exc
+
+    def entry(key: str, kind: str, shape: tuple) -> np.ndarray:
+        """stored[key], checked against a dtype kind and a shape (None: any length)."""
+        arr = stored.get(key)
+        if arr is None:
+            raise ValueError(f"{path}: no {key!r} entry")
+        if arr.dtype.kind != kind or arr.ndim != len(shape) or any(
+                want not in (None, got) for got, want in zip(arr.shape, shape)):
+            raise ValueError(f"{path}: {key!r} is {arr.dtype} {arr.shape}, "
+                             f"expected kind {kind!r} {shape}")
+        return arr
+
+    try:
+        config = TrainConfig(**json.loads(str(entry("config_json", "U", ()))))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad config echo ({exc})") from exc
+    digest = str(entry("config_digest", "U", ()))
+    if config.digest() != digest:
+        raise ValueError(f"{path}: config digest {config.digest()} != stored {digest}")
+    shapes = [tuple(int(d) for d in row) for row in entry("layer_shapes", "i", (None, 2))]
+    want = network.layer_shapes(config.x_dim, config.cond_dim, config.hidden, config.depth)
+    if shapes != want:
+        raise ValueError(f"{path}: layer shapes {shapes} do not match the config's {want}")
+    n_params = nn_core.param_count(shapes)
+    params = nn_core.ParamBundle(shapes, entry("params", "f", (n_params,)))
+    opt = OptState(
+        entry("adam_m", "f", (n_params,)),
+        entry("adam_v", "f", (n_params,)),
+        int(entry("adam_step", "i", ())),
     )
-    with open(outdir / "opt.ckpt", "rb") as f:
-        header = f.readline()
-        if header != _OPT_HEADER:
-            raise ValueError("unrecognized optimizer checkpoint header")
-        parts = f.readline().split()
-        step, size = int(parts[1]), int(parts[3])
-        body = f.read()
-    if size != params.values.size or len(body) != 2 * 8 * size:
-        raise ValueError(
-            f"optimizer checkpoint holds {len(body)} bytes for size {size}; "
-            f"expected two moments of {params.values.size} float64 values"
-        )
-    m = np.frombuffer(body[: 8 * size], dtype="<f8").astype(np.float64)
-    v = np.frombuffer(body[8 * size :], dtype="<f8").astype(np.float64)
-    opt = OptState(m, v, step)
-    if (outdir / "pseudo.txt").exists():
-        table = pseudo.load_table(outdir / "pseudo.txt")
-    else:
-        table = pseudo.init_pseudo(1, config.cond_dim)
-    protos = None
-    if (outdir / "prototypes.txt").exists():
-        rows = []
-        with open(outdir / "prototypes.txt") as f:
-            for line in f:
-                parts = line.split()
-                rows.append((int(parts[0]), [float(v) for v in parts[1:]]))
-        rows.sort()
-        c = config.cond_dim
-        if [i for i, _ in rows] != list(range(c)) or any(len(v) != c for _, v in rows):
-            raise ValueError(
-                f"{outdir / 'prototypes.txt'}: expected rows 0..{c - 1} of {c} values each"
-            )
-        protos = np.array([r[1] for r in rows])
-    ckpt = Checkpoint(
-        params, table, opt, int(meta["iteration"]), meta["config_digest"], protos
-    )
+    entries = entry("table_entries", "f", (None, config.cond_dim))
+    table = pseudo.PseudoTable(entries, entry("table_updates", "i", (entries.shape[0],)))
+    protos = entry("prototypes", "f", (config.cond_dim, config.cond_dim))
+    ckpt = Checkpoint(params, table, opt, int(entry("iteration", "i", ())), digest, protos,
+                      bool(entry("diverged", "b", ())))
+    net = ScoreNetwork(params, config.x_dim, config.cond_dim, config.hidden, config.depth,
+                       config.sigma_data)
     return net, config, ckpt
-
-
-def _coerce(raw: str):
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            continue
-    return raw

@@ -1,6 +1,10 @@
+import os
 import re
 
-from robustdiff import cli
+import numpy as np
+import pytest
+
+from robustdiff import cli, trainer
 
 TINY = [
     "batch_size=16",
@@ -34,7 +38,7 @@ class TestPipeline:
             assert cli.main(argv) == 0, argv[0]
         out = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
-        assert (ckpt / "prototypes.txt").exists()
+        assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, "train.log"]
 
 
 def _reproduce_args(out, *extra):
@@ -48,6 +52,30 @@ class TestReproduce:
         cli.main(_reproduce_args(tmp_path / "r", "--jobs", "2"))
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("finished ")]
         assert lines == ["finished vanilla eta=0.4 seed=0", "finished pc_rdc eta=0.4 seed=0"]
+
+    @pytest.mark.parametrize(
+        "jobs, user, want",
+        [
+            (1, {}, {}),
+            (2, {}, dict.fromkeys(cli.BLAS_THREAD_VARS, "1")),
+            (2, {"OMP_NUM_THREADS": "3"}, {"OMP_NUM_THREADS": "3"}),
+        ],
+        ids=["one_job_untouched", "workers_pinned", "user_setting_kept"],
+    )
+    def test_worker_blas_threads(self, monkeypatch, jobs, user, want):
+        for key in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(key, raising=False)
+        for key, value in user.items():
+            monkeypatch.setenv(key, value)
+        assert cli._worker_blas_env(jobs) == want
+
+    def test_manifest_records_blas_threads_as_comment(self, tmp_path, monkeypatch):
+        for key in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(key, raising=False)
+        cli.main(_reproduce_args(tmp_path / "r", "--variants", "vanilla", "--jobs", "2"))
+        manifest = (tmp_path / "r" / "manifest.txt").read_text()
+        assert "# BLAS threads: OPENBLAS_NUM_THREADS=1 " in manifest
+        assert not any(key in os.environ for key in cli.BLAS_THREAD_VARS)
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
         assert cli.main(_reproduce_args(tmp_path / "r", "--jobs=-1")) == 1
@@ -95,16 +123,38 @@ class TestReaders:
         assert code == 2
         assert "cond_dim=3 needs them in 0..2" in capsys.readouterr().err
 
-    def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys):
+    def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys, edit_archive):
         _, ckpt = _gen_and_train(tmp_path)
-        protos = ckpt / "prototypes.txt"
-        rows = protos.read_text().splitlines()
-        protos.write_text(rows[0] + "\n" + rows[2] + "\n")
+        with np.load(ckpt / trainer.CHECKPOINT_FILE) as archive:
+            protos = archive["prototypes"]
+        edit_archive(ckpt, prototypes=protos[[0, 2]])
         code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
                          "--out", str(tmp_path / "samples.csv")])
         assert code == 2
-        assert "prototypes.txt" in capsys.readouterr().err
+        assert "'prototypes'" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
+
+    def test_flipped_bit_rejected(self, tmp_path, capsys):
+        _, ckpt = _gen_and_train(tmp_path)
+        path = ckpt / trainer.CHECKPOINT_FILE
+        damaged = bytearray(path.read_bytes())
+        damaged[len(damaged) // 2] ^= 0x10
+        path.write_bytes(bytes(damaged))
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert f"{path}: unreadable checkpoint archive" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_multi_file_checkpoint_rejected(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        for name in ("model.ckpt", "opt.ckpt", "pseudo.txt", "prototypes.txt", "meta.txt"):
+            (ckpt / name).write_text("")
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert f"no checkpoint archive {ckpt / trainer.CHECKPOINT_FILE}" in capsys.readouterr().err
 
 
 class TestSample:
@@ -126,15 +176,24 @@ class TestSample:
         assert not data.exists()
 
     def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
+        self._assert_diverged_not_sampled(tmp_path, capsys)
+
+    def test_diverged_vanilla_checkpoint_not_sampled(self, tmp_path, capsys):
+        self._assert_diverged_not_sampled(
+            tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e300"
+        )
+
+    @staticmethod
+    def _assert_diverged_not_sampled(tmp_path, capsys, *train_args):
         data = tmp_path / "data.csv"
         ckpt = tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
                          "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
-                         *_set_args(), "--set", "lr=1e18"]) == 2
-        assert not (ckpt / "prototypes.txt").exists()
+                         *_set_args(), "--set", "lr=1e18", *train_args]) == 2
+        capsys.readouterr()
         code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
                          "--out", str(tmp_path / "samples.csv")])
         assert code == 2
-        assert "without prototypes.txt" in capsys.readouterr().err
+        assert "training diverged at iteration" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdiff import nn_core
+from robustdiff import nn_core, pseudo, trainer
 from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
@@ -11,8 +11,6 @@ from robustdiff.nn_core import (
     ShapeError,
     adam_step,
     init_params,
-    load_params,
-    save_params,
 )
 
 
@@ -271,21 +269,27 @@ class TestParamBundle:
 
 
 class TestCheckpointIO:
+    """The parameter bundle's trip through the checkpoint archive.
+
+    A second save is no longer byte-identical to the first: zip entries carry
+    the time of writing.
+    """
+
     def test_round_trip_bitwise(self, tmp_path):
-        params = init_params([(3, 5), (5, 2)], seed=13)
+        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
+        net = ScoreNetwork.create(hidden=5, depth=1, seed=13)
+        params = net.params
         params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
-        path = tmp_path / "model.ckpt"
-        save_params(path, params)
-        loaded = load_params(path)
-        assert loaded.layer_shapes == params.layer_shapes
-        assert np.array_equal(loaded.values, params.values)
-        # a second save of the loaded bundle produces identical bytes
-        path2 = tmp_path / "model2.ckpt"
-        save_params(path2, loaded)
-        assert path.read_bytes() == path2.read_bytes()
+        ckpt = trainer.Checkpoint(
+            params, pseudo.init_pseudo(3, 4), OptState.fresh(params), 0, cfg.digest(), np.eye(4)
+        )
+        trainer.save_checkpoint(tmp_path, ckpt, cfg)
+        _, _, loaded = trainer.load_checkpoint(tmp_path)
+        assert loaded.params.layer_shapes == params.layer_shapes
+        assert loaded.params.values.dtype == np.float64
+        assert np.array_equal(loaded.params.values, params.values)
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.ckpt"
-        path.write_bytes(b"not a checkpoint\n")
-        with pytest.raises(ValueError):
-            load_params(path)
+        (tmp_path / trainer.CHECKPOINT_FILE).write_bytes(b"not a checkpoint\n")
+        with pytest.raises(ValueError, match="unreadable checkpoint archive"):
+            trainer.load_checkpoint(tmp_path)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from robustdiff import nn_core, trainer
+from robustdiff.network import ScoreNetwork
 from robustdiff.pseudo import (
     EarlyStopPolicy,
     ensemble_update,
     init_pseudo,
-    load_table,
-    save_table,
     should_stop,
 )
 
@@ -152,31 +152,51 @@ class TestEarlyStop:
             should_stop(-1, EarlyStopPolicy(5))
 
 
+def _save_table(ckpt_dir, table):
+    """Save `table` inside a checkpoint of a small untrained network."""
+    cfg = trainer.TrainConfig(hidden=4, depth=1, cond_dim=table.cond_dim, total_iters=0)
+    net = ScoreNetwork.create(cond_dim=table.cond_dim, hidden=4, depth=1)
+    ckpt = trainer.Checkpoint(
+        net.params, table, nn_core.OptState.fresh(net.params), 0, cfg.digest(),
+        np.eye(table.cond_dim),
+    )
+    trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
+
+
 class TestSnapshot:
+    """The pseudo table's trip through the checkpoint archive."""
+
     def test_round_trip(self, tmp_path):
         table = init_pseudo(4, 3)
         table.entries[:] = np.random.default_rng(0).normal(size=(4, 3))
-        path = tmp_path / "pseudo.txt"
-        save_table(path, table)
-        loaded = load_table(path)
+        ensemble_update(table, [1, 1, 3], np.ones((3, 3)), 0.5)
+        _save_table(tmp_path, table)
+        loaded = trainer.load_checkpoint(tmp_path)[2].pseudo
         assert np.array_equal(loaded.entries, table.entries)
+        assert np.array_equal(loaded.update_count, [0, 2, 0, 1])
 
     def test_format_index_then_floats(self, tmp_path):
         table = init_pseudo(2, 2)
         table.entries[1] = [0.5, -0.25]
-        path = tmp_path / "pseudo.txt"
-        save_table(path, table)
-        lines = path.read_text().splitlines()
-        assert lines[0].split()[0] == "0"
-        assert lines[1] == "1 0.5 -0.25"
+        _save_table(tmp_path, table)
+        with np.load(tmp_path / trainer.CHECKPOINT_FILE) as archive:
+            entries, updates = archive["table_entries"], archive["table_updates"]
+        assert entries.dtype == np.float64 and updates.dtype == np.int64
+        assert entries.tolist() == [[0.0, 0.0], [0.5, -0.25]]
+        assert updates.tolist() == [0, 0]
 
     @pytest.mark.parametrize(
-        "text",
-        ["0 0.5 0.5\n2 0.5 0.5\n", "0 0.5 0.5\n0 0.5 0.5\n", "0 0.5 0.5\n1 0.5\n", ""],
+        "edit",
+        [
+            {"table_updates": np.zeros(2, dtype=np.int64)},  # counts miss a row
+            {"table_updates": np.zeros(4, dtype=np.int64)},  # counts for a row too many
+            {"table_entries": np.zeros((3, 2))},  # rows narrower than cond_dim
+            {},  # no table at all
+        ],
         ids=["index_gap", "repeated_index", "unequal_width", "empty"],
     )
-    def test_malformed_table_rejected(self, tmp_path, text):
-        path = tmp_path / "pseudo.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError):
-            load_table(path)
+    def test_malformed_table_rejected(self, tmp_path, edit_archive, edit):
+        _save_table(tmp_path, init_pseudo(3, 3))
+        edit_archive(tmp_path, drop=() if edit else ("table_entries",), **edit)
+        with pytest.raises(ValueError, match="table_"):
+            trainer.load_checkpoint(tmp_path)

@@ -1,10 +1,18 @@
+import errno
+import io
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdiff import data as data_mod
 from robustdiff import diffusion, nn_core, pseudo, rdc, trainer
 from robustdiff.network import ScoreNetwork
 from robustdiff.trainer import (
+    CHECKPOINT_FILE,
     Checkpoint,
     IterationDraws,
     TrainConfig,
@@ -148,6 +156,14 @@ class TestTrain:
         with pytest.raises(trainer.TrainingDiverged) as err:
             train(cfg, samples)
         assert isinstance(err.value.checkpoint, Checkpoint)
+        assert err.value.checkpoint.diverged
+
+    def test_log_line_on_disk_while_training(self, tmp_path):
+        log = tmp_path / "train.log"
+        seen = []
+        train(tiny_config(total_iters=12, early_stop_iters=6), tiny_dataset(), log_path=log,
+              snapshot_every=1, snapshot_cb=lambda *_: seen.append(log.read_text()))
+        assert seen[0].startswith("iter 0 demo ")
 
 
 class TestLossStep:
@@ -335,6 +351,22 @@ class TestPrototypes:
         assert np.all(np.linalg.norm(protos[:3], axis=1) > 0.5)
 
 
+def assert_same_checkpoint(loaded, ckpt):
+    for got, want in [
+        (loaded.params.values, ckpt.params.values),
+        (loaded.opt.first_moment, ckpt.opt.first_moment),
+        (loaded.opt.second_moment, ckpt.opt.second_moment),
+        (loaded.pseudo.entries, ckpt.pseudo.entries),
+        (loaded.pseudo.update_count, ckpt.pseudo.update_count),
+        (loaded.prototypes, ckpt.prototypes),
+    ]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert loaded.params.layer_shapes == ckpt.params.layer_shapes
+    assert (loaded.opt.step_count, loaded.iteration, loaded.config_digest, loaded.diverged) == (
+        ckpt.opt.step_count, ckpt.iteration, ckpt.config_digest, ckpt.diverged
+    )
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(total_iters=12, early_stop_iters=6)
@@ -343,33 +375,129 @@ class TestCheckpointIO:
         save_checkpoint(tmp_path, ckpt, cfg)
         net, cfg2, loaded = load_checkpoint(tmp_path)
         assert cfg2 == cfg
-        assert np.array_equal(loaded.params.values, ckpt.params.values)
-        assert np.array_equal(loaded.pseudo.entries, ckpt.pseudo.entries)
-        assert np.array_equal(loaded.prototypes, ckpt.prototypes)
-        assert loaded.opt.step_count == ckpt.opt.step_count
-        assert np.array_equal(loaded.opt.first_moment, ckpt.opt.first_moment)
-        assert loaded.iteration == ckpt.iteration
-        assert loaded.config_digest == ckpt.config_digest
+        assert_same_checkpoint(loaded, ckpt)
+        assert os.listdir(tmp_path) == [CHECKPOINT_FILE]
 
     @pytest.mark.parametrize(
-        "size_delta, values_delta",
-        [(0, -12), (0, 1), (-1, -2)],
+        "edit",
+        [{"adam_m": -12}, {"adam_v": 1}, {"adam_m": -1, "adam_v": -1}],
         ids=["cut_short_96_bytes", "trailing_value", "size_not_param_count"],
     )
-    def test_bad_optimizer_moments_rejected(self, tmp_path, size_delta, values_delta):
+    def test_bad_optimizer_moments_rejected(self, tmp_path, edit_archive, edit):
         cfg = tiny_config(total_iters=4, early_stop_iters=2)
         ckpt = train(cfg, tiny_dataset())
         save_checkpoint(tmp_path, ckpt, cfg)
         n = ckpt.params.values.size
-        body = np.zeros(2 * n + values_delta).astype("<f8").tobytes()
-        header = f"robustdiff-opt 1\nstep 4 size {n + size_delta}\n".encode()
-        (tmp_path / "opt.ckpt").write_bytes(header + body)
-        with pytest.raises(ValueError, match="optimizer checkpoint"):
+        edit_archive(tmp_path, **{key: np.zeros(n + delta) for key, delta in edit.items()})
+        with pytest.raises(ValueError, match="'adam_[mv]'"):
             load_checkpoint(tmp_path)
 
     def test_vanilla_checkpoint_has_no_pseudo_file(self, tmp_path):
         cfg = tiny_config(variant="vanilla", total_iters=4, early_stop_iters=2)
-        ckpt = train(cfg, tiny_dataset())
+        samples = tiny_dataset()
+        ckpt = train(cfg, samples)
         save_checkpoint(tmp_path, ckpt, cfg)
-        assert not (tmp_path / "pseudo.txt").exists()
-        assert (tmp_path / "model.ckpt").exists()
+        assert os.listdir(tmp_path) == [CHECKPOINT_FILE]
+        _, _, loaded = load_checkpoint(tmp_path)
+        assert np.array_equal(loaded.pseudo.entries, np.zeros((len(samples), 4)))
+        assert not loaded.pseudo.update_count.any()
+        assert np.array_equal(loaded.prototypes, np.eye(4))
+
+    def test_diverged_flag_round_trip(self, tmp_path):
+        cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=5)
+        with pytest.raises(trainer.TrainingDiverged) as err:
+            train(cfg, tiny_dataset())
+        save_checkpoint(tmp_path, err.value.checkpoint, cfg)
+        _, _, loaded = load_checkpoint(tmp_path)
+        assert loaded.diverged
+        assert_same_checkpoint(loaded, err.value.checkpoint)
+
+    def test_config_digest_mismatch_rejected(self, tmp_path, edit_archive):
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
+        edit_archive(tmp_path, config_digest=np.str_(replace(cfg, lr=0.5).digest()))
+        with pytest.raises(ValueError, match="config digest"):
+            load_checkpoint(tmp_path)
+
+    def test_missing_archive_is_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match=CHECKPOINT_FILE):
+            load_checkpoint(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def saved(tmp_path_factory):
+    """A small trained checkpoint, its config, and a directory holding it."""
+    cfg = tiny_config(total_iters=4, early_stop_iters=2)
+    ckpt = train(cfg, tiny_dataset(n=10))
+    ckpt_dir = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(ckpt_dir, ckpt, cfg)
+    return ckpt, cfg, ckpt_dir
+
+
+class _DiskFull(io.BufferedWriter):
+    """A file that takes `budget` bytes, then fails as a full disk does."""
+
+    def __init__(self, path, mode, budget):
+        super().__init__(io.FileIO(path, mode))
+        self.budget = budget
+
+    def write(self, b):
+        if len(b) > self.budget:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.budget -= len(b)
+        return super().write(b)
+
+
+class TestArchiveDamage:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_archive_rejected_or_loads_equal(self, saved, data):
+        ckpt, cfg, ckpt_dir = saved
+        path = ckpt_dir / CHECKPOINT_FILE
+        good = path.read_bytes()
+        try:
+            if data.draw(st.booleans(), label="truncate"):
+                path.write_bytes(good[: data.draw(st.integers(0, len(good) - 1), label="length")])
+            else:
+                bit = data.draw(st.integers(0, 8 * len(good) - 1), label="bit")
+                damaged = bytearray(good)
+                damaged[bit // 8] ^= 1 << (bit % 8)
+                path.write_bytes(bytes(damaged))
+            try:
+                _, cfg2, loaded = load_checkpoint(ckpt_dir)
+            except ValueError as exc:
+                assert str(path) in str(exc)
+                return
+            assert cfg2 == cfg
+            assert_same_checkpoint(loaded, ckpt)
+        finally:
+            path.write_bytes(good)
+
+    def test_self_consistent_damage_caught_by_crc(self, saved, tmp_path):
+        # Both table entries shrink from 2000 to 1000 rows alike, so only the
+        # checksums tell that the rows read are not the rows saved.
+        ckpt, cfg, _ = saved
+        table = pseudo.init_pseudo(2000, 4)
+        table.entries[:] = np.random.default_rng(0).normal(size=table.entries.shape)
+        save_checkpoint(tmp_path, replace(ckpt, pseudo=table), cfg)
+        path = tmp_path / CHECKPOINT_FILE
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"(2000, 4)", b"(1000, 4)").replace(b"(2000,)", b"(1000,)"))
+        with pytest.raises(ValueError, match="CRC"):
+            load_checkpoint(tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_failed_save_keeps_previous_archive(self, saved, data):
+        ckpt, cfg, ckpt_dir = saved
+        size = (ckpt_dir / CHECKPOINT_FILE).stat().st_size
+        budget = data.draw(st.integers(0, size - 1), label="bytes written before the disk fills")
+        newer = replace(ckpt, iteration=ckpt.iteration + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "open", lambda path, mode: _DiskFull(path, mode, budget),
+                       raising=False)
+            with pytest.raises(OSError):
+                save_checkpoint(ckpt_dir, newer, cfg)
+        assert os.listdir(ckpt_dir) == [CHECKPOINT_FILE]
+        _, _, loaded = load_checkpoint(ckpt_dir)
+        assert_same_checkpoint(loaded, ckpt)
