@@ -7,10 +7,8 @@ values. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 from statistics import median
@@ -104,7 +102,7 @@ def cmd_gen_data(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_dataset(out, samples)
-    flips = sum(1 for s in samples if s.noisy_class != s.clean_class)
+    flips = int(np.count_nonzero(samples.noisy != samples.clean))
     print(f"wrote {len(samples)} samples to {out}")
     print(f"classes 4 x {args.n_per_class}, flipped {flips} ({flips / len(samples):.3f})")
     print(f"empirical point std {data_mod.empirical_std(samples):.4f}")
@@ -200,14 +198,9 @@ def cmd_sample(args) -> int:
 
 def evaluate_samples(samples, per_class: dict[int, np.ndarray]) -> tuple[float, float]:
     """Class-averaged nearest-neighbor MAE plus centroid controllability."""
-    pts = data_mod.points(samples)
-    clean = data_mod.clean_labels(samples)
-    n_classes = int(clean.max()) + 1
-    clf = metrics.fit_centroids(pts, clean, n_classes)
-    maes = []
-    for c in sorted(per_class):
-        ref = pts[clean == c]
-        maes.append(metrics.mae(per_class[c], ref))
+    pts, clean = samples.points, samples.clean
+    clf = metrics.fit_centroids(pts, clean, int(clean.max()) + 1)
+    maes = [metrics.mae(per_class[c], pts[clean == c]) for c in sorted(per_class)]
     return float(np.mean(maes)), metrics.controllability_acc(per_class, clf)
 
 
@@ -258,15 +251,11 @@ def run_cell(cell) -> dict:
     cell_dir = Path(outdir) / "cells" / f"{variant}_{noise_kind}{eta:g}_s{seed}"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    clean_pts = data_mod.points(samples)
-    clean_lbl = data_mod.clean_labels(samples)
-    clf = metrics.fit_centroids(clean_pts, clean_lbl, config.cond_dim)
-
-    noisy_lbl = data_mod.noisy_labels(samples)
+    clf = metrics.fit_centroids(samples.points, samples.clean, config.cond_dim)
     dyn_rows = []
 
     def snapshot(iteration, net, table):
-        protos = trainer.sampling_prototypes(config, table, noisy_lbl)
+        protos = trainer.sampling_prototypes(config, table, samples.noisy)
         per_class = sample_per_class(net, config, 250, seeds["eval"] + 7, None, protos)
         acc = metrics.controllability_acc(per_class, clf)
         dyn_rows.append((variant, seed, iteration, acc))
@@ -306,6 +295,10 @@ def _worker_blas_env(jobs: int) -> dict[str, str]:
 
 
 def cmd_reproduce(args) -> int:
+    # Imported here, the only code that starts a pool, so no other command loads them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.manifest:
         manifest = parse_config_file(args.manifest)
         etas = [float(v) for v in manifest["etas"].split(",")]

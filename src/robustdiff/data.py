@@ -1,8 +1,14 @@
-"""Synthetic four-class 2-D dataset and label-noise injection."""
+"""Synthetic four-class 2-D dataset and label-noise injection.
+
+A dataset is one `Dataset` of three row-aligned arrays: `points` (n, 2)
+float64, and the `clean` and `noisy` class ids (n,) int64. Row i is sample i:
+the pseudo-condition table and every batch index it by row number.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,12 +20,22 @@ BLOB_STD = 0.375
 DEFAULT_PAIR_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
-@dataclass
-class LabeledSample:
-    point: np.ndarray
-    clean_class: int
-    noisy_class: int
-    index: int
+@dataclass(frozen=True)
+class Dataset:
+    """n labelled points. Noise injection returns a new Dataset that shares
+    `points` and `clean` with its source and has its own `noisy`."""
+
+    points: np.ndarray  # (n, 2) float64
+    clean: np.ndarray  # (n,) int64
+    noisy: np.ndarray  # (n,) int64
+
+    def __post_init__(self):
+        n = len(self.points)
+        if self.points.shape != (n, 2) or self.clean.shape != (n,) or self.noisy.shape != (n,):
+            raise ValueError("points, clean and noisy must be (n, 2), (n,) and (n,) arrays")
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
 
 
 @dataclass(frozen=True)
@@ -35,8 +51,7 @@ class NoiseSpec:
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
         if self.kind == "asymmetric":
-            pm = self.pair_map or DEFAULT_PAIR_MAP
-            _check_involution(pm)
+            _check_involution(self.pair_map or DEFAULT_PAIR_MAP)
 
 
 def _check_involution(pair_map: dict) -> None:
@@ -50,109 +65,90 @@ def make_toy_dataset(
     seed: int,
     centroids: np.ndarray = CENTROIDS,
     std: float = BLOB_STD,
-) -> list[LabeledSample]:
-    """Isotropic Gaussian blob per class; noisy labels start out clean."""
+) -> Dataset:
+    """Isotropic Gaussian blob per class, in class order; noisy labels start
+    out clean."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    samples = []
-    idx = 0
-    for c in range(len(centroids)):
-        pts = centroids[c] + std * rng.standard_normal((n_per_class, 2))
-        for p in pts:
-            samples.append(LabeledSample(p, c, c, idx))
-            idx += 1
-    return samples
+    n_classes = len(centroids)
+    pts = np.empty((n_classes * n_per_class, 2))
+    for c in range(n_classes):
+        rows = slice(c * n_per_class, (c + 1) * n_per_class)
+        pts[rows] = centroids[c] + std * rng.standard_normal((n_per_class, 2))
+    clean = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    return Dataset(pts, clean, clean.copy())
 
 
-def inject_symmetric_noise(
-    samples: list[LabeledSample], eta: float, seed: int
-) -> list[LabeledSample]:
+def inject_symmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
     """Each label flips with probability eta, uniformly to one of the others."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    classes = sorted({s.clean_class for s in samples})
-    out = []
-    for s in samples:
-        noisy = s.clean_class
+    labels = samples.clean.tolist()
+    others = {c: [o for o in sorted(set(labels)) if o != c] for c in set(labels)}
+    noisy = samples.clean.copy()
+    # One draw per row, plus a destination draw after each flip: the
+    # interleaving is the RNG stream, so the rows are walked in order.
+    for i, c in enumerate(labels):
         if rng.random() < eta:
-            others = [c for c in classes if c != s.clean_class]
-            noisy = others[rng.integers(len(others))]
-        out.append(LabeledSample(s.point, s.clean_class, noisy, s.index))
-    return out
+            noisy[i] = others[c][rng.integers(len(others[c]))]
+    return Dataset(samples.points, samples.clean, noisy)
 
 
 def inject_asymmetric_noise(
-    samples: list[LabeledSample], eta: float, pair_map: dict | None, seed: int
-) -> list[LabeledSample]:
+    samples: Dataset, eta: float, pair_map: dict | None, seed: int
+) -> Dataset:
     """Each label flips to its paired class with probability eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     pm = pair_map or DEFAULT_PAIR_MAP
     _check_involution(pm)
     rng = np.random.default_rng(seed)
-    out = []
-    for s in samples:
-        noisy = s.clean_class
-        if rng.random() < eta:
-            noisy = pm[s.clean_class]
-        out.append(LabeledSample(s.point, s.clean_class, noisy, s.index))
-    return out
+    # One uniform per row, in row order: the same stream as scalar draws.
+    flip = np.flatnonzero(rng.random(len(samples)) < eta)
+    noisy = samples.clean.copy()
+    noisy[flip] = [pm[c] for c in samples.clean[flip].tolist()]
+    return Dataset(samples.points, samples.clean, noisy)
 
 
-def inject_noise(samples: list[LabeledSample], spec: NoiseSpec) -> list[LabeledSample]:
+def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
     if spec.kind == "symmetric":
         return inject_symmetric_noise(samples, spec.eta, spec.seed)
     return inject_asymmetric_noise(samples, spec.eta, spec.pair_map, spec.seed)
 
 
-def one_hot(class_id: int, n_classes: int = N_CLASSES) -> np.ndarray:
-    if not 0 <= class_id < n_classes:
-        raise ValueError(f"class id {class_id} out of [0, {n_classes})")
-    v = np.zeros(n_classes)
-    v[class_id] = 1.0
-    return v
+def noisy_labels(samples: Dataset) -> np.ndarray:
+    return samples.noisy
 
 
-def points(samples: list[LabeledSample]) -> np.ndarray:
-    return np.array([s.point for s in samples])
-
-
-def clean_labels(samples: list[LabeledSample]) -> np.ndarray:
-    return np.array([s.clean_class for s in samples], dtype=np.int64)
-
-
-def noisy_labels(samples: list[LabeledSample]) -> np.ndarray:
-    return np.array([s.noisy_class for s in samples], dtype=np.int64)
-
-
-def empirical_std(samples: list[LabeledSample]) -> float:
+def empirical_std(samples: Dataset) -> float:
     """Per-coordinate standard deviation of the point cloud (preconditioning aid)."""
-    return float(points(samples).std())
+    return float(samples.points.std())
 
 
-def save_dataset(path, samples: list[LabeledSample]) -> None:
+def save_dataset(path, samples: Dataset) -> None:
     with open(path, "w") as f:
         f.write("x1,x2,clean,noisy\n")
-        for s in sorted(samples, key=lambda s: s.index):
-            x1, x2 = (repr(float(v)) for v in s.point)
-            f.write(f"{x1},{x2},{s.clean_class},{s.noisy_class}\n")
+        rows = zip(samples.points.tolist(), samples.clean.tolist(), samples.noisy.tolist())
+        f.writelines(f"{x1!r},{x2!r},{clean},{noisy}\n" for (x1, x2), clean, noisy in rows)
 
 
-def load_dataset(path) -> list[LabeledSample]:
-    samples = []
+def load_dataset(path) -> Dataset:
+    """Read a save_dataset file. A record with a non-finite coordinate or a
+    class id outside 0..N_CLASSES-1 raises ValueError naming the record."""
+    coords, labels = [], []
     with open(path) as f:
-        header = f.readline().strip()
-        if header != "x1,x2,clean,noisy":
+        if f.readline().strip() != "x1,x2,clean,noisy":
             raise ValueError("bad dataset header")
         for i, line in enumerate(f):
             x1, x2, clean, noisy = line.strip().split(",")
-            clean, noisy = int(clean), int(noisy)
-            if not (0 <= clean < N_CLASSES and 0 <= noisy < N_CLASSES):
-                raise ValueError(
-                    f"{path}: record {i} has class ids {clean},{noisy}; "
-                    f"expected 0..{N_CLASSES - 1}"
-                )
-            samples.append(LabeledSample(np.array([float(x1), float(x2)]), clean, noisy, i))
-    return samples
+            coords.append((float(x1), float(x2)))
+            labels.append((int(clean), int(noisy)))
+            if not (math.isfinite(coords[-1][0]) and math.isfinite(coords[-1][1])):
+                raise ValueError(f"{path}: record {i} has non-finite coordinates {x1},{x2}")
+            if not all(0 <= c < N_CLASSES for c in labels[-1]):
+                raise ValueError(f"{path}: record {i} has class ids {clean},{noisy}; "
+                                 f"expected 0..{N_CLASSES - 1}")
+    ids = np.array(labels, dtype=np.int64).reshape(-1, 2)
+    return Dataset(np.array(coords).reshape(-1, 2), ids[:, 0].copy(), ids[:, 1].copy())

@@ -120,8 +120,9 @@ class RecordedPass:
 
     The pass ran `x` through `layers` in order: SiLU layers, then one linear
     readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
-    SiLU derivative of layers[j]. `h` and `dact` live in buffers of the tape
-    that recorded them and are overwritten by its next step.
+    SiLU derivative of layers[j]. `h` and `dact` live in activation slot
+    `slot` of the tape that recorded them until the pass is walked back; the
+    slot then goes to the tape's next `record`.
     """
 
     layers: list[int]
@@ -129,17 +130,21 @@ class RecordedPass:
     h: list[np.ndarray]
     dact: list[np.ndarray]
     out: np.ndarray
+    slot: int
 
 
 class MlpTape:
     """Passes recorded through one ParamBundle, and the gradient they give.
 
-    One step calls `start`, then `record` once per pass, then `backward` on
-    each pass that reaches the loss. The first contribution to a layer's
-    gradient is assigned and later ones are added, in the order of the
-    `backward` calls. Activation and scratch buffers are kept across steps
-    and reallocated only when a shape changes (a new batch size), so a step
-    allocates no (batch x width) arrays; `grads` is a fresh array per step.
+    One step calls `start`, then `record` once per pass, then `backward`
+    once on each pass that reaches the loss. The first contribution to a
+    layer's gradient is assigned and later ones are added, in the order of
+    the `backward` calls. A pass holds an activation slot (its `h` and `dact`
+    buffers) until its `backward`, and `record` takes the lowest free slot,
+    so a step needs only as many slots as passes it holds at once. Slots and
+    scratch buffers are kept across steps and reallocated only when a shape
+    changes (a new batch size), so a step allocates no (batch x width)
+    arrays; `grads` is a fresh array per step.
     """
 
     def __init__(self):
@@ -147,16 +152,16 @@ class MlpTape:
         self.grads: np.ndarray | None = None
         self._slices: list[tuple[slice, slice]] = []
         self._touched: list[bool] = []
-        self._n_passes = 0
+        self._holders: list[RecordedPass | None] = []  # per slot; None: free
         self._buffers: dict = {}
 
     def start(self, params: ParamBundle) -> None:
-        """Begin a step on `params` with an all-zero gradient."""
+        """Begin a step on `params` with an all-zero gradient and every slot free."""
         self.params = params
         self.grads = np.zeros_like(params.values)
         self._slices = params.layer_slices()
         self._touched = [False] * params.n_layers
-        self._n_passes = 0
+        self._holders = []
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(key)
@@ -166,8 +171,9 @@ class MlpTape:
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
         """Run x through `layers`, SiLU on all but the last, and record it."""
-        n = self._n_passes
-        self._n_passes += 1
+        if None not in self._holders:
+            self._holders.append(None)
+        n = self._holders.index(None)
         h, hs, dacts = x, [], []
         for j, k in enumerate(layers[:-1]):
             w, b = self.params.layer(k)
@@ -184,16 +190,21 @@ class MlpTape:
             hs.append(h)
             dacts.append(d)
         w, b = self.params.layer(layers[-1])
-        return RecordedPass(list(layers), x, hs, dacts, h @ w + b)
+        rec = self._holders[n] = RecordedPass(list(layers), x, hs, dacts, h @ w + b, n)
+        return rec
 
     def backward(
         self, rec: RecordedPass, g_out: np.ndarray, input_grad: bool = False
     ) -> np.ndarray | None:
         """Walk `rec` in reverse from g_out = dL/d(rec.out).
 
-        Adds the pass's weight and bias gradients into `grads`. Returns
-        dL/d(rec.x) when `input_grad` is set, otherwise None.
+        Adds the pass's weight and bias gradients into `grads` and frees its
+        slot. Returns dL/d(rec.x) when `input_grad` is set, otherwise None.
+        A pass goes back once, in the step that recorded it (ValueError).
         """
+        if rec.slot >= len(self._holders) or self._holders[rec.slot] is not rec:
+            raise ValueError("the pass was walked back already or belongs to an earlier step")
+        self._holders[rec.slot] = None
         inputs = [rec.x] + rec.h
         g = g_out
         for j in reversed(range(len(rec.layers))):

@@ -114,9 +114,9 @@ class TrainData:
     clean: np.ndarray
 
     @classmethod
-    def from_samples(cls, samples, cond_dim: int) -> "TrainData":
-        pts = data_mod.points(samples)
-        noisy = data_mod.noisy_labels(samples)
+    def from_samples(cls, samples: data_mod.Dataset, cond_dim: int) -> "TrainData":
+        """The dataset's arrays, shared, plus the one-hot noisy labels."""
+        noisy = samples.noisy
         if noisy.size and not (noisy.min() >= 0 and noisy.max() < cond_dim):
             raise ValueError(
                 f"noisy labels span {noisy.min()}..{noisy.max()}; "
@@ -124,7 +124,7 @@ class TrainData:
             )
         onehot = np.zeros((len(samples), cond_dim))
         onehot[np.arange(len(samples)), noisy] = 1.0
-        return cls(pts, onehot, noisy, data_mod.clean_labels(samples))
+        return cls(samples.points, onehot, noisy, samples.clean)
 
     @property
     def size(self) -> int:
@@ -336,8 +336,8 @@ def train(
 ) -> Checkpoint:
     """Run the full loop; returns the final checkpoint.
 
-    Raises TrainingDiverged (carrying the last finite checkpoint) if the loss
-    goes non-finite.
+    Raises TrainingDiverged, carrying the last finite checkpoint, if the loss,
+    the gradient or the updated parameters go non-finite.
     """
     if not samples:
         raise ValueError("dataset must be non-empty")
@@ -366,24 +366,22 @@ def train(
             cond_path = config.variant != "vanilla" and not phase2
             draws = draw_iteration(rng, tdata.size, config, cond_path)
             result = loss_step(net, tdata, table, config, draws, iteration)
-            if not np.isfinite(result.loss):
+            try:
+                if not np.isfinite(result.loss):
+                    raise nn_core.NonFiniteError("non-finite loss")
+                net.params, opt = nn_core.adam_step(
+                    net.params, result.grads, opt, lr=config.lr, beta1=config.beta1,
+                    beta2=config.beta2, eps=config.adam_eps,
+                )
+            except nn_core.NonFiniteError as exc:
+                # The checkpoint holds the state this iteration started from.
                 protos = sampling_prototypes(config, table, tdata.noisy)
                 raise TrainingDiverged(
-                    f"non-finite loss at iteration {iteration}",
+                    f"{exc} at iteration {iteration}",
                     Checkpoint(net.params, table, opt, iteration, digest, protos),
-                )
+                ) from exc
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, result.y_phi, config.alpha)
-            new_params, opt = nn_core.adam_step(
-                net.params,
-                result.grads,
-                opt,
-                lr=config.lr,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.adam_eps,
-            )
-            net.params = new_params
             if log_f and (iteration % 100 == 0 or iteration == config.total_iters - 1):
                 log_f.write(
                     f"iter {iteration} demo {result.demo_term:.6f} "

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -155,6 +157,58 @@ class TestReaders:
                          "--out", str(tmp_path / "samples.csv")])
         assert code == 2
         assert f"no checkpoint archive {ckpt / trainer.CHECKPOINT_FILE}" in capsys.readouterr().err
+
+
+    def test_non_finite_coordinate_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        lines[2] = "nan,1.0," + lines[2].split(",", 2)[2]
+        data.write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                         *_set_args()])
+        assert code == 2
+        assert "record 1 has non-finite coordinates" in capsys.readouterr().err
+
+
+class TestTrain:
+    @pytest.mark.parametrize(
+        "variant, lr, message",
+        [
+            ("pc_rdc", "1e10", "non-finite gradient entries"),
+            ("vanilla", "1e50", "non-finite gradient entries"),
+            ("vanilla", "1e150", "parameter values must be finite"),
+        ],
+        ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_parameters"],
+    )
+    def test_non_finite_update_ends_as_diverged(self, tmp_path, capsys, variant, lr, message):
+        # The loss stays finite; the Adam step meets the non-finite values.
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--eta", "0.4",
+                         "--out", str(data)]) == 0
+        code = cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--variant", variant, "--total-iters", "60",
+                         "--set", f"lr={lr}", "--set", "batch_size=16", "--set", "hidden=8",
+                         "--set", "depth=2", "--set", "early_stop_iters=30"])
+        assert code == 2
+        assert re.search(f"training diverged: {message} at iteration \\d+",
+                         capsys.readouterr().err)
+        _, _, loaded = trainer.load_checkpoint(ckpt)
+        assert loaded.diverged
+        assert np.all(np.isfinite(loaded.params.values))
+        assert np.all(np.isfinite(loaded.pseudo.entries))
+
+
+class TestImports:
+    def test_no_process_pool_modules_on_import(self):
+        # Only `reproduce` starts a pool; the other commands do not load its modules.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        code = ("import sys, robustdiff.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"
 
 
 class TestSample:

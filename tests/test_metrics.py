@@ -154,9 +154,7 @@ class TestCentroids:
         from robustdiff import data as data_mod
 
         samples = data_mod.make_toy_dataset(2000, seed=0)
-        clf = fit_centroids(
-            data_mod.points(samples), data_mod.clean_labels(samples), 4
-        )
+        clf = fit_centroids(samples.points, samples.clean, 4)
         assert np.all(np.abs(clf.centroids - data_mod.CENTROIDS) < 0.02)
 
     def test_order_invariance(self):

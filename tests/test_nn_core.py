@@ -181,6 +181,32 @@ class TestGrad:
             assert max_rel_err(g_x, fd_gradient(x, loss)) < 1e-4, f"trial {trial}"
 
 
+class TestTapeSlots:
+    def test_walked_back_pass_lends_its_buffers(self):
+        params = init_params([(2, 3), (3, 3), (3, 1)], seed=1)
+        x = np.random.default_rng(1).normal(size=(4, 2))
+        tape = MlpTape()
+        tape.start(params)
+        first = tape.record(x, [0, 1, 2])
+        held = tape.record(x, [0, 1, 2])
+        tape.backward(first, np.ones_like(first.out))
+        again = tape.record(x, [0, 1, 2])
+        assert (first.slot, held.slot, again.slot) == (0, 1, 0)
+        assert all(a is b for a, b in zip(again.h + again.dact, first.h + first.dact))
+
+    def test_second_backward_rejected(self):
+        params = init_params([(2, 3), (3, 1)], seed=2)
+        tape = MlpTape()
+        tape.start(params)
+        rec = tape.record(np.ones((2, 2)), [0, 1])
+        tape.backward(rec, np.ones((2, 1)))
+        with pytest.raises(ValueError, match="walked back already"):
+            tape.backward(rec, np.ones((2, 1)))
+        tape.start(params)
+        with pytest.raises(ValueError, match="earlier step"):
+            tape.backward(rec, np.ones((2, 1)))
+
+
 class TestAdam:
     def test_zero_gradient_fresh_state_keeps_params(self):
         params = init_params([(2, 2)], seed=3)

@@ -186,6 +186,20 @@ class TestLossStep:
         )
         assert res.demo_term == pytest.approx(want, rel=1e-12)
 
+    def test_phase1_step_holds_one_activation_slot_per_node(self):
+        # The denoising pass goes back before the k node passes are recorded,
+        # so node 0 takes its slot: k slots, not k + 1.
+        cfg = tiny_config(quad_nodes=8)
+        tdata = TrainData.from_samples(tiny_dataset(), cfg.cond_dim)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
+                                  sigma_data=cfg.sigma_data, seed=5)
+        table = pseudo.init_pseudo(tdata.size, cfg.cond_dim)
+        for it in range(2):
+            draws = draw_iteration(np.random.default_rng(it), tdata.size, cfg, True)
+            loss_step(net, tdata, table, cfg, draws, it)
+            slots = {key[1] for key in net.tape._buffers if key[0] in ("h", "dact")}
+            assert slots == set(range(cfg.quad_nodes))
+
     def test_pc_rdc_hand_recomposition(self):
         cfg = tiny_config(batch_size=4)
         samples = tiny_dataset()
