@@ -16,7 +16,7 @@ from statistics import median
 import numpy as np
 
 from . import data as data_mod
-from . import diffusion, metrics, pseudo, svg, trainer
+from . import diffusion, metrics, svg, trainer
 from .trainer import TrainConfig, TrainingDiverged
 
 DEFAULT_ETAS = (0.2, 0.4, 0.6, 0.8)

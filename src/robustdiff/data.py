@@ -127,28 +127,52 @@ def empirical_std(samples: Dataset) -> float:
     return float(samples.points.std())
 
 
+DATASET_HEADER = "x1,x2,clean,noisy"
+
+
 def save_dataset(path, samples: Dataset) -> None:
     with open(path, "w") as f:
-        f.write("x1,x2,clean,noisy\n")
+        f.write(DATASET_HEADER + "\n")
         rows = zip(samples.points.tolist(), samples.clean.tolist(), samples.noisy.tolist())
         f.writelines(f"{x1!r},{x2!r},{clean},{noisy}\n" for (x1, x2), clean, noisy in rows)
 
 
-def load_dataset(path) -> Dataset:
-    """Read a save_dataset file. A record with a non-finite coordinate or a
-    class id outside 0..N_CLASSES-1 raises ValueError naming the record."""
-    coords, labels = [], []
+def read_records(path, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a CSV file whose first line is `header`: per record two finite
+    coordinates, then one class id in 0..N_CLASSES-1 per further column.
+    Returns the points (n, 2) float64 and the class ids (n, columns - 2) int64.
+
+    A wrong header, a file with no records, and a record with the wrong
+    field count, a field that is not a number, a non-finite coordinate or a
+    class id out of range raise ValueError naming the file (and the record).
+    """
+    width = header.count(",") + 1
+    coords, ids = [], []
     with open(path) as f:
-        if f.readline().strip() != "x1,x2,clean,noisy":
-            raise ValueError("bad dataset header")
+        if (got := f.readline().strip()) != header:
+            raise ValueError(f"{path}: header {got!r}, expected {header!r}")
         for i, line in enumerate(f):
-            x1, x2, clean, noisy = line.strip().split(",")
-            coords.append((float(x1), float(x2)))
-            labels.append((int(clean), int(noisy)))
-            if not (math.isfinite(coords[-1][0]) and math.isfinite(coords[-1][1])):
+            fields = line.strip().split(",")
+            if len(fields) != width:
+                raise ValueError(f"{path}: record {i} has {len(fields)} fields, expected {width}")
+            try:
+                x1, x2 = float(fields[0]), float(fields[1])
+                cids = [int(v) for v in fields[2:]]
+            except ValueError:
+                raise ValueError(f"{path}: record {i} has a non-number in {line.strip()!r}") from None
+            if not (math.isfinite(x1) and math.isfinite(x2)):
                 raise ValueError(f"{path}: record {i} has non-finite coordinates {x1},{x2}")
-            if not all(0 <= c < N_CLASSES for c in labels[-1]):
-                raise ValueError(f"{path}: record {i} has class ids {clean},{noisy}; "
+            if not all(0 <= c < N_CLASSES for c in cids):
+                raise ValueError(f"{path}: record {i} has class ids {','.join(fields[2:])}; "
                                  f"expected 0..{N_CLASSES - 1}")
-    ids = np.array(labels, dtype=np.int64).reshape(-1, 2)
-    return Dataset(np.array(coords).reshape(-1, 2), ids[:, 0].copy(), ids[:, 1].copy())
+            coords.append((x1, x2))
+            ids.append(cids)
+    if not coords:
+        raise ValueError(f"{path}: no records")
+    return np.array(coords), np.array(ids, dtype=np.int64)
+
+
+def load_dataset(path) -> Dataset:
+    """Read a save_dataset file, checked as read_records checks it."""
+    points, ids = read_records(path, DATASET_HEADER)
+    return Dataset(points, ids[:, 0].copy(), ids[:, 1].copy())

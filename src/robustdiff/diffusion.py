@@ -1,11 +1,12 @@
-"""Demonstration-side diffusion: sigma schedule, denoiser parameterization,
-trunk input, score-matching loss, guidance, and the deterministic second-order
-sampler.
+"""Demonstration-side diffusion: sigma schedule, denoiser parameterization
+and its residual, trunk input, guidance, the deterministic second-order
+sampler and the samples file.
 
 Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
 forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
-preconditioning, Karras et al. 2022); the samplers and the loss see it only as
-a batched callable (x, sigma) -> denoised.
+preconditioning, Karras et al. 2022). `edm_residual` is its one formula: the
+sampler's denoiser and the training loss both go through it. The sampler
+sees D only as a batched callable (x, sigma) -> denoised.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from typing import Callable
 
 import numpy as np
 
+from .data import read_records
 from .network import ScoreNetwork
 
+SAMPLES_HEADER = "x1,x2,class"
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 
@@ -36,11 +39,6 @@ class NoiseSchedule:
             raise ValueError("require rho >= 1")
         if self.num_steps < 2:
             raise ValueError("require num_steps >= 2")
-
-    @property
-    def nfe(self) -> int:
-        # Heun does two denoiser calls per step except the final Euler-only one.
-        return 2 * self.num_steps - 1
 
 
 def sigma_grid(schedule: NoiseSchedule) -> np.ndarray:
@@ -99,6 +97,13 @@ def trunk_input(x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
     return np.concatenate([x_in, noise, cond], axis=1)
 
 
+def edm_residual(raw, x_t, sigma, sigma_data, x0=0.0):
+    """D - x0 for the network output `raw` at the noised point x_t:
+    c_out(sigma) * raw + (c_skip(sigma) * x_t - x0). With x0 = 0 it is the
+    denoised value D itself."""
+    return c_out(sigma, sigma_data) * raw + (c_skip(sigma, sigma_data) * x_t - x0)
+
+
 def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
     """Preconditioned denoiser on a (batch, x_dim) array.
 
@@ -113,7 +118,7 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
     c = np.broadcast_to(cond, (x.shape[0], net.cond_dim))
     sd = net.sigma_data
     raw = net.demo_out(trunk_input(c_in(sig, sd) * x, sig, c))
-    return c_skip(sig, sd) * x + c_out(sig, sd) * raw
+    return edm_residual(raw, x, sig, sd)
 
 
 def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
@@ -135,30 +140,6 @@ def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
         return d_unc + w * (d_cond - d_unc)
 
     return fn
-
-
-def dsm_loss(
-    denoiser: Denoiser,
-    x0: np.ndarray,
-    sigmas: np.ndarray,
-    eps: np.ndarray,
-    sigma_data: float,
-) -> float:
-    """Denoising score-matching loss.
-
-    Mean over the batch of lambda(sigma) * ||D(x0 + sigma*eps, sigma) - x0||^2,
-    with D called once on the whole batch and sigma as a (batch, 1) column.
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    if x0.shape[0] == 0:
-        raise ValueError("empty batch")
-    sig = np.asarray(sigmas, dtype=np.float64).reshape(x0.shape[0], 1)
-    if np.any(sig <= 0):
-        raise ValueError("sigma must be > 0")
-    eps = np.asarray(eps, dtype=np.float64).reshape(x0.shape)
-    x_t = x0 + sig * eps
-    err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
-    return float(np.mean(loss_weight(sig, sigma_data) * err))
 
 
 def heun_sample(
@@ -194,20 +175,14 @@ def heun_sample(
 def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
     """One record per line: comma-separated coordinates then the class id."""
     with open(path, "w") as f:
-        f.write("x1,x2,class\n")
+        f.write(SAMPLES_HEADER + "\n")
         for row, cid in zip(samples, class_ids):
             coords = ",".join(repr(float(v)) for v in row)
             f.write(f"{coords},{int(cid)}\n")
 
 
 def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    pts, cids = [], []
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("x1,"):
-            raise ValueError("bad sample file header")
-        for line in f:
-            parts = line.strip().split(",")
-            pts.append([float(v) for v in parts[:-1]])
-            cids.append(int(parts[-1]))
-    return np.array(pts), np.array(cids)
+    """Read a write_samples file: points (n, 2) and class ids (n,), checked
+    as data.read_records checks them."""
+    pts, ids = read_records(path, SAMPLES_HEADER)
+    return pts, ids[:, 0]

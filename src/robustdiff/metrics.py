@@ -118,28 +118,11 @@ class RunResult:
         )
 
 
-def parse_result_line(line: str) -> RunResult:
-    variant, noise, eta, seed, m, acc = line.strip().split(",")
-    return RunResult(variant, noise, float(eta), int(seed), float(m), float(acc))
-
-
 def write_results(path, results: list[RunResult]) -> None:
     with open(path, "w") as f:
         f.write(RESULT_HEADER + "\n")
         for r in results:
             f.write(r.line() + "\n")
-
-
-def read_results(path) -> list[RunResult]:
-    out = []
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != RESULT_HEADER:
-            raise ValueError("bad results header")
-        for line in f:
-            if line.strip():
-                out.append(parse_result_line(line))
-    return out
 
 
 def cell_medians(results: list[RunResult]) -> dict[tuple, tuple[float, float]]:

@@ -67,7 +67,7 @@ class ScoreNetwork:
     def cond_head_layer(self) -> int:
         return self.depth + 1
 
-    # -- fast numpy paths ---------------------------------------------------
+    # -- off-tape path (sampling) ---------------------------------------------
 
     def _check_input(self, net_in: np.ndarray) -> np.ndarray:
         net_in = np.asarray(net_in, dtype=np.float64)
@@ -81,18 +81,12 @@ class ScoreNetwork:
         h = self._check_input(net_in)
         for k in self.trunk_layers:
             w, b = self.params.layer(k)
-            z = h @ w
-            z += b
-            h = nn_core._sigmoid(z)
-            h *= z  # SiLU
+            z = np.empty(h.shape[:-1] + w.shape[1:])
+            h = nn_core.silu_layer(h, w, b, out=z, z=z, s=np.empty_like(z))
         return h
 
     def demo_out(self, net_in: np.ndarray) -> np.ndarray:
         w, b = self.params.layer(self.demo_head_layer)
-        return self.trunk_features(net_in) @ w + b
-
-    def cond_out(self, net_in: np.ndarray) -> np.ndarray:
-        w, b = self.params.layer(self.cond_head_layer)
         return self.trunk_features(net_in) @ w + b
 
     # -- recorded paths (training step) --------------------------------------

@@ -1,9 +1,11 @@
-"""Minimal MLP machinery: flat parameter bundles, recorded passes with a
-hand-written backward, Adam.
+"""Minimal MLP machinery: flat parameter bundles, the SiLU layer, recorded
+passes with a hand-written backward, Adam.
 
 Everything runs on float64 numpy arrays. Parameters of a network live in one
 flat array; per-layer weight/bias views are created on demand so the optimizer
-and checkpointing never have to know the layer structure.
+and checkpointing never have to know the layer structure. `silu_layer` is the
+one SiLU layer: the recorded passes of a training step and the network's
+off-tape forward (sampling) both run it.
 """
 
 from __future__ import annotations
@@ -50,20 +52,12 @@ class ParamBundle:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteError("parameter values must be finite")
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_shapes)
-
     def layer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Weight/bias views into the flat array for layer k (shared memory)."""
-        off = 0
-        for j, (i, o) in enumerate(self.layer_shapes):
-            if j == k:
-                w = self.values[off : off + i * o].reshape(i, o)
-                b = self.values[off + i * o : off + (i + 1) * o]
-                return w, b
-            off += (i + 1) * o
-        raise IndexError(f"layer {k} out of range")
+        i, o = self.layer_shapes[k]
+        off = param_count(self.layer_shapes[:k])
+        w = self.values[off : off + i * o].reshape(i, o)
+        return w, self.values[off + i * o : off + (i + 1) * o]
 
     def layer_slices(self) -> list[tuple[slice, slice]]:
         """(weight_slice, bias_slice) into the flat array, per layer."""
@@ -97,12 +91,12 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# Recorded passes and their hand-written backward
+# The SiLU layer, recorded passes and their hand-written backward
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-z)), written into `out` when given.
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)), written into `out`.
 
     Clipping z from below keeps exp from overflowing. No upper clip is needed:
     1 + exp(-z) rounds to 1.0 in float64 for every z >= 60.
@@ -112,6 +106,24 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(s, out=s)
     s += 1.0
     return np.divide(1.0, s, out=s)
+
+
+def silu_layer(x, w, b, out, z, s, dact=None) -> np.ndarray:
+    """One SiLU layer into the caller's buffers: z = x @ w + b, s = sigmoid(z)
+    and out = z * s; with `dact`, also the SiLU derivative s * (1 + z * (1 - s)).
+
+    The one implementation of the layer, on and off the tape. `out` may be
+    `z` itself. Returns `out`.
+    """
+    np.matmul(x, w, out=z)
+    z += b
+    _sigmoid(z, out=s)
+    if dact is not None:
+        np.subtract(1.0, s, out=dact)
+        dact *= z
+        dact += 1.0
+        dact *= s
+    return np.multiply(z, s, out=out)
 
 
 @dataclass
@@ -160,7 +172,7 @@ class MlpTape:
         self.params = params
         self.grads = np.zeros_like(params.values)
         self._slices = params.layer_slices()
-        self._touched = [False] * params.n_layers
+        self._touched = [False] * len(params.layer_shapes)
         self._holders = []
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,17 +190,10 @@ class MlpTape:
         for j, k in enumerate(layers[:-1]):
             w, b = self.params.layer(k)
             shape = (x.shape[0], w.shape[1])
-            z = np.matmul(h, w, out=self._buffer("z", shape))
-            z += b
-            s = _sigmoid(z, out=self._buffer("sigmoid", shape))
-            h = np.multiply(z, s, out=self._buffer(("h", n, j), shape))
-            # SiLU derivative: s * (1 + z * (1 - s))
-            d = np.subtract(1.0, s, out=self._buffer(("dact", n, j), shape))
-            d *= z
-            d += 1.0
-            d *= s
+            dacts.append(self._buffer(("dact", n, j), shape))
+            h = silu_layer(h, w, b, self._buffer(("h", n, j), shape), self._buffer("z", shape),
+                           self._buffer("sigmoid", shape), dacts[-1])
             hs.append(h)
-            dacts.append(d)
         w, b = self.params.layer(layers[-1])
         rec = self._holders[n] = RecordedPass(list(layers), x, hs, dacts, h @ w + b, n)
         return rec

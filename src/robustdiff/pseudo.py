@@ -1,8 +1,8 @@
-"""Per-sample pseudo-condition bookkeeping and the early-stop controller."""
+"""Per-sample pseudo-condition table and its momentum (temporal-ensembling) update."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,19 +13,6 @@ class PseudoTable:
 
     entries: np.ndarray  # (n_samples, cond_dim)
     update_count: np.ndarray  # (n_samples,)
-    reads: int = 0
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cond_dim(self) -> int:
-        return self.entries.shape[1]
-
-    def get(self, idx) -> np.ndarray:
-        self.reads += 1
-        return self.entries[idx]
 
 
 def init_pseudo(dataset_size: int, cond_dim: int) -> PseudoTable:
@@ -42,9 +29,10 @@ def ensemble_update(table: PseudoTable, idx, y_phi: np.ndarray, alpha: float) ->
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
     idx_arr = np.atleast_1d(np.asarray(idx))
-    if np.any(idx_arr < 0) or np.any(idx_arr >= table.size):
+    n_samples, cond_dim = table.entries.shape
+    if np.any(idx_arr < 0) or np.any(idx_arr >= n_samples):
         raise IndexError("pseudo-table index out of range")
-    y_phi = np.asarray(y_phi, dtype=np.float64).reshape(idx_arr.size, table.cond_dim)
+    y_phi = np.asarray(y_phi, dtype=np.float64).reshape(idx_arr.size, cond_dim)
     if not np.all(np.isfinite(y_phi)):
         raise ValueError("pseudo-condition update must be finite")
     # In rounds: each applies the earliest pending occurrence of every index
@@ -59,19 +47,4 @@ def ensemble_update(table: PseudoTable, idx, y_phi: np.ndarray, alpha: float) ->
         table.update_count[i] += 1
         pending = np.delete(pending, first)
     return table
-
-
-@dataclass(frozen=True)
-class EarlyStopPolicy:
-    budget_iters: int
-
-    def __post_init__(self):
-        if self.budget_iters < 1:
-            raise ValueError("budget must be at least 1 iteration")
-
-
-def should_stop(iteration: int, policy: EarlyStopPolicy) -> bool:
-    if iteration < 0:
-        raise ValueError("iteration must be >= 0")
-    return iteration >= policy.budget_iters
 

@@ -6,13 +6,14 @@ clean where the demonstration is pure noise (t = T). At demonstration time t
 the condition noise level is mirror_sigma(t), the continuous mirror of the
 demonstration grid. The pseudo-condition estimate integrates the learned
 condition score field from its random boundary state to the clean end with an
-Euler solver over the reversed grid.
+Euler solver over the reversed grid. Each node's condition-head pass is
+recorded, and the training step walks the quadrature back through its
+discrete adjoint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -70,49 +71,6 @@ def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
     return (b + ramp * (a - b)) ** schedule.rho
 
 
-FieldFn = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
-
-
-def head_field(net: ScoreNetwork, state: RdcState) -> FieldFn:
-    """The condition head of `net` as a field (x, t, y) -> s.
-
-    `x` is the context on the trunk's preconditioned point scale (the caller
-    applies c_in for whatever noise level the context carries).
-    """
-    return lambda x, t, y: net.cond_out(trunk_input(x, t, cond_channels(y, t, state)))
-
-
-def estimate_pseudo(
-    field: FieldFn,
-    x_context: np.ndarray,
-    y_start: np.ndarray,
-    state: RdcState,
-    k: int,
-) -> np.ndarray:
-    """Deterministic pseudo-condition estimate (numpy reference).
-
-    Solves d y / dt = -s(y_t, t) / (2t) from the random boundary state
-    `y_start` up to t = T with k Euler nodes on [sigma_min, T]; equivalently
-    returns y_start minus the accumulated quadrature of s / (2t).
-    """
-    y = np.atleast_2d(np.asarray(y_start, dtype=np.float64)).copy()
-    squeeze = np.asarray(y_start).ndim == 1
-    x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
-    if x_ctx.shape[0] == 1 and y.shape[0] > 1:
-        x_ctx = np.broadcast_to(x_ctx, (y.shape[0], x_ctx.shape[1]))
-    times = quad_times(state.schedule, k)
-    for node in range(k):
-        tau = float(times[node])
-        dt = float(times[node + 1] - times[node])
-        s = np.atleast_2d(np.asarray(field(x_ctx, tau, y), dtype=np.float64))
-        if not np.all(np.isfinite(s)):
-            raise nn_core.NonFiniteError(
-                f"non-finite condition score at quadrature node {node} (t={tau:g})"
-            )
-        y = y - (dt / (2.0 * tau)) * s
-    return y[0] if squeeze else y
-
-
 def estimate_pseudo_var(
     tape: nn_core.MlpTape,
     net: ScoreNetwork,
@@ -121,20 +79,22 @@ def estimate_pseudo_var(
     state: RdcState,
     k: int,
 ) -> tuple[np.ndarray, list[nn_core.RecordedPass]]:
-    """Recorded twin of estimate_pseudo over head_field (batched).
+    """Deterministic pseudo-condition estimate, batched.
 
-    Takes the same Euler steps and records each node's condition-head pass on
+    Solves d y / dt = -s(y_t, t) / (2t), where s is the condition head at the
+    context `x_context` (B, x_dim) on the trunk's preconditioned point scale,
+    from the random boundary state `y_start` (B, C) up to t = T with k Euler
+    nodes on [sigma_min, T]. Each node's condition-head pass is recorded on
     `tape`. Returns the estimate and the k node passes, which
     estimate_pseudo_adjoint walks back.
     """
-    y = np.atleast_2d(np.asarray(y_start, dtype=np.float64))
-    x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
+    y = y_start
     times = quad_times(state.schedule, k)
     nodes = []
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        rec = net.cond_var(tape, trunk_input(x_ctx, tau, cond_channels(y, tau, state)))
+        rec = net.cond_var(tape, trunk_input(x_context, tau, cond_channels(y, tau, state)))
         nodes.append(rec)
         y = y - (dt / (2.0 * tau)) * rec.out
     return y, nodes

@@ -35,7 +35,7 @@ from .diffusion import (
     NoiseSchedule,
     c_in,
     c_out,
-    c_skip,
+    edm_residual,
     loss_weight,
     mirror_sigma,
     trunk_input,
@@ -89,6 +89,8 @@ class TrainConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.total_iters < 0:
             raise ValueError("total_iters must be >= 0")
+        if self.variant != "vanilla" and self.early_stop_iters < 1:
+            raise ValueError("early_stop_iters must be >= 1 for pc_only and pc_rdc")
         if self.total_iters and self.total_iters < self.early_stop_iters:
             raise ValueError("total_iters must cover the early-stop budget")
 
@@ -98,8 +100,10 @@ class TrainConfig:
     def rdc_state(self, center=None) -> rdc.RdcState:
         return rdc.RdcState(self.schedule(), self.cond_dim, center=center)
 
-    def stop_policy(self) -> pseudo.EarlyStopPolicy:
-        return pseudo.EarlyStopPolicy(self.early_stop_iters)
+    def in_phase1(self, iteration: int) -> bool:
+        """Whether `iteration` trains the condition path and updates the
+        table: the pc_* variants before the early-stop budget, never vanilla."""
+        return self.variant != "vanilla" and iteration < self.early_stop_iters
 
     def digest(self) -> str:
         canon = ";".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
@@ -234,29 +238,6 @@ class LossStepResult:
     y_phi: np.ndarray | None
 
 
-def _dsm_condition(
-    data: TrainData,
-    table: pseudo.PseudoTable,
-    config: TrainConfig,
-    draws: IterationDraws,
-    phase2: bool,
-    state: rdc.RdcState,
-) -> np.ndarray:
-    """Conditioning channels for the denoising term, before guidance drop.
-
-    All table-derived conditions are centered by the table mean so only the
-    informative deviation reaches the network.
-    """
-    if config.variant == "vanilla":
-        return data.noisy_onehot[draws.idx]
-    entries = table.get(draws.idx)
-    if phase2 or config.variant == "pc_only":
-        return entries - state.center
-    # Reverse-time kernel: condition noise level mirrors the demonstration's.
-    y_t = entries + mirror_sigma(draws.sigma, state.schedule) * draws.eps_c
-    return rdc.cond_channels(y_t, draws.sigma, state)
-
-
 def loss_step(
     net: ScoreNetwork,
     data: TrainData,
@@ -266,9 +247,7 @@ def loss_step(
     iteration: int,
 ) -> LossStepResult:
     """Combined objective value and flat parameter gradient for one batch."""
-    phase2 = config.variant != "vanilla" and pseudo.should_stop(
-        iteration, config.stop_policy()
-    )
+    phase1 = config.in_phase1(iteration)
     b = draws.idx.size
     x0 = data.points[draws.idx]
     y_til = data.noisy_onehot[draws.idx]
@@ -276,19 +255,27 @@ def loss_step(
     center = None if config.variant == "vanilla" else table.entries.mean(axis=0)
     state = config.rdc_state(center)
 
-    cond = _dsm_condition(data, table, config, draws, phase2, state)
-    cond = np.where(draws.drop, 0.0, cond)
+    # The denoising term's condition, before the guidance drop. Table rows are
+    # centered by the table mean, so only the informative deviation reaches
+    # the network.
+    if config.variant == "vanilla":
+        cond = y_til
+    elif phase1 and config.variant == "pc_rdc":
+        # Reverse-time kernel: condition noise level mirrors the demonstration's.
+        y_t = table.entries[draws.idx] + mirror_sigma(draws.sigma, state.schedule) * draws.eps_c
+        cond = rdc.cond_channels(y_t, draws.sigma, state)
+    else:
+        cond = table.entries[draws.idx] - state.center
 
     x_t = x0 + draws.sigma * draws.eps_x
     x_in = c_in(draws.sigma, sd) * x_t
 
     tape = net.tape
     tape.start(net.params)
-    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, cond))
-    # denoised - x0 = (c_skip * x_t - x0) + c_out * raw
+    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond)))
     out_scale = c_out(draws.sigma, sd)
     weight = loss_weight(draws.sigma, sd)
-    err = demo.out * out_scale + (c_skip(draws.sigma, sd) * x_t - x0)
+    err = edm_residual(demo.out, x_t, draws.sigma, sd, x0)
     inv_b = 1.0 / b
     demo_term = ((err * err) * weight).sum() * inv_b
     # The denoising pass goes back first: the order in which the passes add
@@ -297,16 +284,15 @@ def loss_step(
 
     y_phi = None
     cond_term = 0.0
-    if config.variant != "vanilla" and not phase2:
+    if phase1:
         # Context = the same noised point the denoiser consumes, already on
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
             y_phi, nodes = rdc.estimate_pseudo_var(
                 tape, net, x_in, draws.y_start, state, config.quad_nodes
             )
-        else:
-            pc_in = trunk_input(x_in, draws.sigma, table.get(draws.idx) - state.center)
-            pc = net.cond_var(tape, pc_in)
+        else:  # the head at the table row itself, never dropped
+            pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
             y_phi = pc.out
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b
@@ -360,10 +346,7 @@ def train(
     iteration = 0
     try:
         for iteration in range(config.total_iters):
-            phase2 = config.variant != "vanilla" and pseudo.should_stop(
-                iteration, config.stop_policy()
-            )
-            cond_path = config.variant != "vanilla" and not phase2
+            cond_path = config.in_phase1(iteration)
             draws = draw_iteration(rng, tdata.size, config, cond_path)
             result = loss_step(net, tdata, table, config, draws, iteration)
             try:

@@ -158,7 +158,6 @@ class TestReaders:
         assert code == 2
         assert f"no checkpoint archive {ckpt / trainer.CHECKPOINT_FILE}" in capsys.readouterr().err
 
-
     def test_non_finite_coordinate_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
@@ -170,8 +169,53 @@ class TestReaders:
         assert code == 2
         assert "record 1 has non-finite coordinates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [("0.5,0.5,0", "record 1 has 3 fields, expected 4"),
+         ("0.5,abc,0,0", "record 1 has a non-number in '0.5,abc,0,0'")],
+        ids=["short", "not_a_number"],
+    )
+    def test_malformed_dataset_record_rejected(self, tmp_path, capsys, row, message):
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        lines[2] = row
+        data.write_text("\n".join(lines) + "\n")
+        code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
+                         *_set_args()])
+        assert code == 2
+        assert f"error: {data}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [("", "no records"),
+         ("1.0,nan,0\n", "record 0 has non-finite coordinates"),
+         ("1.0,2.0,7\n", "record 0 has class ids 7; expected 0..3"),
+         ("1.0,2.0\n", "record 0 has 2 fields, expected 3")],
+        ids=["header_only", "nan", "class_7", "short"],
+    )
+    def test_malformed_samples_file_rejected(self, tmp_path, capsys, body, message):
+        data, samples = tmp_path / "data.csv", tmp_path / "samples.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        samples.write_text("x1,x2,class\n" + body)
+        assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples)]) == 2
+        assert f"error: {samples}: {message}" in capsys.readouterr().err
+
 
 class TestTrain:
+    def test_pseudo_budget_below_one_is_usage_error(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        for variant in ("pc_only", "pc_rdc"):
+            code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
+                             variant, *_set_args(), "--set", "early_stop_iters=0"])
+            assert code == 1
+            assert "early_stop_iters must be >= 1" in capsys.readouterr().err
+            assert not ckpt.exists()
+        # vanilla has no phase 1 and accepts a zero budget
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
+                         "vanilla", *_set_args(), "--set", "early_stop_iters=0"]) == 0
+
     @pytest.mark.parametrize(
         "variant, lr, message",
         [

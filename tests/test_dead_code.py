@@ -1,0 +1,45 @@
+"""The package holds only code that production runs: every public function,
+method and class in src/robustdiff is read somewhere in src/ or perfbench/
+outside its own definition. A reference implementation that only tests call
+lives in tests/ (see tests/oracles.py)."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "robustdiff"
+
+
+def _reads(tree):
+    """(name, line) of every name and attribute the code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def _public_definitions(tree):
+    """Public module-level functions and classes, and the public methods of
+    the public classes."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def test_every_public_definition_is_used():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    reads = [(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)]
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _public_definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and not (where == path and line in own)
+                       for where, name, line in reads):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from robustdiff.diffusion import (
     c_out,
     c_skip,
     denoise,
-    dsm_loss,
+    edm_residual,
     guided,
     heun_sample,
     loss_weight,
@@ -19,6 +21,7 @@ from robustdiff.diffusion import (
     write_samples,
 )
 from robustdiff.network import ScoreNetwork
+from oracles import dsm_loss
 
 
 def random_net(seed=0, hidden=12, depth=2, sigma_data=0.5):
@@ -61,9 +64,6 @@ class TestSchedule:
             NoiseSchedule(rho=0.5)
         with pytest.raises(ValueError):
             NoiseSchedule(num_steps=1)
-
-    def test_nfe_relation(self):
-        assert NoiseSchedule(num_steps=18).nfe == 35
 
     def test_mirror_swaps_grid(self):
         sch = NoiseSchedule(num_steps=10)
@@ -111,6 +111,15 @@ class TestDenoise:
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError):
                 denoise(net, np.zeros((1, 2)), bad, UNCOND)
+
+    def test_residual_is_denoised_minus_x0(self):
+        rng = np.random.default_rng(12)
+        raw, x_t, x0 = (rng.normal(size=(9, 2)) for _ in range(3))
+        sigma = np.exp(rng.normal(size=(9, 1)))
+        denoised = c_skip(sigma, 2.5) * x_t + c_out(sigma, 2.5) * raw
+        # x0 = 0 is the denoiser's own formula, bit for bit
+        assert np.array_equal(edm_residual(raw, x_t, sigma, 2.5), denoised)
+        assert np.allclose(edm_residual(raw, x_t, sigma, 2.5, x0), denoised - x0, rtol=1e-12)
 
     def test_uncond_equals_zero_vector(self):
         # guidance on the all-zero row is the unconditional branch alone
@@ -264,3 +273,22 @@ class TestSampleDump:
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,class"
         assert lines[1] == "1.5,2.5,2"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "no records"),
+            ("1.0,nan,0\n", "record 0 has non-finite coordinates"),
+            ("1.0,2.0,0\n1.0,2.0,7\n", "record 1 has class ids 7; expected 0..3"),
+            ("1.0,2.0\n", "record 0 has 2 fields, expected 3"),
+            ("1.0,2.0,0,1\n", "record 0 has 4 fields, expected 3"),
+            ("1.0,abc,0\n", "record 0 has a non-number in '1.0,abc,0'"),
+            ("1.0,2.0,1.5\n", "record 0 has a non-number in '1.0,2.0,1.5'"),
+        ],
+        ids=["header_only", "nan", "class_7", "short", "long", "not_a_number", "fractional_id"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, body, message):
+        path = tmp_path / "samples.csv"
+        path.write_text("x1,x2,class\n" + body)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_samples(path)

@@ -42,10 +42,11 @@ def random_net(seed, hidden=5, depth=2):
 def plain_forward(params, x):
     """Independent forward: SiLU on every layer but the last, linear last."""
     h = x
-    for k in range(params.n_layers):
+    n_layers = len(params.layer_shapes)
+    for k in range(n_layers):
         w, b = params.layer(k)
         h = h @ w + b
-        if k < params.n_layers - 1:
+        if k < n_layers - 1:
             h = h / (1.0 + np.exp(-h))
     return h
 
@@ -56,7 +57,7 @@ def pass_grad(params, x, seed_fn, input_grad=False):
     the flat parameter gradient and the input gradient (or None)."""
     tape = MlpTape()
     tape.start(params)
-    rec = tape.record(x, list(range(params.n_layers)))
+    rec = tape.record(x, list(range(len(params.layer_shapes))))
     value, g_out = seed_fn(rec.out)
     g_x = tape.backward(rec, g_out, input_grad=input_grad)
     return value, tape.grads, g_x
@@ -124,6 +125,20 @@ class TestMlpForward:
         batched = net.demo_out(x)
         rows = np.concatenate([net.demo_out(r[None, :]) for r in x])
         assert np.allclose(batched, rows, rtol=1e-14)
+
+    @pytest.mark.parametrize("batch", [1, 7, 512])
+    def test_recorded_pass_equals_off_tape_forward(self, batch):
+        # Sampling (demo_out) and the training step (demo_var) run the same
+        # nn_core.silu_layer, so they agree bit for bit.
+        net = ScoreNetwork.create(seed=3)  # the trained widths: hidden 64, depth 3
+        rng = np.random.default_rng(batch)
+        net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
+        x = rng.normal(size=(batch, net.in_dim))
+        tape = MlpTape()
+        tape.start(net.params)
+        rec = net.demo_var(tape, x)
+        assert np.array_equal(net.trunk_features(x), rec.h[-1])
+        assert np.array_equal(net.demo_out(x), rec.out)
 
 
 class TestGrad:

@@ -3,12 +3,8 @@ import pytest
 
 from robustdiff import nn_core, trainer
 from robustdiff.network import ScoreNetwork
-from robustdiff.pseudo import (
-    EarlyStopPolicy,
-    ensemble_update,
-    init_pseudo,
-    should_stop,
-)
+from robustdiff.pseudo import ensemble_update, init_pseudo
+from robustdiff.trainer import TrainConfig
 
 
 class TestInit:
@@ -120,45 +116,40 @@ class TestEnsembleUpdate:
             ensemble_update(table, idx, rng.normal(size=(8, 3)), alpha=float(rng.uniform(0, 1)))
         assert np.all(np.isfinite(table.entries))
 
-    def test_read_counter(self):
-        table = init_pseudo(3, 2)
-        assert table.reads == 0
-        table.get(np.array([0, 1]))
-        table.get(2)
-        assert table.reads == 2
-
 
 class TestEarlyStop:
+    """The early-stop budget ends the table updates: TrainConfig.in_phase1."""
+
     def test_before_budget(self):
-        assert not should_stop(0, EarlyStopPolicy(500))
+        assert TrainConfig(early_stop_iters=500).in_phase1(0)
 
     def test_at_budget(self):
-        assert should_stop(500, EarlyStopPolicy(500))
+        assert not TrainConfig(early_stop_iters=500).in_phase1(500)
 
     def test_after_budget(self):
-        assert should_stop(501, EarlyStopPolicy(500))
+        assert not TrainConfig(early_stop_iters=500).in_phase1(501)
 
     def test_monotone(self):
-        policy = EarlyStopPolicy(7)
-        flags = [should_stop(i, policy) for i in range(20)]
-        assert flags == sorted(flags)
+        for variant in ("pc_only", "pc_rdc"):
+            config = TrainConfig(variant=variant, early_stop_iters=7, total_iters=20)
+            flags = [config.in_phase1(i) for i in range(20)]
+            assert flags == [True] * 7 + [False] * 13
+        vanilla = TrainConfig(variant="vanilla", early_stop_iters=7, total_iters=20)
+        assert not any(vanilla.in_phase1(i) for i in range(20))
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            EarlyStopPolicy(0)
-
-    def test_negative_iteration_rejected(self):
-        with pytest.raises(ValueError):
-            should_stop(-1, EarlyStopPolicy(5))
+            TrainConfig(early_stop_iters=0)
 
 
 def _save_table(ckpt_dir, table):
     """Save `table` inside a checkpoint of a small untrained network."""
-    cfg = trainer.TrainConfig(hidden=4, depth=1, cond_dim=table.cond_dim, total_iters=0)
-    net = ScoreNetwork.create(cond_dim=table.cond_dim, hidden=4, depth=1)
+    cond_dim = table.entries.shape[1]
+    cfg = trainer.TrainConfig(hidden=4, depth=1, cond_dim=cond_dim, total_iters=0)
+    net = ScoreNetwork.create(cond_dim=cond_dim, hidden=4, depth=1)
     ckpt = trainer.Checkpoint(
         net.params, table, nn_core.OptState.fresh(net.params), 0, cfg.digest(),
-        np.eye(table.cond_dim),
+        np.eye(cond_dim),
     )
     trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
 

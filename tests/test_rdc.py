@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from robustdiff import nn_core
-from robustdiff.diffusion import NoiseSchedule, c_in, c_noise, mirror_sigma, sigma_grid
+from robustdiff.diffusion import (
+    NoiseSchedule,
+    c_in,
+    c_noise,
+    mirror_sigma,
+    sigma_grid,
+    trunk_input,
+)
 from robustdiff.network import ScoreNetwork
 from robustdiff.rdc import (
     RdcState,
     cond_channels,
-    estimate_pseudo,
     estimate_pseudo_adjoint,
     estimate_pseudo_var,
-    head_field,
     quad_times,
 )
+from oracles import estimate_pseudo, head_field
 
 
 def make_state(num_steps=10, center=None):
@@ -24,6 +30,14 @@ def random_net(seed=0, hidden=10, depth=2):
     rng = np.random.default_rng(seed + 50)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net
+
+
+def condition_head(net, state, x, t, y):
+    """The condition head at (x, t, y) through the recorded pass the training
+    step makes (network.cond_var)."""
+    tape = nn_core.MlpTape()
+    tape.start(net.params)
+    return net.cond_var(tape, trunk_input(x, t, cond_channels(y, t, state))).out
 
 
 class TestCondChannels:
@@ -49,27 +63,27 @@ class TestCondChannels:
 
 
 class TestConditionScoreHead:
-    """The condition head as a field over continuous time (rdc.head_field)."""
+    """The condition head over continuous time, as the training step records it."""
 
     def test_zero_initialized_head_returns_zero(self):
         net = ScoreNetwork.create(hidden=8, depth=2, seed=4)  # heads start at zero
-        field = head_field(net, make_state(num_steps=6))
-        out = field(np.array([[0.5, -0.5]]), 0.7, np.ones((1, 4)))
+        out = condition_head(net, make_state(num_steps=6), np.array([[0.5, -0.5]]), 0.7,
+                             np.ones((1, 4)))
         assert np.array_equal(out, np.zeros((1, 4)))
 
     def test_trunk_sharing_perturbation_sensitivity(self):
         net = random_net(5)
-        field = head_field(net, make_state(num_steps=6))
+        state = make_state(num_steps=6)
         x = np.array([[0.3, 0.3]])
         y = np.array([[0.2, 0.1, 0.0, 0.0]])
         from robustdiff.diffusion import denoise
 
         demo_before = denoise(net, x, 1.0, y)
-        cond_before = field(x, 1.0, y)
+        cond_before = condition_head(net, state, x, 1.0, y)
         # nudge one trunk weight: both heads must move
         net.params.values[3] += 0.05
         demo_after = denoise(net, x, 1.0, y)
-        cond_after = field(x, 1.0, y)
+        cond_after = condition_head(net, state, x, 1.0, y)
         assert not np.allclose(demo_before, demo_after)
         assert not np.allclose(cond_before, cond_after)
 
@@ -80,7 +94,7 @@ class TestConditionScoreHead:
         y = np.array([0.3, -0.2, 0.5, 0.1])
         tau = sigma_grid(sch)[3]
         x_ctx = c_in(tau, net.sigma_data) * x
-        got = head_field(net, RdcState(sch, 4))(x_ctx[None, :], tau, y[None, :])[0]
+        got = condition_head(net, RdcState(sch, 4), x_ctx[None, :], tau, y[None, :])[0]
         # independent recomposition from trunk + head passes
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau, sch)) ** 2 + 1.0)
         net_in = np.concatenate([x_ctx, [c_noise(tau)], scale * y])
@@ -90,17 +104,27 @@ class TestConditionScoreHead:
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_wrong_condition_width_rejected(self):
-        field = head_field(random_net(0), make_state(num_steps=4))
         with pytest.raises(ValueError):
-            field(np.zeros((1, 2)), 1.0, np.zeros((1, 3)))
+            condition_head(random_net(0), make_state(num_steps=4), np.zeros((1, 2)), 1.0,
+                           np.zeros((1, 3)))
+
+
+def recorded_estimate(net, x_ctx, y0, state, k):
+    """rdc.estimate_pseudo_var on a fresh tape: the estimate alone."""
+    tape = nn_core.MlpTape()
+    tape.start(net.params)
+    return estimate_pseudo_var(tape, net, x_ctx, y0, state, k)[0]
 
 
 class TestEstimatePseudo:
+    """The production estimator, rdc.estimate_pseudo_var, and the reference
+    quadrature over any field (tests/oracles.py) it is checked against."""
+
     def test_zero_head_returns_start_exactly(self):
         net = ScoreNetwork.create(hidden=8, depth=2, seed=1)  # zero cond head
         state = make_state()
-        y0 = np.array([0.7, -0.3, 0.2, 0.0])
-        got = estimate_pseudo(head_field(net, state), np.zeros(2), y0, state, 8)
+        y0 = np.array([[0.7, -0.3, 0.2, 0.0]])
+        got = recorded_estimate(net, np.zeros((1, 2)), y0, state, 8)
         assert np.array_equal(got, y0)
 
     def test_constant_head_matches_direct_summation(self):
@@ -115,8 +139,8 @@ class TestEstimatePseudo:
         total = sum(
             (times[m + 1] - times[m]) / (2.0 * times[m]) for m in range(k)
         )
-        y0 = np.array([0.1, 0.2, 0.3, 0.4])
-        got = estimate_pseudo(head_field(net, state), np.zeros(2), y0, state, k)
+        y0 = np.array([[0.1, 0.2, 0.3, 0.4]])
+        got = recorded_estimate(net, np.zeros((1, 2)), y0, state, k)
         assert np.allclose(got, y0 - c * total, rtol=1e-12)
 
     def test_linearity_in_head_output(self):

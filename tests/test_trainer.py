@@ -24,6 +24,7 @@ from robustdiff.trainer import (
     save_checkpoint,
     train,
 )
+from oracles import dsm_loss, estimate_pseudo, head_field
 
 
 def tiny_config(**kw):
@@ -62,6 +63,13 @@ class TestTrainConfig:
 
     def test_zero_iters_allowed(self):
         TrainConfig(total_iters=0)
+
+    def test_budget_of_pseudo_variants_at_least_one(self):
+        for variant in ("pc_only", "pc_rdc"):
+            with pytest.raises(ValueError, match="early_stop_iters must be >= 1"):
+                TrainConfig(variant=variant, early_stop_iters=0)
+        # vanilla has no phase 1: any budget, 0 included
+        assert not TrainConfig(variant="vanilla", early_stop_iters=0).in_phase1(0)
 
     def test_digest_stable_and_sensitive(self):
         a, b = TrainConfig(), TrainConfig()
@@ -119,9 +127,19 @@ class TestTrain:
         ckpt_pc = train(tiny_config(), samples)
         assert ckpt_pc.pseudo.update_count.sum() > 0
         ckpt_v = train(tiny_config(variant="vanilla"), samples)
-        assert ckpt_v.pseudo.reads == 0
         assert ckpt_v.pseudo.update_count.sum() == 0
         assert np.array_equal(ckpt_v.prototypes, np.eye(4))
+        # a vanilla step reads nothing of the table: an all-NaN one changes nothing
+        cfg = tiny_config(variant="vanilla")
+        tdata = TrainData.from_samples(samples, cfg.cond_dim)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
+                                  sigma_data=cfg.sigma_data, seed=2)
+        draws = draw_iteration(np.random.default_rng(4), tdata.size, cfg, False)
+        table = pseudo.init_pseudo(tdata.size, cfg.cond_dim)
+        want = loss_step(net, tdata, table, cfg, draws, 0).grads.copy()
+        table.entries[:] = np.nan
+        got = loss_step(net, tdata, table, cfg, draws, 0)
+        assert np.isfinite(got.loss) and np.array_equal(got.grads, want)
 
     def test_phase_boundary_no_updates_after_budget(self):
         cfg = tiny_config(total_iters=20, early_stop_iters=5)
@@ -178,9 +196,9 @@ class TestLossStep:
         res = loss_step(net, tdata, table, cfg, draws, 0)
         assert res.loss == res.demo_term
         assert res.cond_term == 0.0
-        # independent recomputation through the public dsm_loss contract
+        # independent recomputation through the reference loss
         cond = np.where(draws.drop, 0.0, tdata.noisy_onehot[draws.idx])
-        want = diffusion.dsm_loss(
+        want = dsm_loss(
             lambda x, sig: diffusion.denoise(net, x, sig, cond),
             tdata.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
@@ -219,18 +237,18 @@ class TestLossStep:
         y_t = table.entries[draws.idx] + sig_c * draws.eps_c
         cond = rdc.cond_channels(y_t, draws.sigma, cfg.rdc_state(center))
         cond = np.where(draws.drop, 0.0, cond)
-        demo_want = diffusion.dsm_loss(
+        demo_want = dsm_loss(
             lambda x, sig: diffusion.denoise(net, x, sig, cond),
             tdata.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert res.demo_term == pytest.approx(demo_want, rel=1e-10)
 
-        # condition term: numpy twin of the quadrature + squared error
+        # condition term: reference quadrature + squared error
         x_t = tdata.points[draws.idx] + draws.sigma * draws.eps_x
         x_ctx = diffusion.c_in(draws.sigma, net.sigma_data) * x_t
         state = cfg.rdc_state(center)
-        y_phi = rdc.estimate_pseudo(
-            rdc.head_field(net, state), x_ctx, draws.y_start, state, cfg.quad_nodes
+        y_phi = estimate_pseudo(
+            head_field(net, state), x_ctx, draws.y_start, state, cfg.quad_nodes
         )
         cond_want = np.mean(
             [((y_phi[i] - tdata.noisy_onehot[draws.idx][i]) ** 2).sum() for i in range(4)]
