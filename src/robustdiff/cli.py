@@ -7,9 +7,9 @@ values. Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from statistics import median
 
@@ -24,6 +24,8 @@ DEFAULT_SEEDS = (0, 1, 2)
 DYNAMICS_ETA = 0.4
 DYNAMICS_EVERY = 500
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Settings of a `reproduce` cell beside the TrainConfig fields.
+CELL_KEYS = ("n_per_class", "per_class_samples")
 
 
 class UsageError(Exception):
@@ -53,18 +55,24 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def build_train_config(values: dict[str, str]) -> TrainConfig:
+def build_train_config(values: dict[str, str], extra_keys=()) -> TrainConfig:
+    """The TrainConfig the settings `values` give. A key that names no
+    TrainConfig field and is not in `extra_keys` is a usage error."""
+    fields = dataclasses.fields(TrainConfig)
+    unknown = sorted(set(values) - {f.name for f in fields} - set(extra_keys))
+    if unknown:
+        raise UsageError(f"unknown setting {', '.join(unknown)}")
     kwargs = {}
-    for name, fobj in TrainConfig.__dataclass_fields__.items():
-        if name not in values:
+    for fobj in fields:
+        if fobj.name not in values:
             continue
-        raw = values[name]
-        if fobj.type == "str" or name == "variant":
-            kwargs[name] = raw
+        raw = values[fobj.name]
+        if fobj.type == "str":
+            kwargs[fobj.name] = raw
         elif fobj.type == "int":
-            kwargs[name] = int(raw)
+            kwargs[fobj.name] = int(raw)
         else:
-            kwargs[name] = float(raw)
+            kwargs[fobj.name] = float(raw)
     try:
         return TrainConfig(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -152,7 +160,7 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
     guidance = config.guidance_w if w is None else w
     schedule = config.schedule()
     out = {}
-    for c in range(config.cond_dim):
+    for c in range(net.cond_dim):
         out[c] = diffusion.heun_sample(
             diffusion.guided(net, prototypes[c], guidance),
             net.x_dim,
@@ -245,7 +253,7 @@ def run_cell(cell) -> dict:
     values = dict(base_values)
     values["variant"] = variant
     values["seed"] = str(seeds["train"])
-    config = build_train_config(values)
+    config = build_train_config(values, CELL_KEYS)
     per_class_n = int(base_values.get("per_class_samples", "1000"))
 
     cell_dir = Path(outdir) / "cells" / f"{variant}_{noise_kind}{eta:g}_s{seed}"
@@ -321,6 +329,8 @@ def cmd_reproduce(args) -> int:
 
     if jobs < 1:
         raise UsageError("--jobs must be >= 1")
+    for variant in variants:  # every setting is checked before anything is written
+        build_train_config({**base_values, "variant": variant}, CELL_KEYS)
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
     blas_env = _worker_blas_env(jobs)
@@ -338,7 +348,7 @@ def cmd_reproduce(args) -> int:
         f.write(f"# BLAS threads: {threads}\n")
         defaults = {
             k: str(v)
-            for k, v in asdict(TrainConfig()).items()
+            for k, v in dataclasses.asdict(TrainConfig()).items()
             if k not in ("variant", "seed")
         }
         defaults.update(base_values)

@@ -1,8 +1,10 @@
 """Synthetic four-class 2-D dataset and label-noise injection.
 
-A dataset is one `Dataset` of three row-aligned arrays: `points` (n, 2)
-float64, and the `clean` and `noisy` class ids (n,) int64. Row i is sample i:
-the pseudo-condition table and every batch index it by row number.
+A dataset is one `Dataset` of three row-aligned arrays: `points` (n, X_DIM)
+float64, and the `clean` and `noisy` class ids (n,) int64 in 0..N_CLASSES-1.
+Row i is sample i: the pseudo-condition table and every batch index it by row
+number. X_DIM and N_CLASSES fix the problem's shape: the network's point and
+condition widths follow from them.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+X_DIM = 2
 N_CLASSES = 4
 # Four Gaussian blobs, one per quadrant. Class order: (+,+), (-,+), (-,-), (+,-).
 CENTROIDS = np.array([[2.5, 2.5], [-2.5, 2.5], [-2.5, -2.5], [2.5, -2.5]])
@@ -25,14 +28,18 @@ class Dataset:
     """n labelled points. Noise injection returns a new Dataset that shares
     `points` and `clean` with its source and has its own `noisy`."""
 
-    points: np.ndarray  # (n, 2) float64
+    points: np.ndarray  # (n, X_DIM) float64
     clean: np.ndarray  # (n,) int64
     noisy: np.ndarray  # (n,) int64
 
     def __post_init__(self):
         n = len(self.points)
-        if self.points.shape != (n, 2) or self.clean.shape != (n,) or self.noisy.shape != (n,):
-            raise ValueError("points, clean and noisy must be (n, 2), (n,) and (n,) arrays")
+        if self.points.shape != (n, X_DIM) or self.clean.shape != (n,) or self.noisy.shape != (n,):
+            raise ValueError(f"points, clean and noisy must be (n, {X_DIM}), (n,) and (n,) arrays")
+        for name, labels in (("clean", self.clean), ("noisy", self.noisy)):
+            if n and not (labels.min() >= 0 and labels.max() < N_CLASSES):
+                raise ValueError(f"{name} labels span {labels.min()}..{labels.max()}; "
+                                 f"expected 0..{N_CLASSES - 1}")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -72,10 +79,10 @@ def make_toy_dataset(
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     n_classes = len(centroids)
-    pts = np.empty((n_classes * n_per_class, 2))
+    pts = np.empty((n_classes * n_per_class, X_DIM))
     for c in range(n_classes):
         rows = slice(c * n_per_class, (c + 1) * n_per_class)
-        pts[rows] = centroids[c] + std * rng.standard_normal((n_per_class, 2))
+        pts[rows] = centroids[c] + std * rng.standard_normal((n_per_class, X_DIM))
     clean = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     return Dataset(pts, clean, clean.copy())
 

@@ -5,6 +5,10 @@ channel, condition channels), built by diffusion.trunk_input. Both heads are
 linear readouts of the trunk features, so trunk updates move both outputs —
 the parameter-sharing that lets the condition head ride on representations
 learned by denoising.
+
+The network holds no shape settings: its depth and its point, condition and
+input widths are read from the layer shapes of its parameters, which
+layer_shapes builds from the data's X_DIM and N_CLASSES.
 """
 
 from __future__ import annotations
@@ -14,46 +18,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn_core
+from .data import N_CLASSES, X_DIM
 from .nn_core import MlpTape, ParamBundle, RecordedPass
 
 
-def layer_shapes(x_dim: int, cond_dim: int, hidden: int, depth: int) -> list[tuple[int, int]]:
+def layer_shapes(hidden: int, depth: int) -> list[tuple[int, int]]:
     """(in_dim, out_dim) per layer: the trunk, then the demonstration head and
-    the condition head."""
-    in_dim = x_dim + 1 + cond_dim
+    the condition head. The point and condition widths are data.X_DIM and
+    data.N_CLASSES."""
+    in_dim = X_DIM + 1 + N_CLASSES
     shapes = [(in_dim, hidden)] + [(hidden, hidden)] * (depth - 1)
-    return shapes + [(hidden, x_dim), (hidden, cond_dim)]
+    return shapes + [(hidden, X_DIM), (hidden, N_CLASSES)]
 
 
 @dataclass
 class ScoreNetwork:
+    """The network's parameters and its EDM sigma_data. Every width is read
+    from `params.layer_shapes`."""
+
     params: ParamBundle
-    x_dim: int = 2
-    cond_dim: int = 4
-    hidden: int = 64
-    depth: int = 3
-    sigma_data: float = 0.5
+    sigma_data: float
     # Training-step buffers, kept with the network across iterations.
     tape: MlpTape = field(default_factory=MlpTape, init=False, repr=False, compare=False)
 
     @classmethod
-    def create(
-        cls,
-        x_dim: int = 2,
-        cond_dim: int = 4,
-        hidden: int = 64,
-        depth: int = 3,
-        sigma_data: float = 0.5,
-        seed: int = 0,
-    ) -> "ScoreNetwork":
+    def create(cls, hidden: int, depth: int, sigma_data: float, seed: int) -> "ScoreNetwork":
         """Fresh network; trunk Glorot-initialized, both heads start at zero."""
-        shapes = layer_shapes(x_dim, cond_dim, hidden, depth)
-        params = nn_core.init_params(shapes, seed, zero_layers=(depth, depth + 1))
-        return cls(params, x_dim, cond_dim, hidden, depth, sigma_data)
+        params = nn_core.init_params(layer_shapes(hidden, depth), seed,
+                                     zero_layers=(depth, depth + 1))
+        return cls(params, sigma_data)
+
+    @property
+    def depth(self) -> int:
+        return len(self.params.layer_shapes) - 2
 
     @property
     def in_dim(self) -> int:
-        return self.x_dim + 1 + self.cond_dim
+        return self.params.layer_shapes[0][0]
+
+    @property
+    def x_dim(self) -> int:
+        return self.params.layer_shapes[self.demo_head_layer][1]
+
+    @property
+    def cond_dim(self) -> int:
+        return self.params.layer_shapes[self.cond_head_layer][1]
 
     @property
     def trunk_layers(self) -> list[int]:

@@ -9,11 +9,15 @@ condition score field from its random boundary state to the clean end with an
 Euler solver over the reversed grid. Each node's condition-head pass is
 recorded, and the training step walks the quadrature back through its
 discrete adjoint.
+
+The functions take the schedule and the centering directly. `center` (C,),
+the pseudo table's mean, is subtracted from condition values before they
+enter the trunk, so the condition channels carry only the informative
+deviation from the population mean: an uninformative table then looks like
+the unconditional token.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,43 +26,19 @@ from .diffusion import NoiseSchedule, mirror_sigma, trunk_input
 from .network import ScoreNetwork
 
 
-@dataclass
-class RdcState:
-    """The condition process's schedule and centering.
-
-    `center` is subtracted from condition values before they enter the trunk,
-    so the condition channels carry only the informative deviation from the
-    population mean (an uninformative table then looks like the unconditional
-    token). Zero by default.
-    """
-
-    schedule: NoiseSchedule
-    cond_dim: int
-    center: np.ndarray = None
-
-    def __post_init__(self):
-        if self.cond_dim < 1:
-            raise ValueError("cond_dim must be positive")
-        if self.center is None:
-            self.center = np.zeros(self.cond_dim)
-        self.center = np.asarray(self.center, dtype=np.float64)
-        if self.center.shape != (self.cond_dim,):
-            raise ValueError("center must have cond_dim entries")
-
-
-def _cond_scale(t, state: RdcState):
+def _cond_scale(t, schedule: NoiseSchedule):
     """d cond_channels / d y at time t."""
-    return 1.0 / np.sqrt(mirror_sigma(t, state.schedule) ** 2 + 1.0)
+    return 1.0 / np.sqrt(mirror_sigma(t, schedule) ** 2 + 1.0)
 
 
-def cond_channels(y, t, state: RdcState):
+def cond_channels(y, t, schedule: NoiseSchedule, center):
     """Condition channels of the trunk input at demonstration time t.
 
     (y - center) / sqrt(mirror_sigma(t)^2 + 1): heavily noised conditions
     stay at unit magnitude, nearly clean ones pass at full strength. `t` is a
     scalar or a (batch, 1) column.
     """
-    return (y - state.center) * _cond_scale(t, state)
+    return (y - center) * _cond_scale(t, schedule)
 
 
 def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
@@ -76,7 +56,8 @@ def estimate_pseudo_var(
     net: ScoreNetwork,
     x_context: np.ndarray,
     y_start: np.ndarray,
-    state: RdcState,
+    schedule: NoiseSchedule,
+    center: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, list[nn_core.RecordedPass]]:
     """Deterministic pseudo-condition estimate, batched.
@@ -89,12 +70,13 @@ def estimate_pseudo_var(
     estimate_pseudo_adjoint walks back.
     """
     y = y_start
-    times = quad_times(state.schedule, k)
+    times = quad_times(schedule, k)
     nodes = []
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        rec = net.cond_var(tape, trunk_input(x_context, tau, cond_channels(y, tau, state)))
+        cond = cond_channels(y, tau, schedule, center)
+        rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
         nodes.append(rec)
         y = y - (dt / (2.0 * tau)) * rec.out
     return y, nodes
@@ -104,7 +86,7 @@ def estimate_pseudo_adjoint(
     tape: nn_core.MlpTape,
     nodes: list[nn_core.RecordedPass],
     g_y: np.ndarray,
-    state: RdcState,
+    schedule: NoiseSchedule,
 ) -> None:
     """Backward of estimate_pseudo_var from g_y = dL/d(estimate).
 
@@ -115,10 +97,11 @@ def estimate_pseudo_adjoint(
     channels carry the rest of dL/dy_n. The start state is a draw, so node 0
     needs no input gradient.
     """
-    times = quad_times(state.schedule, len(nodes))
+    times = quad_times(schedule, len(nodes))
+    cond_dim = g_y.shape[1]
     for node in reversed(range(len(nodes))):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
         g_in = tape.backward(nodes[node], -g_y * (dt / (2.0 * tau)), input_grad=node > 0)
         if node > 0:
-            g_y = g_y + g_in[:, -state.cond_dim :] * _cond_scale(tau, state)
+            g_y = g_y + g_in[:, -cond_dim:] * _cond_scale(tau, schedule)

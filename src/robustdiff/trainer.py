@@ -12,6 +12,12 @@ bare pseudo conditions, and only the denoising objective trains.
 Variants: `vanilla` conditions on the given noisy labels and never touches the
 table; `pc_only` reads the condition head directly as the pseudo estimate;
 `pc_rdc` estimates it through the reverse-time integral.
+
+The table is a plain (n_samples, cond_dim) array, and a step reads the
+dataset's own arrays: the points and the noisy labels, one-hot encoded per
+batch. The problem's shape is no setting: TrainConfig.x_dim and cond_dim
+echo data.X_DIM and data.N_CLASSES, and the network reads its widths from
+its parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import zipfile
 import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -64,8 +70,9 @@ class TrainConfig:
     hidden: int = 64
     depth: int = 3
     sigma_data: float = 2.5  # matched to the toy layout's per-coordinate std
-    x_dim: int = 2
-    cond_dim: int = 4
+    # the problem's shape: constants of the data, not settings
+    x_dim: ClassVar[int] = data_mod.X_DIM
+    cond_dim: ClassVar[int] = data_mod.N_CLASSES
     # condition-process settings
     quad_nodes: int = 8
     y0_std: float = 1.0
@@ -97,9 +104,6 @@ class TrainConfig:
     def schedule(self) -> NoiseSchedule:
         return NoiseSchedule(self.sigma_min, self.sigma_max, self.rho, self.num_steps)
 
-    def rdc_state(self, center=None) -> rdc.RdcState:
-        return rdc.RdcState(self.schedule(), self.cond_dim, center=center)
-
     def in_phase1(self, iteration: int) -> bool:
         """Whether `iteration` trains the condition path and updates the
         table: the pc_* variants before the early-stop budget, never vanilla."""
@@ -111,34 +115,9 @@ class TrainConfig:
 
 
 @dataclass
-class TrainData:
-    points: np.ndarray  # (n, 2)
-    noisy_onehot: np.ndarray  # (n, C)
-    noisy: np.ndarray
-    clean: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples: data_mod.Dataset, cond_dim: int) -> "TrainData":
-        """The dataset's arrays, shared, plus the one-hot noisy labels."""
-        noisy = samples.noisy
-        if noisy.size and not (noisy.min() >= 0 and noisy.max() < cond_dim):
-            raise ValueError(
-                f"noisy labels span {noisy.min()}..{noisy.max()}; "
-                f"cond_dim={cond_dim} needs them in 0..{cond_dim - 1}"
-            )
-        onehot = np.zeros((len(samples), cond_dim))
-        onehot[np.arange(len(samples)), noisy] = 1.0
-        return cls(samples.points, onehot, noisy, samples.clean)
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass
 class Checkpoint:
     params: nn_core.ParamBundle
-    pseudo: pseudo.PseudoTable
+    pseudo: np.ndarray  # (N, C) pseudo-condition table
     opt: OptState
     iteration: int
     config_digest: str
@@ -147,7 +126,7 @@ class Checkpoint:
 
 
 def class_prototypes(
-    table: pseudo.PseudoTable, noisy: np.ndarray, cond_dim: int, floor: float = 0.012
+    table: np.ndarray, noisy: np.ndarray, cond_dim: int, floor: float = 0.012
 ) -> np.ndarray:
     """Per-label-class sampling conditions from the pseudo table.
 
@@ -170,18 +149,18 @@ def class_prototypes(
     token. A class with no occurrences falls back to its one-hot row, which
     takes no part in the centering.
     """
-    center = table.entries.mean(axis=0)
+    center = table.mean(axis=0)
     protos = np.eye(cond_dim)
     present = np.array([np.any(noisy == c) for c in range(cond_dim)])
     for c in np.flatnonzero(present):
-        p = table.entries[noisy == c].mean(axis=0) - center
+        p = table[noisy == c].mean(axis=0) - center
         gain = float(p @ p) / (float(p @ p) + floor * floor)
         protos[c] = gain * p
     protos[present] -= protos[present].mean(axis=0)
     return protos
 
 
-def sampling_prototypes(config: TrainConfig, table: pseudo.PseudoTable, noisy) -> np.ndarray:
+def sampling_prototypes(config: TrainConfig, table: np.ndarray, noisy) -> np.ndarray:
     """The per-class sampling conditions of a `config.variant` run: one-hot
     rows for vanilla, class_prototypes of the table otherwise."""
     if config.variant == "vanilla":
@@ -240,8 +219,8 @@ class LossStepResult:
 
 def loss_step(
     net: ScoreNetwork,
-    data: TrainData,
-    table: pseudo.PseudoTable,
+    samples: data_mod.Dataset,
+    table: np.ndarray,
     config: TrainConfig,
     draws: IterationDraws,
     iteration: int,
@@ -249,11 +228,11 @@ def loss_step(
     """Combined objective value and flat parameter gradient for one batch."""
     phase1 = config.in_phase1(iteration)
     b = draws.idx.size
-    x0 = data.points[draws.idx]
-    y_til = data.noisy_onehot[draws.idx]
+    x0 = samples.points[draws.idx]
+    y_til = np.eye(net.cond_dim)[samples.noisy[draws.idx]]  # one-hot noisy labels
     sd = net.sigma_data
-    center = None if config.variant == "vanilla" else table.entries.mean(axis=0)
-    state = config.rdc_state(center)
+    schedule = config.schedule()
+    center = None if config.variant == "vanilla" else table.mean(axis=0)
 
     # The denoising term's condition, before the guidance drop. Table rows are
     # centered by the table mean, so only the informative deviation reaches
@@ -262,10 +241,10 @@ def loss_step(
         cond = y_til
     elif phase1 and config.variant == "pc_rdc":
         # Reverse-time kernel: condition noise level mirrors the demonstration's.
-        y_t = table.entries[draws.idx] + mirror_sigma(draws.sigma, state.schedule) * draws.eps_c
-        cond = rdc.cond_channels(y_t, draws.sigma, state)
+        y_t = table[draws.idx] + mirror_sigma(draws.sigma, schedule) * draws.eps_c
+        cond = rdc.cond_channels(y_t, draws.sigma, schedule, center)
     else:
-        cond = table.entries[draws.idx] - state.center
+        cond = table[draws.idx] - center
 
     x_t = x0 + draws.sigma * draws.eps_x
     x_in = c_in(draws.sigma, sd) * x_t
@@ -289,7 +268,7 @@ def loss_step(
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
             y_phi, nodes = rdc.estimate_pseudo_var(
-                tape, net, x_in, draws.y_start, state, config.quad_nodes
+                tape, net, x_in, draws.y_start, schedule, center, config.quad_nodes
             )
         else:  # the head at the table row itself, never dropped
             pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
@@ -298,7 +277,7 @@ def loss_step(
         cond_term = (diff * diff).sum() * inv_b
         g_y = inv_b * (2.0 * diff)
         if config.variant == "pc_rdc":
-            rdc.estimate_pseudo_adjoint(tape, nodes, g_y, state)
+            rdc.estimate_pseudo_adjoint(tape, nodes, g_y, schedule)
         else:
             tape.backward(pc, g_y)
     return LossStepResult(
@@ -310,7 +289,7 @@ def loss_step(
     )
 
 
-SnapshotCallback = Callable[[int, ScoreNetwork, pseudo.PseudoTable], None]
+SnapshotCallback = Callable[[int, ScoreNetwork, np.ndarray], None]
 
 
 def train(
@@ -327,16 +306,8 @@ def train(
     """
     if not samples:
         raise ValueError("dataset must be non-empty")
-    tdata = TrainData.from_samples(samples, config.cond_dim)
-    net = ScoreNetwork.create(
-        x_dim=config.x_dim,
-        cond_dim=config.cond_dim,
-        hidden=config.hidden,
-        depth=config.depth,
-        sigma_data=config.sigma_data,
-        seed=config.seed,
-    )
-    table = pseudo.init_pseudo(tdata.size, config.cond_dim)
+    net = ScoreNetwork.create(config.hidden, config.depth, config.sigma_data, config.seed)
+    table = np.zeros((len(samples), net.cond_dim))  # every sample starts at zero
     opt = OptState.fresh(net.params)
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
@@ -347,8 +318,8 @@ def train(
     try:
         for iteration in range(config.total_iters):
             cond_path = config.in_phase1(iteration)
-            draws = draw_iteration(rng, tdata.size, config, cond_path)
-            result = loss_step(net, tdata, table, config, draws, iteration)
+            draws = draw_iteration(rng, len(samples), config, cond_path)
+            result = loss_step(net, samples, table, config, draws, iteration)
             try:
                 if not np.isfinite(result.loss):
                     raise nn_core.NonFiniteError("non-finite loss")
@@ -358,7 +329,7 @@ def train(
                 )
             except nn_core.NonFiniteError as exc:
                 # The checkpoint holds the state this iteration started from.
-                protos = sampling_prototypes(config, table, tdata.noisy)
+                protos = sampling_prototypes(config, table, samples.noisy)
                 raise TrainingDiverged(
                     f"{exc} at iteration {iteration}",
                     Checkpoint(net.params, table, opt, iteration, digest, protos),
@@ -376,7 +347,7 @@ def train(
     finally:
         if log_f:
             log_f.close()
-    protos = sampling_prototypes(config, table, tdata.noisy)
+    protos = sampling_prototypes(config, table, samples.noisy)
     return Checkpoint(net.params, table, opt, config.total_iters, digest, protos)
 
 
@@ -394,7 +365,7 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
 
     - `params` float64 (P,), `layer_shapes` int64 (L, 2);
     - `adam_m`, `adam_v` float64 (P,), `adam_step` int64 ();
-    - `table_entries` float64 (N, C), `table_updates` int64 (N,);
+    - `table_entries` float64 (N, C);
     - `prototypes` float64 (C, C);
     - `iteration` int64 (), `diverged` bool ();
     - `config_digest` str (), `config_json` str (): the digest and every
@@ -412,8 +383,7 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
         "adam_m": checkpoint.opt.first_moment,
         "adam_v": checkpoint.opt.second_moment,
         "adam_step": np.int64(checkpoint.opt.step_count),
-        "table_entries": checkpoint.pseudo.entries,
-        "table_updates": checkpoint.pseudo.update_count.astype(np.int64),
+        "table_entries": checkpoint.pseudo,
         "prototypes": checkpoint.prototypes,
         "iteration": np.int64(checkpoint.iteration),
         "diverged": np.bool_(checkpoint.diverged),
@@ -477,7 +447,7 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     if config.digest() != digest:
         raise ValueError(f"{path}: config digest {config.digest()} != stored {digest}")
     shapes = [tuple(int(d) for d in row) for row in entry("layer_shapes", "i", (None, 2))]
-    want = network.layer_shapes(config.x_dim, config.cond_dim, config.hidden, config.depth)
+    want = network.layer_shapes(config.hidden, config.depth)
     if shapes != want:
         raise ValueError(f"{path}: layer shapes {shapes} do not match the config's {want}")
     n_params = nn_core.param_count(shapes)
@@ -487,11 +457,9 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
         entry("adam_v", "f", (n_params,)),
         int(entry("adam_step", "i", ())),
     )
-    entries = entry("table_entries", "f", (None, config.cond_dim))
-    table = pseudo.PseudoTable(entries, entry("table_updates", "i", (entries.shape[0],)))
-    protos = entry("prototypes", "f", (config.cond_dim, config.cond_dim))
+    net = ScoreNetwork(params, config.sigma_data)
+    table = entry("table_entries", "f", (None, net.cond_dim))
+    protos = entry("prototypes", "f", (net.cond_dim, net.cond_dim))
     ckpt = Checkpoint(params, table, opt, int(entry("iteration", "i", ())), digest, protos,
                       bool(entry("diverged", "b", ())))
-    net = ScoreNetwork(params, config.x_dim, config.cond_dim, config.hidden, config.depth,
-                       config.sigma_data)
     return net, config, ckpt

@@ -15,9 +15,9 @@ from typing import Callable
 import numpy as np
 
 from robustdiff import nn_core
-from robustdiff.diffusion import Denoiser, loss_weight, trunk_input
+from robustdiff.diffusion import Denoiser, NoiseSchedule, loss_weight, trunk_input
 from robustdiff.network import ScoreNetwork
-from robustdiff.rdc import RdcState, cond_channels, quad_times
+from robustdiff.rdc import cond_channels, quad_times
 
 FieldFn = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
 
@@ -46,8 +46,9 @@ def dsm_loss(
     return float(np.mean(loss_weight(sig, sigma_data) * err))
 
 
-def head_field(net: ScoreNetwork, state: RdcState) -> FieldFn:
-    """The condition head of `net` as a field (x, t, y) -> s, off the tape.
+def head_field(net: ScoreNetwork, schedule: NoiseSchedule, center: np.ndarray) -> FieldFn:
+    """The condition head of `net` as a field (x, t, y) -> s, off the tape,
+    with condition values centered by `center`.
 
     `x` is the context on the trunk's preconditioned point scale (the caller
     applies c_in for whatever noise level the context carries).
@@ -55,7 +56,7 @@ def head_field(net: ScoreNetwork, state: RdcState) -> FieldFn:
 
     def field(x, t, y):
         w, b = net.params.layer(net.cond_head_layer)
-        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, state))) @ w + b
+        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, schedule, center))) @ w + b
 
     return field
 
@@ -64,7 +65,7 @@ def estimate_pseudo(
     field: FieldFn,
     x_context: np.ndarray,
     y_start: np.ndarray,
-    state: RdcState,
+    schedule: NoiseSchedule,
     k: int,
 ) -> np.ndarray:
     """Deterministic pseudo-condition estimate over any field.
@@ -78,7 +79,7 @@ def estimate_pseudo(
     x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
     if x_ctx.shape[0] == 1 and y.shape[0] > 1:
         x_ctx = np.broadcast_to(x_ctx, (y.shape[0], x_ctx.shape[1]))
-    times = quad_times(state.schedule, k)
+    times = quad_times(schedule, k)
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from robustdiff import cli, trainer
+from robustdiff import data as data_mod
 
 TINY = [
     "batch_size=16",
@@ -84,6 +86,22 @@ class TestReproduce:
         assert cli.main(_reproduce_args(tmp_path / "r0", "--jobs", "0")) == 1
         assert not (tmp_path / "r0" / "manifest.txt").exists()
 
+    def test_unknown_setting_is_usage_error(self, tmp_path, capsys):
+        assert cli.main(_reproduce_args(tmp_path / "r", "--set", "hiden=8")) == 1
+        assert "unknown setting hiden" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_manifest_with_shape_settings_refused(self, tmp_path, capsys):
+        # A manifest written while x_dim and cond_dim were settings lists them.
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
+                            "variants = vanilla\nnoise = sym\njobs = 1\n"
+                            "cond_dim = 4\nx_dim = 2\n")
+        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--manifest", str(manifest)])
+        assert code == 1
+        assert "unknown setting cond_dim, x_dim" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.
         cli.main(_reproduce_args(tmp_path / "j1", "--jobs", "1"))
@@ -117,13 +135,27 @@ class TestReaders:
             assert code == 2
             assert "class ids" in capsys.readouterr().err
 
-    def test_labels_beyond_cond_dim_rejected(self, tmp_path, capsys):
-        data = tmp_path / "data.csv"
-        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
-        code = cli.main(["train", "--data", str(data), "--out", str(tmp_path / "ckpt"),
-                         *_set_args(), "--set", "cond_dim=3"])
+    def test_labels_beyond_cond_dim_rejected(self):
+        # The dataset owns the class range; the class count is no setting
+        # (TestTrain::test_unknown_setting_is_usage_error).
+        points, labels = np.zeros((3, 2)), np.array([0, 1, 2])
+        for clean, noisy in ((labels, np.array([0, 4, 2])), (np.array([0, 1, 4]), labels)):
+            with pytest.raises(ValueError, match="expected 0..3"):
+                data_mod.Dataset(points, clean, noisy)
+
+    def test_checkpoint_with_shape_settings_rejected(self, tmp_path, capsys, edit_archive):
+        # An archive written while x_dim and cond_dim were settings echoes them.
+        _, ckpt = _gen_and_train(tmp_path)
+        with np.load(ckpt / trainer.CHECKPOINT_FILE) as archive:
+            echo = json.loads(str(archive["config_json"]))
+        edit_archive(ckpt, config_json=np.str_(json.dumps({**echo, "x_dim": 2, "cond_dim": 4})))
+        with pytest.raises(ValueError, match="bad config echo"):
+            trainer.load_checkpoint(ckpt)
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
         assert code == 2
-        assert "cond_dim=3 needs them in 0..2" in capsys.readouterr().err
+        assert "bad config echo" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys, edit_archive):
         _, ckpt = _gen_and_train(tmp_path)
@@ -203,6 +235,25 @@ class TestReaders:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("setting", ["hiden=8", "x_dim=3", "cond_dim=5"])
+    def test_unknown_setting_is_usage_error(self, tmp_path, capsys, setting):
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        code = cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args(),
+                         "--set", setting])
+        assert code == 1
+        assert f"unknown setting {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    def test_unknown_setting_in_config_file_is_usage_error(self, tmp_path, capsys):
+        data, ckpt, conf = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "train.conf"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        conf.write_text("hidden = 8\nhiden = 8\n")
+        code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--config", str(conf)])
+        assert code == 1
+        assert "unknown setting hiden" in capsys.readouterr().err
+        assert not ckpt.exists()
+
     def test_pseudo_budget_below_one_is_usage_error(self, tmp_path, capsys):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
@@ -240,7 +291,7 @@ class TestTrain:
         _, _, loaded = trainer.load_checkpoint(ckpt)
         assert loaded.diverged
         assert np.all(np.isfinite(loaded.params.values))
-        assert np.all(np.isfinite(loaded.pseudo.entries))
+        assert np.all(np.isfinite(loaded.pseudo))
 
 
 class TestImports:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdiff import nn_core, pseudo, trainer
+from robustdiff import nn_core, trainer
 from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
@@ -33,7 +33,7 @@ def hand_forward(net, x):
 
 
 def random_net(seed, hidden=5, depth=2):
-    net = ScoreNetwork.create(hidden=hidden, depth=depth, seed=seed)
+    net = ScoreNetwork.create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
     rng = np.random.default_rng(seed + 7)
     net.params.values[:] = rng.normal(0, 0.7, net.params.values.size)
     return net
@@ -96,7 +96,7 @@ class TestMlpForward:
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
-        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
+        net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
         _, b = net.params.layer(net.demo_head_layer)
         b[:] = 0.5
         for x in ([1.0, 2.0, 3.0, 0, 0, 0, 1.0], [-4.0, 0.0, 9.0, 1.0, 0, 0, 0]):
@@ -109,8 +109,16 @@ class TestMlpForward:
         want = hand_forward(net, x)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
+    def test_widths_follow_the_parameters(self):
+        # A network built from parameters alone, as the benchmark builds one
+        # from a checkpoint, reads its depth and widths from their layer shapes.
+        params = init_params([(7, 16), (16, 16), (16, 2), (16, 4)], seed=0)  # hidden 16, depth 2
+        net = ScoreNetwork(params, sigma_data=2.5)
+        assert (net.depth, net.x_dim, net.cond_dim, net.in_dim) == (2, 2, 4, 7)
+        assert net.demo_out(np.zeros((3, net.in_dim))).shape == (3, 2)
+
     def test_dimension_mismatch_rejected(self):
-        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
+        net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
         with pytest.raises(ShapeError):
             net.demo_out(np.zeros((1, net.in_dim + 1)))
 
@@ -130,7 +138,7 @@ class TestMlpForward:
     def test_recorded_pass_equals_off_tape_forward(self, batch):
         # Sampling (demo_out) and the training step (demo_var) run the same
         # nn_core.silu_layer, so they agree bit for bit.
-        net = ScoreNetwork.create(seed=3)  # the trained widths: hidden 64, depth 3
+        net = ScoreNetwork.create(hidden=64, depth=3, sigma_data=2.5, seed=3)  # trained widths
         rng = np.random.default_rng(batch)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
         x = rng.normal(size=(batch, net.in_dim))
@@ -318,11 +326,11 @@ class TestCheckpointIO:
 
     def test_round_trip_bitwise(self, tmp_path):
         cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
-        net = ScoreNetwork.create(hidden=5, depth=1, seed=13)
+        net = ScoreNetwork.create(hidden=5, depth=1, sigma_data=cfg.sigma_data, seed=13)
         params = net.params
         params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
         ckpt = trainer.Checkpoint(
-            params, pseudo.init_pseudo(3, 4), OptState.fresh(params), 0, cfg.digest(), np.eye(4)
+            params, np.zeros((3, 4)), OptState.fresh(params), 0, cfg.digest(), np.eye(4)
         )
         trainer.save_checkpoint(tmp_path, ckpt, cfg)
         _, _, loaded = trainer.load_checkpoint(tmp_path)

@@ -3,118 +3,96 @@ import pytest
 
 from robustdiff import nn_core, trainer
 from robustdiff.network import ScoreNetwork
-from robustdiff.pseudo import ensemble_update, init_pseudo
+from robustdiff.pseudo import ensemble_update
 from robustdiff.trainer import TrainConfig
-
-
-class TestInit:
-    def test_all_zero_vectors(self):
-        table = init_pseudo(3, 4)
-        assert table.entries.shape == (3, 4)
-        assert np.array_equal(table.entries, np.zeros((3, 4)))
-        assert np.array_equal(table.update_count, np.zeros(3, dtype=np.int64))
-
-    def test_degenerate_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            init_pseudo(0, 4)
-        with pytest.raises(ValueError):
-            init_pseudo(4, 0)
-
-    def test_all_entries_equal_after_init(self):
-        table = init_pseudo(5, 3)
-        for i in range(1, 5):
-            assert np.array_equal(table.entries[0], table.entries[i])
 
 
 class TestEnsembleUpdate:
     def test_alpha_one_keeps_entry(self):
-        table = init_pseudo(2, 4)
-        table.entries[1] = [1, 2, 3, 4]
-        before = table.entries[1].copy()
+        table = np.zeros((2, 4))
+        table[1] = [1, 2, 3, 4]
+        before = table[1].copy()
         ensemble_update(table, 1, np.array([9.0, 9.0, 9.0, 9.0]), alpha=1.0)
-        assert np.array_equal(table.entries[1], before)
+        assert np.array_equal(table[1], before)
 
     def test_alpha_zero_replaces_entry(self):
-        table = init_pseudo(2, 4)
+        table = np.zeros((2, 4))
         new = np.array([5.0, -1.0, 0.0, 2.0])
         ensemble_update(table, 0, new, alpha=0.0)
-        assert np.array_equal(table.entries[0], new)
+        assert np.array_equal(table[0], new)
 
     def test_alpha_point_one_value(self):
         # entry 0, estimate 1 -> 0.9
-        table = init_pseudo(1, 1)
+        table = np.zeros((1, 1))
         ensemble_update(table, 0, np.array([1.0]), alpha=0.1)
-        assert table.entries[0, 0] == pytest.approx(0.9)
+        assert table[0, 0] == pytest.approx(0.9)
 
     def test_geometric_contraction_exact(self):
         # alpha = 0.5 and target 0 so the decay is exact in binary floats
-        table = init_pseudo(1, 1)
-        table.entries[0, 0] = 1.0
+        table = np.zeros((1, 1))
+        table[0, 0] = 1.0
         for k in range(1, 30):
             ensemble_update(table, 0, np.array([0.0]), alpha=0.5)
-            assert table.entries[0, 0] == 0.5**k
+            assert table[0, 0] == 0.5**k
 
     def test_geometric_contraction_general_alpha(self):
         alpha, c = 0.3, 2.5
-        table = init_pseudo(1, 2)
-        table.entries[0] = [4.0, -1.0]
-        start = table.entries[0].copy()
+        table = np.zeros((1, 2))
+        table[0] = [4.0, -1.0]
+        start = table[0].copy()
         for k in range(1, 12):
             ensemble_update(table, 0, np.array([c, c]), alpha=alpha)
             want = alpha**k * (start - c) + c
-            assert np.allclose(table.entries[0], want, rtol=1e-12)
+            assert np.allclose(table[0], want, rtol=1e-12)
 
     def test_update_count_and_duplicates(self):
-        table = init_pseudo(3, 2)
+        table = np.zeros((3, 2))
         ensemble_update(table, np.array([1, 1, 2]), np.ones((3, 2)), alpha=0.5)
-        assert list(table.update_count) == [0, 2, 1]
-        # two sequential updates on index 1: 0 -> 0.5 -> 0.75
-        assert table.entries[1, 0] == pytest.approx(0.75)
+        # two sequential updates on index 1: 0 -> 0.5 -> 0.75; one on index 2
+        assert table.tolist() == [[0.0, 0.0], [0.75, 0.75], [0.5, 0.5]]
 
     def test_matches_row_by_row_loop(self):
         # oracle: the sequential loop, one row at a time in batch order
-        def loop_update(entries, counts, idx, y_phi, alpha):
+        def loop_update(entries, idx, y_phi, alpha):
             for i, row in zip(idx, y_phi):
                 entries[i] = alpha * entries[i] + (1.0 - alpha) * row
-                counts[i] += 1
 
         rng = np.random.default_rng(3)
         for trial in range(50):
             n, batch = int(rng.integers(1, 12)), int(rng.integers(1, 40))  # many repeats
-            table = init_pseudo(n, 3)
-            table.entries[:] = rng.normal(size=(n, 3))
-            entries, counts = table.entries.copy(), table.update_count.copy()
+            table = np.zeros((n, 3))
+            table[:] = rng.normal(size=(n, 3))
+            entries = table.copy()
             idx = rng.integers(0, n, size=batch)
             y_phi = rng.normal(size=(batch, 3))
             alpha = float(rng.uniform(0, 1))
-            loop_update(entries, counts, idx, y_phi, alpha)
+            loop_update(entries, idx, y_phi, alpha)
             ensemble_update(table, idx, y_phi, alpha)
-            assert np.array_equal(table.entries, entries), f"trial {trial}"
-            assert np.array_equal(table.update_count, counts), f"trial {trial}"
+            assert np.array_equal(table, entries), f"trial {trial}"
 
     def test_invalid_alpha_rejected(self):
-        table = init_pseudo(1, 1)
+        table = np.zeros((1, 1))
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 ensemble_update(table, 0, np.zeros(1), alpha=bad)
 
     def test_missing_index_rejected(self):
-        table = init_pseudo(2, 1)
+        table = np.zeros((2, 1))
         with pytest.raises(IndexError):
             ensemble_update(table, 5, np.zeros(1), alpha=0.5)
 
     def test_nonfinite_update_rejected(self):
-        table = init_pseudo(1, 2)
+        table = np.zeros((1, 2))
         with pytest.raises(ValueError):
             ensemble_update(table, 0, np.array([np.nan, 0.0]), alpha=0.5)
 
     def test_entries_remain_finite_random_sequences(self):
         rng = np.random.default_rng(1)
-        table = init_pseudo(4, 3)
+        table = np.zeros((4, 3))
         for _ in range(200):
             idx = rng.integers(0, 4, size=8)
             ensemble_update(table, idx, rng.normal(size=(8, 3)), alpha=float(rng.uniform(0, 1)))
-        assert np.all(np.isfinite(table.entries))
+        assert np.all(np.isfinite(table))
 
 
 class TestEarlyStop:
@@ -144,12 +122,10 @@ class TestEarlyStop:
 
 def _save_table(ckpt_dir, table):
     """Save `table` inside a checkpoint of a small untrained network."""
-    cond_dim = table.entries.shape[1]
-    cfg = trainer.TrainConfig(hidden=4, depth=1, cond_dim=cond_dim, total_iters=0)
-    net = ScoreNetwork.create(cond_dim=cond_dim, hidden=4, depth=1)
+    cfg = trainer.TrainConfig(hidden=4, depth=1, total_iters=0)
+    net = ScoreNetwork.create(hidden=4, depth=1, sigma_data=cfg.sigma_data, seed=0)
     ckpt = trainer.Checkpoint(
-        net.params, table, nn_core.OptState.fresh(net.params), 0, cfg.digest(),
-        np.eye(cond_dim),
+        net.params, table, nn_core.OptState.fresh(net.params), 0, cfg.digest(), np.eye(4),
     )
     trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
 
@@ -158,36 +134,32 @@ class TestSnapshot:
     """The pseudo table's trip through the checkpoint archive."""
 
     def test_round_trip(self, tmp_path):
-        table = init_pseudo(4, 3)
-        table.entries[:] = np.random.default_rng(0).normal(size=(4, 3))
-        ensemble_update(table, [1, 1, 3], np.ones((3, 3)), 0.5)
+        table = np.random.default_rng(0).normal(size=(4, 4))
+        ensemble_update(table, [1, 1, 3], np.ones((3, 4)), 0.5)
         _save_table(tmp_path, table)
         loaded = trainer.load_checkpoint(tmp_path)[2].pseudo
-        assert np.array_equal(loaded.entries, table.entries)
-        assert np.array_equal(loaded.update_count, [0, 2, 0, 1])
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, table)
 
     def test_format_index_then_floats(self, tmp_path):
-        table = init_pseudo(2, 2)
-        table.entries[1] = [0.5, -0.25]
+        table = np.zeros((2, 4))
+        table[1] = [0.5, -0.25, 0.0, 1.0]
         _save_table(tmp_path, table)
         with np.load(tmp_path / trainer.CHECKPOINT_FILE) as archive:
-            entries, updates = archive["table_entries"], archive["table_updates"]
-        assert entries.dtype == np.float64 and updates.dtype == np.int64
-        assert entries.tolist() == [[0.0, 0.0], [0.5, -0.25]]
-        assert updates.tolist() == [0, 0]
+            entries = archive["table_entries"]
+            assert "table_updates" not in archive.files
+        assert entries.dtype == np.float64
+        assert entries.tolist() == [[0.0, 0.0, 0.0, 0.0], [0.5, -0.25, 0.0, 1.0]]
 
     @pytest.mark.parametrize(
         "edit",
         [
-            {"table_updates": np.zeros(2, dtype=np.int64)},  # counts miss a row
-            {"table_updates": np.zeros(4, dtype=np.int64)},  # counts for a row too many
             {"table_entries": np.zeros((3, 2))},  # rows narrower than cond_dim
             {},  # no table at all
         ],
-        ids=["index_gap", "repeated_index", "unequal_width", "empty"],
+        ids=["unequal_width", "empty"],
     )
     def test_malformed_table_rejected(self, tmp_path, edit_archive, edit):
-        _save_table(tmp_path, init_pseudo(3, 3))
+        _save_table(tmp_path, np.zeros((3, 4)))
         edit_archive(tmp_path, drop=() if edit else ("table_entries",), **edit)
         with pytest.raises(ValueError, match="table_"):
             trainer.load_checkpoint(tmp_path)
