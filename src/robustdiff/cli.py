@@ -26,6 +26,12 @@ DYNAMICS_EVERY = 500
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Settings of a `reproduce` cell beside the TrainConfig fields.
 CELL_KEYS = ("n_per_class", "per_class_samples")
+# Keys every `reproduce --manifest` file names.
+MANIFEST_KEYS = ("etas", "seeds", "variants")
+# Classifier-free guidance scale of sampling; `sample --w` overrides it.
+GUIDANCE_W = 2.0
+# The label-noise kinds the command line names, as data.NoiseSpec names them.
+NOISE_KINDS = {"sym": "symmetric", "asym": "asymmetric"}
 
 
 class UsageError(Exception):
@@ -101,18 +107,15 @@ def cmd_gen_data(args) -> int:
         raise UsageError("--n-per-class must be >= 1")
     samples = data_mod.make_toy_dataset(args.n_per_class, args.seed)
     if args.eta > 0:
-        spec = data_mod.NoiseSpec(
-            kind="symmetric" if args.noise == "sym" else "asymmetric",
-            eta=args.eta,
-            seed=args.seed + 1,
-        )
+        spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
         samples = data_mod.inject_noise(samples, spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_dataset(out, samples)
     flips = int(np.count_nonzero(samples.noisy != samples.clean))
     print(f"wrote {len(samples)} samples to {out}")
-    print(f"classes 4 x {args.n_per_class}, flipped {flips} ({flips / len(samples):.3f})")
+    print(f"classes {data_mod.N_CLASSES} x {args.n_per_class}, "
+          f"flipped {flips} ({flips / len(samples):.3f})")
     print(f"empirical point std {data_mod.empirical_std(samples):.4f}")
     return 0
 
@@ -155,16 +158,15 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
 
     `prototypes` holds one condition row per class: the identity (one-hot)
     for the vanilla variant, the learned per-label pseudo-condition means for
-    the pseudo-condition variants. `w` None means `config.guidance_w`.
+    the pseudo-condition variants. `w` None means GUIDANCE_W.
     """
-    guidance = config.guidance_w if w is None else w
-    schedule = config.schedule()
+    guidance = GUIDANCE_W if w is None else w
     out = {}
     for c in range(net.cond_dim):
         out[c] = diffusion.heun_sample(
             diffusion.guided(net, prototypes[c], guidance),
             net.x_dim,
-            schedule,
+            config.num_steps,
             per_class,
             seed + c,
         )
@@ -244,11 +246,7 @@ def run_cell(cell) -> dict:
     variant, eta, seed, noise_kind, base_values, outdir, dynamics = cell
     seeds = _cell_seeds(seed, eta)
     samples = data_mod.make_toy_dataset(int(base_values.get("n_per_class", "2000")), seeds["data"])
-    spec = data_mod.NoiseSpec(
-        kind="symmetric" if noise_kind == "sym" else "asymmetric",
-        eta=eta,
-        seed=seeds["noise"],
-    )
+    spec = data_mod.NoiseSpec(NOISE_KINDS[noise_kind], eta, seeds["noise"])
     samples = data_mod.inject_noise(samples, spec)
     values = dict(base_values)
     values["variant"] = variant
@@ -309,14 +307,19 @@ def cmd_reproduce(args) -> int:
 
     if args.manifest:
         manifest = parse_config_file(args.manifest)
+        missing = [k for k in MANIFEST_KEYS if k not in manifest]
+        if missing:
+            raise UsageError(f"manifest {args.manifest} names no {', '.join(missing)}")
         etas = [float(v) for v in manifest["etas"].split(",")]
         seeds = [int(v) for v in manifest["seeds"].split(",")]
         variants = manifest["variants"].split(",")
         noise_kind = manifest.get("noise", "sym")
+        if noise_kind not in NOISE_KINDS:
+            raise UsageError(f"manifest noise must be one of {', '.join(NOISE_KINDS)}")
         base_values = {
             k: v
             for k, v in manifest.items()
-            if k not in ("command", "etas", "seeds", "variants", "noise", "jobs")
+            if k not in ("command", *MANIFEST_KEYS, "noise", "jobs")
         }
         jobs = args.jobs if args.jobs is not None else int(manifest.get("jobs", "1"))
     else:
@@ -458,7 +461,7 @@ def make_parser() -> _Parser:
 
     g = sub.add_parser("gen-data", help="write a toy dataset file")
     g.add_argument("--n-per-class", type=int, default=2000)
-    g.add_argument("--noise", choices=("sym", "asym"), default="sym")
+    g.add_argument("--noise", choices=tuple(NOISE_KINDS), default="sym")
     g.add_argument("--eta", type=float, default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
@@ -496,7 +499,7 @@ def make_parser() -> _Parser:
     r.add_argument("--etas")
     r.add_argument("--seeds")
     r.add_argument("--variants")
-    r.add_argument("--noise", choices=("sym", "asym"), default="sym")
+    r.add_argument("--noise", choices=tuple(NOISE_KINDS), default="sym")
     r.add_argument("--jobs", type=int, default=None)
     r.add_argument("--manifest")
     r.set_defaults(fn=cmd_reproduce)

@@ -20,7 +20,7 @@ N_CLASSES = 4
 CENTROIDS = np.array([[2.5, 2.5], [-2.5, 2.5], [-2.5, -2.5], [2.5, -2.5]])
 BLOB_STD = 0.375
 # Similar-class pair flips for asymmetric noise: neighbors along x.
-DEFAULT_PAIR_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
+PAIR_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -50,40 +50,25 @@ class NoiseSpec:
     kind: str  # "symmetric" | "asymmetric"
     eta: float
     seed: int
-    pair_map: dict | None = None
 
     def __post_init__(self):
         if self.kind not in ("symmetric", "asymmetric"):
             raise ValueError("kind must be symmetric or asymmetric")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.kind == "asymmetric":
-            _check_involution(self.pair_map or DEFAULT_PAIR_MAP)
 
 
-def _check_involution(pair_map: dict) -> None:
-    for a, b in pair_map.items():
-        if pair_map.get(b) != a:
-            raise ValueError("pair_map must be an involution on classes")
-
-
-def make_toy_dataset(
-    n_per_class: int,
-    seed: int,
-    centroids: np.ndarray = CENTROIDS,
-    std: float = BLOB_STD,
-) -> Dataset:
-    """Isotropic Gaussian blob per class, in class order; noisy labels start
-    out clean."""
+def make_toy_dataset(n_per_class: int, seed: int) -> Dataset:
+    """An isotropic Gaussian blob of std BLOB_STD around each of CENTROIDS,
+    in class order; noisy labels start out clean."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
-    n_classes = len(centroids)
-    pts = np.empty((n_classes * n_per_class, X_DIM))
-    for c in range(n_classes):
+    pts = np.empty((N_CLASSES * n_per_class, X_DIM))
+    for c in range(N_CLASSES):
         rows = slice(c * n_per_class, (c + 1) * n_per_class)
-        pts[rows] = centroids[c] + std * rng.standard_normal((n_per_class, X_DIM))
-    clean = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+        pts[rows] = CENTROIDS[c] + BLOB_STD * rng.standard_normal((n_per_class, X_DIM))
+    clean = np.repeat(np.arange(N_CLASSES, dtype=np.int64), n_per_class)
     return Dataset(pts, clean, clean.copy())
 
 
@@ -103,26 +88,22 @@ def inject_symmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
     return Dataset(samples.points, samples.clean, noisy)
 
 
-def inject_asymmetric_noise(
-    samples: Dataset, eta: float, pair_map: dict | None, seed: int
-) -> Dataset:
-    """Each label flips to its paired class with probability eta."""
+def inject_asymmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
+    """Each label flips to its PAIR_MAP partner with probability eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    pm = pair_map or DEFAULT_PAIR_MAP
-    _check_involution(pm)
     rng = np.random.default_rng(seed)
     # One uniform per row, in row order: the same stream as scalar draws.
     flip = np.flatnonzero(rng.random(len(samples)) < eta)
     noisy = samples.clean.copy()
-    noisy[flip] = [pm[c] for c in samples.clean[flip].tolist()]
+    noisy[flip] = [PAIR_MAP[c] for c in samples.clean[flip].tolist()]
     return Dataset(samples.points, samples.clean, noisy)
 
 
 def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
     if spec.kind == "symmetric":
         return inject_symmetric_noise(samples, spec.eta, spec.seed)
-    return inject_asymmetric_noise(samples, spec.eta, spec.pair_map, spec.seed)
+    return inject_asymmetric_noise(samples, spec.eta, spec.seed)
 
 
 def noisy_labels(samples: Dataset) -> np.ndarray:

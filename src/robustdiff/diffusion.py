@@ -1,4 +1,4 @@
-"""Demonstration-side diffusion: sigma schedule, denoiser parameterization
+"""Demonstration-side diffusion: sigma grid, denoiser parameterization
 and its residual, trunk input, guidance, the deterministic second-order
 sampler and the samples file.
 
@@ -6,12 +6,13 @@ Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
 forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
 preconditioning, Karras et al. 2022). `edm_residual` is its one formula: the
 sampler's denoiser and the training loss both go through it. The sampler
-sees D only as a batched callable (x, sigma) -> denoised.
+sees D only as a batched callable (x, sigma) -> denoised. The noise levels
+run between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
+exponent RHO; only the sampler's step count is a setting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,48 +23,33 @@ from .network import ScoreNetwork
 SAMPLES_HEADER = "x1,x2,class"
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
-
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Power-law sigma grid between sigma_max and sigma_min with exponent rho."""
-
-    sigma_min: float = 0.002
-    sigma_max: float = 80.0
-    rho: float = 7.0
-    num_steps: int = 18
-
-    def __post_init__(self):
-        if not 0 < self.sigma_min < self.sigma_max:
-            raise ValueError("require 0 < sigma_min < sigma_max")
-        if self.rho < 1:
-            raise ValueError("require rho >= 1")
-        if self.num_steps < 2:
-            raise ValueError("require num_steps >= 2")
+# EDM noise range and grid exponent (Karras et al. 2022).
+SIGMA_MIN = 0.002
+SIGMA_MAX = 80.0
+RHO = 7.0
+# The range's ends on the rho-warped axis, where the grid is uniform.
+WARP_MAX = SIGMA_MAX ** (1.0 / RHO)
+WARP_MIN = SIGMA_MIN ** (1.0 / RHO)
 
 
-def sigma_grid(schedule: NoiseSchedule) -> np.ndarray:
-    """Descending sigma values, sigma_max first, sigma_min at index N-1, then 0."""
-    n = schedule.num_steps
-    a = schedule.sigma_max ** (1.0 / schedule.rho)
-    b = schedule.sigma_min ** (1.0 / schedule.rho)
-    ramp = np.arange(n) / (n - 1)
-    grid = (a + ramp * (b - a)) ** schedule.rho
-    grid[0] = schedule.sigma_max  # exact endpoints, no power round-trip error
-    grid[-1] = schedule.sigma_min
+def sigma_grid(num_steps: int) -> np.ndarray:
+    """Descending sigma values, SIGMA_MAX first, SIGMA_MIN at index N-1, then 0."""
+    ramp = np.arange(num_steps) / (num_steps - 1)
+    grid = (WARP_MAX + ramp * (WARP_MIN - WARP_MAX)) ** RHO
+    grid[0] = SIGMA_MAX  # exact endpoints, no power round-trip error
+    grid[-1] = SIGMA_MIN
     return np.concatenate([grid, [0.0]])
 
 
-def mirror_sigma(sigma, schedule: NoiseSchedule):
+def mirror_sigma(sigma):
     """Continuous index-mirror of the power-law grid.
 
-    Maps sigma_max <-> sigma_min along the rho-warped axis; used to pair a
+    Maps SIGMA_MAX <-> SIGMA_MIN along the rho-warped axis; used to pair a
     demonstration noise level with the condition noise level running in the
-    opposite direction. Inputs are clamped to [sigma_min, sigma_max].
+    opposite direction. Inputs are clamped to [SIGMA_MIN, SIGMA_MAX].
     """
-    a = schedule.sigma_max ** (1.0 / schedule.rho)
-    b = schedule.sigma_min ** (1.0 / schedule.rho)
-    s = np.clip(sigma, schedule.sigma_min, schedule.sigma_max) ** (1.0 / schedule.rho)
-    return (a + b - s) ** schedule.rho
+    s = np.clip(sigma, SIGMA_MIN, SIGMA_MAX) ** (1.0 / RHO)
+    return (WARP_MAX + WARP_MIN - s) ** RHO
 
 
 def c_skip(sigma, sigma_data):
@@ -143,21 +129,18 @@ def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
 
 
 def heun_sample(
-    denoiser: Denoiser,
-    x_dim: int,
-    schedule: NoiseSchedule,
-    count: int,
-    seed: int,
+    denoiser: Denoiser, x_dim: int, num_steps: int, count: int, seed: int
 ) -> np.ndarray:
     """Deterministic probability-flow sampler, Heun second order.
 
-    Starts from N(0, sigma_max^2 I) in x_dim dimensions; per step the slope
-    is d = (x - D(x, sigma)) / sigma, with a midpoint correction except on
-    the final step to sigma = 0, which is Euler-only.
+    Starts from N(0, SIGMA_MAX^2 I) in x_dim dimensions and walks
+    sigma_grid(num_steps); per step the slope is d = (x - D(x, sigma)) /
+    sigma, with a midpoint correction except on the final step to sigma = 0,
+    which is Euler-only.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    grid = sigma_grid(schedule)
+    grid = sigma_grid(num_steps)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, x_dim)) * grid[0]
     for i in range(len(grid) - 1):

@@ -239,6 +239,12 @@ class MlpTape:
             self._touched[k] = True
 
 
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptState:
     """Adam moment estimates matching one ParamBundle."""
@@ -254,29 +260,27 @@ class OptState:
 
 
 def adam_step(
-    params: ParamBundle,
-    grads: np.ndarray,
-    state: OptState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    params: ParamBundle, grads: np.ndarray, state: OptState, lr: float
 ) -> tuple[ParamBundle, OptState]:
-    """One bias-corrected Adam update; returns new params and state."""
+    """One bias-corrected Adam update; returns new params and state.
+
+    Raises NonFiniteError, leaving `params` and `state` as they were, when the
+    second moment goes non-finite: a non-finite gradient entry makes it so,
+    and so does a finite one whose square overflows.
+    """
     grads = np.asarray(grads, dtype=np.float64)
     if grads.shape != params.values.shape:
         raise ShapeError("gradient length does not match parameter count")
-    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and lr > 0.0):
-        raise ValueError("require 0 <= beta1,beta2 < 1 and lr > 0")
-    if not np.all(np.isfinite(grads)):
-        raise NonFiniteError("non-finite gradient entries")
     t = state.step_count + 1
-    m = beta1 * state.first_moment + (1.0 - beta1) * grads
-    v = beta2 * state.second_moment + (1.0 - beta2) * grads * grads
+    m = BETA1 * state.first_moment + (1.0 - BETA1) * grads
+    v = BETA2 * state.second_moment + (1.0 - BETA2) * grads * grads
+    if not np.all(np.isfinite(v)):
+        finite = np.all(np.isfinite(grads))
+        raise NonFiniteError("second moment overflows" if finite else "non-finite gradient entries")
     if np.any(grads):
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     else:
         # Contract: an all-zero gradient must leave values exactly untouched,
         # whatever momentum the state carries.

@@ -10,11 +10,12 @@ Euler solver over the reversed grid. Each node's condition-head pass is
 recorded, and the training step walks the quadrature back through its
 discrete adjoint.
 
-The functions take the schedule and the centering directly. `center` (C,),
-the pseudo table's mean, is subtracted from condition values before they
-enter the trunk, so the condition channels carry only the informative
-deviation from the population mean: an uninformative table then looks like
-the unconditional token.
+The noise levels are diffusion's EDM constants (SIGMA_MIN, SIGMA_MAX, RHO);
+the functions take the centering directly. `center` (C,), the pseudo table's
+mean, is subtracted from condition values before they enter the trunk, so
+the condition channels carry only the informative deviation from the
+population mean: an uninformative table then looks like the unconditional
+token.
 """
 
 from __future__ import annotations
@@ -22,33 +23,32 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn_core
-from .diffusion import NoiseSchedule, mirror_sigma, trunk_input
+from .diffusion import RHO, WARP_MAX, WARP_MIN, mirror_sigma, trunk_input
 from .network import ScoreNetwork
 
 
-def _cond_scale(t, schedule: NoiseSchedule):
+def _cond_scale(t):
     """d cond_channels / d y at time t."""
-    return 1.0 / np.sqrt(mirror_sigma(t, schedule) ** 2 + 1.0)
+    return 1.0 / np.sqrt(mirror_sigma(t) ** 2 + 1.0)
 
 
-def cond_channels(y, t, schedule: NoiseSchedule, center):
+def cond_channels(y, t, center):
     """Condition channels of the trunk input at demonstration time t.
 
     (y - center) / sqrt(mirror_sigma(t)^2 + 1): heavily noised conditions
     stay at unit magnitude, nearly clean ones pass at full strength. `t` is a
     scalar or a (batch, 1) column.
     """
-    return (y - center) * _cond_scale(t, schedule)
+    return (y - center) * _cond_scale(t)
 
 
-def quad_times(schedule: NoiseSchedule, k: int) -> np.ndarray:
-    """k+1 ascending time nodes from sigma_min to T along the reversed grid law."""
+def quad_times(k: int) -> np.ndarray:
+    """k+1 ascending time nodes from SIGMA_MIN to T = SIGMA_MAX along the
+    reversed grid law."""
     if k < 1:
         raise ValueError("need at least one quadrature node")
-    a = schedule.sigma_max ** (1.0 / schedule.rho)
-    b = schedule.sigma_min ** (1.0 / schedule.rho)
     ramp = np.arange(k + 1) / k
-    return (b + ramp * (a - b)) ** schedule.rho
+    return (WARP_MIN + ramp * (WARP_MAX - WARP_MIN)) ** RHO
 
 
 def estimate_pseudo_var(
@@ -56,7 +56,6 @@ def estimate_pseudo_var(
     net: ScoreNetwork,
     x_context: np.ndarray,
     y_start: np.ndarray,
-    schedule: NoiseSchedule,
     center: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, list[nn_core.RecordedPass]]:
@@ -65,17 +64,17 @@ def estimate_pseudo_var(
     Solves d y / dt = -s(y_t, t) / (2t), where s is the condition head at the
     context `x_context` (B, x_dim) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
-    nodes on [sigma_min, T]. Each node's condition-head pass is recorded on
+    nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
     `tape`. Returns the estimate and the k node passes, which
     estimate_pseudo_adjoint walks back.
     """
     y = y_start
-    times = quad_times(schedule, k)
+    times = quad_times(k)
     nodes = []
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
-        cond = cond_channels(y, tau, schedule, center)
+        cond = cond_channels(y, tau, center)
         rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
         nodes.append(rec)
         y = y - (dt / (2.0 * tau)) * rec.out
@@ -86,7 +85,6 @@ def estimate_pseudo_adjoint(
     tape: nn_core.MlpTape,
     nodes: list[nn_core.RecordedPass],
     g_y: np.ndarray,
-    schedule: NoiseSchedule,
 ) -> None:
     """Backward of estimate_pseudo_var from g_y = dL/d(estimate).
 
@@ -97,11 +95,11 @@ def estimate_pseudo_adjoint(
     channels carry the rest of dL/dy_n. The start state is a draw, so node 0
     needs no input gradient.
     """
-    times = quad_times(schedule, len(nodes))
+    times = quad_times(len(nodes))
     cond_dim = g_y.shape[1]
     for node in reversed(range(len(nodes))):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])
         g_in = tape.backward(nodes[node], -g_y * (dt / (2.0 * tau)), input_grad=node > 0)
         if node > 0:
-            g_y = g_y + g_in[:, -cond_dim:] * _cond_scale(tau, schedule)
+            g_y = g_y + g_in[:, -cond_dim:] * _cond_scale(tau)

@@ -17,7 +17,10 @@ The table is a plain (n_samples, cond_dim) array, and a step reads the
 dataset's own arrays: the points and the noisy labels, one-hot encoded per
 batch. The problem's shape is no setting: TrainConfig.x_dim and cond_dim
 echo data.X_DIM and data.N_CLASSES, and the network reads its widths from
-its parameters.
+its parameters. Nor are the fixed choices: the EDM sigma_data and the
+prototype floor are TrainConfig class constants, and the draws of an
+iteration (the log-normal noise level, the guidance drop rate, the boundary
+state's std) are constants of this module.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ import numpy as np
 from . import data as data_mod
 from . import network, nn_core, pseudo, rdc
 from .diffusion import (
-    NoiseSchedule,
     c_in,
     c_out,
     edm_residual,
@@ -52,6 +54,14 @@ from .nn_core import OptState
 VARIANTS = ("vanilla", "pc_only", "pc_rdc")
 
 
+# The draws of a training iteration: ln sigma ~ N(LOGSIGMA_MEAN,
+# LOGSIGMA_STD^2), the guidance drop rate and the RDC boundary state's std.
+LOGSIGMA_MEAN = -1.2
+LOGSIGMA_STD = 1.2
+CFG_DROP_PROB = 0.1
+Y0_STD = 1.0
+
+
 @dataclass
 class TrainConfig:
     variant: str = "pc_rdc"
@@ -59,39 +69,25 @@ class TrainConfig:
     total_iters: int = 10_000
     alpha: float = 0.1
     early_stop_iters: int = 500
-    cfg_drop_prob: float = 0.1
-    guidance_w: float = 2.0
-    # schedule (shared by demonstration diffusion and the condition kernel)
-    sigma_min: float = 0.002
-    sigma_max: float = 80.0
-    rho: float = 7.0
-    num_steps: int = 18
-    # network
+    num_steps: int = 18  # sampler steps on diffusion.sigma_grid
     hidden: int = 64
     depth: int = 3
-    sigma_data: float = 2.5  # matched to the toy layout's per-coordinate std
-    # the problem's shape: constants of the data, not settings
+    quad_nodes: int = 8  # RDC quadrature nodes
+    lr: float = 1e-3
+    seed: int = 0
+    # Constants, not settings: the problem's shape, the EDM sigma_data matched
+    # to the toy layout's per-coordinate std, the prototype reliability floor.
     x_dim: ClassVar[int] = data_mod.X_DIM
     cond_dim: ClassVar[int] = data_mod.N_CLASSES
-    # condition-process settings
-    quad_nodes: int = 8
-    y0_std: float = 1.0
-    proto_floor: float = 0.012  # reliability floor for sampling prototypes
-    # optimizer
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    # training-time noise-level sampling: ln sigma ~ N(mean, std^2)
-    logsigma_mean: float = -1.2
-    logsigma_std: float = 1.2
-    seed: int = 0
+    sigma_data: ClassVar[float] = 2.5
+    proto_floor: ClassVar[float] = 0.012
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("batch_size", "hidden", "depth", "quad_nodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
         if self.total_iters < 0:
@@ -100,9 +96,10 @@ class TrainConfig:
             raise ValueError("early_stop_iters must be >= 1 for pc_only and pc_rdc")
         if self.total_iters and self.total_iters < self.early_stop_iters:
             raise ValueError("total_iters must cover the early-stop budget")
-
-    def schedule(self) -> NoiseSchedule:
-        return NoiseSchedule(self.sigma_min, self.sigma_max, self.rho, self.num_steps)
+        if self.num_steps < 2:
+            raise ValueError("num_steps must be >= 2")
+        if not self.lr > 0:
+            raise ValueError("lr must be > 0")
 
     def in_phase1(self, iteration: int) -> bool:
         """Whether `iteration` trains the condition path and updates the
@@ -126,7 +123,7 @@ class Checkpoint:
 
 
 def class_prototypes(
-    table: np.ndarray, noisy: np.ndarray, cond_dim: int, floor: float = 0.012
+    table: np.ndarray, noisy: np.ndarray, cond_dim: int, floor: float
 ) -> np.ndarray:
     """Per-label-class sampling conditions from the pseudo table.
 
@@ -198,13 +195,13 @@ def draw_iteration(
 ) -> IterationDraws:
     b = config.batch_size
     idx = rng.integers(0, n_data, size=b)
-    sig = np.exp(rng.normal(config.logsigma_mean, config.logsigma_std, (b, 1)))
+    sig = np.exp(rng.normal(LOGSIGMA_MEAN, LOGSIGMA_STD, (b, 1)))
     eps_x = rng.standard_normal((b, config.x_dim))
-    drop = rng.random((b, 1)) < config.cfg_drop_prob
+    drop = rng.random((b, 1)) < CFG_DROP_PROB
     if not cond_path:
         return IterationDraws(idx, sig, eps_x, drop)
     eps_c = rng.standard_normal((b, config.cond_dim))
-    y_start = config.y0_std * rng.standard_normal((b, config.cond_dim))
+    y_start = Y0_STD * rng.standard_normal((b, config.cond_dim))
     return IterationDraws(idx, sig, eps_x, drop, eps_c, y_start)
 
 
@@ -231,7 +228,6 @@ def loss_step(
     x0 = samples.points[draws.idx]
     y_til = np.eye(net.cond_dim)[samples.noisy[draws.idx]]  # one-hot noisy labels
     sd = net.sigma_data
-    schedule = config.schedule()
     center = None if config.variant == "vanilla" else table.mean(axis=0)
 
     # The denoising term's condition, before the guidance drop. Table rows are
@@ -241,8 +237,8 @@ def loss_step(
         cond = y_til
     elif phase1 and config.variant == "pc_rdc":
         # Reverse-time kernel: condition noise level mirrors the demonstration's.
-        y_t = table[draws.idx] + mirror_sigma(draws.sigma, schedule) * draws.eps_c
-        cond = rdc.cond_channels(y_t, draws.sigma, schedule, center)
+        y_t = table[draws.idx] + mirror_sigma(draws.sigma) * draws.eps_c
+        cond = rdc.cond_channels(y_t, draws.sigma, center)
     else:
         cond = table[draws.idx] - center
 
@@ -268,7 +264,7 @@ def loss_step(
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
             y_phi, nodes = rdc.estimate_pseudo_var(
-                tape, net, x_in, draws.y_start, schedule, center, config.quad_nodes
+                tape, net, x_in, draws.y_start, center, config.quad_nodes
             )
         else:  # the head at the table row itself, never dropped
             pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
@@ -277,7 +273,7 @@ def loss_step(
         cond_term = (diff * diff).sum() * inv_b
         g_y = inv_b * (2.0 * diff)
         if config.variant == "pc_rdc":
-            rdc.estimate_pseudo_adjoint(tape, nodes, g_y, schedule)
+            rdc.estimate_pseudo_adjoint(tape, nodes, g_y)
         else:
             tape.backward(pc, g_y)
     return LossStepResult(
@@ -323,10 +319,7 @@ def train(
             try:
                 if not np.isfinite(result.loss):
                     raise nn_core.NonFiniteError("non-finite loss")
-                net.params, opt = nn_core.adam_step(
-                    net.params, result.grads, opt, lr=config.lr, beta1=config.beta1,
-                    beta2=config.beta2, eps=config.adam_eps,
-                )
+                net.params, opt = nn_core.adam_step(net.params, result.grads, opt, config.lr)
             except nn_core.NonFiniteError as exc:
                 # The checkpoint holds the state this iteration started from.
                 protos = sampling_prototypes(config, table, samples.noisy)

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from robustdiff import nn_core
-from robustdiff.diffusion import Denoiser, NoiseSchedule, loss_weight, trunk_input
+from robustdiff.diffusion import Denoiser, loss_weight, trunk_input
 from robustdiff.network import ScoreNetwork
 from robustdiff.rdc import cond_channels, quad_times
 
@@ -46,7 +46,7 @@ def dsm_loss(
     return float(np.mean(loss_weight(sig, sigma_data) * err))
 
 
-def head_field(net: ScoreNetwork, schedule: NoiseSchedule, center: np.ndarray) -> FieldFn:
+def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
     """The condition head of `net` as a field (x, t, y) -> s, off the tape,
     with condition values centered by `center`.
 
@@ -56,7 +56,7 @@ def head_field(net: ScoreNetwork, schedule: NoiseSchedule, center: np.ndarray) -
 
     def field(x, t, y):
         w, b = net.params.layer(net.cond_head_layer)
-        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, schedule, center))) @ w + b
+        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center))) @ w + b
 
     return field
 
@@ -65,13 +65,12 @@ def estimate_pseudo(
     field: FieldFn,
     x_context: np.ndarray,
     y_start: np.ndarray,
-    schedule: NoiseSchedule,
     k: int,
 ) -> np.ndarray:
     """Deterministic pseudo-condition estimate over any field.
 
     Solves d y / dt = -s(y_t, t) / (2t) from the random boundary state
-    `y_start` up to t = T with k Euler nodes on [sigma_min, T]; equivalently
+    `y_start` up to t = T with k Euler nodes on [SIGMA_MIN, T]; equivalently
     returns y_start minus the accumulated quadrature of s / (2t).
     """
     y = np.atleast_2d(np.asarray(y_start, dtype=np.float64)).copy()
@@ -79,7 +78,7 @@ def estimate_pseudo(
     x_ctx = np.atleast_2d(np.asarray(x_context, dtype=np.float64))
     if x_ctx.shape[0] == 1 and y.shape[0] > 1:
         x_ctx = np.broadcast_to(x_ctx, (y.shape[0], x_ctx.shape[1]))
-    times = quad_times(schedule, k)
+    times = quad_times(k)
     for node in range(k):
         tau = float(times[node])
         dt = float(times[node + 1] - times[node])

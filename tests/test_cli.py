@@ -92,14 +92,34 @@ class TestReproduce:
         assert not (tmp_path / "r").exists()
 
     def test_manifest_with_shape_settings_refused(self, tmp_path, capsys):
-        # A manifest written while x_dim and cond_dim were settings lists them.
+        # A manifest written while x_dim and cond_dim were settings lists them,
+        # and one written while the EDM constants were settings lists rho.
         manifest = tmp_path / "manifest.txt"
-        manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
-                            "variants = vanilla\nnoise = sym\njobs = 1\n"
-                            "cond_dim = 4\nx_dim = 2\n")
+        for extra, named in (("cond_dim = 4\nx_dim = 2\n", "cond_dim, x_dim"),
+                             ("rho = 7.0\n", "rho")):
+            manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
+                                "variants = vanilla\nnoise = sym\njobs = 1\n" + extra)
+            code = cli.main(["reproduce", "--out", str(tmp_path / "r"),
+                             "--manifest", str(manifest)])
+            assert code == 1
+            assert f"unknown setting {named}" in capsys.readouterr().err
+            assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [({"etas": None}, "names no etas"), ({"seeds": None}, "names no seeds"),
+         ({"variants": None}, "names no variants"),
+         ({"noise": "gauss"}, "manifest noise must be one of sym, asym")],
+        ids=["no_etas", "no_seeds", "no_variants", "bad_noise"],
+    )
+    def test_malformed_manifest_is_usage_error(self, tmp_path, capsys, edit, message):
+        manifest = tmp_path / "manifest.txt"
+        keys = {"command": "reproduce", "etas": "0.4", "seeds": "0", "variants": "vanilla",
+                "noise": "sym", **edit}
+        manifest.write_text("".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None))
         code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--manifest", str(manifest)])
         assert code == 1
-        assert "unknown setting cond_dim, x_dim" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
@@ -144,18 +164,20 @@ class TestReaders:
                 data_mod.Dataset(points, clean, noisy)
 
     def test_checkpoint_with_shape_settings_rejected(self, tmp_path, capsys, edit_archive):
-        # An archive written while x_dim and cond_dim were settings echoes them.
+        # An archive written while x_dim and cond_dim were settings echoes
+        # them, and one written while the EDM constants were settings echoes rho.
         _, ckpt = _gen_and_train(tmp_path)
         with np.load(ckpt / trainer.CHECKPOINT_FILE) as archive:
             echo = json.loads(str(archive["config_json"]))
-        edit_archive(ckpt, config_json=np.str_(json.dumps({**echo, "x_dim": 2, "cond_dim": 4})))
-        with pytest.raises(ValueError, match="bad config echo"):
-            trainer.load_checkpoint(ckpt)
-        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
-                         "--out", str(tmp_path / "samples.csv")])
-        assert code == 2
-        assert "bad config echo" in capsys.readouterr().err
-        assert not (tmp_path / "samples.csv").exists()
+        for extra in ({"x_dim": 2, "cond_dim": 4}, {"rho": 7.0}):
+            edit_archive(ckpt, config_json=np.str_(json.dumps({**echo, **extra})))
+            with pytest.raises(ValueError, match="bad config echo"):
+                trainer.load_checkpoint(ckpt)
+            code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                             "--out", str(tmp_path / "samples.csv")])
+            assert code == 2
+            assert "bad config echo" in capsys.readouterr().err
+            assert not (tmp_path / "samples.csv").exists()
 
     def test_prototypes_with_missing_rows_rejected(self, tmp_path, capsys, edit_archive):
         _, ckpt = _gen_and_train(tmp_path)
@@ -172,7 +194,10 @@ class TestReaders:
         _, ckpt = _gen_and_train(tmp_path)
         path = ckpt / trainer.CHECKPOINT_FILE
         damaged = bytearray(path.read_bytes())
-        damaged[len(damaged) // 2] ^= 0x10
+        # A bit of the parameters' bytes, which follow the first .npy header.
+        # (A local zip header's extra field, which the reader never consults,
+        # would load equal: TestArchiveDamage allows that.)
+        damaged[damaged.index(b"\x93NUMPY") + 200] ^= 0x10
         path.write_bytes(bytes(damaged))
         code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
                          "--out", str(tmp_path / "samples.csv")])
@@ -235,7 +260,10 @@ class TestReaders:
 
 
 class TestTrain:
-    @pytest.mark.parametrize("setting", ["hiden=8", "x_dim=3", "cond_dim=5"])
+    # x_dim and cond_dim are the data's shape; rho, beta1, guidance_w and
+    # sigma_data are constants of the code.
+    @pytest.mark.parametrize("setting", ["hiden=8", "x_dim=3", "cond_dim=5", "rho=0.5",
+                                         "beta1=0.9", "guidance_w=3", "sigma_data=2.5"])
     def test_unknown_setting_is_usage_error(self, tmp_path, capsys, setting):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
@@ -243,6 +271,21 @@ class TestTrain:
                          "--set", setting])
         assert code == 1
         assert f"unknown setting {setting.split('=')[0]}" in capsys.readouterr().err
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [("num_steps=1", "num_steps must be >= 2"), ("lr=0", "lr must be > 0"),
+         ("lr=nan", "lr must be > 0"), ("hidden=0", "hidden must be >= 1"),
+         ("depth=0", "depth must be >= 1"), ("quad_nodes=0", "quad_nodes must be >= 1")],
+    )
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        code = cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args(),
+                         "--set", setting])
+        assert code == 1
+        assert message in capsys.readouterr().err
         assert not ckpt.exists()
 
     def test_unknown_setting_in_config_file_is_usage_error(self, tmp_path, capsys):
@@ -272,12 +315,13 @@ class TestTrain:
         [
             ("pc_rdc", "1e10", "non-finite gradient entries"),
             ("vanilla", "1e50", "non-finite gradient entries"),
-            ("vanilla", "1e150", "parameter values must be finite"),
+            ("vanilla", "1e150", "second moment overflows"),
         ],
-        ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_parameters"],
+        ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_second_moment"],
     )
     def test_non_finite_update_ends_as_diverged(self, tmp_path, capsys, variant, lr, message):
-        # The loss stays finite; the Adam step meets the non-finite values.
+        # The loss stays finite; the Adam step meets the non-finite values:
+        # the gradient itself, or its square in the second moment.
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--eta", "0.4",
                          "--out", str(data)]) == 0
@@ -331,6 +375,25 @@ class TestSample:
         self._assert_diverged_not_sampled(
             tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e300"
         )
+
+    def test_overflowing_second_moment_not_sampled(self, tmp_path, capsys):
+        # Every gradient entry stays finite, but its square overflows Adam's
+        # second moment; left alone, no later step would move the parameters
+        # and sampling would write nan rows.
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
+                         "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--variant", "vanilla", "--total-iters", "20", "--set", "lr=1e100",
+                         "--set", "batch_size=16", "--set", "hidden=8", "--set", "depth=2",
+                         "--set", "early_stop_iters=0"]) == 2
+        assert re.search(r"training diverged: second moment overflows at iteration \d+",
+                         capsys.readouterr().err)
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "10",
+                         "--out", str(tmp_path / "samples.csv")])
+        assert code == 2
+        assert "training diverged at iteration" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
 
     @staticmethod
     def _assert_diverged_not_sampled(tmp_path, capsys, *train_args):

@@ -99,32 +99,27 @@ class TestSymmetricNoise:
 class TestAsymmetricNoise:
     def test_eta_zero_identity(self):
         samples = make_toy_dataset(100, seed=0)
-        noisy = inject_asymmetric_noise(samples, 0.0, None, seed=1)
+        noisy = inject_asymmetric_noise(samples, 0.0, seed=1)
         assert np.array_equal(noisy.noisy, noisy.clean)
 
     def test_eta_one_swaps_pairs(self):
         samples = make_toy_dataset(100, seed=0)
         pair = {0: 1, 1: 0, 2: 3, 3: 2}
-        noisy = inject_asymmetric_noise(samples, 1.0, pair, seed=1)
+        noisy = inject_asymmetric_noise(samples, 1.0, seed=1)
         assert np.array_equal(noisy.noisy, [pair[c] for c in noisy.clean])
 
     def test_per_class_flip_fraction(self):
         samples = make_toy_dataset(2000, seed=1)
-        noisy = inject_asymmetric_noise(samples, 0.4, None, seed=5)
+        noisy = inject_asymmetric_noise(samples, 0.4, seed=5)
         for c in range(4):
             rows = noisy.clean == c
             frac = np.mean(noisy.noisy[rows] != noisy.clean[rows])
             assert abs(frac - 0.4) < 0.03
 
-    def test_invalid_pair_map_rejected(self):
-        samples = make_toy_dataset(5, seed=0)
-        with pytest.raises(ValueError):
-            inject_asymmetric_noise(samples, 0.2, {0: 1, 1: 2, 2: 0, 3: 3}, seed=0)
-
     def test_flips_stay_within_pairs(self):
         samples = make_toy_dataset(500, seed=2)
-        noisy = inject_asymmetric_noise(samples, 0.6, None, seed=6)
-        pair = data_mod.DEFAULT_PAIR_MAP
+        noisy = inject_asymmetric_noise(samples, 0.6, seed=6)
+        pair = data_mod.PAIR_MAP
         paired = np.array([pair[c] for c in noisy.clean])
         assert np.all((noisy.noisy == noisy.clean) | (noisy.noisy == paired))
 
@@ -135,8 +130,6 @@ class TestNoiseSpec:
             NoiseSpec("weird", 0.2, 0)
         with pytest.raises(ValueError):
             NoiseSpec("symmetric", 1.5, 0)
-        with pytest.raises(ValueError):
-            NoiseSpec("asymmetric", 0.2, 0, pair_map={0: 1, 1: 0, 2: 0, 3: 2})
 
     def test_dispatch(self):
         samples = make_toy_dataset(100, seed=0)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from robustdiff.diffusion import (
-    NoiseSchedule,
+    SIGMA_MAX,
+    SIGMA_MIN,
     c_in,
     c_noise,
     c_out,
@@ -21,6 +22,7 @@ from robustdiff.diffusion import (
     write_samples,
 )
 from robustdiff.network import ScoreNetwork
+from robustdiff.trainer import TrainConfig
 from oracles import dsm_loss
 
 
@@ -33,7 +35,7 @@ def random_net(seed=0, hidden=12, depth=2, sigma_data=0.5):
 
 class TestSchedule:
     def test_endpoints(self):
-        grid = sigma_grid(NoiseSchedule(num_steps=18))
+        grid = sigma_grid(18)
         assert grid[0] == 80.0
         assert grid[17] == 0.002
         assert grid[18] == 0.0
@@ -41,34 +43,26 @@ class TestSchedule:
 
     def test_three_step_middle_value_formula(self):
         # independent evaluation of the power-law midpoint
-        grid = sigma_grid(NoiseSchedule(num_steps=3))
+        grid = sigma_grid(3)
         want = ((80.0 ** (1 / 7) + 0.002 ** (1 / 7)) / 2.0) ** 7
         assert grid[1] == pytest.approx(want, rel=1e-12)
 
     def test_strictly_decreasing_property(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            lo = float(rng.uniform(1e-4, 0.5))
-            hi = float(rng.uniform(1.0, 200.0))
-            rho = float(rng.uniform(1.0, 10.0))
             n = int(rng.integers(2, 40))
-            grid = sigma_grid(NoiseSchedule(lo, hi, rho, n))
+            grid = sigma_grid(n)
             assert np.all(np.diff(grid) < 0)
-            assert grid[0] == hi and grid[-1] == 0.0
-            assert np.all(grid >= 0.0) and np.all(grid <= hi)
+            assert grid[0] == SIGMA_MAX and grid[-2] == SIGMA_MIN and grid[-1] == 0.0
+            assert np.all(grid >= 0.0) and np.all(grid <= SIGMA_MAX)
 
     def test_invalid_schedules_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSchedule(sigma_min=0.5, sigma_max=0.4)
-        with pytest.raises(ValueError):
-            NoiseSchedule(rho=0.5)
-        with pytest.raises(ValueError):
-            NoiseSchedule(num_steps=1)
+        with pytest.raises(ValueError, match="num_steps must be >= 2"):
+            TrainConfig(num_steps=1)
 
     def test_mirror_swaps_grid(self):
-        sch = NoiseSchedule(num_steps=10)
-        grid = sigma_grid(sch)[:10]
-        mirrored = mirror_sigma(grid, sch)
+        grid = sigma_grid(10)[:10]
+        mirrored = mirror_sigma(grid)
         assert np.allclose(mirrored, grid[::-1], rtol=1e-9)
 
 
@@ -230,31 +224,28 @@ class TestHeunSample:
     def test_zero_denoiser_collapses_to_origin(self):
         # With D == 0 each step maps x -> x * sigma_next / sigma_cur exactly,
         # so the final step to sigma = 0 lands every chain on the origin.
-        sch = NoiseSchedule(num_steps=6)
-        out = heun_sample(lambda x, s: np.zeros_like(x), 2, sch, 64, seed=5)
+        out = heun_sample(lambda x, s: np.zeros_like(x), 2, 6, 64, seed=5)
         assert np.array_equal(out, np.zeros((64, 2)))
 
     def test_analytic_gaussian_moments(self):
-        sch = NoiseSchedule(num_steps=18)
-        out = heun_sample(lambda x, s: x / (1 + s * s), 2, sch, 10_000, seed=16)
+        out = heun_sample(lambda x, s: x / (1 + s * s), 2, 18, 10_000, seed=16)
         assert np.all(np.abs(out.mean(axis=0)) < 0.05)
         assert np.all(np.abs(out.var(axis=0) - 1.0) < 0.1)
 
     def test_same_seed_bitwise_identical(self):
         net = random_net(10)
-        sch = NoiseSchedule(num_steps=5)
         cond = np.array([1.0, 0, 0, 0])
-        a = heun_sample(guided(net, cond, 2.0), net.x_dim, sch, 16, seed=3)
-        b = heun_sample(guided(net, cond, 2.0), net.x_dim, sch, 16, seed=3)
+        a = heun_sample(guided(net, cond, 2.0), net.x_dim, 5, 16, seed=3)
+        b = heun_sample(guided(net, cond, 2.0), net.x_dim, 5, 16, seed=3)
         assert np.array_equal(a, b)
 
     def test_x_dim_sets_sample_width(self):
-        out = heun_sample(lambda x, s: np.zeros_like(x), 3, NoiseSchedule(num_steps=4), 5, 0)
+        out = heun_sample(lambda x, s: np.zeros_like(x), 3, 4, 5, 0)
         assert out.shape == (5, 3)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            heun_sample(lambda x, s: x, 2, NoiseSchedule(num_steps=4), 0, 0)
+            heun_sample(lambda x, s: x, 2, 4, 0, 0)
 
 
 class TestSampleDump:

@@ -234,7 +234,7 @@ class TestAdam:
     def test_zero_gradient_fresh_state_keeps_params(self):
         params = init_params([(2, 2)], seed=3)
         before = params.values.copy()
-        new_params, state = adam_step(params, np.zeros_like(before), OptState.fresh(params))
+        new_params, state = adam_step(params, np.zeros_like(before), OptState.fresh(params), 1e-3)
         assert np.array_equal(new_params.values, before)
         assert state.step_count == 1
 
@@ -244,25 +244,24 @@ class TestAdam:
         state = OptState(rng.normal(size=params.values.size) ** 2,
                          rng.normal(size=params.values.size) ** 2, 17)
         before = params.values.copy()
-        new_params, _ = adam_step(params, np.zeros_like(before), state)
+        new_params, _ = adam_step(params, np.zeros_like(before), state, 1e-3)
         assert np.array_equal(new_params.values, before)
 
     def test_first_step_hand_value(self):
         # g = 1, lr = 1e-3: m_hat = v_hat = 1 -> delta = lr / (1 + eps)
         params = ParamBundle([(1, 1)], np.array([0.25, 0.0]))
         g = np.array([1.0, 0.0])
-        new_params, state = adam_step(params, g, OptState.fresh(params),
-                                      lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
-        expected = 0.25 - 1e-3 * 1.0 / (np.sqrt(1.0) + 1e-8)
+        new_params, state = adam_step(params, g, OptState.fresh(params), 1e-3)
+        expected = 0.25 - 1e-3 * 1.0 / (np.sqrt(1.0) + nn_core.ADAM_EPS)
         assert new_params.values[0] == pytest.approx(expected, rel=1e-15)
         assert state.step_count == 1
 
     def test_two_constant_steps_match_hand_recursion(self):
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr, b1, b2, eps = 1e-3, nn_core.BETA1, nn_core.BETA2, nn_core.ADAM_EPS
         params = ParamBundle([(1, 1)], np.array([1.0, 0.0]))
         g = np.array([0.5, 0.0])
-        p1, s1 = adam_step(params, g, OptState.fresh(params), lr, b1, b2, eps)
-        p2, s2 = adam_step(p1, g, s1, lr, b1, b2, eps)
+        p1, s1 = adam_step(params, g, OptState.fresh(params), lr)
+        p2, s2 = adam_step(p1, g, s1, lr)
         # hand recursion
         m1 = (1 - b1) * 0.5
         v1 = (1 - b2) * 0.25
@@ -279,13 +278,25 @@ class TestAdam:
         before = params.values.copy()
         bad = np.full(params.values.size, np.nan)
         with pytest.raises(NonFiniteError):
-            adam_step(params, bad, OptState.fresh(params))
+            adam_step(params, bad, OptState.fresh(params), 1e-3)
         assert np.array_equal(params.values, before)
+
+    def test_overflowing_second_moment_rejected_state_untouched(self):
+        # a finite gradient whose square overflows leaves v at inf
+        params = init_params([(2, 1)], seed=1)
+        state = OptState.fresh(params)
+        before = params.values.copy()
+        grads = np.full(params.values.size, 1e200)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NonFiniteError, match="second moment overflows"):
+                adam_step(params, grads, state, 1e-3)
+        assert np.array_equal(params.values, before)
+        assert not np.any(state.second_moment) and state.step_count == 0
 
     def test_gradient_length_mismatch(self):
         params = init_params([(2, 1)], seed=1)
         with pytest.raises(ShapeError):
-            adam_step(params, np.zeros(2), OptState.fresh(params))
+            adam_step(params, np.zeros(2), OptState.fresh(params), 1e-3)
 
     def test_zero_grad_noop_property(self):
         rng = np.random.default_rng(5)
@@ -294,7 +305,7 @@ class TestAdam:
             state = OptState(rng.normal(size=9) ** 2, rng.normal(size=9) ** 2,
                              int(rng.integers(0, 100)))
             before = params.values.copy()
-            new_params, new_state = adam_step(params, np.zeros(9), state)
+            new_params, new_state = adam_step(params, np.zeros(9), state, 1e-3)
             assert np.array_equal(new_params.values, before)
             assert new_state.step_count == state.step_count + 1
 

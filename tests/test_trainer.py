@@ -227,9 +227,9 @@ class TestLossStep:
 
         # hand path: centered, mirrored, scaled condition into dsm_loss
         center = table.mean(axis=0)
-        sig_c = diffusion.mirror_sigma(draws.sigma, cfg.schedule())
+        sig_c = diffusion.mirror_sigma(draws.sigma)
         y_t = table[draws.idx] + sig_c * draws.eps_c
-        cond = rdc.cond_channels(y_t, draws.sigma, cfg.schedule(), center)
+        cond = rdc.cond_channels(y_t, draws.sigma, center)
         cond = np.where(draws.drop, 0.0, cond)
         demo_want = dsm_loss(
             lambda x, sig: diffusion.denoise(net, x, sig, cond),
@@ -241,8 +241,7 @@ class TestLossStep:
         x_t = samples.points[draws.idx] + draws.sigma * draws.eps_x
         x_ctx = diffusion.c_in(draws.sigma, net.sigma_data) * x_t
         y_phi = estimate_pseudo(
-            head_field(net, cfg.schedule(), center), x_ctx, draws.y_start, cfg.schedule(),
-            cfg.quad_nodes,
+            head_field(net, center), x_ctx, draws.y_start, cfg.quad_nodes
         )
         cond_want = np.mean(
             [((y_phi[i] - np.eye(4)[samples.noisy[draws.idx]][i]) ** 2).sum() for i in range(4)]
@@ -341,7 +340,7 @@ class TestPrototypes:
     def test_missing_class_falls_back_to_one_hot(self):
         table = np.zeros((4, 4))
         noisy = np.array([0, 0, 1, 2])
-        protos = class_prototypes(table, noisy, 4)
+        protos = class_prototypes(table, noisy, 4, floor=0.012)
         assert np.array_equal(protos[3], np.array([0, 0, 0, 1.0]))
 
     def test_unequal_counts_recentered_absent_class_one_hot(self):
