@@ -1,17 +1,27 @@
 """Command-line interface: gen-data, train, sample, eval, reproduce.
 
-Configuration is a flat key=value text file; command-line flags override file
-values. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Settings are key=value pairs, each source overriding the one before: a
+`--config` file (one pair a line), each `--set KEY=VALUE`, then the named
+flags. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+
+`reproduce` runs one cell per (variant, eta, seed). Its keys, with defaults:
+etas 0.2,0.4,0.6,0.8; seeds 0,1,2; variants vanilla,pc_only,pc_rdc; noise
+sym; jobs 1; n_per_class 2000 (training points per class); per_class_samples
+1000 (scored samples per class); and the train settings but variant and seed.
+A --manifest file's values (it names etas, seeds and variants) replace the
+defaults before --config, --set and the flags apply. Every value is checked
+before the output directory exists; its manifest.txt reruns the sweep.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
+import typing
 from pathlib import Path
-from statistics import median
 
 import numpy as np
 
@@ -19,15 +29,9 @@ from . import data as data_mod
 from . import diffusion, metrics, svg, trainer
 from .trainer import TrainConfig, TrainingDiverged
 
-DEFAULT_ETAS = (0.2, 0.4, 0.6, 0.8)
-DEFAULT_SEEDS = (0, 1, 2)
 DYNAMICS_ETA = 0.4
 DYNAMICS_EVERY = 500
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Settings of a `reproduce` cell beside the TrainConfig fields.
-CELL_KEYS = ("n_per_class", "per_class_samples")
-# Keys every `reproduce --manifest` file names.
-MANIFEST_KEYS = ("etas", "seeds", "variants")
 # Classifier-free guidance scale of sampling; `sample --w` overrides it.
 GUIDANCE_W = 2.0
 # The label-noise kinds the command line names, as data.NoiseSpec names them.
@@ -61,39 +65,50 @@ def parse_config_file(path) -> dict[str, str]:
     return values
 
 
-def build_train_config(values: dict[str, str], extra_keys=()) -> TrainConfig:
-    """The TrainConfig the settings `values` give. A key that names no
-    TrainConfig field and is not in `extra_keys` is a usage error."""
-    fields = dataclasses.fields(TrainConfig)
-    unknown = sorted(set(values) - {f.name for f in fields} - set(extra_keys))
+def _convert(key: str, raw: str, kind):
+    """The setting `key`, written `raw`, as a `kind`: str, int, float, or a
+    tuple of one of these written comma-separated with no value twice."""
+    if typing.get_origin(kind) is tuple:
+        items = tuple(_convert(key, item, typing.get_args(kind)[0]) for item in raw.split(","))
+        if len(set(items)) < len(items):
+            raise UsageError(f"{key} names a value twice: {raw!r}")
+        return items
+    try:
+        return kind(raw.strip())
+    except ValueError:
+        raise UsageError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {raw!r}") from None
+
+
+def _convert_all(values: dict[str, str], cls, skip=()) -> dict:
+    """`values` converted to the types of the fields of the dataclass `cls`
+    they name. A key that names no field, or one in `skip`, is unknown."""
+    kinds = typing.get_type_hints(cls)
+    unknown = sorted(set(values) - ({f.name for f in dataclasses.fields(cls)} - set(skip)))
     if unknown:
         raise UsageError(f"unknown setting {', '.join(unknown)}")
-    kwargs = {}
-    for fobj in fields:
-        if fobj.name not in values:
-            continue
-        raw = values[fobj.name]
-        if fobj.type == "str":
-            kwargs[fobj.name] = raw
-        elif fobj.type == "int":
-            kwargs[fobj.name] = int(raw)
-        else:
-            kwargs[fobj.name] = float(raw)
+    return {k: _convert(k, v, kinds[k]) for k, v in values.items()}
+
+
+def build_train_config(values: dict[str, str], **fixed) -> TrainConfig:
+    """The TrainConfig the settings `values` and the fields `fixed` give; a
+    setting that names no field, is no number or is out of range is refused."""
     try:
-        return TrainConfig(**kwargs)
-    except (ValueError, TypeError) as exc:
+        return TrainConfig(**_convert_all(values, TrainConfig, skip=fixed), **fixed)
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _merge_settings(args) -> dict[str, str]:
-    values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        values.update(parse_config_file(args.config))
-    for item in getattr(args, "set", None) or []:
+def _merge_settings(args, flags) -> dict[str, str]:
+    """The --config file's settings, then each --set, then each of the
+    named `flags` given."""
+    values = parse_config_file(args.config) if args.config else {}
+    for item in args.set or []:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         k, v = item.split("=", 1)
         values[k.strip()] = v.strip()
+    values.update((k, str(getattr(args, k))) for k in flags if getattr(args, k) is not None)
     return values
 
 
@@ -126,14 +141,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _merge_settings(args)
-    if args.variant:
-        values["variant"] = args.variant
-    if args.total_iters is not None:
-        values["total_iters"] = str(args.total_iters)
-    if args.seed is not None:
-        values["seed"] = str(args.seed)
-    config = build_train_config(values)
+    config = build_train_config(_merge_settings(args, ("variant", "total_iters", "seed")))
     samples = data_mod.load_dataset(args.data)
     outdir = Path(args.out) if args.out else out_root() / "train"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -241,20 +249,75 @@ def _cell_seeds(seed: int, eta: float) -> dict[str, int]:
     }
 
 
-def run_cell(cell) -> dict:
-    """Train + evaluate one (variant, eta, seed) cell. Top level for pickling."""
-    variant, eta, seed, noise_kind, base_values, outdir, dynamics = cell
-    seeds = _cell_seeds(seed, eta)
-    samples = data_mod.make_toy_dataset(int(base_values.get("n_per_class", "2000")), seeds["data"])
-    spec = data_mod.NoiseSpec(NOISE_KINDS[noise_kind], eta, seeds["noise"])
-    samples = data_mod.inject_noise(samples, spec)
-    values = dict(base_values)
-    values["variant"] = variant
-    values["seed"] = str(seeds["train"])
-    config = build_train_config(values, CELL_KEYS)
-    per_class_n = int(base_values.get("per_class_samples", "1000"))
+@dataclasses.dataclass(frozen=True)
+class Sweep:
+    """The settings of one `reproduce` run; the module docstring names each
+    key. A cell trains `config` with only its variant and seed replaced."""
 
-    cell_dir = Path(outdir) / "cells" / f"{variant}_{noise_kind}{eta:g}_s{seed}"
+    etas: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8)
+    seeds: tuple[int, ...] = (0, 1, 2)
+    variants: tuple[str, ...] = trainer.VARIANTS
+    noise: str = "sym"
+    jobs: int = 1
+    n_per_class: int = 2000
+    per_class_samples: int = 1000
+    config: TrainConfig = dataclasses.field(default_factory=TrainConfig)
+
+    @classmethod
+    def from_values(cls, values: dict[str, str]) -> Sweep:
+        """The sweep the key=value settings `values` give; a key left out keeps
+        its default. Each value is checked: the config against every variant."""
+        values = dict(values)
+        if values.pop("command", "reproduce") != "reproduce":  # a manifest's first line
+            raise UsageError("command must be reproduce")
+        own = {f.name for f in dataclasses.fields(cls)} - {"config"}
+        sweep = cls(**_convert_all({k: values.pop(k) for k in own & values.keys()}, cls))
+        for key in ("jobs", "n_per_class", "per_class_samples"):
+            if getattr(sweep, key) < 1:
+                raise UsageError(f"{key} must be >= 1")
+        if not all(0.0 <= eta <= 1.0 for eta in sweep.etas):
+            raise UsageError("etas must lie in [0, 1]")
+        if min(sweep.seeds) < 0:
+            raise UsageError("seeds must be >= 0")
+        if sweep.noise not in NOISE_KINDS:
+            raise UsageError(f"noise must be one of {', '.join(NOISE_KINDS)}")
+        if not set(sweep.variants) <= set(trainer.VARIANTS):
+            raise UsageError(f"variants must be among {', '.join(trainer.VARIANTS)}")
+        # The rest are train settings; each cell sets the variant and seed.
+        configs = [build_train_config(values, variant=v, seed=0) for v in sweep.variants]
+        return dataclasses.replace(sweep, config=configs[0])
+
+    def write_manifest(self, path: Path, blas_env: dict[str, str]) -> None:
+        """Write the settings file from which from_values rebuilds this sweep.
+        The BLAS threads go in a comment, which a rerun does not read."""
+        cell = dataclasses.asdict(self.config)
+        del cell["variant"], cell["seed"]
+        cell.update(n_per_class=self.n_per_class, per_class_samples=self.per_class_samples)
+        threads = " ".join(f"{k}={v}" for k, v in blas_env.items()) or "unset"
+        lines = [
+            "command = reproduce",
+            f"etas = {','.join(map(str, self.etas))}",  # str(float) reads back equal
+            f"seeds = {','.join(map(str, self.seeds))}",
+            f"variants = {','.join(self.variants)}",
+            f"noise = {self.noise}",
+            f"jobs = {self.jobs}",
+            f"# BLAS threads: {threads}",
+            *(f"{k} = {v}" for k, v in sorted(cell.items())),
+        ]
+        path.write_text("".join(line + "\n" for line in lines))
+
+
+def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
+    """Train + evaluate one (variant, eta, seed) cell. Top level for pickling."""
+    variant, eta, seed = cell
+    seeds = _cell_seeds(seed, eta)
+    samples = data_mod.make_toy_dataset(sweep.n_per_class, seeds["data"])
+    spec = data_mod.NoiseSpec(NOISE_KINDS[sweep.noise], eta, seeds["noise"])
+    samples = data_mod.inject_noise(samples, spec)
+    config = dataclasses.replace(sweep.config, variant=variant, seed=seeds["train"])
+    dynamics = abs(eta - DYNAMICS_ETA) < 1e-9
+
+    cell_dir = outdir / "cells" / f"{variant}_{sweep.noise}{eta:g}_s{seed}"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
     clf = metrics.fit_centroids(samples.points, samples.clean, config.cond_dim)
@@ -267,26 +330,20 @@ def run_cell(cell) -> dict:
         dyn_rows.append((variant, seed, iteration, acc))
 
     try:
-        ckpt = trainer.train(
-            config,
-            samples,
-            log_path=cell_dir / "train.log",
-            snapshot_every=DYNAMICS_EVERY if dynamics else 0,
-            snapshot_cb=snapshot if dynamics else None,
-        )
+        ckpt = trainer.train(config, samples, cell_dir / "train.log",
+                             DYNAMICS_EVERY if dynamics else 0, snapshot)
     except TrainingDiverged as exc:
         trainer.save_checkpoint(cell_dir, exc.checkpoint, config)
         return {"failed": f"{variant} eta={eta} seed={seed}: {exc}", "dynamics": dyn_rows}
     trainer.save_checkpoint(cell_dir, ckpt, config)
 
     net, _, loaded = trainer.load_checkpoint(cell_dir)
-    per_class = sample_per_class(
-        net, config, per_class_n, seeds["eval"], None, loaded.prototypes
-    )
+    per_class = sample_per_class(net, config, sweep.per_class_samples, seeds["eval"], None,
+                                 loaded.prototypes)
     mae_avg, ctrl = evaluate_samples(samples, per_class)
     if dynamics and seed == 0:
         svg.scatter_svg(cell_dir / "scatter.svg", per_class)
-    result = metrics.RunResult(variant, noise_kind, eta, seed, mae_avg, ctrl)
+    result = metrics.RunResult(variant, sweep.noise, eta, seed, mae_avg, ctrl)
     return {"result": result, "dynamics": dyn_rows}
 
 
@@ -305,80 +362,34 @@ def cmd_reproduce(args) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    if args.manifest:
-        manifest = parse_config_file(args.manifest)
-        missing = [k for k in MANIFEST_KEYS if k not in manifest]
-        if missing:
-            raise UsageError(f"manifest {args.manifest} names no {', '.join(missing)}")
-        etas = [float(v) for v in manifest["etas"].split(",")]
-        seeds = [int(v) for v in manifest["seeds"].split(",")]
-        variants = manifest["variants"].split(",")
-        noise_kind = manifest.get("noise", "sym")
-        if noise_kind not in NOISE_KINDS:
-            raise UsageError(f"manifest noise must be one of {', '.join(NOISE_KINDS)}")
-        base_values = {
-            k: v
-            for k, v in manifest.items()
-            if k not in ("command", *MANIFEST_KEYS, "noise", "jobs")
-        }
-        jobs = args.jobs if args.jobs is not None else int(manifest.get("jobs", "1"))
-    else:
-        base_values = _merge_settings(args)
-        etas = [float(v) for v in args.etas.split(",")] if args.etas else list(DEFAULT_ETAS)
-        seeds = [int(v) for v in args.seeds.split(",")] if args.seeds else list(DEFAULT_SEEDS)
-        variants = args.variants.split(",") if args.variants else list(trainer.VARIANTS)
-        noise_kind = args.noise
-        jobs = args.jobs if args.jobs is not None else 1
-
-    if jobs < 1:
-        raise UsageError("--jobs must be >= 1")
-    for variant in variants:  # every setting is checked before anything is written
-        build_train_config({**base_values, "variant": variant}, CELL_KEYS)
+    values = parse_config_file(args.manifest) if args.manifest else {}
+    missing = [k for k in ("etas", "seeds", "variants") if args.manifest and k not in values]
+    if missing:
+        raise UsageError(f"manifest {args.manifest} names no {', '.join(missing)}")
+    given = _merge_settings(args, ("etas", "seeds", "variants", "noise", "jobs"))
+    try:
+        sweep = Sweep.from_values({**values, **given})
+    except UsageError as exc:  # name the manifest where no other source can be at fault
+        raise UsageError(f"manifest {exc}" if args.manifest and not given else str(exc)) from None
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
-    blas_env = _worker_blas_env(jobs)
-
+    blas_env = _worker_blas_env(sweep.jobs)
     # Self-contained manifest: rerunning it reproduces every byte of results.
-    with open(outdir / "manifest.txt", "w") as f:
-        f.write("command = reproduce\n")
-        f.write(f"etas = {','.join(f'{e:g}' for e in etas)}\n")
-        f.write(f"seeds = {','.join(str(s) for s in seeds)}\n")
-        f.write(f"variants = {','.join(variants)}\n")
-        f.write(f"noise = {noise_kind}\n")
-        f.write(f"jobs = {jobs}\n")
-        # A comment, so a rerun from this manifest does not read it back.
-        threads = " ".join(f"{k}={v}" for k, v in blas_env.items()) or "unset"
-        f.write(f"# BLAS threads: {threads}\n")
-        defaults = {
-            k: str(v)
-            for k, v in dataclasses.asdict(TrainConfig()).items()
-            if k not in ("variant", "seed")
-        }
-        defaults.update(base_values)
-        for k, v in sorted(defaults.items()):
-            f.write(f"{k} = {v}\n")
-        base_values = defaults
+    sweep.write_manifest(outdir / "manifest.txt", blas_env)
 
-    cells = [
-        (variant, eta, seed, noise_kind, base_values, str(outdir),
-         abs(eta - DYNAMICS_ETA) < 1e-9)
-        for eta in etas
-        for variant in variants
-        for seed in seeds
-    ]
+    cells = [(v, eta, seed) for eta in sweep.etas for v in sweep.variants for seed in sweep.seeds]
     outcomes = []
     # Spawned, not forked: BLAS sizes its pool when numpy loads, which a forked
     # worker inherits from this process; a spawned one loads it under `added`.
     added = {k: v for k, v in blas_env.items() if k not in os.environ}
     os.environ.update(added)
+    run = functools.partial(run_cell, sweep, outdir)
     try:
-        with ProcessPoolExecutor(
-            max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
-        ) as pool:
+        with ProcessPoolExecutor(sweep.jobs, multiprocessing.get_context("spawn")) as pool:
             # pool.map yields in cell order as results arrive; with jobs == 1
             # the builtin map runs each cell here and no worker process starts.
-            mapped = (pool.map if jobs > 1 else map)(run_cell, cells)
-            for (variant, eta, seed, *_), outcome in zip(cells, mapped):
+            mapped = (pool.map if sweep.jobs > 1 else map)(run, cells)
+            for (variant, eta, seed), outcome in zip(cells, mapped):
                 outcomes.append(outcome)
                 print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
     finally:
@@ -387,7 +398,7 @@ def cmd_reproduce(args) -> int:
 
     failures = [o["failed"] for o in outcomes if "failed" in o]
     results = [o["result"] for o in outcomes if "result" in o]
-    dynamics = [row for o in outcomes for row in o["dynamics"]]
+    dynamics = sorted(row for o in outcomes for row in o["dynamics"])
 
     metrics.write_results(outdir / "results.csv", results)
     meds = metrics.cell_medians(results)
@@ -396,60 +407,47 @@ def cmd_reproduce(args) -> int:
         for key in sorted(meds):
             m, c = meds[key]
             f.write(f"{key[0]},{key[1]},{key[2]:g},{m:.6f},{c:.6f}\n")
-    with open(outdir / "mae_delta.csv", "w") as f:
-        f.write("eta,mae_vanilla,mae_pc_rdc,delta\n")
-        for eta in etas:
-            kv = ("vanilla", noise_kind, eta)
-            kp = ("pc_rdc", noise_kind, eta)
-            if kv in meds and kp in meds:
-                f.write(
-                    f"{eta:g},{meds[kv][0]:.6f},{meds[kp][0]:.6f},"
-                    f"{meds[kv][0] - meds[kp][0]:.6f}\n"
-                )
     if dynamics:
         with open(outdir / "dynamics.csv", "w") as f:
             f.write("variant,seed,iter,controllability\n")
-            for variant, seed, iteration, acc in sorted(dynamics):
+            for variant, seed, iteration, acc in dynamics:
                 f.write(f"{variant},{seed},{iteration},{acc:.6f}\n")
         series: dict[str, list[tuple[float, float]]] = {}
-        for variant, seed, iteration, acc in sorted(dynamics):
+        for variant, seed, iteration, acc in dynamics:
             series.setdefault(f"{variant}_s{seed}", []).append((iteration, acc))
         svg.curves_svg(outdir / "dynamics.svg", series)
 
     for fail in failures:
         print(f"FAILED CELL: {fail}", file=sys.stderr)
 
-    ok = _check_deltas(meds, etas, noise_kind)
+    ok = _check_deltas(meds, sweep.etas, sweep.noise, outdir / "mae_delta.csv")
     print(f"wrote results to {outdir}")
     if failures or not ok:
         return 2
     return 0
 
 
-def _check_deltas(meds, etas, noise_kind) -> bool:
+def _check_deltas(meds, etas, noise_kind, delta_csv: Path) -> bool:
     """Relative claims: the full method beats the baseline on MAE, by a clear
-    margin at the highest noise level; and on controllability at eta = 0.4."""
-    ok = True
-    for eta in etas:
-        kv = ("vanilla", noise_kind, eta)
-        kp = ("pc_rdc", noise_kind, eta)
-        if kv not in meds or kp not in meds:
-            continue
-        delta = meds[kv][0] - meds[kp][0]
-        need = 0.15 if abs(eta - 0.8) < 1e-9 else 0.0
-        status = "ok" if delta >= need else "FAIL"
-        print(f"eta={eta:g}: MAE vanilla {meds[kv][0]:.4f} pc_rdc {meds[kp][0]:.4f} "
-              f"delta {delta:+.4f} (need >= {need:g}) {status}")
-        ok = ok and delta >= need
-    kv = ("vanilla", noise_kind, DYNAMICS_ETA)
-    kp = ("pc_rdc", noise_kind, DYNAMICS_ETA)
-    if kv in meds and kp in meds:
-        gap = meds[kp][1] - meds[kv][1]
-        status = "ok" if gap >= 0.10 else "FAIL"
-        print(f"eta={DYNAMICS_ETA:g}: controllability pc_rdc {meds[kp][1]:.4f} "
-              f"vanilla {meds[kv][1]:.4f} gap {gap:+.4f} (need >= 0.10) {status}")
-        ok = ok and gap >= 0.10
-    return ok
+    margin at the highest noise level; and on controllability at eta = 0.4.
+    Each eta's MAE delta also goes to `delta_csv` as a row."""
+    gates = []  # (what, value, bound)
+    with open(delta_csv, "w") as f:
+        f.write("eta,mae_vanilla,mae_pc_rdc,delta\n")
+        for eta in etas:
+            v, p = (meds.get((name, noise_kind, eta)) for name in ("vanilla", "pc_rdc"))
+            if v and p:
+                f.write(f"{eta:g},{v[0]:.6f},{p[0]:.6f},{v[0] - p[0]:.6f}\n")
+                need = 0.15 if abs(eta - 0.8) < 1e-9 else 0.0
+                gates.append((f"eta={eta:g}: MAE vanilla {v[0]:.4f} pc_rdc {p[0]:.4f} delta",
+                              v[0] - p[0], need))
+    v, p = (meds.get((name, noise_kind, DYNAMICS_ETA)) for name in ("vanilla", "pc_rdc"))
+    if v and p:
+        gates.append((f"eta={DYNAMICS_ETA:g}: controllability pc_rdc {p[1]:.4f} "
+                      f"vanilla {v[1]:.4f} gap", p[1] - v[1], 0.10))
+    for what, value, need in gates:
+        print(f"{what} {value:+.4f} (need >= {need:g}) {'ok' if value >= need else 'FAIL'}")
+    return all(value >= need for _, value, need in gates)
 
 
 # ---------------------------------------------------------------------------
@@ -492,14 +490,15 @@ def make_parser() -> _Parser:
     e.add_argument("--out")
     e.set_defaults(fn=cmd_eval)
 
-    r = sub.add_parser("reproduce", help="run the full toy-benchmark sweep")
+    r = sub.add_parser("reproduce", help="run the full toy-benchmark sweep",
+                       description=__doc__.rsplit("\n\n", 1)[1])
     r.add_argument("--out")
     r.add_argument("--config")
     r.add_argument("--set", action="append", metavar="KEY=VALUE")
     r.add_argument("--etas")
     r.add_argument("--seeds")
     r.add_argument("--variants")
-    r.add_argument("--noise", choices=tuple(NOISE_KINDS), default="sym")
+    r.add_argument("--noise", choices=tuple(NOISE_KINDS))
     r.add_argument("--jobs", type=int, default=None)
     r.add_argument("--manifest")
     r.set_defaults(fn=cmd_reproduce)

@@ -92,10 +92,11 @@ class TrainConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.total_iters < 0:
             raise ValueError("total_iters must be >= 0")
-        if self.variant != "vanilla" and self.early_stop_iters < 1:
-            raise ValueError("early_stop_iters must be >= 1 for pc_only and pc_rdc")
-        if self.total_iters and self.total_iters < self.early_stop_iters:
-            raise ValueError("total_iters must cover the early-stop budget")
+        if self.variant != "vanilla":  # vanilla has no phase 1, so no budget
+            if self.early_stop_iters < 1:
+                raise ValueError("early_stop_iters must be >= 1 for pc_only and pc_rdc")
+            if self.total_iters and self.total_iters < self.early_stop_iters:
+                raise ValueError("total_iters must cover the early-stop budget")
         if self.num_steps < 2:
             raise ValueError("num_steps must be >= 2")
         if not self.lr > 0:

@@ -3,12 +3,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdiff import cli, trainer
 from robustdiff import data as data_mod
+from robustdiff.trainer import TrainConfig
 
 TINY = [
     "batch_size=16",
@@ -122,6 +127,94 @@ class TestReproduce:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--set", "lr=x"], "lr must be a number, got 'x'"),
+         (["--seeds", "0,x"], "seeds must be an integer, got 'x'"),
+         (["--set", "per_class_samples=0"], "per_class_samples must be >= 1"),
+         (["--set", "n_per_class=abc"], "n_per_class must be an integer, got 'abc'"),
+         (["--etas", "1.5"], "etas must lie in [0, 1]"),
+         (["--etas", "0.4,0.40"], "etas names a value twice: '0.4,0.40'"),
+         (["--seeds", "0,0"], "seeds names a value twice: '0,0'"),
+         (["--variants", "vanilla,pc_rdc,vanilla"], "variants names a value twice"),
+         (["--variants", "vanilla,pc"], "variants must be among vanilla, pc_only, pc_rdc"),
+         (["--seeds", "-1"], "seeds must be >= 0"),
+         (["--set", "seed=1"], "unknown setting seed"),
+         (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only")],
+        ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
+             "eta_above_one", "eta_twice", "seed_twice", "variant_twice", "unknown_variant",
+             "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc"],
+    )
+    def test_bad_sweep_value_is_usage_error(self, tmp_path, capsys, extra, message):
+        assert cli.main(_reproduce_args(tmp_path / "r", *extra)) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_bad_manifest_value_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
+                            "variants = vanilla\njobs = two\n")
+        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--manifest", str(manifest)])
+        assert code == 1
+        assert "usage error: manifest jobs must be an integer, got 'two'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_flags_override_set_config_and_manifest(self, tmp_path):
+        assert cli.main(_reproduce_args(tmp_path / "first", "--variants", "vanilla")) in (0, 2)
+        conf = tmp_path / "sweep.conf"
+        conf.write_text("hidden = 6\ndepth = 1\n")
+        cli.main(["reproduce", "--out", str(tmp_path / "second"),
+                  "--manifest", str(tmp_path / "first" / "manifest.txt"),
+                  "--config", str(conf), "--set", "hidden=5", "--etas", "0.2"])
+        got = cli.parse_config_file(tmp_path / "second" / "manifest.txt")
+        assert (got["etas"], got["hidden"], got["depth"], got["quad_nodes"]) == ("0.2", "5", "1", "3")
+
+    def test_default_manifest(self, tmp_path):
+        # A default run's manifest, byte for byte: every key is listed, the
+        # train settings in key order after the BLAS comment.
+        cli.Sweep.from_values({}).write_manifest(tmp_path / "manifest.txt", {})
+        assert (tmp_path / "manifest.txt").read_text() == (
+            "command = reproduce\netas = 0.2,0.4,0.6,0.8\nseeds = 0,1,2\n"
+            "variants = vanilla,pc_only,pc_rdc\nnoise = sym\njobs = 1\n# BLAS threads: unset\n"
+            "alpha = 0.1\nbatch_size = 512\ndepth = 3\nearly_stop_iters = 500\nhidden = 64\n"
+            "lr = 0.001\nn_per_class = 2000\nnum_steps = 18\nper_class_samples = 1000\n"
+            "quad_nodes = 8\ntotal_iters = 10000\n"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_manifest_round_trip(self, data):
+        variants = data.draw(st.lists(st.sampled_from(trainer.VARIANTS), min_size=1,
+                                      unique=True))
+        budget = data.draw(st.integers(1, 1000))
+        config = TrainConfig(
+            variant=variants[0],
+            batch_size=data.draw(st.integers(1, 4096)),
+            total_iters=data.draw(st.integers(budget, 100_000)),
+            alpha=data.draw(st.floats(0.0, 1.0)),
+            early_stop_iters=budget,
+            num_steps=data.draw(st.integers(2, 200)),
+            hidden=data.draw(st.integers(1, 512)),
+            depth=data.draw(st.integers(1, 16)),
+            quad_nodes=data.draw(st.integers(1, 64)),
+            lr=data.draw(st.floats(1e-300, 1e3)),
+        )
+        sweep = cli.Sweep(
+            etas=tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8,
+                                          unique=True))),
+            seeds=tuple(data.draw(st.lists(st.integers(0, 10**6), min_size=1, unique=True))),
+            variants=tuple(variants),
+            noise=data.draw(st.sampled_from(tuple(cli.NOISE_KINDS))),
+            jobs=data.draw(st.integers(1, 64)),
+            n_per_class=data.draw(st.integers(1, 10**5)),
+            per_class_samples=data.draw(st.integers(1, 10**5)),
+            config=config,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.txt"
+            sweep.write_manifest(path, {"OMP_NUM_THREADS": "1"})
+            assert cli.Sweep.from_values(cli.parse_config_file(path)) == sweep
+
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.
         cli.main(_reproduce_args(tmp_path / "j1", "--jobs", "1"))
@@ -132,6 +225,63 @@ class TestReproduce:
         assert want.count(b"\n") == 3  # header + 2 cells
         assert (tmp_path / "j2" / "results.csv").read_bytes() == want
         assert (tmp_path / "rerun" / "results.csv").read_bytes() == want
+
+
+GATE_ETAS = (0.2, 0.4, 0.6, 0.8)
+
+
+def _gate_meds(line=None, margin=1.0):
+    """Sweep medians whose five gate lines (the MAE delta at each eta, then
+    the controllability gap) all clear their bounds by 0.5, except `line`,
+    which sits `margin` above its bound (below it when negative)."""
+    meds = {}
+    for i, eta in enumerate(GATE_ETAS):
+        need = 0.15 if eta == 0.8 else 0.0
+        meds[("vanilla", "sym", eta)] = (1.0, 0.3)
+        meds[("pc_rdc", "sym", eta)] = (1.0 - need - (margin if i == line else 0.5), 0.9)
+    if line == 4:
+        meds[("pc_rdc", "sym", 0.4)] = (meds[("pc_rdc", "sym", 0.4)][0], 0.3 + 0.10 + margin)
+    return meds
+
+
+class TestGates:
+    @pytest.mark.parametrize("line", range(5))
+    @pytest.mark.parametrize("margin", [1e-6, -1e-6], ids=["above", "below"])
+    def test_each_gate_at_its_bound(self, tmp_path, capsys, line, margin):
+        ok = cli._check_deltas(_gate_meds(line, margin), GATE_ETAS, "sym", tmp_path / "d.csv")
+        printed = capsys.readouterr().out.splitlines()
+        assert ok == (margin > 0)
+        assert [l.rsplit(" ", 1)[1] for l in printed] == [
+            "ok" if i != line or margin > 0 else "FAIL" for i in range(5)]
+        assert printed[4].startswith("eta=0.4: controllability pc_rdc ")
+        assert "(need >= 0.15)" in printed[3] and "(need >= 0)" in printed[0]
+
+    @pytest.mark.parametrize(
+        "missing, lines",
+        [(("pc_rdc", "sym", 0.6), ["eta=0.2", "eta=0.4", "eta=0.8", "eta=0.4"]),
+         (("vanilla", "sym", 0.4), ["eta=0.2", "eta=0.6", "eta=0.8"])],
+        ids=["pc_rdc_at_0.6", "vanilla_at_0.4"],
+    )
+    def test_missing_variant_skips_its_lines(self, tmp_path, capsys, missing, lines):
+        meds = _gate_meds()
+        del meds[missing]
+        assert cli._check_deltas(meds, GATE_ETAS, "sym", tmp_path / "d.csv")
+        printed = capsys.readouterr().out.splitlines()
+        assert [l.split(":", 1)[0] for l in printed] == lines
+
+    def test_delta_csv_rows_are_the_printed_deltas(self, tmp_path, capsys):
+        meds = _gate_meds(2, -0.3)
+        cli._check_deltas(meds, GATE_ETAS, "sym", tmp_path / "d.csv")
+        printed = capsys.readouterr().out.splitlines()[:4]
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        assert rows[0] == "eta,mae_vanilla,mae_pc_rdc,delta"
+        assert len(rows) == 5
+        for row, line, eta in zip(rows[1:], printed, GATE_ETAS):
+            got = row.split(",")
+            assert float(got[0]) == eta and line.startswith(f"eta={got[0]}: ")
+            shown = float(re.search(r"delta (\S+)", line).group(1))
+            assert round(float(got[3]), 4) == shown
+            assert float(got[3]) == pytest.approx(float(got[1]) - float(got[2]), abs=2e-6)
 
 
 def _gen_and_train(tmp_path):
@@ -277,7 +427,10 @@ class TestTrain:
         "setting, message",
         [("num_steps=1", "num_steps must be >= 2"), ("lr=0", "lr must be > 0"),
          ("lr=nan", "lr must be > 0"), ("hidden=0", "hidden must be >= 1"),
-         ("depth=0", "depth must be >= 1"), ("quad_nodes=0", "quad_nodes must be >= 1")],
+         ("depth=0", "depth must be >= 1"), ("quad_nodes=0", "quad_nodes must be >= 1"),
+         ("hidden=abc", "usage error: hidden must be an integer, got 'abc'"),
+         ("lr=fast", "usage error: lr must be a number, got 'fast'"),
+         ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'")],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
@@ -287,6 +440,20 @@ class TestTrain:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_vanilla_not_held_to_the_pseudo_budget(self, tmp_path, capsys):
+        # The default early_stop_iters is 500; vanilla never reads it.
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        small = ["--set", "batch_size=16", "--set", "hidden=8", "--set", "depth=2"]
+        for variant in ("pc_only", "pc_rdc"):
+            code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
+                             variant, "--total-iters", "20", *small])
+            assert code == 1
+            assert "total_iters must cover the early-stop budget" in capsys.readouterr().err
+            assert not ckpt.exists()
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
+                         "vanilla", "--total-iters", "20", *small]) == 0
 
     def test_unknown_setting_in_config_file_is_usage_error(self, tmp_path, capsys):
         data, ckpt, conf = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "train.conf"

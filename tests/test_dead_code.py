@@ -1,7 +1,8 @@
 """The package holds only code that production runs: every public function,
 method and class in src/robustdiff is read somewhere in src/ or perfbench/
-outside its own definition. A reference implementation that only tests call
-lives in tests/ (see tests/oracles.py)."""
+outside its own definition, and every name an import binds is read in its
+module. A reference implementation that only tests call lives in tests/ (see
+tests/oracles.py)."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,26 @@ def test_every_public_definition_is_used():
                        for where, name, line in reads):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds, but
+    `from __future__` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".", 1)[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_import_is_read():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
+                   if name not in read]
+    assert unread == []
