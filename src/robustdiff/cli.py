@@ -277,6 +277,15 @@ class Sweep:
                 raise UsageError(f"{key} must be >= 1")
         if not all(0.0 <= eta <= 1.0 for eta in sweep.etas):
             raise UsageError("etas must lie in [0, 1]")
+        # Two etas with one label would train into one cell directory, and
+        # two with one noise seed would flip the same labels.
+        for what, key in (("cell label", lambda eta: f"{eta:g}"),
+                          ("noise seed", lambda eta: _cell_seeds(0, eta)["noise"])):
+            first: dict = {}
+            for eta in sweep.etas:
+                other = first.setdefault(key(eta), eta)
+                if other != eta:
+                    raise UsageError(f"etas {other} and {eta} share a {what}")
         if min(sweep.seeds) < 0:
             raise UsageError("seeds must be >= 0")
         if sweep.noise not in NOISE_KINDS:

@@ -95,7 +95,8 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
     c_noise(sigma), cond). `cond` is one row per point or a single row shared
-    by the batch; the all-zero row is the unconditional branch.
+    by the batch; the all-zero row is the unconditional branch. The point and
+    the result are float64; F runs in the dtype of the network's parameters.
     """
     if np.any(np.asarray(sigma) <= 0):
         raise ValueError("sigma must be > 0")

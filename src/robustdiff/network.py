@@ -8,7 +8,10 @@ learned by denoising.
 
 The network holds no shape settings: its depth and its point, condition and
 input widths are read from the layer shapes of its parameters, which
-layer_shapes builds from the data's X_DIM and N_CLASSES.
+layer_shapes builds from the data's X_DIM and N_CLASSES. Nor does it hold a
+precision setting: it computes in the dtype of its parameters, and its inputs
+are cast to that dtype. `create` makes float32 parameters, the one precision
+that training and sampling run in.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ class ScoreNetwork:
 
     @classmethod
     def create(cls, hidden: int, depth: int, sigma_data: float, seed: int) -> "ScoreNetwork":
-        """Fresh network; trunk Glorot-initialized, both heads start at zero."""
+        """Fresh float32 network; trunk Glorot-initialized, both heads start at zero."""
         params = nn_core.init_params(layer_shapes(hidden, depth), seed,
                                      zero_layers=(depth, depth + 1))
-        return cls(params, sigma_data)
+        return cls(ParamBundle(params.layer_shapes, params.values.astype(np.float32)), sigma_data)
 
     @property
     def depth(self) -> int:
@@ -79,7 +82,8 @@ class ScoreNetwork:
     # -- off-tape path (sampling) ---------------------------------------------
 
     def _check_input(self, net_in: np.ndarray) -> np.ndarray:
-        net_in = np.asarray(net_in, dtype=np.float64)
+        """`net_in` in the parameters' dtype, checked against the input width."""
+        net_in = np.asarray(net_in, dtype=self.params.values.dtype)
         if net_in.shape[-1] != self.in_dim:
             raise nn_core.ShapeError(
                 f"network input width {net_in.shape[-1]}, expected {self.in_dim}"
@@ -90,7 +94,7 @@ class ScoreNetwork:
         h = self._check_input(net_in)
         for k in self.trunk_layers:
             w, b = self.params.layer(k)
-            z = np.empty(h.shape[:-1] + w.shape[1:])
+            z = np.empty(h.shape[:-1] + w.shape[1:], h.dtype)
             h = nn_core.silu_layer(h, w, b, out=z, z=z, s=np.empty_like(z))
         return h
 

@@ -1,7 +1,10 @@
 """Minimal MLP machinery: flat parameter bundles, the SiLU layer, recorded
 passes with a hand-written backward, Adam.
 
-Everything runs on float64 numpy arrays. Parameters of a network live in one
+Everything computes in the dtype of the parameters, float32 or float64: the
+recorded passes, their buffers, the gradient and Adam's moments. Production
+trains float32 parameters; the tests check the formulas on float64 ones, where
+finite differences are a valid oracle. Parameters of a network live in one
 flat array; per-layer weight/bias views are created on demand so the optimizer
 and checkpointing never have to know the layer structure. `silu_layer` is the
 one SiLU layer: the recorded passes of a training step and the network's
@@ -33,14 +36,17 @@ class ParamBundle:
     """Flat parameter vector plus the layer layout it encodes.
 
     Layout per layer: weight matrix (in_dim*out_dim values, row-major,
-    shape (in_dim, out_dim)) followed by the bias (out_dim values).
+    shape (in_dim, out_dim)) followed by the bias (out_dim values). The dtype
+    of `values` is the compute dtype: float32 stays float32, anything else
+    becomes float64.
     """
 
     layer_shapes: list[tuple[int, int]]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        self.values = values if values.dtype == np.float32 else np.asarray(values, np.float64)
         if self.values.ndim != 1:
             raise ShapeError("parameter values must be a flat 1-D array")
         expect = param_count(self.layer_shapes)
@@ -98,8 +104,9 @@ def init_params(
 def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)), written into `out`.
 
-    Clipping z from below keeps exp from overflowing. No upper clip is needed:
-    1 + exp(-z) rounds to 1.0 in float64 for every z >= 60.
+    Clipping z from below keeps exp from overflowing: exp(60) ~ 1.1e26 lies
+    far below the float32 maximum, 3.4e38. No upper clip is needed: 1 + exp(-z)
+    rounds to 1.0 in float32 and float64 for every z >= 60.
     """
     s = np.maximum(z, -60.0, out=out)
     np.negative(s, out=s)
@@ -155,8 +162,10 @@ class MlpTape:
     buffers) until its `backward`, and `record` takes the lowest free slot,
     so a step needs only as many slots as passes it holds at once. Slots and
     scratch buffers are kept across steps and reallocated only when a shape
-    changes (a new batch size), so a step allocates no (batch x width)
-    arrays; `grads` is a fresh array per step.
+    (a new batch size) or the parameters' dtype changes, so a step allocates
+    no (batch x width) arrays; `grads` is a fresh array per step. Every
+    buffer, `grads` and a pass's output have the parameters' dtype; `record`
+    takes its input in that dtype (ScoreNetwork casts it).
     """
 
     def __init__(self):
@@ -176,9 +185,10 @@ class MlpTape:
         self._holders = []
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        dtype = self.grads.dtype
         buf = self._buffers.get(key)
-        if buf is None or buf.shape != shape:
-            buf = self._buffers[key] = np.empty(shape)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(shape, dtype)
         return buf
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
@@ -205,13 +215,14 @@ class MlpTape:
 
         Adds the pass's weight and bias gradients into `grads` and frees its
         slot. Returns dL/d(rec.x) when `input_grad` is set, otherwise None.
-        A pass goes back once, in the step that recorded it (ValueError).
+        g_out is cast to the parameters' dtype first. A pass goes back once,
+        in the step that recorded it (ValueError).
         """
         if rec.slot >= len(self._holders) or self._holders[rec.slot] is not rec:
             raise ValueError("the pass was walked back already or belongs to an earlier step")
         self._holders[rec.slot] = None
         inputs = [rec.x] + rec.h
-        g = g_out
+        g = np.asarray(g_out, dtype=self.grads.dtype)
         for j in reversed(range(len(rec.layers))):
             k = rec.layers[j]
             if j < len(rec.dact):
@@ -247,7 +258,7 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class OptState:
-    """Adam moment estimates matching one ParamBundle."""
+    """Adam moment estimates matching one ParamBundle, in its dtype."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -255,20 +266,20 @@ class OptState:
 
     @classmethod
     def fresh(cls, params: ParamBundle) -> "OptState":
-        n = params.values.size
-        return cls(np.zeros(n), np.zeros(n), 0)
+        return cls(np.zeros_like(params.values), np.zeros_like(params.values), 0)
 
 
 def adam_step(
     params: ParamBundle, grads: np.ndarray, state: OptState, lr: float
 ) -> tuple[ParamBundle, OptState]:
-    """One bias-corrected Adam update; returns new params and state.
+    """One bias-corrected Adam update, in the dtype of `params`; returns new
+    params and state.
 
     Raises NonFiniteError, leaving `params` and `state` as they were, when the
     second moment goes non-finite: a non-finite gradient entry makes it so,
     and so does a finite one whose square overflows.
     """
-    grads = np.asarray(grads, dtype=np.float64)
+    grads = np.asarray(grads, dtype=params.values.dtype)
     if grads.shape != params.values.shape:
         raise ShapeError("gradient length does not match parameter count")
     t = state.step_count + 1

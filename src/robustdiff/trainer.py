@@ -21,6 +21,11 @@ its parameters. Nor are the fixed choices: the EDM sigma_data and the
 prototype floor are TrainConfig class constants, and the draws of an
 iteration (the log-normal noise level, the guidance drop rate, the boundary
 state's std) are constants of this module.
+
+Nor is the precision a setting. The network trains in float32: its
+parameters (ScoreNetwork.create), every recorded pass and its backward, the
+gradient and Adam's moments. The dataset, the table, the EDM sigma columns,
+the loss sums and the prototypes stay float64.
 """
 
 from __future__ import annotations
@@ -60,6 +65,8 @@ LOGSIGMA_MEAN = -1.2
 LOGSIGMA_STD = 1.2
 CFG_DROP_PROB = 0.1
 Y0_STD = 1.0
+# Adam scales its float32 update by lr, so lr must be a float32 number.
+LR_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -101,6 +108,8 @@ class TrainConfig:
             raise ValueError("num_steps must be >= 2")
         if not self.lr > 0:
             raise ValueError("lr must be > 0")
+        if self.lr > LR_MAX:
+            raise ValueError(f"lr must be <= {LR_MAX:g}, the float32 maximum")
 
     def in_phase1(self, iteration: int) -> bool:
         """Whether `iteration` trains the condition path and updates the
@@ -357,8 +366,10 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
     uncompressed np.savez archive of these entries (P parameters, L layers,
     N table rows, C condition channels):
 
-    - `params` float64 (P,), `layer_shapes` int64 (L, 2);
-    - `adam_m`, `adam_v` float64 (P,), `adam_step` int64 ();
+    - `params` (P,) in the parameters' dtype, float32 from `train`, and
+      `layer_shapes` int64 (L, 2);
+    - `adam_m`, `adam_v` (P,) in the moments' dtype, the parameters' one,
+      and `adam_step` int64 ();
     - `table_entries` float64 (N, C);
     - `prototypes` float64 (C, C);
     - `iteration` int64 (), `diverged` bool ();

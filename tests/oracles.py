@@ -5,7 +5,10 @@ against. Nothing in the package calls them.
   callable, against which `trainer.loss_step`'s denoising term is checked;
 - `head_field` and `estimate_pseudo`: the condition head as a field over
   continuous time and an Euler quadrature over any such field, against which
-  `rdc.estimate_pseudo_var` and its adjoint are checked.
+  `rdc.estimate_pseudo_var` and its adjoint are checked;
+- `float64_net`: the network `ScoreNetwork.create` makes, on float64
+  parameters, the precision at which finite differences and the formula
+  checks' tolerances hold.
 """
 
 from __future__ import annotations
@@ -44,6 +47,13 @@ def dsm_loss(
     x_t = x0 + sig * eps
     err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
     return float(np.mean(loss_weight(sig, sigma_data) * err))
+
+
+def float64_net(hidden: int, depth: int, sigma_data: float, seed: int) -> ScoreNetwork:
+    """ScoreNetwork.create's network with its parameters cast to float64."""
+    params = ScoreNetwork.create(hidden, depth, sigma_data, seed).params
+    return ScoreNetwork(nn_core.ParamBundle(params.layer_shapes, params.values.astype(np.float64)),
+                        sigma_data)
 
 
 def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:

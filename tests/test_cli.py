@@ -135,6 +135,9 @@ class TestReproduce:
          (["--set", "n_per_class=abc"], "n_per_class must be an integer, got 'abc'"),
          (["--etas", "1.5"], "etas must lie in [0, 1]"),
          (["--etas", "0.4,0.40"], "etas names a value twice: '0.4,0.40'"),
+         (["--etas", "0.1234567,0.1234568"],
+          "etas 0.1234567 and 0.1234568 share a cell label"),
+         (["--etas", "0.1231,0.1232"], "etas 0.1231 and 0.1232 share a noise seed"),
          (["--seeds", "0,0"], "seeds names a value twice: '0,0'"),
          (["--variants", "vanilla,pc_rdc,vanilla"], "variants names a value twice"),
          (["--variants", "vanilla,pc"], "variants must be among vanilla, pc_only, pc_rdc"),
@@ -142,7 +145,8 @@ class TestReproduce:
          (["--set", "seed=1"], "unknown setting seed"),
          (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only")],
         ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
-             "eta_above_one", "eta_twice", "seed_twice", "variant_twice", "unknown_variant",
+             "eta_above_one", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
+             "seed_twice", "variant_twice", "unknown_variant",
              "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc"],
     )
     def test_bad_sweep_value_is_usage_error(self, tmp_path, capsys, extra, message):
@@ -200,8 +204,11 @@ class TestReproduce:
             lr=data.draw(st.floats(1e-300, 1e3)),
         )
         sweep = cli.Sweep(
-            etas=tuple(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8,
-                                          unique=True))),
+            # Distinct cell labels and noise seeds, as from_values requires.
+            etas=tuple(data.draw(st.lists(
+                st.floats(0.0, 1.0), min_size=1, max_size=8,
+                unique_by=(lambda eta: f"{eta:g}",
+                           lambda eta: cli._cell_seeds(0, eta)["noise"])))),
             seeds=tuple(data.draw(st.lists(st.integers(0, 10**6), min_size=1, unique=True))),
             variants=tuple(variants),
             noise=data.draw(st.sampled_from(tuple(cli.NOISE_KINDS))),
@@ -430,7 +437,8 @@ class TestTrain:
          ("depth=0", "depth must be >= 1"), ("quad_nodes=0", "quad_nodes must be >= 1"),
          ("hidden=abc", "usage error: hidden must be an integer, got 'abc'"),
          ("lr=fast", "usage error: lr must be a number, got 'fast'"),
-         ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'")],
+         ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'"),
+         ("lr=1e50", "usage error: lr must be <= 3.40282e+38, the float32 maximum")],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
@@ -480,9 +488,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "variant, lr, message",
         [
-            ("pc_rdc", "1e10", "non-finite gradient entries"),
-            ("vanilla", "1e50", "non-finite gradient entries"),
-            ("vanilla", "1e150", "second moment overflows"),
+            ("pc_rdc", "1e3", "non-finite gradient entries"),
+            ("vanilla", "1e25", "non-finite gradient entries"),
+            ("vanilla", "1e12", "second moment overflows"),
         ],
         ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_second_moment"],
     )
@@ -540,7 +548,7 @@ class TestSample:
 
     def test_diverged_vanilla_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(
-            tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e300"
+            tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e30"
         )
 
     def test_overflowing_second_moment_not_sampled(self, tmp_path, capsys):
@@ -551,7 +559,7 @@ class TestSample:
         assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
                          "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
-                         "--variant", "vanilla", "--total-iters", "20", "--set", "lr=1e100",
+                         "--variant", "vanilla", "--total-iters", "20", "--set", "lr=1e12",
                          "--set", "batch_size=16", "--set", "hidden=8", "--set", "depth=2",
                          "--set", "early_stop_iters=0"]) == 2
         assert re.search(r"training diverged: second moment overflows at iteration \d+",

@@ -12,6 +12,7 @@ from robustdiff.nn_core import (
     adam_step,
     init_params,
 )
+from oracles import float64_net
 
 
 def hand_forward(net, x):
@@ -32,8 +33,8 @@ def hand_forward(net, x):
     return np.array(h)
 
 
-def random_net(seed, hidden=5, depth=2):
-    net = ScoreNetwork.create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
+def random_net(seed, hidden=5, depth=2, create=ScoreNetwork.create):
+    net = create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
     rng = np.random.default_rng(seed + 7)
     net.params.values[:] = rng.normal(0, 0.7, net.params.values.size)
     return net
@@ -103,7 +104,7 @@ class TestMlpForward:
             assert np.array_equal(net.demo_out(np.array([x])), np.full((1, 2), 0.5))
 
     def test_two_layer_matches_hand_oracle(self):
-        net = random_net(4)
+        net = random_net(4, create=float64_net)
         x = np.random.default_rng(11).normal(size=net.in_dim)
         got = net.demo_out(x[None, :])[0]
         want = hand_forward(net, x)
@@ -128,7 +129,7 @@ class TestMlpForward:
         assert np.array_equal(net.demo_out(x), net.demo_out(x))
 
     def test_batched_matches_per_row(self):
-        net = random_net(9, hidden=4)
+        net = random_net(9, hidden=4, create=float64_net)
         x = np.random.default_rng(3).normal(size=(5, net.in_dim))
         batched = net.demo_out(x)
         rows = np.concatenate([net.demo_out(r[None, :]) for r in x])
@@ -346,8 +347,26 @@ class TestCheckpointIO:
         trainer.save_checkpoint(tmp_path, ckpt, cfg)
         _, _, loaded = trainer.load_checkpoint(tmp_path)
         assert loaded.params.layer_shapes == params.layer_shapes
-        assert loaded.params.values.dtype == np.float64
+        assert loaded.params.values.dtype == np.float32
         assert np.array_equal(loaded.params.values, params.values)
+
+    @pytest.mark.parametrize("create, dtype", [(ScoreNetwork.create, np.float32),
+                                               (float64_net, np.float64)],
+                             ids=["float32", "float64"])
+    def test_round_trip_keeps_the_dtype_of_params_and_moments(self, tmp_path, create, dtype):
+        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
+        params = create(hidden=5, depth=1, sigma_data=cfg.sigma_data, seed=13).params
+        rng = np.random.default_rng(2)
+        params.values[:] = rng.normal(size=params.values.size)
+        grads = rng.normal(size=params.values.size)
+        params, opt = adam_step(params, grads, OptState.fresh(params), 1e-3)
+        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), opt, 1, cfg.digest(), np.eye(4))
+        trainer.save_checkpoint(tmp_path, ckpt, cfg)
+        _, _, loaded = trainer.load_checkpoint(tmp_path)
+        for got, want in ((loaded.params.values, params.values),
+                          (loaded.opt.first_moment, opt.first_moment),
+                          (loaded.opt.second_moment, opt.second_moment)):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
     def test_bad_header_rejected(self, tmp_path):
         (tmp_path / trainer.CHECKPOINT_FILE).write_bytes(b"not a checkpoint\n")

@@ -18,14 +18,14 @@ from robustdiff.rdc import (
     estimate_pseudo_var,
     quad_times,
 )
-from oracles import estimate_pseudo, head_field
+from oracles import estimate_pseudo, float64_net, head_field
 
 
 ZERO = np.zeros(4)  # the condition center of an all-zero table
 
 
-def random_net(seed=0, hidden=10, depth=2):
-    net = ScoreNetwork.create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
+def random_net(seed=0, hidden=10, depth=2, create=ScoreNetwork.create):
+    net = create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
     rng = np.random.default_rng(seed + 50)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net
@@ -122,7 +122,7 @@ class TestEstimatePseudo:
 
     def test_constant_head_matches_direct_summation(self):
         # constant head via zero weights + bias; oracle sums dt / (2 t) directly
-        net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=0.5, seed=2)
+        net = float64_net(hidden=8, depth=2, sigma_data=0.5, seed=2)
         c = np.array([1.0, -2.0, 0.5, 0.25])
         _, bias = net.params.layer(net.cond_head_layer)
         bias[:] = c
@@ -167,7 +167,7 @@ class TestEstimatePseudo:
             estimate_pseudo(field, np.zeros(2), np.zeros(4), 6)
 
     def test_var_twin_matches_numpy_path(self):
-        net = random_net(7)
+        net = random_net(7, create=float64_net)
         rng = np.random.default_rng(3)
         x_ctx = rng.normal(size=(5, 2))
         y0 = rng.normal(size=(5, 4))
@@ -179,7 +179,7 @@ class TestEstimatePseudo:
         assert len(nodes) == 6
 
     def test_gradient_through_quadrature_matches_fd(self):
-        net = random_net(8, hidden=6, depth=2)
+        net = random_net(8, hidden=6, depth=2, create=float64_net)
         rng = np.random.default_rng(4)
         x_ctx = rng.normal(size=(3, 2))
         y0 = rng.normal(size=(3, 4))

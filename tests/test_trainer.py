@@ -23,7 +23,7 @@ from robustdiff.trainer import (
     save_checkpoint,
     train,
 )
-from oracles import dsm_loss, estimate_pseudo, head_field
+from oracles import dsm_loss, estimate_pseudo, float64_net, head_field
 
 
 def tiny_config(**kw):
@@ -70,6 +70,12 @@ class TestTrainConfig:
         # vanilla has no phase 1: any budget, 0 included
         assert not TrainConfig(variant="vanilla", early_stop_iters=0).in_phase1(0)
 
+    def test_lr_beyond_float32_refused(self):
+        # Adam's float32 update would turn it into inf at the first step.
+        with pytest.raises(ValueError, match="lr must be <= 3.40282e.38, the float32 maximum"):
+            TrainConfig(lr=1e50)
+        TrainConfig(lr=float(np.finfo(np.float32).max))
+
     def test_digest_stable_and_sensitive(self):
         a, b = TrainConfig(), TrainConfig()
         assert a.digest() == b.digest()
@@ -88,6 +94,14 @@ class TestTrain:
         assert np.array_equal(ckpt.pseudo, np.zeros((len(samples), 4)))
         assert ckpt.opt.step_count == 0
         assert ckpt.iteration == 0
+
+    def test_create_and_train_yield_float32(self):
+        net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=2.5, seed=0)
+        assert net.params.values.dtype == np.float32
+        ckpt = train(tiny_config(), tiny_dataset())
+        for arr in (ckpt.params.values, ckpt.opt.first_moment, ckpt.opt.second_moment):
+            assert arr.dtype == np.float32
+        assert ckpt.pseudo.dtype == ckpt.prototypes.dtype == np.float64
 
     def test_same_seed_bitwise_identical(self):
         samples = tiny_dataset()
@@ -216,8 +230,7 @@ class TestLossStep:
     def test_pc_rdc_hand_recomposition(self):
         cfg = tiny_config(batch_size=4)
         samples = tiny_dataset()
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=6)
+        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=6)
         rng0 = np.random.default_rng(9)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), cfg.cond_dim))
@@ -253,8 +266,7 @@ class TestLossStep:
     def test_combined_gradient_matches_finite_differences(self):
         cfg = tiny_config(batch_size=3, quad_nodes=3, hidden=6, depth=2)
         samples = tiny_dataset(n=10)
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=7)
+        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=7)
         rng0 = np.random.default_rng(11)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), cfg.cond_dim))
@@ -274,6 +286,31 @@ class TestLossStep:
             fd[i] = (up - dn) / (2 * h)
         scale = np.maximum(np.maximum(np.abs(res.grads), np.abs(fd)), 1e-6)
         assert np.max(np.abs(res.grads - fd) / scale) < 1e-4
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_float32_step_agrees_with_float64(self, variant):
+        # Production widths, batch and quadrature. Relative L2 error 1e-5: the
+        # float32 step measures below 5e-7, and float16 rounding (eps ~1e-3)
+        # would fail it.
+        cfg = TrainConfig(variant=variant)
+        samples = tiny_dataset(n=200)
+        net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.sigma_data, seed=5)
+        net.params.values += np.random.default_rng(5).normal(0, 0.1, net.params.values.size)
+        net64 = ScoreNetwork(nn_core.ParamBundle(net.params.layer_shapes,
+                                                 net.params.values.astype(np.float64)),
+                             cfg.sigma_data)
+        table = np.random.default_rng(3).normal(0, 0.3, (len(samples), cfg.cond_dim))
+        draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
+        got = loss_step(net, samples, table, cfg, draws, 0)
+        want = loss_step(net64, samples, table, cfg, draws, 0)
+        assert (got.grads.dtype, want.grads.dtype) == (np.float32, np.float64)
+
+        def rel_l2(a, b):
+            return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+        assert rel_l2(got.grads, want.grads) <= 1e-5
+        if variant == "pc_rdc":
+            assert rel_l2(got.y_phi, want.y_phi) <= 1e-5
 
     def test_buffer_reuse_leaks_nothing(self):
         # the network's tape reuses its buffers from one step to the next
