@@ -92,10 +92,11 @@ class ScoreNetwork:
 
     def trunk_features(self, net_in: np.ndarray) -> np.ndarray:
         h = self._check_input(net_in)
+        shape = h.shape[:-1] + (self.params.layer_shapes[0][1],)
+        s = np.empty(shape, h.dtype)  # the sigmoid scratch every trunk layer shares
         for k in self.trunk_layers:
             w, b = self.params.layer(k)
-            z = np.empty(h.shape[:-1] + w.shape[1:], h.dtype)
-            h = nn_core.silu_layer(h, w, b, out=z, z=z, s=np.empty_like(z))
+            h = nn_core.silu_layer(h, w, b, out=np.empty(shape, h.dtype), s=s)
         return h
 
     def demo_out(self, net_in: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ finite differences are a valid oracle. Parameters of a network live in one
 flat array; per-layer weight/bias views are created on demand so the optimizer
 and checkpointing never have to know the layer structure. `silu_layer` is the
 one SiLU layer: the recorded passes of a training step and the network's
-off-tape forward (sampling) both run it.
+off-tape forward (sampling) both run it, as one matrix product followed by
+in-place passes over the caller's buffers.
 """
 
 from __future__ import annotations
@@ -101,36 +102,27 @@ def init_params(
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)), written into `out`.
-
-    Clipping z from below keeps exp from overflowing: exp(60) ~ 1.1e26 lies
-    far below the float32 maximum, 3.4e38. No upper clip is needed: 1 + exp(-z)
-    rounds to 1.0 in float32 and float64 for every z >= 60.
-    """
-    s = np.maximum(z, -60.0, out=out)
-    np.negative(s, out=s)
-    np.exp(s, out=s)
-    s += 1.0
-    return np.divide(1.0, s, out=s)
-
-
-def silu_layer(x, w, b, out, z, s, dact=None) -> np.ndarray:
+def silu_layer(x, w, b, out, s, dact=None) -> np.ndarray:
     """One SiLU layer into the caller's buffers: z = x @ w + b, s = sigmoid(z)
-    and out = z * s; with `dact`, also the SiLU derivative s * (1 + z * (1 - s)).
+    and out = h = z * s; with `dact`, also the SiLU derivative s + h * (1 - s).
 
-    The one implementation of the layer, on and off the tape. `out` may be
-    `z` itself. Returns `out`.
+    The sigmoid is (1 + tanh(z / 2)) / 2, an exact identity that tanh's
+    saturation at +-1 keeps finite for every z, with no clip. The pre-activation
+    z lives in `out` until h overwrites it. The one implementation of the
+    layer, on and off the tape. Returns `out`.
     """
-    np.matmul(x, w, out=z)
-    z += b
-    _sigmoid(z, out=s)
+    np.matmul(x, w, out=out)
+    out += b
+    np.multiply(out, 0.5, out=s)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    out *= s
     if dact is not None:
         np.subtract(1.0, s, out=dact)
-        dact *= z
-        dact += 1.0
-        dact *= s
-    return np.multiply(z, s, out=out)
+        dact *= out
+        dact += s
+    return out
 
 
 @dataclass
@@ -141,7 +133,7 @@ class RecordedPass:
     readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
     SiLU derivative of layers[j]. `h` and `dact` live in activation slot
     `slot` of the tape that recorded them until the pass is walked back; the
-    slot then goes to the tape's next `record`.
+    walk overwrites `dact`, and the slot then goes to the tape's next `record`.
     """
 
     layers: list[int]
@@ -169,26 +161,27 @@ class MlpTape:
     """
 
     def __init__(self):
-        self.params: ParamBundle | None = None
         self.grads: np.ndarray | None = None
-        self._slices: list[tuple[slice, slice]] = []
+        self._layers: list[tuple[np.ndarray, np.ndarray]] = []  # (w, b) views of params
+        self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
         self._touched: list[bool] = []
         self._holders: list[RecordedPass | None] = []  # per slot; None: free
         self._buffers: dict = {}
 
     def start(self, params: ParamBundle) -> None:
         """Begin a step on `params` with an all-zero gradient and every slot free."""
-        self.params = params
         self.grads = np.zeros_like(params.values)
-        self._slices = params.layer_slices()
+        self._layers = [params.layer(k) for k in range(len(params.layer_shapes))]
+        self._grad_layers = [(self.grads[ws].reshape(w.shape), self.grads[bs])
+                             for (ws, bs), (w, _) in zip(params.layer_slices(), self._layers)]
         self._touched = [False] * len(params.layer_shapes)
         self._holders = []
 
-    def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
+    def _buffer(self, key, shape: tuple[int, ...], init=np.empty) -> np.ndarray:
         dtype = self.grads.dtype
         buf = self._buffers.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[key] = np.empty(shape, dtype)
+            buf = self._buffers[key] = init(shape, dtype)
         return buf
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
@@ -198,25 +191,27 @@ class MlpTape:
         n = self._holders.index(None)
         h, hs, dacts = x, [], []
         for j, k in enumerate(layers[:-1]):
-            w, b = self.params.layer(k)
+            w, b = self._layers[k]
             shape = (x.shape[0], w.shape[1])
             dacts.append(self._buffer(("dact", n, j), shape))
-            h = silu_layer(h, w, b, self._buffer(("h", n, j), shape), self._buffer("z", shape),
+            h = silu_layer(h, w, b, self._buffer(("h", n, j), shape),
                            self._buffer("sigmoid", shape), dacts[-1])
             hs.append(h)
-        w, b = self.params.layer(layers[-1])
+        w, b = self._layers[layers[-1]]
         rec = self._holders[n] = RecordedPass(list(layers), x, hs, dacts, h @ w + b, n)
         return rec
 
     def backward(
-        self, rec: RecordedPass, g_out: np.ndarray, input_grad: bool = False
+        self, rec: RecordedPass, g_out: np.ndarray, input_cols: slice | None = None
     ) -> np.ndarray | None:
         """Walk `rec` in reverse from g_out = dL/d(rec.out).
 
         Adds the pass's weight and bias gradients into `grads` and frees its
-        slot. Returns dL/d(rec.x) when `input_grad` is set, otherwise None.
-        g_out is cast to the parameters' dtype first. A pass goes back once,
-        in the step that recorded it (ValueError).
+        slot. Returns the columns `input_cols` of dL/d(rec.x), and computes no
+        other column, when they are given; otherwise None. g_out is cast to
+        the parameters' dtype first. Each SiLU layer's gradient is formed in
+        place in the pass's `dact`. A pass goes back once, in the step that
+        recorded it (ValueError).
         """
         if rec.slot >= len(self._holders) or self._holders[rec.slot] is not rec:
             raise ValueError("the pass was walked back already or belongs to an earlier step")
@@ -226,27 +221,26 @@ class MlpTape:
         for j in reversed(range(len(rec.layers))):
             k = rec.layers[j]
             if j < len(rec.dact):
-                g = np.multiply(g, rec.dact[j], out=self._buffer("gz", g.shape))
+                g = np.multiply(rec.dact[j], g, out=rec.dact[j])
             self._add_layer_grads(k, inputs[j], g)
             if j == 0:
                 break
-            w, _ = self.params.layer(k)
+            w, _ = self._layers[k]
             g = np.matmul(g, w.T, out=self._buffer("g", (g.shape[0], w.shape[0])))
-        if not input_grad:
+        if input_cols is None:
             return None
-        w, _ = self.params.layer(rec.layers[0])
-        return g @ w.T
+        w, _ = self._layers[rec.layers[0]]
+        return g @ w[input_cols].T
 
     def _add_layer_grads(self, k: int, x: np.ndarray, gz: np.ndarray) -> None:
-        ws, bs = self._slices[k]
-        gw = self.grads[ws].reshape(x.shape[1], gz.shape[1])
-        gb = self.grads[bs]
+        gw, gb = self._grad_layers[k]
+        ones = self._buffer("ones", gz.shape[:1], np.ones)  # bias gradient = ones @ gz
         if self._touched[k]:
             gw += np.matmul(x.T, gz, out=self._buffer(("dw", k), gw.shape))
-            gb += np.sum(gz, axis=0, out=self._buffer(("db", k), gb.shape))
+            gb += np.matmul(ones, gz, out=self._buffer(("db", k), gb.shape))
         else:
             np.matmul(x.T, gz, out=gw)
-            np.sum(gz, axis=0, out=gb)
+            np.matmul(ones, gz, out=gb)
             self._touched[k] = True
 
 

@@ -20,16 +20,13 @@ token.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import nn_core
 from .diffusion import RHO, WARP_MAX, WARP_MIN, mirror_sigma, trunk_input
 from .network import ScoreNetwork
-
-
-def _cond_scale(t):
-    """d cond_channels / d y at time t."""
-    return 1.0 / np.sqrt(mirror_sigma(t) ** 2 + 1.0)
 
 
 def cond_channels(y, t, center):
@@ -39,7 +36,7 @@ def cond_channels(y, t, center):
     stay at unit magnitude, nearly clean ones pass at full strength. `t` is a
     scalar or a (batch, 1) column.
     """
-    return (y - center) * _cond_scale(t)
+    return (y - center) * (1.0 / np.sqrt(mirror_sigma(t) ** 2 + 1.0))
 
 
 def quad_times(k: int) -> np.ndarray:
@@ -49,6 +46,15 @@ def quad_times(k: int) -> np.ndarray:
         raise ValueError("need at least one quadrature node")
     ramp = np.arange(k + 1) / k
     return (WARP_MIN + ramp * (WARP_MAX - WARP_MIN)) ** RHO
+
+
+@functools.lru_cache(maxsize=8)
+def _quad_nodes(k: int) -> tuple[tuple[float, float, float], ...]:
+    """Per Euler node n of quad_times(k): tau_n, the step factor
+    dt_n / (2 tau_n) and the condition scale d cond_channels / d y at tau_n."""
+    times = quad_times(k)
+    return tuple((float(t), float((t_next - t) / (2.0 * t)), float(cond_channels(1.0, t, 0.0)))
+                 for t, t_next in zip(times[:-1], times[1:]))
 
 
 def estimate_pseudo_var(
@@ -69,15 +75,12 @@ def estimate_pseudo_var(
     estimate_pseudo_adjoint walks back.
     """
     y = y_start
-    times = quad_times(k)
     nodes = []
-    for node in range(k):
-        tau = float(times[node])
-        dt = float(times[node + 1] - times[node])
-        cond = cond_channels(y, tau, center)
+    for tau, step, scale in _quad_nodes(k):
+        cond = (y - center) * scale  # cond_channels(y, tau, center)
         rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
         nodes.append(rec)
-        y = y - (dt / (2.0 * tau)) * rec.out
+        y = y - step * rec.out
     return y, nodes
 
 
@@ -92,14 +95,14 @@ def estimate_pseudo_adjoint(
     al. 2018): the Euler steps y_{n+1} = y_n - dt_n / (2 tau_n) * s_n are
     walked from the last node to the first. Node n's score gradient goes
     through its recorded pass into tape.grads, and the pass's condition
-    channels carry the rest of dL/dy_n. The start state is a draw, so node 0
-    needs no input gradient.
+    channels carry the rest of dL/dy_n: the backward computes those input
+    columns alone. The start state is a draw, so node 0 needs no input
+    gradient.
     """
-    times = quad_times(len(nodes))
-    cond_dim = g_y.shape[1]
+    cond_cols = slice(-g_y.shape[1], None)
+    consts = _quad_nodes(len(nodes))
     for node in reversed(range(len(nodes))):
-        tau = float(times[node])
-        dt = float(times[node + 1] - times[node])
-        g_in = tape.backward(nodes[node], -g_y * (dt / (2.0 * tau)), input_grad=node > 0)
+        _, step, scale = consts[node]
+        g_cond = tape.backward(nodes[node], -g_y * step, cond_cols if node > 0 else None)
         if node > 0:
-            g_y = g_y + g_in[:, -cond_dim:] * _cond_scale(tau)
+            g_y = g_y + g_cond * scale

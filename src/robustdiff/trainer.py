@@ -423,7 +423,8 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     if not path.is_file():
         raise FileNotFoundError(f"no checkpoint archive {path}")
     try:
-        with np.load(path, allow_pickle=False) as archive:
+        # np.load leaves a file it opened itself open when zipfile refuses it.
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
             # Every member is read in full and checked against its CRC first,
             # so damaged bytes cannot load as other values.
             bad = archive.zip.testzip()

@@ -52,15 +52,16 @@ def plain_forward(params, x):
     return h
 
 
-def pass_grad(params, x, seed_fn, input_grad=False):
+def pass_grad(params, x, seed_fn, input_cols=None):
     """Record one pass of x through every layer, seed its readout with
     seed_fn(out) -> (loss, dloss/dout) and walk it back. Returns the loss,
-    the flat parameter gradient and the input gradient (or None)."""
+    the flat parameter gradient and the input gradient's columns
+    `input_cols` (or None)."""
     tape = MlpTape()
     tape.start(params)
     rec = tape.record(x, list(range(len(params.layer_shapes))))
     value, g_out = seed_fn(rec.out)
-    g_x = tape.backward(rec, g_out, input_grad=input_grad)
+    g_x = tape.backward(rec, g_out, input_cols)
     return value, tape.grads, g_x
 
 
@@ -199,10 +200,55 @@ class TestGrad:
             x = rng.normal(size=(int(rng.integers(1, 5)), widths[0]))
             y = rng.normal(size=(x.shape[0], widths[-1]))
             fn = seeds[trial % len(seeds)]
-            _, g, g_x = pass_grad(params, x, lambda out: fn(out, y), input_grad=True)
+            _, g, g_x = pass_grad(params, x, lambda out: fn(out, y), slice(None))
             loss = lambda: fn(plain_forward(params, x), y)[0]
             assert max_rel_err(g, fd_gradient(params.values, loss)) < 1e-4, f"trial {trial}"
             assert max_rel_err(g_x, fd_gradient(x, loss)) < 1e-4, f"trial {trial}"
+
+    @pytest.mark.parametrize("cols", [slice(-4, None), slice(0, 3)], ids=["condition", "head"])
+    def test_column_restricted_input_gradient(self, cols):
+        # Trunk-shaped input: 7 wide, whose last 4 columns are the condition
+        # channels the RDC adjoint asks for.
+        rng = np.random.default_rng(3)
+        params = init_params([(7, 6), (6, 6), (6, 4)], seed=3)
+        params.values[:] += rng.normal(0, 0.2, params.values.size)
+        x = rng.normal(size=(5, 7))
+        y = rng.normal(size=(5, 4))
+        fn = lambda out: ((out * y).sum(), y)
+        _, g, g_cols = pass_grad(params, x, fn, cols)
+        _, g_all, g_x = pass_grad(params, x, fn, slice(None))
+        assert g_cols.shape == g_x[:, cols].shape
+        np.testing.assert_allclose(g_cols, g_x[:, cols], rtol=1e-12, atol=1e-12)
+        assert np.array_equal(g, g_all)
+        fd = fd_gradient(x, lambda: fn(plain_forward(params, x))[0])
+        assert max_rel_err(g_cols, fd[:, cols]) < 1e-4
+        assert pass_grad(params, x, fn)[2] is None
+
+
+class TestSiluLayer:
+    """nn_core.silu_layer against the exp form of SiLU."""
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                             ids=["float64", "float32"])
+    def test_matches_exp_form_without_overflow(self, dtype, rtol):
+        # The exp form z / (1 + exp(-z)) and its derivative s * (1 + z * (1 - s)),
+        # in float64; exp(1e4) overflows to inf there, and the form still reads
+        # the limit, -0.0.
+        z = np.array([0.0, 20.0, -20.0, 60.0, -60.0, 100.0, -100.0, 1e4, -1e4])
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-z))
+        want_h, want_dact = z * s, s * (1.0 + z * (1.0 - s))
+        # z = x @ [[1]] + 0 is each value exactly.
+        x = z.astype(dtype)[:, None]
+        out, sig, dact = (np.empty((z.size, 1), dtype) for _ in range(3))
+        with np.errstate(all="raise"):  # no clip, yet nothing overflows
+            h = nn_core.silu_layer(x, np.ones((1, 1), dtype), np.zeros(1, dtype), out, sig, dact)
+        assert h is out and h.dtype == dtype
+        # atol = rtol: for z << 0, 1 + tanh(z / 2) cancels, so the tanh form is
+        # exact on the unit scale of the sigmoid rather than relative to a
+        # vanishing value.
+        np.testing.assert_allclose(h[:, 0], want_h, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(dact[:, 0], want_dact, rtol=rtol, atol=rtol)
 
 
 class TestTapeSlots:

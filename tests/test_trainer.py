@@ -1,6 +1,8 @@
 import errno
+import gc
 import io
 import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -528,6 +530,17 @@ class TestArchiveDamage:
             assert_same_checkpoint(loaded, ckpt)
         finally:
             path.write_bytes(good)
+
+    def test_refused_archive_leaves_no_file_open(self, saved, tmp_path):
+        _, _, ckpt_dir = saved
+        good = (ckpt_dir / CHECKPOINT_FILE).read_bytes()
+        (tmp_path / CHECKPOINT_FILE).write_bytes(good[: len(good) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="unreadable checkpoint archive"):
+                load_checkpoint(tmp_path)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_self_consistent_damage_caught_by_crc(self, saved, tmp_path):
         # The table's header shrinks from 2000 to 1000 rows, a shape the
