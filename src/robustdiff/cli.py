@@ -120,6 +120,10 @@ def _merge_settings(args, flags) -> dict[str, str]:
 def cmd_gen_data(args) -> int:
     if args.n_per_class < 1:
         raise UsageError("--n-per-class must be >= 1")
+    if not 0.0 <= args.eta <= 1.0:
+        raise UsageError("--eta must lie in [0, 1]")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     samples = data_mod.make_toy_dataset(args.n_per_class, args.seed)
     if args.eta > 0:
         spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
@@ -182,10 +186,12 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
 
 
 def cmd_sample(args) -> int:
-    if args.w is not None and args.w < 1.0:
-        raise UsageError("--w must be >= 1")
+    if args.w is not None and not 1.0 <= args.w < np.inf:
+        raise UsageError("--w must be >= 1 and finite")
     if args.per_class < 1:
         raise UsageError("--per-class must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     ckpt_dir = Path(args.checkpoint)
     net, config, ckpt = trainer.load_checkpoint(ckpt_dir)
     if ckpt.diverged:

@@ -115,8 +115,8 @@ def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
     `cond` and D_u on the all-zero row; w = 1 is D_c alone. Since the score is
     (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u).
     """
-    if w < 1.0:
-        raise ValueError("guidance scale w must be >= 1")
+    if not 1.0 <= w < np.inf:
+        raise ValueError("guidance scale w must be >= 1 and finite")
     uncond = np.zeros(net.cond_dim)
 
     def fn(x, sigma):

@@ -94,13 +94,12 @@ class ScoreNetwork:
         h = self._check_input(net_in)
         shape = h.shape[:-1] + (self.params.layer_shapes[0][1],)
         s = np.empty(shape, h.dtype)  # the sigmoid scratch every trunk layer shares
-        for k in self.trunk_layers:
-            w, b = self.params.layer(k)
+        for w, b in self.params.layers()[: self.depth]:
             h = nn_core.silu_layer(h, w, b, out=np.empty(shape, h.dtype), s=s)
         return h
 
     def demo_out(self, net_in: np.ndarray) -> np.ndarray:
-        w, b = self.params.layer(self.demo_head_layer)
+        w, b = self.params.layers()[self.demo_head_layer]
         return self.trunk_features(net_in) @ w + b
 
     # -- recorded paths (training step) --------------------------------------

@@ -5,11 +5,12 @@ Everything computes in the dtype of the parameters, float32 or float64: the
 recorded passes, their buffers, the gradient and Adam's moments. Production
 trains float32 parameters; the tests check the formulas on float64 ones, where
 finite differences are a valid oracle. Parameters of a network live in one
-flat array; per-layer weight/bias views are created on demand so the optimizer
-and checkpointing never have to know the layer structure. `silu_layer` is the
+flat array; `ParamBundle.layers`, the one reading of its layout, gives
+per-layer weight/bias views of it or of a gradient, so the optimizer and
+checkpointing never have to know the layer structure. `silu_layer` is the
 one SiLU layer: the recorded passes of a training step and the network's
-off-tape forward (sampling) both run it, as one matrix product followed by
-in-place passes over the caller's buffers.
+off-tape forward (sampling) both run it. A step walks its recorded passes
+back last-in first-out, adding each into one zeroed gradient.
 """
 
 from __future__ import annotations
@@ -59,19 +60,14 @@ class ParamBundle:
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteError("parameter values must be finite")
 
-    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Weight/bias views into the flat array for layer k (shared memory)."""
-        i, o = self.layer_shapes[k]
-        off = param_count(self.layer_shapes[:k])
-        w = self.values[off : off + i * o].reshape(i, o)
-        return w, self.values[off + i * o : off + (i + 1) * o]
-
-    def layer_slices(self) -> list[tuple[slice, slice]]:
-        """(weight_slice, bias_slice) into the flat array, per layer."""
-        out = []
-        off = 0
+    def layers(self, flat: np.ndarray | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weight, bias) views per layer into `values`, or into `flat`, any
+        array in the same layout such as a gradient (shared memory)."""
+        flat = self.values if flat is None else flat
+        out, off = [], 0
         for i, o in self.layer_shapes:
-            out.append((slice(off, off + i * o), slice(off + i * o, off + (i + 1) * o)))
+            w = flat[off : off + i * o].reshape(i, o)
+            out.append((w, flat[off + i * o : off + (i + 1) * o]))
             off += (i + 1) * o
         return out
 
@@ -89,11 +85,10 @@ def init_params(
     rng = np.random.default_rng(seed)
     values = np.zeros(param_count(layer_shapes))
     bundle = ParamBundle(list(layer_shapes), values)
-    for k, (i, o) in enumerate(layer_shapes):
-        w, _ = bundle.layer(k)
+    for k, (w, _) in enumerate(bundle.layers()):
         if k not in zero_layers:
-            lim = np.sqrt(6.0 / (i + o))
-            w[:] = rng.uniform(-lim, lim, size=(i, o))
+            lim = np.sqrt(6.0 / sum(w.shape))
+            w[:] = rng.uniform(-lim, lim, size=w.shape)
     return bundle
 
 
@@ -131,9 +126,9 @@ class RecordedPass:
 
     The pass ran `x` through `layers` in order: SiLU layers, then one linear
     readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
-    SiLU derivative of layers[j]. `h` and `dact` live in activation slot
-    `slot` of the tape that recorded them until the pass is walked back; the
-    walk overwrites `dact`, and the slot then goes to the tape's next `record`.
+    SiLU derivative of layers[j]. They are buffers of the tape that recorded
+    the pass, held until the pass is walked back; the walk overwrites `dact`,
+    and the buffers then go to the tape's next `record`.
     """
 
     layers: list[int]
@@ -141,41 +136,36 @@ class RecordedPass:
     h: list[np.ndarray]
     dact: list[np.ndarray]
     out: np.ndarray
-    slot: int
 
 
 class MlpTape:
     """Passes recorded through one ParamBundle, and the gradient they give.
 
-    One step calls `start`, then `record` once per pass, then `backward`
-    once on each pass that reaches the loss. The first contribution to a
-    layer's gradient is assigned and later ones are added, in the order of
-    the `backward` calls. A pass holds an activation slot (its `h` and `dact`
-    buffers) until its `backward`, and `record` takes the lowest free slot,
-    so a step needs only as many slots as passes it holds at once. Slots and
-    scratch buffers are kept across steps and reallocated only when a shape
-    (a new batch size) or the parameters' dtype changes, so a step allocates
-    no (batch x width) arrays; `grads` is a fresh array per step. Every
-    buffer, `grads` and a pass's output have the parameters' dtype; `record`
-    takes its input in that dtype (ScoreNetwork casts it).
+    One step calls `start`, then `record` once per pass and `backward` once
+    on each pass that reaches the loss. The live passes (recorded, not yet
+    walked back) form a stack: `backward` takes only the last one, and the
+    n-th live pass holds the n-th set of activation buffers (its `h` and
+    `dact`). `start` zeroes `grads`; each `backward` adds its pass's weight
+    and bias gradients into it. Buffers are kept across steps and reallocated
+    only when a shape (a new batch size) or the parameters' dtype changes, so
+    a step allocates no (batch x width) arrays; `grads` is a fresh array per
+    step. Every buffer, `grads` and a pass's output have the parameters'
+    dtype; `record` takes its input in that dtype (ScoreNetwork casts it).
     """
 
     def __init__(self):
         self.grads: np.ndarray | None = None
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []  # (w, b) views of params
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
-        self._touched: list[bool] = []
-        self._holders: list[RecordedPass | None] = []  # per slot; None: free
+        self._live: list[RecordedPass] = []
         self._buffers: dict = {}
 
     def start(self, params: ParamBundle) -> None:
-        """Begin a step on `params` with an all-zero gradient and every slot free."""
+        """Begin a step on `params` with an all-zero gradient and no live pass."""
         self.grads = np.zeros_like(params.values)
-        self._layers = [params.layer(k) for k in range(len(params.layer_shapes))]
-        self._grad_layers = [(self.grads[ws].reshape(w.shape), self.grads[bs])
-                             for (ws, bs), (w, _) in zip(params.layer_slices(), self._layers)]
-        self._touched = [False] * len(params.layer_shapes)
-        self._holders = []
+        self._layers = params.layers()
+        self._grad_layers = params.layers(self.grads)
+        self._live = []
 
     def _buffer(self, key, shape: tuple[int, ...], init=np.empty) -> np.ndarray:
         dtype = self.grads.dtype
@@ -186,9 +176,7 @@ class MlpTape:
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
         """Run x through `layers`, SiLU on all but the last, and record it."""
-        if None not in self._holders:
-            self._holders.append(None)
-        n = self._holders.index(None)
+        n = len(self._live)
         h, hs, dacts = x, [], []
         for j, k in enumerate(layers[:-1]):
             w, b = self._layers[k]
@@ -198,8 +186,8 @@ class MlpTape:
                            self._buffer("sigmoid", shape), dacts[-1])
             hs.append(h)
         w, b = self._layers[layers[-1]]
-        rec = self._holders[n] = RecordedPass(list(layers), x, hs, dacts, h @ w + b, n)
-        return rec
+        self._live.append(RecordedPass(list(layers), x, hs, dacts, h @ w + b))
+        return self._live[-1]
 
     def backward(
         self, rec: RecordedPass, g_out: np.ndarray, input_cols: slice | None = None
@@ -207,22 +195,26 @@ class MlpTape:
         """Walk `rec` in reverse from g_out = dL/d(rec.out).
 
         Adds the pass's weight and bias gradients into `grads` and frees its
-        slot. Returns the columns `input_cols` of dL/d(rec.x), and computes no
-        other column, when they are given; otherwise None. g_out is cast to
+        buffers. Returns the columns `input_cols` of dL/d(rec.x), and computes
+        no other column, when they are given; otherwise None. g_out is cast to
         the parameters' dtype first. Each SiLU layer's gradient is formed in
-        place in the pass's `dact`. A pass goes back once, in the step that
-        recorded it (ValueError).
+        place in the pass's `dact`. `rec` must be the last live pass of this
+        step (ValueError otherwise).
         """
-        if rec.slot >= len(self._holders) or self._holders[rec.slot] is not rec:
-            raise ValueError("the pass was walked back already or belongs to an earlier step")
-        self._holders[rec.slot] = None
+        if not self._live or self._live[-1] is not rec:
+            raise ValueError("passes go back last-in first-out: this one was walked back already, "
+                             "belongs to an earlier step or was recorded before a live pass")
+        self._live.pop()
         inputs = [rec.x] + rec.h
         g = np.asarray(g_out, dtype=self.grads.dtype)
+        ones = self._buffer("ones", g.shape[:1], np.ones)  # bias gradient = ones @ g
         for j in reversed(range(len(rec.layers))):
             k = rec.layers[j]
             if j < len(rec.dact):
                 g = np.multiply(rec.dact[j], g, out=rec.dact[j])
-            self._add_layer_grads(k, inputs[j], g)
+            gw, gb = self._grad_layers[k]
+            gw += np.matmul(inputs[j].T, g, out=self._buffer(("dw", k), gw.shape))
+            gb += np.matmul(ones, g, out=self._buffer(("db", k), gb.shape))
             if j == 0:
                 break
             w, _ = self._layers[k]
@@ -231,17 +223,6 @@ class MlpTape:
             return None
         w, _ = self._layers[rec.layers[0]]
         return g @ w[input_cols].T
-
-    def _add_layer_grads(self, k: int, x: np.ndarray, gz: np.ndarray) -> None:
-        gw, gb = self._grad_layers[k]
-        ones = self._buffer("ones", gz.shape[:1], np.ones)  # bias gradient = ones @ gz
-        if self._touched[k]:
-            gw += np.matmul(x.T, gz, out=self._buffer(("dw", k), gw.shape))
-            gb += np.matmul(ones, gz, out=self._buffer(("db", k), gb.shape))
-        else:
-            np.matmul(x.T, gz, out=gw)
-            np.matmul(ones, gz, out=gb)
-            self._touched[k] = True
 
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
@@ -266,8 +247,8 @@ class OptState:
 def adam_step(
     params: ParamBundle, grads: np.ndarray, state: OptState, lr: float
 ) -> tuple[ParamBundle, OptState]:
-    """One bias-corrected Adam update, in the dtype of `params`; returns new
-    params and state.
+    """One plain bias-corrected Adam update, in the dtype of `params`; returns
+    new params and state.
 
     Raises NonFiniteError, leaving `params` and `state` as they were, when the
     second moment goes non-finite: a non-finite gradient entry makes it so,
@@ -282,14 +263,7 @@ def adam_step(
     if not np.all(np.isfinite(v)):
         finite = np.all(np.isfinite(grads))
         raise NonFiniteError("second moment overflows" if finite else "non-finite gradient entries")
-    if np.any(grads):
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    else:
-        # Contract: an all-zero gradient must leave values exactly untouched,
-        # whatever momentum the state carries.
-        new_values = params.values.copy()
-    new_params = ParamBundle(list(params.layer_shapes), new_values)
-    return new_params, OptState(m, v, t)
-
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return ParamBundle(list(params.layer_shapes), new_values), OptState(m, v, t)

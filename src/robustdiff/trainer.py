@@ -15,9 +15,9 @@ table; `pc_only` reads the condition head directly as the pseudo estimate;
 
 The table is a plain (n_samples, cond_dim) array, and a step reads the
 dataset's own arrays: the points and the noisy labels, one-hot encoded per
-batch. The problem's shape is no setting: TrainConfig.x_dim and cond_dim
-echo data.X_DIM and data.N_CLASSES, and the network reads its widths from
-its parameters. Nor are the fixed choices: the EDM sigma_data and the
+batch. The problem's shape is no setting: the draws read data.X_DIM,
+TrainConfig.cond_dim echoes data.N_CLASSES, and the network reads its widths
+from its parameters. Nor are the fixed choices: the EDM sigma_data and the
 prototype floor are TrainConfig class constants, and the draws of an
 iteration (the log-normal noise level, the guidance drop rate, the boundary
 state's std) are constants of this module.
@@ -82,9 +82,8 @@ class TrainConfig:
     quad_nodes: int = 8  # RDC quadrature nodes
     lr: float = 1e-3
     seed: int = 0
-    # Constants, not settings: the problem's shape, the EDM sigma_data matched
+    # Constants, not settings: the number of classes, the EDM sigma_data matched
     # to the toy layout's per-coordinate std, the prototype reliability floor.
-    x_dim: ClassVar[int] = data_mod.X_DIM
     cond_dim: ClassVar[int] = data_mod.N_CLASSES
     sigma_data: ClassVar[float] = 2.5
     proto_floor: ClassVar[float] = 0.012
@@ -99,6 +98,8 @@ class TrainConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if self.total_iters < 0:
             raise ValueError("total_iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.variant != "vanilla":  # vanilla has no phase 1, so no budget
             if self.early_stop_iters < 1:
                 raise ValueError("early_stop_iters must be >= 1 for pc_only and pc_rdc")
@@ -206,7 +207,7 @@ def draw_iteration(
     b = config.batch_size
     idx = rng.integers(0, n_data, size=b)
     sig = np.exp(rng.normal(LOGSIGMA_MEAN, LOGSIGMA_STD, (b, 1)))
-    eps_x = rng.standard_normal((b, config.x_dim))
+    eps_x = rng.standard_normal((b, data_mod.X_DIM))
     drop = rng.random((b, 1)) < CFG_DROP_PROB
     if not cond_path:
         return IterationDraws(idx, sig, eps_x, drop)

@@ -65,7 +65,7 @@ def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
     """
 
     def field(x, t, y):
-        w, b = net.params.layer(net.cond_head_layer)
+        w, b = net.params.layers()[net.cond_head_layer]
         return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center))) @ w + b
 
     return field

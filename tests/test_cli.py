@@ -25,6 +25,11 @@ TINY = [
     "early_stop_iters=10",
 ]
 
+# numpy's overflow and invalid-value warnings, expected where a test drives
+# training into divergence on purpose; any other RuntimeWarning fails a test.
+DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                      "ignore:invalid value encountered:RuntimeWarning")
+
 
 def _set_args():
     return [arg for item in TINY for arg in ("--set", item)]
@@ -438,7 +443,8 @@ class TestTrain:
          ("hidden=abc", "usage error: hidden must be an integer, got 'abc'"),
          ("lr=fast", "usage error: lr must be a number, got 'fast'"),
          ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'"),
-         ("lr=1e50", "usage error: lr must be <= 3.40282e+38, the float32 maximum")],
+         ("lr=1e50", "usage error: lr must be <= 3.40282e+38, the float32 maximum"),
+         ("seed=-1", "usage error: seed must be >= 0")],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
@@ -494,6 +500,7 @@ class TestTrain:
         ],
         ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_second_moment"],
     )
+    @DIVERGES
     def test_non_finite_update_ends_as_diverged(self, tmp_path, capsys, variant, lr, message):
         # The loss stays finite; the Adam step meets the non-finite values:
         # the gradient itself, or its square in the second moment.
@@ -532,10 +539,30 @@ class TestSample:
         assert code == 1
         assert "--w must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("w", ["nan", "inf"])
+    def test_non_finite_guidance_is_usage_error(self, tmp_path, capsys, w):
+        # On a trained checkpoint, where such a scale would sample nan rows.
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "4", "--w", w,
+                         "--out", str(out)])
+        assert code == 1
+        assert "usage error: --w must be >= 1 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--per-class", "0"])
         assert code == 1
         assert "--per-class must be >= 1" in capsys.readouterr().err
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out" / "samples.csv"
+        code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--seed", "-1",
+                         "--out", str(out)])
+        assert code == 1
+        assert "usage error: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.parent.exists()
 
     def test_gen_data_n_per_class_below_one_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -543,14 +570,31 @@ class TestSample:
         assert "--n-per-class must be >= 1" in capsys.readouterr().err
         assert not data.exists()
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--eta", "-0.5"], "--eta must lie in [0, 1]"),
+         (["--eta", "nan"], "--eta must lie in [0, 1]"),
+         (["--eta", "1.5"], "--eta must lie in [0, 1]"),
+         (["--seed", "-3"], "--seed must be >= 0")],
+        ids=["eta_negative", "eta_nan", "eta_above_one", "seed_negative"],
+    )
+    def test_gen_data_out_of_range_is_usage_error(self, tmp_path, capsys, args, message):
+        data = tmp_path / "out" / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", *args, "--out", str(data)]) == 1
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not data.parent.exists()
+
+    @DIVERGES
     def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(tmp_path, capsys)
 
+    @DIVERGES
     def test_diverged_vanilla_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(
             tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e30"
         )
 
+    @DIVERGES
     def test_overflowing_second_moment_not_sampled(self, tmp_path, capsys):
         # Every gradient entry stays finite, but its square overflows Adam's
         # second moment; left alone, no later step would move the parameters

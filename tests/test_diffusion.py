@@ -219,6 +219,11 @@ class TestCfgScore:
         with pytest.raises(ValueError):
             guided(net, np.zeros(4), 0.5)
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf])
+    def test_non_finite_w_rejected(self, w):
+        with pytest.raises(ValueError, match="w must be >= 1 and finite"):
+            guided(random_net(0), np.zeros(4), w)
+
 
 class TestHeunSample:
     def test_zero_denoiser_collapses_to_origin(self):

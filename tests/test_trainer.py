@@ -27,6 +27,11 @@ from robustdiff.trainer import (
 )
 from oracles import dsm_loss, estimate_pseudo, float64_net, head_field
 
+# numpy's overflow and invalid-value warnings, expected where a test drives
+# training into divergence on purpose; any other RuntimeWarning fails a test.
+DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                      "ignore:invalid value encountered:RuntimeWarning")
+
 
 def tiny_config(**kw):
     base = dict(
@@ -171,14 +176,15 @@ class TestTrain:
         rng = np.random.default_rng(0)
         draws = draw_iteration(rng, len(samples), cfg, False)
         res = loss_step(net, samples, table, cfg, draws, iteration=cfg.early_stop_iters)
-        wslice, bslice = net.params.layer_slices()[net.cond_head_layer]
-        assert np.array_equal(res.grads[wslice], np.zeros(wslice.stop - wslice.start))
+        w_grad, b_grad = net.params.layers(res.grads)[net.cond_head_layer]
+        assert not np.any(w_grad) and not np.any(b_grad)
         assert res.cond_term == 0.0
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(tiny_config(), [])
 
+    @DIVERGES
     def test_divergence_aborts_with_checkpoint(self):
         # an absurd learning rate blows the loss up within a few steps
         cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=5)
@@ -461,6 +467,7 @@ class TestCheckpointIO:
         assert np.array_equal(loaded.pseudo, np.zeros((len(samples), 4)))
         assert np.array_equal(loaded.prototypes, np.eye(4))
 
+    @DIVERGES
     def test_diverged_flag_round_trip(self, tmp_path):
         cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=5)
         with pytest.raises(trainer.TrainingDiverged) as err:
