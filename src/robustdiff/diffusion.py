@@ -157,7 +157,10 @@ def heun_sample(
 
 
 def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
-    """One record per line: comma-separated coordinates then the class id."""
+    """One record per line: comma-separated coordinates then the class id.
+    Refuses, before opening `path`, the non-finite points read_samples refuses."""
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{path}: non-finite sample coordinates, not written")
     with open(path, "w") as f:
         f.write(SAMPLES_HEADER + "\n")
         for row, cid in zip(samples, class_ids):

@@ -16,7 +16,7 @@ that training and sampling run in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,13 +36,12 @@ def layer_shapes(hidden: int, depth: int) -> list[tuple[int, int]]:
 
 @dataclass
 class ScoreNetwork:
-    """The network's parameters and its EDM sigma_data. Every width is read
-    from `params.layer_shapes`."""
+    """The network's parameters and its EDM sigma_data, all that sampling reads.
+    Every width is read from `params.layer_shapes`. A training step records
+    its passes on a tape that the caller owns."""
 
     params: ParamBundle
     sigma_data: float
-    # Training-step buffers, kept with the network across iterations.
-    tape: MlpTape = field(default_factory=MlpTape, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, hidden: int, depth: int, sigma_data: float, seed: int) -> "ScoreNetwork":

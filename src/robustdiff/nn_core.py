@@ -2,15 +2,16 @@
 passes with a hand-written backward, Adam.
 
 Everything computes in the dtype of the parameters, float32 or float64: the
-recorded passes, their buffers, the gradient and Adam's moments. Production
-trains float32 parameters; the tests check the formulas on float64 ones, where
-finite differences are a valid oracle. Parameters of a network live in one
-flat array; `ParamBundle.layers`, the one reading of its layout, gives
-per-layer weight/bias views of it or of a gradient, so the optimizer and
-checkpointing never have to know the layer structure. `silu_layer` is the
-one SiLU layer: the recorded passes of a training step and the network's
-off-tape forward (sampling) both run it. A step walks its recorded passes
-back last-in first-out, adding each into one zeroed gradient.
+recorded passes, their buffers, the gradient and Adam's moments, which the
+caller owns and `adam_step` updates in place. Production trains float32
+parameters; the tests check the formulas on float64 ones, where finite
+differences are a valid oracle. Parameters of a network live in one flat
+array; `ParamBundle.layers`, the one reading of its layout, gives per-layer
+weight/bias views of it or of a gradient, so the optimizer and checkpointing
+never have to know the layer structure. `silu_layer` is the one SiLU layer:
+the recorded passes of a training step and the network's off-tape forward
+(sampling) both run it. A step walks its recorded passes back last-in
+first-out, adding each into one zeroed gradient.
 """
 
 from __future__ import annotations
@@ -231,39 +232,27 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class OptState:
-    """Adam moment estimates matching one ParamBundle, in its dtype."""
+def adam_step(params: ParamBundle, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float) -> ParamBundle:
+    """Step `t` (counted from 1) of plain bias-corrected Adam, in the dtype of
+    `params`: updates the moments `m` and `v` in place and returns the new
+    params.
 
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-    @classmethod
-    def fresh(cls, params: ParamBundle) -> "OptState":
-        return cls(np.zeros_like(params.values), np.zeros_like(params.values), 0)
-
-
-def adam_step(
-    params: ParamBundle, grads: np.ndarray, state: OptState, lr: float
-) -> tuple[ParamBundle, OptState]:
-    """One plain bias-corrected Adam update, in the dtype of `params`; returns
-    new params and state.
-
-    Raises NonFiniteError, leaving `params` and `state` as they were, when the
-    second moment goes non-finite: a non-finite gradient entry makes it so,
-    and so does a finite one whose square overflows.
+    Raises NonFiniteError, leaving `params` as they were, when the second
+    moment goes non-finite: a non-finite gradient entry makes it so, and so
+    does a finite one whose square overflows.
     """
     grads = np.asarray(grads, dtype=params.values.dtype)
     if grads.shape != params.values.shape:
         raise ShapeError("gradient length does not match parameter count")
-    t = state.step_count + 1
-    m = BETA1 * state.first_moment + (1.0 - BETA1) * grads
-    v = BETA2 * state.second_moment + (1.0 - BETA2) * grads * grads
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads * grads
     if not np.all(np.isfinite(v)):
         finite = np.all(np.isfinite(grads))
         raise NonFiniteError("second moment overflows" if finite else "non-finite gradient entries")
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
     new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ParamBundle(list(params.layer_shapes), new_values), OptState(m, v, t)
+    return ParamBundle(list(params.layer_shapes), new_values)

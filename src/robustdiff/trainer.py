@@ -24,8 +24,9 @@ state's std) are constants of this module.
 
 Nor is the precision a setting. The network trains in float32: its
 parameters (ScoreNetwork.create), every recorded pass and its backward, the
-gradient and Adam's moments. The dataset, the table, the EDM sigma columns,
-the loss sums and the prototypes stay float64.
+gradient and Adam's moments, which stay local to `train` with the tape. The
+dataset, the table, the EDM sigma columns, the loss sums and the prototypes
+stay float64. A checkpoint holds what sampling reads, and no training state.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .diffusion import (
     trunk_input,
 )
 from .network import ScoreNetwork
-from .nn_core import OptState
 
 VARIANTS = ("vanilla", "pc_only", "pc_rdc")
 
@@ -124,9 +124,10 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
+    """What sampling reads, the iteration reached and the config digest."""
+
     params: nn_core.ParamBundle
     pseudo: np.ndarray  # (N, C) pseudo-condition table
-    opt: OptState
     iteration: int
     config_digest: str
     prototypes: np.ndarray  # (C, C) sampling conditions per class
@@ -177,7 +178,7 @@ def sampling_prototypes(config: TrainConfig, table: np.ndarray, noisy) -> np.nda
 
 
 class TrainingDiverged(RuntimeError):
-    """Carries the last finite state, flagged so that it is never sampled."""
+    """Carries the last finite parameters and table, flagged never to be sampled."""
 
     def __init__(self, message: str, checkpoint: Checkpoint):
         super().__init__(message)
@@ -219,7 +220,6 @@ def draw_iteration(
 @dataclass
 class LossStepResult:
     loss: float
-    grads: np.ndarray
     demo_term: float
     cond_term: float
     y_phi: np.ndarray | None
@@ -232,8 +232,9 @@ def loss_step(
     config: TrainConfig,
     draws: IterationDraws,
     iteration: int,
+    tape: nn_core.MlpTape,
 ) -> LossStepResult:
-    """Combined objective value and flat parameter gradient for one batch."""
+    """Combined objective value for one batch; its gradient is left in `tape.grads`."""
     phase1 = config.in_phase1(iteration)
     b = draws.idx.size
     x0 = samples.points[draws.idx]
@@ -256,7 +257,6 @@ def loss_step(
     x_t = x0 + draws.sigma * draws.eps_x
     x_in = c_in(draws.sigma, sd) * x_t
 
-    tape = net.tape
     tape.start(net.params)
     demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond)))
     out_scale = c_out(draws.sigma, sd)
@@ -289,7 +289,6 @@ def loss_step(
             tape.backward(pc, g_y)
     return LossStepResult(
         loss=float(demo_term + cond_term),
-        grads=tape.grads,
         demo_term=float(demo_term),
         cond_term=float(cond_term),
         y_phi=y_phi,
@@ -315,7 +314,8 @@ def train(
         raise ValueError("dataset must be non-empty")
     net = ScoreNetwork.create(config.hidden, config.depth, config.sigma_data, config.seed)
     table = np.zeros((len(samples), net.cond_dim))  # every sample starts at zero
-    opt = OptState.fresh(net.params)
+    tape = nn_core.MlpTape()
+    m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
     # Line-buffered, so a running cell's log can be followed.
@@ -326,17 +326,18 @@ def train(
         for iteration in range(config.total_iters):
             cond_path = config.in_phase1(iteration)
             draws = draw_iteration(rng, len(samples), config, cond_path)
-            result = loss_step(net, samples, table, config, draws, iteration)
+            result = loss_step(net, samples, table, config, draws, iteration, tape)
             try:
                 if not np.isfinite(result.loss):
                     raise nn_core.NonFiniteError("non-finite loss")
-                net.params, opt = nn_core.adam_step(net.params, result.grads, opt, config.lr)
+                net.params = nn_core.adam_step(net.params, tape.grads, m, v,
+                                               iteration + 1, config.lr)
             except nn_core.NonFiniteError as exc:
                 # The checkpoint holds the state this iteration started from.
                 protos = sampling_prototypes(config, table, samples.noisy)
                 raise TrainingDiverged(
                     f"{exc} at iteration {iteration}",
-                    Checkpoint(net.params, table, opt, iteration, digest, protos),
+                    Checkpoint(net.params, table, iteration, digest, protos),
                 ) from exc
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, result.y_phi, config.alpha)
@@ -352,7 +353,7 @@ def train(
         if log_f:
             log_f.close()
     protos = sampling_prototypes(config, table, samples.noisy)
-    return Checkpoint(net.params, table, opt, config.total_iters, digest, protos)
+    return Checkpoint(net.params, table, config.total_iters, digest, protos)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +370,6 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
 
     - `params` (P,) in the parameters' dtype, float32 from `train`, and
       `layer_shapes` int64 (L, 2);
-    - `adam_m`, `adam_v` (P,) in the moments' dtype, the parameters' one,
-      and `adam_step` int64 ();
     - `table_entries` float64 (N, C);
     - `prototypes` float64 (C, C);
     - `iteration` int64 (), `diverged` bool ();
@@ -386,9 +385,6 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
     entries = {
         "params": checkpoint.params.values,
         "layer_shapes": np.array(checkpoint.params.layer_shapes, dtype=np.int64),
-        "adam_m": checkpoint.opt.first_moment,
-        "adam_v": checkpoint.opt.second_moment,
-        "adam_step": np.int64(checkpoint.opt.step_count),
         "table_entries": checkpoint.pseudo,
         "prototypes": checkpoint.prototypes,
         "iteration": np.int64(checkpoint.iteration),
@@ -418,7 +414,8 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     Raises FileNotFoundError when `outdir` holds no archive, and ValueError,
     naming the file, when the archive fails its CRC check, lacks an entry,
     has an entry of the wrong dtype or shape, or stores a config whose digest
-    differs from the stored one.
+    differs from the stored one. Entries it does not read, such as the Adam
+    moments that older archives hold, are ignored.
     """
     path = Path(outdir) / CHECKPOINT_FILE
     if not path.is_file():
@@ -457,16 +454,10 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     want = network.layer_shapes(config.hidden, config.depth)
     if shapes != want:
         raise ValueError(f"{path}: layer shapes {shapes} do not match the config's {want}")
-    n_params = nn_core.param_count(shapes)
-    params = nn_core.ParamBundle(shapes, entry("params", "f", (n_params,)))
-    opt = OptState(
-        entry("adam_m", "f", (n_params,)),
-        entry("adam_v", "f", (n_params,)),
-        int(entry("adam_step", "i", ())),
-    )
+    params = nn_core.ParamBundle(shapes, entry("params", "f", (nn_core.param_count(shapes),)))
     net = ScoreNetwork(params, config.sigma_data)
     table = entry("table_entries", "f", (None, net.cond_dim))
     protos = entry("prototypes", "f", (net.cond_dim, net.cond_dim))
-    ckpt = Checkpoint(params, table, opt, int(entry("iteration", "i", ())), digest, protos,
+    ckpt = Checkpoint(params, table, int(entry("iteration", "i", ())), digest, protos,
                       bool(entry("diverged", "b", ())))
     return net, config, ckpt

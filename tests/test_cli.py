@@ -551,6 +551,20 @@ class TestSample:
         assert "usage error: --w must be >= 1 and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @DIVERGES
+    def test_overflowing_guidance_writes_no_samples(self, tmp_path, capsys):
+        # A finite scale this large drives the sampler past the float32 range,
+        # so the points come out nan; they are refused before the file opens.
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
+        capsys.readouterr()
+        code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "3", "--w", "1e300",
+                         "--out", str(out)])
+        assert code == 2
+        assert f"error: {out}: non-finite sample coordinates" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--per-class", "0"])
         assert code == 1

@@ -263,6 +263,13 @@ class TestSampleDump:
         assert np.array_equal(rpts, pts)
         assert np.array_equal(rcids, cids)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_refused_before_opening(self, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ValueError, match="non-finite sample coordinates"):
+            write_samples(path, np.array([[0.5, 1.0], [bad, 2.0]]), np.array([0, 1]))
+        assert not path.exists()
+
     def test_format_one_record_per_line(self, tmp_path):
         path = tmp_path / "samples.csv"
         write_samples(path, np.array([[1.5, 2.5]]), np.array([2]))

@@ -6,7 +6,6 @@ from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
-    OptState,
     ParamBundle,
     ShapeError,
     adam_step,
@@ -291,31 +290,41 @@ class TestTapeSlots:
             tape.backward(rec, np.ones((2, 1)))
 
 
+def zero_moments(params):
+    """Fresh Adam moments for `params`: two zero arrays in its dtype."""
+    return np.zeros_like(params.values), np.zeros_like(params.values)
+
+
 class TestAdam:
     def test_zero_gradient_fresh_state_keeps_params(self):
         params = init_params([(2, 2)], seed=3)
         before = params.values.copy()
-        new_params, state = adam_step(params, np.zeros_like(before), OptState.fresh(params), 1e-3)
+        m, v = zero_moments(params)
+        new_params = adam_step(params, np.zeros_like(before), m, v, 1, 1e-3)
         assert np.array_equal(new_params.values, before)
-        assert state.step_count == 1
+        assert not np.any(m) and not np.any(v)
 
     def test_first_step_hand_value(self):
         # g = 1, lr = 1e-3: m_hat = v_hat = 1 -> delta = lr / (1 + eps)
         params = ParamBundle([(1, 1)], np.array([0.25, 0.0]))
         g = np.array([1.0, 0.0])
-        new_params, state = adam_step(params, g, OptState.fresh(params), 1e-3)
+        m, v = zero_moments(params)
+        new_params = adam_step(params, g, m, v, 1, 1e-3)
         expected = 0.25 - 1e-3 * 1.0 / (np.sqrt(1.0) + nn_core.ADAM_EPS)
         assert new_params.values[0] == pytest.approx(expected, rel=1e-15)
-        assert state.step_count == 1
+        # the moments were updated in place
+        assert m[0] == pytest.approx(1.0 - nn_core.BETA1, rel=1e-15)
+        assert v[0] == pytest.approx(1.0 - nn_core.BETA2, rel=1e-15)
 
     def test_two_constant_steps_match_hand_recursion(self):
         # two steps at g = 0.5, then one at g = 0
         lr, b1, b2, eps = 1e-3, nn_core.BETA1, nn_core.BETA2, nn_core.ADAM_EPS
         params = ParamBundle([(1, 1)], np.array([1.0, 0.0]))
         g = np.array([0.5, 0.0])
-        p1, s1 = adam_step(params, g, OptState.fresh(params), lr)
-        p2, s2 = adam_step(p1, g, s1, lr)
-        p3, s3 = adam_step(p2, np.zeros_like(g), s2, lr)  # momentum alone moves theta
+        m, v = zero_moments(params)
+        p1 = adam_step(params, g, m, v, 1, lr)
+        p2 = adam_step(p1, g, m, v, 2, lr)
+        p3 = adam_step(p2, np.zeros_like(g), m, v, 3, lr)  # momentum alone moves theta
         # hand recursion
         m1 = (1 - b1) * 0.5
         v1 = (1 - b2) * 0.25
@@ -330,32 +339,31 @@ class TestAdam:
         assert p2.values[0] == pytest.approx(theta2, rel=1e-15)
         assert p3.values[0] == pytest.approx(theta3, rel=1e-15)
         assert theta3 < theta2
-        assert s3.step_count == 3
+        assert m[0] == pytest.approx(m3, rel=1e-15) and v[0] == pytest.approx(v3, rel=1e-15)
 
     def test_nonfinite_gradient_rejected_params_untouched(self):
         params = init_params([(2, 1)], seed=1)
         before = params.values.copy()
         bad = np.full(params.values.size, np.nan)
         with pytest.raises(NonFiniteError):
-            adam_step(params, bad, OptState.fresh(params), 1e-3)
+            adam_step(params, bad, *zero_moments(params), 1, 1e-3)
         assert np.array_equal(params.values, before)
 
     def test_overflowing_second_moment_rejected_state_untouched(self):
-        # a finite gradient whose square overflows leaves v at inf
+        # a finite gradient whose square overflows leaves v at inf; the
+        # moments are the caller's to drop, the parameters stay as they were
         params = init_params([(2, 1)], seed=1)
-        state = OptState.fresh(params)
         before = params.values.copy()
         grads = np.full(params.values.size, 1e200)
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NonFiniteError, match="second moment overflows"):
-                adam_step(params, grads, state, 1e-3)
+                adam_step(params, grads, *zero_moments(params), 1, 1e-3)
         assert np.array_equal(params.values, before)
-        assert not np.any(state.second_moment) and state.step_count == 0
 
     def test_gradient_length_mismatch(self):
         params = init_params([(2, 1)], seed=1)
         with pytest.raises(ShapeError):
-            adam_step(params, np.zeros(2), OptState.fresh(params), 1e-3)
+            adam_step(params, np.zeros(2), *zero_moments(params), 1, 1e-3)
 
 class TestParamBundle:
     def test_count_invariant_enforced(self):
@@ -393,9 +401,7 @@ class TestCheckpointIO:
         net = ScoreNetwork.create(hidden=5, depth=1, sigma_data=cfg.sigma_data, seed=13)
         params = net.params
         params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
-        ckpt = trainer.Checkpoint(
-            params, np.zeros((3, 4)), OptState.fresh(params), 0, cfg.digest(), np.eye(4)
-        )
+        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 0, cfg.digest(), np.eye(4))
         trainer.save_checkpoint(tmp_path, ckpt, cfg)
         _, _, loaded = trainer.load_checkpoint(tmp_path)
         assert loaded.params.layer_shapes == params.layer_shapes
@@ -411,14 +417,14 @@ class TestCheckpointIO:
         rng = np.random.default_rng(2)
         params.values[:] = rng.normal(size=params.values.size)
         grads = rng.normal(size=params.values.size)
-        params, opt = adam_step(params, grads, OptState.fresh(params), 1e-3)
-        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), opt, 1, cfg.digest(), np.eye(4))
+        m, v = zero_moments(params)
+        params = adam_step(params, grads, m, v, 1, 1e-3)
+        assert np.any(v) and m.dtype == v.dtype == dtype  # moved in place, in their dtype
+        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 1, cfg.digest(), np.eye(4))
         trainer.save_checkpoint(tmp_path, ckpt, cfg)
         _, _, loaded = trainer.load_checkpoint(tmp_path)
-        for got, want in ((loaded.params.values, params.values),
-                          (loaded.opt.first_moment, opt.first_moment),
-                          (loaded.opt.second_moment, opt.second_moment)):
-            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+        got, want = loaded.params.values, params.values
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
     def test_bad_header_rejected(self, tmp_path):
         (tmp_path / trainer.CHECKPOINT_FILE).write_bytes(b"not a checkpoint\n")

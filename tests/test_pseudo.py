@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdiff import nn_core, trainer
+from robustdiff import trainer
 from robustdiff.network import ScoreNetwork
 from robustdiff.pseudo import ensemble_update
 from robustdiff.trainer import TrainConfig
@@ -124,9 +124,7 @@ def _save_table(ckpt_dir, table):
     """Save `table` inside a checkpoint of a small untrained network."""
     cfg = trainer.TrainConfig(hidden=4, depth=1, total_iters=0)
     net = ScoreNetwork.create(hidden=4, depth=1, sigma_data=cfg.sigma_data, seed=0)
-    ckpt = trainer.Checkpoint(
-        net.params, table, nn_core.OptState.fresh(net.params), 0, cfg.digest(), np.eye(4),
-    )
+    ckpt = trainer.Checkpoint(net.params, table, 0, cfg.digest(), np.eye(4))
     trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
 
 

@@ -99,15 +99,13 @@ class TestTrain:
         )
         assert np.array_equal(ckpt.params.values, fresh.params.values)
         assert np.array_equal(ckpt.pseudo, np.zeros((len(samples), 4)))
-        assert ckpt.opt.step_count == 0
         assert ckpt.iteration == 0
 
     def test_create_and_train_yield_float32(self):
         net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=2.5, seed=0)
         assert net.params.values.dtype == np.float32
         ckpt = train(tiny_config(), tiny_dataset())
-        for arr in (ckpt.params.values, ckpt.opt.first_moment, ckpt.opt.second_moment):
-            assert arr.dtype == np.float32
+        assert ckpt.params.values.dtype == np.float32
         assert ckpt.pseudo.dtype == ckpt.prototypes.dtype == np.float64
 
     def test_same_seed_bitwise_identical(self):
@@ -116,7 +114,6 @@ class TestTrain:
         b = train(tiny_config(), samples)
         assert np.array_equal(a.params.values, b.params.values)
         assert np.array_equal(a.pseudo, b.pseudo)
-        assert np.array_equal(a.opt.first_moment, b.opt.first_moment)
         assert np.array_equal(a.prototypes, b.prototypes)
 
     def test_vanilla_loss_decreases_on_clean_data(self):
@@ -130,14 +127,15 @@ class TestTrain:
             hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=cfg.seed
         )
         table = np.zeros((len(samples), cfg.cond_dim))
-        opt = nn_core.OptState.fresh(net.params)
+        tape = nn_core.MlpTape()
+        m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(cfg.seed + 1)
         losses = []
         for it in range(cfg.total_iters):
             draws = draw_iteration(rng, len(samples), cfg, False)
-            res = loss_step(net, samples, table, cfg, draws, it)
+            res = loss_step(net, samples, table, cfg, draws, it, tape)
             losses.append(res.demo_term)
-            net.params, opt = nn_core.adam_step(net.params, res.grads, opt, lr=cfg.lr)
+            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
         assert np.mean(losses[-100:]) < np.mean(losses[:100])
 
     def test_pc_rdc_writes_table_and_vanilla_does_not_read(self):
@@ -153,10 +151,12 @@ class TestTrain:
                                   sigma_data=cfg.sigma_data, seed=2)
         draws = draw_iteration(np.random.default_rng(4), len(samples), cfg, False)
         table = np.zeros((len(samples), cfg.cond_dim))
-        want = loss_step(net, samples, table, cfg, draws, 0).grads.copy()
+        tape = nn_core.MlpTape()
+        loss_step(net, samples, table, cfg, draws, 0, tape)
+        want = tape.grads.copy()
         table[:] = np.nan
-        got = loss_step(net, samples, table, cfg, draws, 0)
-        assert np.isfinite(got.loss) and np.array_equal(got.grads, want)
+        got = loss_step(net, samples, table, cfg, draws, 0, tape)
+        assert np.isfinite(got.loss) and np.array_equal(tape.grads, want)
 
     def test_phase_boundary_no_updates_after_budget(self):
         samples = tiny_dataset()
@@ -175,8 +175,9 @@ class TestTrain:
         table = np.zeros((len(samples), cfg.cond_dim))
         rng = np.random.default_rng(0)
         draws = draw_iteration(rng, len(samples), cfg, False)
-        res = loss_step(net, samples, table, cfg, draws, iteration=cfg.early_stop_iters)
-        w_grad, b_grad = net.params.layers(res.grads)[net.cond_head_layer]
+        tape = nn_core.MlpTape()
+        res = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape)
+        w_grad, b_grad = net.params.layers(tape.grads)[net.cond_head_layer]
         assert not np.any(w_grad) and not np.any(b_grad)
         assert res.cond_term == 0.0
 
@@ -210,7 +211,7 @@ class TestLossStep:
                                   sigma_data=cfg.sigma_data, seed=5)
         table = np.zeros((len(samples), cfg.cond_dim))
         draws = draw_iteration(np.random.default_rng(1), len(samples), cfg, False)
-        res = loss_step(net, samples, table, cfg, draws, 0)
+        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape())
         assert res.loss == res.demo_term
         assert res.cond_term == 0.0
         # independent recomputation through the reference loss
@@ -229,10 +230,11 @@ class TestLossStep:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=5)
         table = np.zeros((len(samples), cfg.cond_dim))
+        tape = nn_core.MlpTape()
         for it in range(2):
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
-            loss_step(net, samples, table, cfg, draws, it)
-            slots = {key[1] for key in net.tape._buffers if key[0] in ("h", "dact")}
+            loss_step(net, samples, table, cfg, draws, it, tape)
+            slots = {key[1] for key in tape._buffers if key[0] in ("h", "dact")}
             assert slots == set(range(cfg.quad_nodes))
 
     def test_pc_rdc_hand_recomposition(self):
@@ -244,7 +246,7 @@ class TestLossStep:
         table = np.zeros((len(samples), cfg.cond_dim))
         table[:] = rng0.normal(0, 0.2, table.shape)
         draws = draw_iteration(np.random.default_rng(2), len(samples), cfg, True)
-        res = loss_step(net, samples, table, cfg, draws, 0)
+        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape())
 
         # hand path: centered, mirrored, scaled condition into dsm_loss
         center = table.mean(axis=0)
@@ -280,20 +282,22 @@ class TestLossStep:
         table = np.zeros((len(samples), cfg.cond_dim))
         table[:] = rng0.normal(0, 0.3, table.shape)
         draws = draw_iteration(np.random.default_rng(3), len(samples), cfg, True)
-        res = loss_step(net, samples, table, cfg, draws, 0)
+        tape = nn_core.MlpTape()
+        loss_step(net, samples, table, cfg, draws, 0, tape)
+        grads = tape.grads
 
         base = net.params.values.copy()
         fd = np.zeros_like(base)
         h = 1e-5
         for i in range(base.size):
             net.params.values[i] = base[i] + h
-            up = loss_step(net, samples, table, cfg, draws, 0).loss
+            up = loss_step(net, samples, table, cfg, draws, 0, tape).loss
             net.params.values[i] = base[i] - h
-            dn = loss_step(net, samples, table, cfg, draws, 0).loss
+            dn = loss_step(net, samples, table, cfg, draws, 0, tape).loss
             net.params.values[i] = base[i]
             fd[i] = (up - dn) / (2 * h)
-        scale = np.maximum(np.maximum(np.abs(res.grads), np.abs(fd)), 1e-6)
-        assert np.max(np.abs(res.grads - fd) / scale) < 1e-4
+        scale = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-6)
+        assert np.max(np.abs(grads - fd) / scale) < 1e-4
 
     @pytest.mark.parametrize("variant", trainer.VARIANTS)
     def test_float32_step_agrees_with_float64(self, variant):
@@ -309,19 +313,20 @@ class TestLossStep:
                              cfg.sigma_data)
         table = np.random.default_rng(3).normal(0, 0.3, (len(samples), cfg.cond_dim))
         draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
-        got = loss_step(net, samples, table, cfg, draws, 0)
-        want = loss_step(net64, samples, table, cfg, draws, 0)
-        assert (got.grads.dtype, want.grads.dtype) == (np.float32, np.float64)
+        tape, tape64 = nn_core.MlpTape(), nn_core.MlpTape()
+        got = loss_step(net, samples, table, cfg, draws, 0, tape)
+        want = loss_step(net64, samples, table, cfg, draws, 0, tape64)
+        assert (tape.grads.dtype, tape64.grads.dtype) == (np.float32, np.float64)
 
         def rel_l2(a, b):
             return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-        assert rel_l2(got.grads, want.grads) <= 1e-5
+        assert rel_l2(tape.grads, tape64.grads) <= 1e-5
         if variant == "pc_rdc":
             assert rel_l2(got.y_phi, want.y_phi) <= 1e-5
 
     def test_buffer_reuse_leaks_nothing(self):
-        # the network's tape reuses its buffers from one step to the next
+        # one tape reuses its buffers from one step to the next
         cfg = tiny_config(batch_size=3)
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
@@ -329,20 +334,22 @@ class TestLossStep:
         net.params.values[:] = np.random.default_rng(8).normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), cfg.cond_dim))
         draws = [draw_iteration(np.random.default_rng(s), len(samples), cfg, True) for s in (1, 2)]
-        first = loss_step(net, samples, table, cfg, draws[0], 0)
-        grads, y_phi = first.grads.copy(), first.y_phi.copy()
-        loss_step(net, samples, table, cfg, draws[1], 0)
-        assert np.array_equal(first.grads, grads)
+        tape = nn_core.MlpTape()
+        first = loss_step(net, samples, table, cfg, draws[0], 0, tape)
+        first_grads = tape.grads
+        grads, y_phi = first_grads.copy(), first.y_phi.copy()
+        loss_step(net, samples, table, cfg, draws[1], 0, tape)
+        assert np.array_equal(first_grads, grads)
         assert np.array_equal(first.y_phi, y_phi)
-        again = loss_step(net, samples, table, cfg, draws[0], 0)
-        assert np.array_equal(again.grads, grads) and again.loss == first.loss
-        # batch 3 then 4 on one network gives what a fresh network gives
+        again = loss_step(net, samples, table, cfg, draws[0], 0, tape)
+        assert np.array_equal(tape.grads, grads) and again.loss == first.loss
+        # batch 3 then 4 on one tape gives what a fresh tape gives
         cfg4 = tiny_config(batch_size=4)
         draws4 = draw_iteration(np.random.default_rng(3), len(samples), cfg4, True)
-        fresh = ScoreNetwork(net.params, sigma_data=cfg.sigma_data)
-        got = loss_step(net, samples, table, cfg4, draws4, 0)
-        want = loss_step(fresh, samples, table, cfg4, draws4, 0)
-        assert np.array_equal(got.grads, want.grads)
+        fresh = nn_core.MlpTape()
+        got = loss_step(net, samples, table, cfg4, draws4, 0, tape)
+        want = loss_step(net, samples, table, cfg4, draws4, 0, fresh)
+        assert np.array_equal(tape.grads, fresh.grads)
         assert np.array_equal(got.y_phi, want.y_phi)
 
     def test_loss_finite_through_run(self):
@@ -351,16 +358,17 @@ class TestLossStep:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=cfg.seed)
         table = np.zeros((len(samples), cfg.cond_dim))
-        opt = nn_core.OptState.fresh(net.params)
+        tape = nn_core.MlpTape()
+        m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(5)
         for it in range(cfg.total_iters):
             cond_path = it < cfg.early_stop_iters
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            res = loss_step(net, samples, table, cfg, draws, it)
+            res = loss_step(net, samples, table, cfg, draws, it, tape)
             assert np.isfinite(res.loss)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
-            net.params, opt = nn_core.adam_step(net.params, res.grads, opt, lr=cfg.lr)
+            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
 
 
 class TestPrototypes:
@@ -420,15 +428,13 @@ class TestPrototypes:
 def assert_same_checkpoint(loaded, ckpt):
     for got, want in [
         (loaded.params.values, ckpt.params.values),
-        (loaded.opt.first_moment, ckpt.opt.first_moment),
-        (loaded.opt.second_moment, ckpt.opt.second_moment),
         (loaded.pseudo, ckpt.pseudo),
         (loaded.prototypes, ckpt.prototypes),
     ]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert loaded.params.layer_shapes == ckpt.params.layer_shapes
-    assert (loaded.opt.step_count, loaded.iteration, loaded.config_digest, loaded.diverged) == (
-        ckpt.opt.step_count, ckpt.iteration, ckpt.config_digest, ckpt.diverged
+    assert (loaded.iteration, loaded.config_digest, loaded.diverged) == (
+        ckpt.iteration, ckpt.config_digest, ckpt.diverged
     )
 
 
@@ -443,19 +449,28 @@ class TestCheckpointIO:
         assert_same_checkpoint(loaded, ckpt)
         assert os.listdir(tmp_path) == [CHECKPOINT_FILE]
 
-    @pytest.mark.parametrize(
-        "edit",
-        [{"adam_m": -12}, {"adam_v": 1}, {"adam_m": -1, "adam_v": -1}],
-        ids=["cut_short_96_bytes", "trailing_value", "size_not_param_count"],
-    )
-    def test_bad_optimizer_moments_rejected(self, tmp_path, edit_archive, edit):
+    def test_archive_holds_only_what_sampling_reads(self, tmp_path):
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
+        with np.load(tmp_path / CHECKPOINT_FILE) as archive:
+            assert sorted(archive.files) == sorted([
+                "params", "layer_shapes", "table_entries", "prototypes", "iteration",
+                "diverged", "config_digest", "config_json",
+            ])
+
+    def test_archive_with_adam_moments_loads_equal(self, tmp_path, edit_archive):
+        # Older archives also hold Adam's moments and step count; nothing reads them.
         cfg = tiny_config(total_iters=4, early_stop_iters=2)
         ckpt = train(cfg, tiny_dataset())
         save_checkpoint(tmp_path, ckpt, cfg)
         n = ckpt.params.values.size
-        edit_archive(tmp_path, **{key: np.zeros(n + delta) for key, delta in edit.items()})
-        with pytest.raises(ValueError, match="'adam_[mv]'"):
-            load_checkpoint(tmp_path)
+        edit_archive(tmp_path, adam_m=np.ones(n, np.float32), adam_v=np.ones(n, np.float32),
+                     adam_step=np.int64(4))
+        with np.load(tmp_path / CHECKPOINT_FILE) as archive:
+            assert {"adam_m", "adam_v", "adam_step"} <= set(archive.files)
+        _, cfg2, loaded = load_checkpoint(tmp_path)
+        assert cfg2 == cfg
+        assert_same_checkpoint(loaded, ckpt)
 
     def test_vanilla_checkpoint_has_no_pseudo_file(self, tmp_path):
         cfg = tiny_config(variant="vanilla", total_iters=4, early_stop_iters=2)
