@@ -174,10 +174,10 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
     """
     guidance = GUIDANCE_W if w is None else w
     out = {}
-    for c in range(net.cond_dim):
+    for c in range(data_mod.N_CLASSES):
         out[c] = diffusion.heun_sample(
             diffusion.guided(net, prototypes[c], guidance),
-            net.x_dim,
+            data_mod.X_DIM,
             config.num_steps,
             per_class,
             seed + c,
@@ -206,7 +206,6 @@ def cmd_sample(args) -> int:
         [np.full(len(per_class[c]), c) for c in sorted(per_class)]
     )
     out = Path(args.out) if args.out else out_root() / "samples.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
     diffusion.write_samples(out, pts, cids)
     print(f"wrote {len(pts)} samples to {out}")
     if args.svg:
@@ -223,9 +222,9 @@ def cmd_sample(args) -> int:
 def evaluate_samples(samples, per_class: dict[int, np.ndarray]) -> tuple[float, float]:
     """Class-averaged nearest-neighbor MAE plus centroid controllability."""
     pts, clean = samples.points, samples.clean
-    clf = metrics.fit_centroids(pts, clean, int(clean.max()) + 1)
+    centroids = metrics.fit_centroids(pts, clean, int(clean.max()) + 1)
     maes = [metrics.mae(per_class[c], pts[clean == c]) for c in sorted(per_class)]
-    return float(np.mean(maes)), metrics.controllability_acc(per_class, clf)
+    return float(np.mean(maes)), metrics.controllability_acc(per_class, centroids)
 
 
 def cmd_eval(args) -> int:
@@ -335,13 +334,13 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
     cell_dir = outdir / "cells" / f"{variant}_{sweep.noise}{eta:g}_s{seed}"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    clf = metrics.fit_centroids(samples.points, samples.clean, config.cond_dim)
+    centroids = metrics.fit_centroids(samples.points, samples.clean, data_mod.N_CLASSES)
     dyn_rows = []
 
     def snapshot(iteration, net, table):
         protos = trainer.sampling_prototypes(config, table, samples.noisy)
         per_class = sample_per_class(net, config, 250, seeds["eval"] + 7, None, protos)
-        acc = metrics.controllability_acc(per_class, clf)
+        acc = metrics.controllability_acc(per_class, centroids)
         dyn_rows.append((variant, seed, iteration, acc))
 
     try:

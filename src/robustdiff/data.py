@@ -78,7 +78,7 @@ def inject_symmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
         raise ValueError("eta must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     labels = samples.clean.tolist()
-    others = {c: [o for o in sorted(set(labels)) if o != c] for c in set(labels)}
+    others = {c: [o for o in range(N_CLASSES) if o != c] for c in range(N_CLASSES)}
     noisy = samples.clean.copy()
     # One draw per row, plus a destination draw after each flip: the
     # interleaving is the RNG stream, so the rows are walked in order.
@@ -107,6 +107,7 @@ def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
 
 
 def noisy_labels(samples: Dataset) -> np.ndarray:
+    # Read only by perfbench/run.py; it goes with ROADMAP direction 1(e).
     return samples.noisy
 
 

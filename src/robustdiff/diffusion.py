@@ -13,11 +13,12 @@ exponent RHO; only the sampler's step count is a setting.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .data import read_records
+from .data import N_CLASSES, read_records
 from .network import ScoreNetwork
 
 SAMPLES_HEADER = "x1,x2,class"
@@ -102,7 +103,7 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
         raise ValueError("sigma must be > 0")
     x = np.asarray(x_t, dtype=np.float64)
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (x.shape[0], 1))
-    c = np.broadcast_to(cond, (x.shape[0], net.cond_dim))
+    c = np.broadcast_to(cond, (x.shape[0], N_CLASSES))
     sd = net.sigma_data
     raw = net.demo_out(trunk_input(c_in(sig, sd) * x, sig, c))
     return edm_residual(raw, x, sig, sd)
@@ -117,7 +118,7 @@ def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
     """
     if not 1.0 <= w < np.inf:
         raise ValueError("guidance scale w must be >= 1 and finite")
-    uncond = np.zeros(net.cond_dim)
+    uncond = np.zeros(N_CLASSES)
 
     def fn(x, sigma):
         d_cond = denoise(net, x, sigma, cond)
@@ -157,10 +158,11 @@ def heun_sample(
 
 
 def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
-    """One record per line: comma-separated coordinates then the class id.
-    Refuses, before opening `path`, the non-finite points read_samples refuses."""
+    """One record per line: comma-separated coordinates then the class id. The
+    non-finite points read_samples refuses are refused before anything is made."""
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"{path}: non-finite sample coordinates, not written")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
         f.write(SAMPLES_HEADER + "\n")
         for row, cid in zip(samples, class_ids):

@@ -59,18 +59,8 @@ def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
     return float(total / n_gen)
 
 
-@dataclass
-class CentroidClassifier:
-    centroids: np.ndarray  # (n_classes, 2)
-
-    def predict(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        d2 = ((pts[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
-
-
-def fit_centroids(pts: np.ndarray, labels: np.ndarray, n_classes: int) -> CentroidClassifier:
-    """Class-mean centroids over clean data; every class must be present."""
+def fit_centroids(pts: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """Class-mean centroids (n_classes, 2) over clean data; every class must be present."""
     pts = np.asarray(pts, dtype=np.float64)
     labels = np.asarray(labels)
     cents = np.zeros((n_classes, pts.shape[1]))
@@ -79,17 +69,16 @@ def fit_centroids(pts: np.ndarray, labels: np.ndarray, n_classes: int) -> Centro
         if not mask.any():
             raise ValueError(f"class {c} missing from the reference data")
         cents[c] = pts[mask].mean(axis=0)
-    return CentroidClassifier(cents)
+    return cents
 
 
-def controllability_acc(
-    generated_per_class: dict[int, np.ndarray], classifier: CentroidClassifier
-) -> float:
-    """Fraction of generated points landing nearest their conditioning class."""
+def controllability_acc(generated_per_class: dict[int, np.ndarray], centroids: np.ndarray) -> float:
+    """Fraction of generated points nearest the centroid of their conditioning class."""
     hits = 0
     total = 0
     for c in sorted(generated_per_class):
-        preds = classifier.predict(generated_per_class[c])
+        pts = np.atleast_2d(np.asarray(generated_per_class[c], dtype=np.float64))
+        preds = np.argmin(((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
         hits += int((preds == c).sum())
         total += len(preds)
     return hits / total

@@ -13,14 +13,15 @@ Variants: `vanilla` conditions on the given noisy labels and never touches the
 table; `pc_only` reads the condition head directly as the pseudo estimate;
 `pc_rdc` estimates it through the reverse-time integral.
 
-The table is a plain (n_samples, cond_dim) array, and a step reads the
+The table is a plain (n_samples, N_CLASSES) array, and a step reads the
 dataset's own arrays: the points and the noisy labels, one-hot encoded per
-batch. The problem's shape is no setting: the draws read data.X_DIM,
-TrainConfig.cond_dim echoes data.N_CLASSES, and the network reads its widths
-from its parameters. Nor are the fixed choices: the EDM sigma_data and the
-prototype floor are TrainConfig class constants, and the draws of an
-iteration (the log-normal noise level, the guidance drop rate, the boundary
-state's std) are constants of this module.
+batch. The table's mean centers the conditions; `train` takes it on every
+phase-1 iteration and once for the frozen table of phase 2. The problem's
+shape is no setting: it is data.X_DIM and data.N_CLASSES, and the network's
+layout is network.layer_shapes. Nor are the fixed choices: the EDM
+sigma_data and the prototype floor are TrainConfig class constants, and the
+draws of an iteration (the log-normal noise level, the guidance drop rate,
+the boundary state's std) are constants of this module.
 
 Nor is the precision a setting. The network trains in float32: its
 parameters (ScoreNetwork.create), every recorded pass and its backward, the
@@ -82,8 +83,9 @@ class TrainConfig:
     quad_nodes: int = 8  # RDC quadrature nodes
     lr: float = 1e-3
     seed: int = 0
-    # Constants, not settings: the number of classes, the EDM sigma_data matched
-    # to the toy layout's per-coordinate std, the prototype reliability floor.
+    # Constants, not settings: the EDM sigma_data matched to the toy layout's
+    # per-coordinate std, the prototype reliability floor. cond_dim, read only
+    # by perfbench/run.py, goes with ROADMAP direction 1(e).
     cond_dim: ClassVar[int] = data_mod.N_CLASSES
     sigma_data: ClassVar[float] = 2.5
     proto_floor: ClassVar[float] = 0.012
@@ -173,8 +175,8 @@ def sampling_prototypes(config: TrainConfig, table: np.ndarray, noisy) -> np.nda
     """The per-class sampling conditions of a `config.variant` run: one-hot
     rows for vanilla, class_prototypes of the table otherwise."""
     if config.variant == "vanilla":
-        return np.eye(config.cond_dim)
-    return class_prototypes(table, noisy, config.cond_dim, config.proto_floor)
+        return np.eye(data_mod.N_CLASSES)
+    return class_prototypes(table, noisy, data_mod.N_CLASSES, config.proto_floor)
 
 
 class TrainingDiverged(RuntimeError):
@@ -212,8 +214,8 @@ def draw_iteration(
     drop = rng.random((b, 1)) < CFG_DROP_PROB
     if not cond_path:
         return IterationDraws(idx, sig, eps_x, drop)
-    eps_c = rng.standard_normal((b, config.cond_dim))
-    y_start = Y0_STD * rng.standard_normal((b, config.cond_dim))
+    eps_c = rng.standard_normal((b, data_mod.N_CLASSES))
+    y_start = Y0_STD * rng.standard_normal((b, data_mod.N_CLASSES))
     return IterationDraws(idx, sig, eps_x, drop, eps_c, y_start)
 
 
@@ -233,14 +235,15 @@ def loss_step(
     draws: IterationDraws,
     iteration: int,
     tape: nn_core.MlpTape,
+    center: np.ndarray | None,
 ) -> LossStepResult:
-    """Combined objective value for one batch; its gradient is left in `tape.grads`."""
+    """Combined objective value for one batch; its gradient is left in `tape.grads`.
+    `center` is the table's mean, None for vanilla."""
     phase1 = config.in_phase1(iteration)
     b = draws.idx.size
     x0 = samples.points[draws.idx]
-    y_til = np.eye(net.cond_dim)[samples.noisy[draws.idx]]  # one-hot noisy labels
+    y_til = np.eye(data_mod.N_CLASSES)[samples.noisy[draws.idx]]  # one-hot noisy labels
     sd = net.sigma_data
-    center = None if config.variant == "vanilla" else table.mean(axis=0)
 
     # The denoising term's condition, before the guidance drop. Table rows are
     # centered by the table mean, so only the informative deviation reaches
@@ -313,7 +316,8 @@ def train(
     if not samples:
         raise ValueError("dataset must be non-empty")
     net = ScoreNetwork.create(config.hidden, config.depth, config.sigma_data, config.seed)
-    table = np.zeros((len(samples), net.cond_dim))  # every sample starts at zero
+    table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
+    center = None
     tape = nn_core.MlpTape()
     m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
@@ -325,8 +329,12 @@ def train(
     try:
         for iteration in range(config.total_iters):
             cond_path = config.in_phase1(iteration)
+            # The table's mean, on every phase-1 iteration and on the first of
+            # phase 2, which freezes the table and so its mean.
+            if config.variant != "vanilla" and iteration <= config.early_stop_iters:
+                center = table.mean(axis=0)
             draws = draw_iteration(rng, len(samples), config, cond_path)
-            result = loss_step(net, samples, table, config, draws, iteration, tape)
+            result = loss_step(net, samples, table, config, draws, iteration, tape, center)
             try:
                 if not np.isfinite(result.loss):
                     raise nn_core.NonFiniteError("non-finite loss")
@@ -365,11 +373,11 @@ CHECKPOINT_FILE = "checkpoint.npz"
 
 def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None:
     """Write `checkpoint` and its config to `outdir/checkpoint.npz`, an
-    uncompressed np.savez archive of these entries (P parameters, L layers,
-    N table rows, C condition channels):
+    uncompressed np.savez archive of these entries (P parameters, N table
+    rows, C = data.N_CLASSES condition channels):
 
-    - `params` (P,) in the parameters' dtype, float32 from `train`, and
-      `layer_shapes` int64 (L, 2);
+    - `params` (P,) in the parameters' dtype, float32 from `train`, laid out
+      as network.layer_shapes lays out the config's hidden and depth;
     - `table_entries` float64 (N, C);
     - `prototypes` float64 (C, C);
     - `iteration` int64 (), `diverged` bool ();
@@ -384,7 +392,6 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
     outdir.mkdir(parents=True, exist_ok=True)
     entries = {
         "params": checkpoint.params.values,
-        "layer_shapes": np.array(checkpoint.params.layer_shapes, dtype=np.int64),
         "table_entries": checkpoint.pseudo,
         "prototypes": checkpoint.prototypes,
         "iteration": np.int64(checkpoint.iteration),
@@ -411,11 +418,13 @@ _ARCHIVE_ERRORS = (zipfile.BadZipFile, zlib.error, struct.error, EOFError, OSErr
 def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     """Read the archive save_checkpoint wrote.
 
-    Raises FileNotFoundError when `outdir` holds no archive, and ValueError,
-    naming the file, when the archive fails its CRC check, lacks an entry,
-    has an entry of the wrong dtype or shape, or stores a config whose digest
+    The layout of `params` is network.layer_shapes of the stored config's
+    hidden and depth, and `params` must hold its parameter count. Raises
+    FileNotFoundError when `outdir` holds no archive, and ValueError, naming
+    the file, when the archive fails its CRC check, lacks an entry, has an
+    entry of the wrong dtype or shape, or stores a config whose digest
     differs from the stored one. Entries it does not read, such as the Adam
-    moments that older archives hold, are ignored.
+    moments and the layer shapes that older archives hold, are ignored.
     """
     path = Path(outdir) / CHECKPOINT_FILE
     if not path.is_file():
@@ -450,14 +459,11 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     digest = str(entry("config_digest", "U", ()))
     if config.digest() != digest:
         raise ValueError(f"{path}: config digest {config.digest()} != stored {digest}")
-    shapes = [tuple(int(d) for d in row) for row in entry("layer_shapes", "i", (None, 2))]
-    want = network.layer_shapes(config.hidden, config.depth)
-    if shapes != want:
-        raise ValueError(f"{path}: layer shapes {shapes} do not match the config's {want}")
+    shapes = network.layer_shapes(config.hidden, config.depth)
     params = nn_core.ParamBundle(shapes, entry("params", "f", (nn_core.param_count(shapes),)))
     net = ScoreNetwork(params, config.sigma_data)
-    table = entry("table_entries", "f", (None, net.cond_dim))
-    protos = entry("prototypes", "f", (net.cond_dim, net.cond_dim))
+    table = entry("table_entries", "f", (None, data_mod.N_CLASSES))
+    protos = entry("prototypes", "f", (data_mod.N_CLASSES, data_mod.N_CLASSES))
     ckpt = Checkpoint(params, table, int(entry("iteration", "i", ())), digest, protos,
                       bool(entry("diverged", "b", ())))
     return net, config, ckpt

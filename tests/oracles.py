@@ -19,7 +19,7 @@ import numpy as np
 
 from robustdiff import nn_core
 from robustdiff.diffusion import Denoiser, loss_weight, trunk_input
-from robustdiff.network import ScoreNetwork
+from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.rdc import cond_channels, quad_times
 
 FieldFn = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -65,7 +65,7 @@ def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
     """
 
     def field(x, t, y):
-        w, b = net.params.layers()[net.cond_head_layer]
+        w, b = net.params.layers()[COND_HEAD]
         return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center))) @ w + b
 
     return field

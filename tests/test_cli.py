@@ -233,10 +233,12 @@ class TestReproduce:
         cli.main(_reproduce_args(tmp_path / "j2", "--jobs", "2"))
         cli.main(["reproduce", "--out", str(tmp_path / "rerun"),
                   "--manifest", str(tmp_path / "j1" / "manifest.txt")])
-        want = (tmp_path / "j1" / "results.csv").read_bytes()
-        assert want.count(b"\n") == 3  # header + 2 cells
-        assert (tmp_path / "j2" / "results.csv").read_bytes() == want
-        assert (tmp_path / "rerun" / "results.csv").read_bytes() == want
+        assert (tmp_path / "j1" / "results.csv").read_bytes().count(b"\n") == 3  # header + 2 cells
+        for name in ("results.csv", "summary.csv", "mae_delta.csv"):
+            want = (tmp_path / "j1" / name).read_bytes()
+            assert want
+            assert (tmp_path / "j2" / name).read_bytes() == want, name
+            assert (tmp_path / "rerun" / name).read_bytes() == want, name
 
 
 GATE_ETAS = (0.2, 0.4, 0.6, 0.8)
@@ -554,8 +556,10 @@ class TestSample:
     @DIVERGES
     def test_overflowing_guidance_writes_no_samples(self, tmp_path, capsys):
         # A finite scale this large drives the sampler past the float32 range,
-        # so the points come out nan; they are refused before the file opens.
-        data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
+        # so the points come out nan; they are refused before the file opens
+        # or its directory is made.
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        out = tmp_path / "new" / "dir" / "samples.csv"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
         capsys.readouterr()
@@ -563,7 +567,7 @@ class TestSample:
                          "--out", str(out)])
         assert code == 2
         assert f"error: {out}: non-finite sample coordinates" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / "new").exists()
 
     def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--per-class", "0"])

@@ -7,6 +7,7 @@ import pytest
 from robustdiff import data as data_mod
 from robustdiff.data import (
     CENTROIDS,
+    N_CLASSES,
     Dataset,
     NoiseSpec,
     inject_asymmetric_noise,
@@ -57,11 +58,13 @@ class TestSymmetricNoise:
         assert np.array_equal(noisy.noisy, noisy.clean)
 
     def test_two_class_eta_one_flips_everything(self):
+        # Destinations are every other class of the problem, present or not.
         rng = np.random.default_rng(0)
         labels = np.arange(50) % 2
         samples = Dataset(rng.normal(size=(50, 2)), labels, labels.copy())
         noisy = inject_symmetric_noise(samples, 1.0, seed=2)
-        assert np.array_equal(noisy.noisy, 1 - noisy.clean)
+        assert np.all(noisy.noisy != noisy.clean)
+        assert set(noisy.noisy.tolist()) == set(range(N_CLASSES))
 
     def test_flip_fraction(self):
         samples = make_toy_dataset(2000, seed=1)

@@ -1,7 +1,8 @@
 """The package holds only code that production runs: every public function,
 method and class in src/robustdiff is read somewhere in src/ or perfbench/
-outside its own definition, and every name an import binds is read in its
-module. A reference implementation that only tests call lives in tests/ (see
+outside its own definition, and so is every public module-level constant and
+class-level default. Every name an import binds is read in its module. A
+reference implementation that only tests call lives in tests/ (see
 tests/oracles.py)."""
 
 import ast
@@ -32,9 +33,13 @@ def _public_definitions(tree):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
-def test_every_public_definition_is_used():
+def _parsed():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    return {path: ast.parse(path.read_text(), str(path)) for path in files}
+
+
+def test_every_public_definition_is_used():
+    trees = _parsed()
     reads = [(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)]
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -44,6 +49,51 @@ def test_every_public_definition_is_used():
                        for where, name, line in reads):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def _assigned_names(body):
+    """(name, line) of every public name an assignment with a value in
+    `body` binds."""
+    for node in body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                    yield name.id, node.lineno
+
+
+def test_every_constant_and_class_default_is_read():
+    # A module constant is read by its name or as a module attribute; a
+    # class-level default only as an attribute, so a local variable or a
+    # parameter of the same name does not count as its reader.
+    trees = _parsed()
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = trees[path]
+        classes = [node for node in tree.body
+                   if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+        for name, line in _assigned_names(tree.body):
+            checked += 1
+            if name not in names | attrs:
+                unread.append(f"{path.name}:{line} {name}")
+        for cls in classes:
+            for name, line in _assigned_names(cls.body):
+                checked += 1
+                if name not in attrs:
+                    unread.append(f"{path.name}:{line} {cls.name}.{name}")
+    assert checked > 0 and unread == []
 
 
 def _imported_names(tree):

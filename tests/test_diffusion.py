@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from robustdiff.data import X_DIM
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
@@ -240,8 +241,8 @@ class TestHeunSample:
     def test_same_seed_bitwise_identical(self):
         net = random_net(10)
         cond = np.array([1.0, 0, 0, 0])
-        a = heun_sample(guided(net, cond, 2.0), net.x_dim, 5, 16, seed=3)
-        b = heun_sample(guided(net, cond, 2.0), net.x_dim, 5, 16, seed=3)
+        a = heun_sample(guided(net, cond, 2.0), X_DIM, 5, 16, seed=3)
+        b = heun_sample(guided(net, cond, 2.0), X_DIM, 5, 16, seed=3)
         assert np.array_equal(a, b)
 
     def test_x_dim_sets_sample_width(self):

@@ -5,7 +5,6 @@ import pytest
 
 from robustdiff.metrics import (
     DIST_BLOCK,
-    CentroidClassifier,
     RunResult,
     cell_medians,
     controllability_acc,
@@ -145,15 +144,14 @@ class TestMaeMemory:
 class TestCentroids:
     def test_single_point_per_class(self):
         pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        clf = fit_centroids(pts, np.array([0, 1]), 2)
-        assert np.array_equal(clf.centroids, pts)
+        assert np.array_equal(fit_centroids(pts, np.array([0, 1]), 2), pts)
 
     def test_blob_means_near_layout(self):
         from robustdiff import data as data_mod
 
         samples = data_mod.make_toy_dataset(2000, seed=0)
-        clf = fit_centroids(samples.points, samples.clean, 4)
-        assert np.all(np.abs(clf.centroids - data_mod.CENTROIDS) < 0.02)
+        cents = fit_centroids(samples.points, samples.clean, 4)
+        assert np.all(np.abs(cents - data_mod.CENTROIDS) < 0.02)
 
     def test_order_invariance(self):
         rng = np.random.default_rng(6)
@@ -161,10 +159,10 @@ class TestCentroids:
         labels = rng.integers(0, 4, 40)
         while len(set(labels)) < 4:
             labels = rng.integers(0, 4, 40)
-        clf1 = fit_centroids(pts, labels, 4)
+        cents1 = fit_centroids(pts, labels, 4)
         perm = rng.permutation(40)
-        clf2 = fit_centroids(pts[perm], labels[perm], 4)
-        assert np.allclose(clf1.centroids, clf2.centroids, rtol=1e-12)
+        cents2 = fit_centroids(pts[perm], labels[perm], 4)
+        assert np.allclose(cents1, cents2, rtol=1e-12)
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
@@ -173,22 +171,22 @@ class TestCentroids:
 
 class TestControllability:
     def test_points_at_centroids_give_one(self):
-        clf = CentroidClassifier(np.array([[0, 0], [10, 0], [0, 10], [10, 10]], dtype=float))
-        gen = {c: np.tile(clf.centroids[c], (5, 1)) for c in range(4)}
-        assert controllability_acc(gen, clf) == 1.0
+        cents = np.array([[0, 0], [10, 0], [0, 10], [10, 10]], dtype=float)
+        gen = {c: np.tile(cents[c], (5, 1)) for c in range(4)}
+        assert controllability_acc(gen, cents) == 1.0
 
     def test_wrong_centroid_gives_zero(self):
-        clf = CentroidClassifier(np.array([[0, 0], [10, 0]], dtype=float))
+        cents = np.array([[0, 0], [10, 0]], dtype=float)
         gen = {0: np.tile([10.0, 0.0], (5, 1)), 1: np.tile([0.0, 0.0], (5, 1))}
-        assert controllability_acc(gen, clf) == 0.0
+        assert controllability_acc(gen, cents) == 0.0
 
     def test_shuffled_labels_near_quarter(self):
         rng = np.random.default_rng(7)
-        clf = CentroidClassifier(np.array([[2.5, 2.5], [-2.5, 2.5], [-2.5, -2.5], [2.5, -2.5]]))
+        cents = np.array([[2.5, 2.5], [-2.5, 2.5], [-2.5, -2.5], [2.5, -2.5]])
         # points drawn uniformly from the four blobs, labels assigned at random
-        pts = clf.centroids[rng.integers(0, 4, 4000)] + 0.3 * rng.standard_normal((4000, 2))
+        pts = cents[rng.integers(0, 4, 4000)] + 0.3 * rng.standard_normal((4000, 2))
         gen = {c: pts[c * 1000 : (c + 1) * 1000] for c in range(4)}
-        acc = controllability_acc(gen, clf)
+        acc = controllability_acc(gen, cents)
         assert abs(acc - 0.25) < 0.02
 
     def test_translation_invariance(self):
@@ -196,10 +194,8 @@ class TestControllability:
         cents = rng.normal(size=(4, 2))
         pts = {c: rng.normal(size=(10, 2)) for c in range(4)}
         shift = np.array([3.7, -1.2])
-        acc1 = controllability_acc(pts, CentroidClassifier(cents))
-        acc2 = controllability_acc(
-            {c: p + shift for c, p in pts.items()}, CentroidClassifier(cents + shift)
-        )
+        acc1 = controllability_acc(pts, cents)
+        acc2 = controllability_acc({c: p + shift for c, p in pts.items()}, cents + shift)
         assert acc1 == acc2
 
 

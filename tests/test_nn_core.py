@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from robustdiff import nn_core, trainer
-from robustdiff.network import ScoreNetwork
+from robustdiff.data import N_CLASSES, X_DIM
+from robustdiff.network import DEMO_HEAD, IN_DIM, ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
@@ -18,15 +19,16 @@ def hand_forward(net, x):
     """Independent loop-based demo_out pass (SiLU trunk, linear demonstration
     head) used as the oracle."""
     h = list(x)
-    for k in net.trunk_layers + [net.demo_head_layer]:
-        w, b = net.params.layers()[k]
+    layers = net.params.layers()
+    trunk = layers[:DEMO_HEAD]
+    for k, (w, b) in enumerate(trunk + [layers[DEMO_HEAD]]):
         out = []
         for j in range(w.shape[1]):
             acc = b[j]
             for i in range(w.shape[0]):
                 acc += h[i] * w[i, j]
             out.append(acc)
-        if k != net.demo_head_layer:
+        if k < len(trunk):
             out = [v / (1.0 + np.exp(-v)) for v in out]
         h = out
     return np.array(h)
@@ -89,48 +91,56 @@ class TestMlpForward:
     def test_identity_layer(self):
         # an identity demonstration head reads the trunk features out unchanged
         net = random_net(0, hidden=2, depth=1)
-        w, b = net.params.layers()[net.demo_head_layer]
+        w, b = net.params.layers()[DEMO_HEAD]
         w[:] = np.eye(2)
         b[:] = 0.0
-        x = np.random.default_rng(1).normal(size=(3, net.in_dim))
+        x = np.random.default_rng(1).normal(size=(3, IN_DIM))
         assert np.array_equal(net.demo_out(x), net.trunk_features(x))
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
         net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
-        _, b = net.params.layers()[net.demo_head_layer]
+        _, b = net.params.layers()[DEMO_HEAD]
         b[:] = 0.5
         for x in ([1.0, 2.0, 3.0, 0, 0, 0, 1.0], [-4.0, 0.0, 9.0, 1.0, 0, 0, 0]):
             assert np.array_equal(net.demo_out(np.array([x])), np.full((1, 2), 0.5))
 
     def test_two_layer_matches_hand_oracle(self):
         net = random_net(4, create=float64_net)
-        x = np.random.default_rng(11).normal(size=net.in_dim)
+        x = np.random.default_rng(11).normal(size=IN_DIM)
         got = net.demo_out(x[None, :])[0]
         want = hand_forward(net, x)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_widths_follow_the_parameters(self):
         # A network built from parameters alone, as the benchmark builds one
-        # from a checkpoint, reads its depth and widths from their layer shapes.
+        # from a checkpoint, reads its depth from their layer shapes: every
+        # layer but the last two is trunk, and the heads give X_DIM and
+        # N_CLASSES columns.
         params = init_params([(7, 16), (16, 16), (16, 2), (16, 4)], seed=0)  # hidden 16, depth 2
         net = ScoreNetwork(params, sigma_data=2.5)
-        assert (net.depth, net.x_dim, net.cond_dim, net.in_dim) == (2, 2, 4, 7)
-        assert net.demo_out(np.zeros((3, net.in_dim))).shape == (3, 2)
+        x = np.zeros((3, IN_DIM))
+        tape = MlpTape()
+        tape.start(net.params)
+        demo = net.demo_var(tape, x)
+        cond = net.cond_var(tape, x)
+        assert (demo.layers, cond.layers) == ([0, 1, 2], [0, 1, 3])
+        assert demo.out.shape == net.demo_out(x).shape == (3, X_DIM)
+        assert cond.out.shape == (3, N_CLASSES)
 
     def test_dimension_mismatch_rejected(self):
         net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
         with pytest.raises(ShapeError):
-            net.demo_out(np.zeros((1, net.in_dim + 1)))
+            net.demo_out(np.zeros((1, IN_DIM + 1)))
 
     def test_pure_function_bitwise(self):
         net = random_net(1, hidden=8)
-        x = np.random.default_rng(2).normal(size=(6, net.in_dim))
+        x = np.random.default_rng(2).normal(size=(6, IN_DIM))
         assert np.array_equal(net.demo_out(x), net.demo_out(x))
 
     def test_batched_matches_per_row(self):
         net = random_net(9, hidden=4, create=float64_net)
-        x = np.random.default_rng(3).normal(size=(5, net.in_dim))
+        x = np.random.default_rng(3).normal(size=(5, IN_DIM))
         batched = net.demo_out(x)
         rows = np.concatenate([net.demo_out(r[None, :]) for r in x])
         assert np.allclose(batched, rows, rtol=1e-14)
@@ -142,7 +152,7 @@ class TestMlpForward:
         net = ScoreNetwork.create(hidden=64, depth=3, sigma_data=2.5, seed=3)  # trained widths
         rng = np.random.default_rng(batch)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
-        x = rng.normal(size=(batch, net.in_dim))
+        x = rng.normal(size=(batch, IN_DIM))
         tape = MlpTape()
         tape.start(net.params)
         rec = net.demo_var(tape, x)

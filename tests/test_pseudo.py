@@ -151,7 +151,7 @@ class TestSnapshot:
     @pytest.mark.parametrize(
         "edit",
         [
-            {"table_entries": np.zeros((3, 2))},  # rows narrower than cond_dim
+            {"table_entries": np.zeros((3, 2))},  # rows narrower than N_CLASSES
             {},  # no table at all
         ],
         ids=["unequal_width", "empty"],

@@ -11,7 +11,7 @@ from robustdiff.diffusion import (
     sigma_grid,
     trunk_input,
 )
-from robustdiff.network import ScoreNetwork
+from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.rdc import (
     cond_channels,
     estimate_pseudo_adjoint,
@@ -94,7 +94,7 @@ class TestConditionScoreHead:
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau)) ** 2 + 1.0)
         net_in = np.concatenate([x_ctx, [c_noise(tau)], scale * y])
         feats = net.trunk_features(net_in[None, :])
-        w, b = net.params.layers()[net.cond_head_layer]
+        w, b = net.params.layers()[COND_HEAD]
         want = (feats @ w + b)[0]
         assert np.allclose(got, want, rtol=1e-12)
 
@@ -124,7 +124,7 @@ class TestEstimatePseudo:
         # constant head via zero weights + bias; oracle sums dt / (2 t) directly
         net = float64_net(hidden=8, depth=2, sigma_data=0.5, seed=2)
         c = np.array([1.0, -2.0, 0.5, 0.25])
-        _, bias = net.params.layers()[net.cond_head_layer]
+        _, bias = net.params.layers()[COND_HEAD]
         bias[:] = c
         k = 8
         times = quad_times(k)

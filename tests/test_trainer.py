@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from robustdiff import data as data_mod
 from robustdiff import diffusion, nn_core, pseudo, rdc, trainer
-from robustdiff.network import ScoreNetwork
+from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.trainer import (
     CHECKPOINT_FILE,
     Checkpoint,
@@ -126,14 +126,14 @@ class TestTrain:
         net = ScoreNetwork.create(
             hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=cfg.seed
         )
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(cfg.seed + 1)
         losses = []
         for it in range(cfg.total_iters):
             draws = draw_iteration(rng, len(samples), cfg, False)
-            res = loss_step(net, samples, table, cfg, draws, it, tape)
+            res = loss_step(net, samples, table, cfg, draws, it, tape, None)
             losses.append(res.demo_term)
             net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
         assert np.mean(losses[-100:]) < np.mean(losses[:100])
@@ -150,12 +150,12 @@ class TestTrain:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=2)
         draws = draw_iteration(np.random.default_rng(4), len(samples), cfg, False)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
-        loss_step(net, samples, table, cfg, draws, 0, tape)
+        loss_step(net, samples, table, cfg, draws, 0, tape, None)
         want = tape.grads.copy()
         table[:] = np.nan
-        got = loss_step(net, samples, table, cfg, draws, 0, tape)
+        got = loss_step(net, samples, table, cfg, draws, 0, tape, None)
         assert np.isfinite(got.loss) and np.array_equal(tape.grads, want)
 
     def test_phase_boundary_no_updates_after_budget(self):
@@ -166,18 +166,41 @@ class TestTrain:
         assert np.any(at_budget.pseudo)
         assert np.array_equal(ckpt.pseudo, at_budget.pseudo)
 
+    @pytest.mark.parametrize("variant", ["pc_only", "pc_rdc"])
+    def test_phase2_center_taken_once_equals_every_iteration(self, variant):
+        # train takes the table's mean once for the frozen phase-2 table; a
+        # loop that takes it on every iteration gives the same bits.
+        cfg = tiny_config(variant=variant, total_iters=8, early_stop_iters=4)
+        samples = tiny_dataset()
+        net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.sigma_data, cfg.seed)
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
+        tape = nn_core.MlpTape()
+        m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
+        rng = np.random.default_rng(cfg.seed + 1)
+        for it in range(cfg.total_iters):
+            cond_path = cfg.in_phase1(it)
+            draws = draw_iteration(rng, len(samples), cfg, cond_path)
+            res = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
+            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            if cond_path:
+                pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
+        ckpt = train(cfg, samples)
+        assert np.array_equal(ckpt.params.values, net.params.values)
+        assert np.array_equal(ckpt.pseudo, table)
+
     def test_phase2_no_condition_gradient(self):
         cfg = tiny_config()
         samples = tiny_dataset()
         net = ScoreNetwork.create(
             hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=3
         )
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         rng = np.random.default_rng(0)
         draws = draw_iteration(rng, len(samples), cfg, False)
         tape = nn_core.MlpTape()
-        res = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape)
-        w_grad, b_grad = net.params.layers(tape.grads)[net.cond_head_layer]
+        res = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape,
+                        table.mean(axis=0))
+        w_grad, b_grad = net.params.layers(tape.grads)[COND_HEAD]
         assert not np.any(w_grad) and not np.any(b_grad)
         assert res.cond_term == 0.0
 
@@ -209,9 +232,9 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=5)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = draw_iteration(np.random.default_rng(1), len(samples), cfg, False)
-        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape())
+        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape(), None)
         assert res.loss == res.demo_term
         assert res.cond_term == 0.0
         # independent recomputation through the reference loss
@@ -229,11 +252,11 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=5)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         for it in range(2):
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
-            loss_step(net, samples, table, cfg, draws, it, tape)
+            loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
             slots = {key[1] for key in tape._buffers if key[0] in ("h", "dact")}
             assert slots == set(range(cfg.quad_nodes))
 
@@ -243,13 +266,13 @@ class TestLossStep:
         net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=6)
         rng0 = np.random.default_rng(9)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         table[:] = rng0.normal(0, 0.2, table.shape)
         draws = draw_iteration(np.random.default_rng(2), len(samples), cfg, True)
-        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape())
+        center = table.mean(axis=0)
+        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape(), center)
 
         # hand path: centered, mirrored, scaled condition into dsm_loss
-        center = table.mean(axis=0)
         sig_c = diffusion.mirror_sigma(draws.sigma)
         y_t = table[draws.idx] + sig_c * draws.eps_c
         cond = rdc.cond_channels(y_t, draws.sigma, center)
@@ -279,11 +302,12 @@ class TestLossStep:
         net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=7)
         rng0 = np.random.default_rng(11)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         table[:] = rng0.normal(0, 0.3, table.shape)
         draws = draw_iteration(np.random.default_rng(3), len(samples), cfg, True)
         tape = nn_core.MlpTape()
-        loss_step(net, samples, table, cfg, draws, 0, tape)
+        center = table.mean(axis=0)
+        loss_step(net, samples, table, cfg, draws, 0, tape, center)
         grads = tape.grads
 
         base = net.params.values.copy()
@@ -291,9 +315,9 @@ class TestLossStep:
         h = 1e-5
         for i in range(base.size):
             net.params.values[i] = base[i] + h
-            up = loss_step(net, samples, table, cfg, draws, 0, tape).loss
+            up = loss_step(net, samples, table, cfg, draws, 0, tape, center).loss
             net.params.values[i] = base[i] - h
-            dn = loss_step(net, samples, table, cfg, draws, 0, tape).loss
+            dn = loss_step(net, samples, table, cfg, draws, 0, tape, center).loss
             net.params.values[i] = base[i]
             fd[i] = (up - dn) / (2 * h)
         scale = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-6)
@@ -311,11 +335,12 @@ class TestLossStep:
         net64 = ScoreNetwork(nn_core.ParamBundle(net.params.layer_shapes,
                                                  net.params.values.astype(np.float64)),
                              cfg.sigma_data)
-        table = np.random.default_rng(3).normal(0, 0.3, (len(samples), cfg.cond_dim))
+        table = np.random.default_rng(3).normal(0, 0.3, (len(samples), data_mod.N_CLASSES))
+        center = None if variant == "vanilla" else table.mean(axis=0)
         draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
         tape, tape64 = nn_core.MlpTape(), nn_core.MlpTape()
-        got = loss_step(net, samples, table, cfg, draws, 0, tape)
-        want = loss_step(net64, samples, table, cfg, draws, 0, tape64)
+        got = loss_step(net, samples, table, cfg, draws, 0, tape, center)
+        want = loss_step(net64, samples, table, cfg, draws, 0, tape64, center)
         assert (tape.grads.dtype, tape64.grads.dtype) == (np.float32, np.float64)
 
         def rel_l2(a, b):
@@ -332,23 +357,24 @@ class TestLossStep:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=8)
         net.params.values[:] = np.random.default_rng(8).normal(0, 0.3, net.params.values.size)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = [draw_iteration(np.random.default_rng(s), len(samples), cfg, True) for s in (1, 2)]
         tape = nn_core.MlpTape()
-        first = loss_step(net, samples, table, cfg, draws[0], 0, tape)
+        center = table.mean(axis=0)
+        first = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
         first_grads = tape.grads
         grads, y_phi = first_grads.copy(), first.y_phi.copy()
-        loss_step(net, samples, table, cfg, draws[1], 0, tape)
+        loss_step(net, samples, table, cfg, draws[1], 0, tape, center)
         assert np.array_equal(first_grads, grads)
         assert np.array_equal(first.y_phi, y_phi)
-        again = loss_step(net, samples, table, cfg, draws[0], 0, tape)
+        again = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
         assert np.array_equal(tape.grads, grads) and again.loss == first.loss
         # batch 3 then 4 on one tape gives what a fresh tape gives
         cfg4 = tiny_config(batch_size=4)
         draws4 = draw_iteration(np.random.default_rng(3), len(samples), cfg4, True)
         fresh = nn_core.MlpTape()
-        got = loss_step(net, samples, table, cfg4, draws4, 0, tape)
-        want = loss_step(net, samples, table, cfg4, draws4, 0, fresh)
+        got = loss_step(net, samples, table, cfg4, draws4, 0, tape, center)
+        want = loss_step(net, samples, table, cfg4, draws4, 0, fresh, center)
         assert np.array_equal(tape.grads, fresh.grads)
         assert np.array_equal(got.y_phi, want.y_phi)
 
@@ -357,14 +383,14 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=cfg.seed)
-        table = np.zeros((len(samples), cfg.cond_dim))
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(5)
         for it in range(cfg.total_iters):
             cond_path = it < cfg.early_stop_iters
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            res = loss_step(net, samples, table, cfg, draws, it, tape)
+            res = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
             assert np.isfinite(res.loss)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
@@ -454,9 +480,29 @@ class TestCheckpointIO:
         save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
         with np.load(tmp_path / CHECKPOINT_FILE) as archive:
             assert sorted(archive.files) == sorted([
-                "params", "layer_shapes", "table_entries", "prototypes", "iteration",
+                "params", "table_entries", "prototypes", "iteration",
                 "diverged", "config_digest", "config_json",
             ])
+
+    def test_archive_with_layer_shapes_loads_equal(self, tmp_path, edit_archive):
+        # Older archives also hold the layer shapes; the config's hidden and
+        # depth give the layout, so nothing reads them.
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        ckpt = train(cfg, tiny_dataset())
+        save_checkpoint(tmp_path, ckpt, cfg)
+        edit_archive(tmp_path, layer_shapes=np.array(ckpt.params.layer_shapes, dtype=np.int64))
+        _, cfg2, loaded = load_checkpoint(tmp_path)
+        assert cfg2 == cfg
+        assert_same_checkpoint(loaded, ckpt)
+
+    def test_params_of_another_layout_rejected(self, tmp_path, edit_archive):
+        # Parameters saved under a different depth than the config echo holds.
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
+        other = ScoreNetwork.create(cfg.hidden, cfg.depth + 1, cfg.sigma_data, seed=0)
+        edit_archive(tmp_path, params=other.params.values)
+        with pytest.raises(ValueError, match=f"{CHECKPOINT_FILE}: 'params' is float32"):
+            load_checkpoint(tmp_path)
 
     def test_archive_with_adam_moments_loads_equal(self, tmp_path, edit_archive):
         # Older archives also hold Adam's moments and step count; nothing reads them.
