@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import diffusion, metrics, svg, trainer
+from . import diffusion, metrics, nn_core, svg, trainer
 from .trainer import TrainConfig, TrainingDiverged
 
 DYNAMICS_ETA = 0.4
@@ -170,13 +170,16 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
 
     `prototypes` holds one condition row per class: the identity (one-hot)
     for the vanilla variant, the learned per-label pseudo-condition means for
-    the pseudo-condition variants. `w` None means GUIDANCE_W.
+    the pseudo-condition variants. `w` None means GUIDANCE_W. Every
+    denoiser call of the run (classes x guidance branches x NFE) writes its
+    network activations into one workspace, dropped when the run returns.
     """
     guidance = GUIDANCE_W if w is None else w
+    ws = nn_core.Workspace()
     out = {}
     for c in range(data_mod.N_CLASSES):
         out[c] = diffusion.heun_sample(
-            diffusion.guided(net, prototypes[c], guidance),
+            diffusion.guided(net, prototypes[c], guidance, ws),
             data_mod.X_DIM,
             config.num_steps,
             per_class,

@@ -4,22 +4,30 @@ sampler and the samples file.
 
 Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
 forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
-preconditioning, Karras et al. 2022). `edm_residual` is its one formula: the
-sampler's denoiser and the training loss both go through it. The sampler
-sees D only as a batched callable (x, sigma) -> denoised. The noise levels
-run between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
+preconditioning, Karras et al. 2022). `precondition` gives its scales and
+the loss weight, and `edm_residual` is its one formula: the sampler's
+denoiser and the training loss both go through them. The sampler sees D
+only as a batched callable (x, sigma) -> denoised. The noise levels run
+between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
 exponent RHO; only the sampler's step count is a setting.
+
+A sampling run owns one nn_core.Workspace and hands it to every `guided`
+denoiser it builds: each `denoise` call writes its trunk input and the
+network's activations into it, so the run allocates no (batch x hidden)
+arrays after its first call. The workspace lives for that one run; what
+`denoise` returns is a fresh array.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import N_CLASSES, read_records
-from .network import ScoreNetwork
+from .data import N_CLASSES, X_DIM, read_records
+from .network import IN_DIM, ScoreNetwork
+from .nn_core import Workspace
 
 SAMPLES_HEADER = "x1,x2,class"
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
@@ -53,78 +61,96 @@ def mirror_sigma(sigma):
     return (WARP_MAX + WARP_MIN - s) ** RHO
 
 
-def c_skip(sigma, sigma_data):
-    return sigma_data**2 / (sigma**2 + sigma_data**2)
+class Preconditioning(NamedTuple):
+    """The EDM scales at a noise level and the loss weight there."""
+
+    c_in: np.ndarray  # 1 / sqrt(sigma^2 + sigma_data^2)
+    c_out: np.ndarray  # sigma * sigma_data / sqrt(sigma^2 + sigma_data^2)
+    c_skip: np.ndarray  # sigma_data^2 / (sigma^2 + sigma_data^2)
+    weight: np.ndarray  # lambda(sigma) = (sigma^2 + sigma_data^2) / (sigma * sigma_data)^2
 
 
-def c_out(sigma, sigma_data):
-    return sigma * sigma_data / np.sqrt(sigma**2 + sigma_data**2)
-
-
-def c_in(sigma, sigma_data):
-    return 1.0 / np.sqrt(sigma**2 + sigma_data**2)
+def precondition(sigma, sigma_data) -> Preconditioning:
+    """EDM preconditioning (Karras et al. 2022, table 1) at `sigma`, a
+    scalar or an array of noise levels, all from one sigma^2 + sigma_data^2
+    and its square root."""
+    var = sigma**2 + sigma_data**2
+    root = np.sqrt(var)
+    return Preconditioning(1.0 / root, sigma * sigma_data / root, sigma_data**2 / var,
+                           var / (sigma * sigma_data) ** 2)
 
 
 def c_noise(sigma):
     return np.log(sigma) / 4.0
 
 
-def loss_weight(sigma, sigma_data):
-    """lambda(sigma) = (sigma^2 + sigma_data^2) / (sigma * sigma_data)^2."""
-    return (sigma**2 + sigma_data**2) / (sigma * sigma_data) ** 2
+def trunk_input(x_in: np.ndarray, sigma, cond: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Trunk input rows, written into `out` (a fresh float64 array when
+    None): the preconditioned point x_in = c_in(sigma) * x, the noise channel
+    c_noise(sigma) and the condition channels. Each is computed in float64
+    and rounded once to the dtype of `out`.
 
-
-def trunk_input(x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
-    """Trunk input rows: the preconditioned point x_in = c_in(sigma) * x, the
-    noise channel c_noise(sigma) and the condition channels.
-
-    `sigma` is a scalar or one value per row; `cond` has one row per point.
+    `sigma` is a scalar or one value per row; `cond` has one row per point
+    or a single row shared by all.
     """
-    noise = np.broadcast_to(c_noise(sigma), (x_in.shape[0], 1))
-    return np.concatenate([x_in, noise, cond], axis=1)
+    if out is None:
+        out = np.empty((x_in.shape[0], X_DIM + 1 + np.shape(cond)[-1]))
+    out[:, :X_DIM] = x_in
+    out[:, X_DIM : X_DIM + 1] = c_noise(sigma)
+    out[:, X_DIM + 1 :] = cond
+    return out
 
 
-def edm_residual(raw, x_t, sigma, sigma_data, x0=0.0):
-    """D - x0 for the network output `raw` at the noised point x_t:
-    c_out(sigma) * raw + (c_skip(sigma) * x_t - x0). With x0 = 0 it is the
-    denoised value D itself."""
-    return c_out(sigma, sigma_data) * raw + (c_skip(sigma, sigma_data) * x_t - x0)
+def edm_residual(raw, x_t, pre: Preconditioning, x0=0.0):
+    """D - x0 for the network output `raw` at the noised point x_t, with the
+    scales `pre` of its noise level: c_out * raw + (c_skip * x_t - x0). With
+    x0 = 0 it is the denoised value D itself."""
+    return pre.c_out * raw + (pre.c_skip * x_t - x0)
 
 
-def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
+def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond,
+            ws: Workspace | None = None) -> np.ndarray:
     """Preconditioned denoiser on a (batch, x_dim) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
-    c_noise(sigma), cond). `cond` is one row per point or a single row shared
-    by the batch; the all-zero row is the unconditional branch. The point and
-    the result are float64; F runs in the dtype of the network's parameters.
+    c_noise(sigma), cond). `sigma` is a scalar or one value per row, finite
+    and > 0 (ValueError otherwise). `cond` is one row per point or a single
+    row shared by the batch; the all-zero row is the unconditional branch.
+    The point and the result are float64; F runs in the dtype of the
+    network's parameters, its input written straight into that dtype in `ws`
+    (key "input"), as are its activations (fresh arrays when `ws` is None).
     """
-    if np.any(np.asarray(sigma) <= 0):
-        raise ValueError("sigma must be > 0")
+    sig = np.asarray(sigma, dtype=np.float64)
+    if not np.all(np.isfinite(sig) & (sig > 0)):
+        raise ValueError("sigma must be finite and > 0")
+    ws = Workspace() if ws is None else ws
     x = np.asarray(x_t, dtype=np.float64)
-    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (x.shape[0], 1))
-    c = np.broadcast_to(cond, (x.shape[0], N_CLASSES))
-    sd = net.sigma_data
-    raw = net.demo_out(trunk_input(c_in(sig, sd) * x, sig, c))
-    return edm_residual(raw, x, sig, sd)
+    pre = precondition(sig, net.sigma_data)
+    net_in = ws("input", (x.shape[0], IN_DIM), net.params.values.dtype)
+    raw = net.demo_out(trunk_input(pre.c_in * x, sig, cond, net_in), ws)
+    return edm_residual(raw, x, pre)
 
 
-def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
+def guided(net: ScoreNetwork, cond, w: float, ws: Workspace | None = None) -> Denoiser:
     """Classifier-free guidance (Ho & Salimans 2022) as a denoiser.
 
     Returns (x, sigma) -> D_u + w * (D_c - D_u), where D_c is conditioned on
     `cond` and D_u on the all-zero row; w = 1 is D_c alone. Since the score is
-    (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u).
+    (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u). Both
+    branches run in `ws`, the sampling run's workspace (one of the
+    denoiser's own when None).
     """
     if not 1.0 <= w < np.inf:
         raise ValueError("guidance scale w must be >= 1 and finite")
     uncond = np.zeros(N_CLASSES)
+    ws = Workspace() if ws is None else ws
 
     def fn(x, sigma):
-        d_cond = denoise(net, x, sigma, cond)
+        d_cond = denoise(net, x, sigma, cond, ws)
         if w == 1.0:
             return d_cond
-        d_unc = denoise(net, x, sigma, uncond)
+        d_unc = denoise(net, x, sigma, uncond, ws)
         return d_unc + w * (d_cond - d_unc)
 
     return fn

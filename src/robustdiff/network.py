@@ -13,6 +13,12 @@ network holds no shape settings; it reads its depth as every layer but the
 heads. Nor does it hold a precision setting: it computes in the dtype of its
 parameters, and its inputs are cast to that dtype. `create` makes float32
 parameters, the one precision that training and sampling run in.
+
+The off-tape forward (sampling) writes its activations into a
+nn_core.Workspace that the caller passes in: a sampling run owns one for
+all of its network calls (cli.sample_per_class), so it allocates no
+(batch x hidden) arrays after its first call. What it returns lives in that
+workspace until the next call. Without one, a call gets fresh arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import nn_core
 from .data import N_CLASSES, X_DIM
-from .nn_core import MlpTape, ParamBundle, RecordedPass
+from .nn_core import MlpTape, ParamBundle, RecordedPass, Workspace
 
 # Trunk input: the point, the noise channel and the condition channels.
 IN_DIM = X_DIM + 1 + N_CLASSES
@@ -64,17 +70,25 @@ class ScoreNetwork:
             raise nn_core.ShapeError(f"network input width {net_in.shape[-1]}, expected {IN_DIM}")
         return net_in
 
-    def trunk_features(self, net_in: np.ndarray) -> np.ndarray:
+    def trunk_features(self, net_in: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+        """The last trunk layer's output, in `ws` (keys "h" and "sigmoid")."""
+        ws = Workspace() if ws is None else ws
         h = self._check_input(net_in)
         shape = h.shape[:-1] + (self.params.layer_shapes[0][1],)
-        s = np.empty(shape, h.dtype)  # the sigmoid scratch every trunk layer shares
-        for w, b in self.params.layers()[:DEMO_HEAD]:
-            h = nn_core.silu_layer(h, w, b, out=np.empty(shape, h.dtype), s=s)
+        s = ws("sigmoid", shape, h.dtype)  # the scratch every trunk layer shares
+        for j, (w, b) in enumerate(self.params.layers()[:DEMO_HEAD]):
+            # Two arrays in turn: a layer never writes the one it reads.
+            h = nn_core.silu_layer(h, w, b, out=ws(("h", j % 2), shape, h.dtype), s=s)
         return h
 
-    def demo_out(self, net_in: np.ndarray) -> np.ndarray:
+    def demo_out(self, net_in: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+        """The demonstration head's output, in `ws` (key "demo_out")."""
+        ws = Workspace() if ws is None else ws
         w, b = self.params.layers()[DEMO_HEAD]
-        return self.trunk_features(net_in) @ w + b
+        feats = self.trunk_features(net_in, ws)
+        out = np.matmul(feats, w, out=ws("demo_out", feats.shape[:-1] + w.shape[1:], w.dtype))
+        out += b
+        return out
 
     # -- recorded paths (training step) --------------------------------------
 

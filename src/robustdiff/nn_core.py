@@ -1,5 +1,6 @@
 """Minimal MLP machinery: flat parameter bundles, the SiLU layer, recorded
-passes with a hand-written backward, Adam.
+passes with a hand-written backward, Adam, and the workspace their buffers
+live in.
 
 Everything computes in the dtype of the parameters, float32 or float64: the
 recorded passes, their buffers, the gradient and Adam's moments, which the
@@ -8,10 +9,14 @@ parameters; the tests check the formulas on float64 ones, where finite
 differences are a valid oracle. Parameters of a network live in one flat
 array; `ParamBundle.layers`, the one reading of its layout, gives per-layer
 weight/bias views of it or of a gradient, so the optimizer and checkpointing
-never have to know the layer structure. `silu_layer` is the one SiLU layer:
-the recorded passes of a training step and the network's off-tape forward
-(sampling) both run it. A step walks its recorded passes back last-in
-first-out, adding each into one zeroed gradient.
+never have to know the layer structure. `adam_step` writes the new values
+into that array in place, so a tape binds its views of the parameters once
+and they stay current across steps. `silu_layer` is the one SiLU layer: the
+recorded passes of a training step and the network's off-tape forward
+(sampling) both run it, into arrays kept in a `Workspace`: a tape has its
+own, and a sampling run owns one for all of its network calls. A step walks
+its recorded passes back last-in first-out, adding each into one zeroed
+gradient.
 """
 
 from __future__ import annotations
@@ -93,6 +98,26 @@ def init_params(
     return bundle
 
 
+class Workspace(dict):
+    """Arrays kept from one call to the next, one per key.
+
+    `workspace(key, shape, dtype)` returns the array kept under `key`, made
+    by `init` (np.empty by default: contents undefined) only when there is
+    none yet or its shape or dtype differs from the one asked for. A loop
+    that asks for the same shapes allocates nothing after its first pass,
+    and an array handed out under a key is the next user's to overwrite.
+    The lookup is a call rather than a public method so that perfbench's
+    tracer, which wraps public methods, records no span for each of the
+    hundreds of lookups in a training step.
+    """
+
+    def __call__(self, key, shape: tuple[int, ...], dtype, init=np.empty) -> np.ndarray:
+        buf = self.get(key)
+        if buf is None or buf.shape != shape or buf.dtype != dtype:
+            buf = self[key] = init(shape, dtype)
+        return buf
+
+
 # ---------------------------------------------------------------------------
 # The SiLU layer, recorded passes and their hand-written backward
 # ---------------------------------------------------------------------------
@@ -147,33 +172,48 @@ class MlpTape:
     walked back) form a stack: `backward` takes only the last one, and the
     n-th live pass holds the n-th set of activation buffers (its `h` and
     `dact`). `start` zeroes `grads`; each `backward` adds its pass's weight
-    and bias gradients into it. Buffers are kept across steps and reallocated
-    only when a shape (a new batch size) or the parameters' dtype changes, so
-    a step allocates no (batch x width) arrays; `grads` is a fresh array per
-    step. Every buffer, `grads` and a pass's output have the parameters'
-    dtype; `record` takes its input in that dtype (ScoreNetwork casts it).
+    and bias gradients into it. Buffers live in the tape's Workspace, so a
+    step allocates no (batch x width) arrays once the batch size and the
+    parameters' dtype stop changing; `grads` is a fresh array per step. The
+    views of the parameters are bound once per values array: `adam_step`
+    writes the new values into it, so the same views read them. Every
+    buffer, `grads` and a pass's output have the parameters' dtype; `record`
+    takes its input in that dtype (ScoreNetwork casts it), which a pass
+    built in `input_buffers` already has.
     """
 
     def __init__(self):
         self.grads: np.ndarray | None = None
+        self._values: np.ndarray | None = None  # the parameter array _layers views
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []  # (w, b) views of params
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
         self._live: list[RecordedPass] = []
-        self._buffers: dict = {}
+        self._buffers = Workspace()
 
     def start(self, params: ParamBundle) -> None:
         """Begin a step on `params` with an all-zero gradient and no live pass."""
         self.grads = np.zeros_like(params.values)
-        self._layers = params.layers()
+        if params.values is not self._values:
+            self._values = params.values
+            self._layers = params.layers()
         self._grad_layers = params.layers(self.grads)
         self._live = []
 
     def _buffer(self, key, shape: tuple[int, ...], init=np.empty) -> np.ndarray:
-        dtype = self.grads.dtype
-        buf = self._buffers.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self._buffers[key] = init(shape, dtype)
-        return buf
+        return self._buffers(key, shape, self.grads.dtype, init)
+
+    def input_buffers(self, rows: int, count: int) -> np.ndarray:
+        """(count, rows, input width) in the parameters' dtype: row j is for
+        the caller to write the input of the j-th of the next `count` passes
+        into. Each live pass holds its own until it is walked back; a later
+        pass at the same depth of the stack reuses it."""
+        # Slices of one (depth, rows, width) array, regrown only for a deeper
+        # stack, so a step's inputs take one allocation: one per pass, placed
+        # between a step's temporaries, raised perfbench's sample_eval peak
+        # RSS by about 0.4 MB.
+        n, store = len(self._live), self._buffers.get("x")
+        depth = n + count if store is None else max(n + count, len(store))
+        return self._buffer("x", (depth, rows, self._layers[0][0].shape[0]))[n : n + count]
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
         """Run x through `layers`, SiLU on all but the last, and record it."""
@@ -233,14 +273,14 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(params: ParamBundle, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float) -> ParamBundle:
+              t: int, lr: float) -> None:
     """Step `t` (counted from 1) of plain bias-corrected Adam, in the dtype of
-    `params`: updates the moments `m` and `v` in place and returns the new
-    params.
+    `params`: updates the moments `m` and `v` and then `params.values` in
+    place.
 
-    Raises NonFiniteError, leaving `params` as they were, when the second
-    moment goes non-finite: a non-finite gradient entry makes it so, and so
-    does a finite one whose square overflows.
+    Raises NonFiniteError, leaving `params.values` as they were, when the
+    second moment goes non-finite (a non-finite gradient entry makes it so,
+    and so does a finite one whose square overflows) or a new value does.
     """
     grads = np.asarray(grads, dtype=params.values.dtype)
     if grads.shape != params.values.shape:
@@ -255,4 +295,6 @@ def adam_step(params: ParamBundle, grads: np.ndarray, m: np.ndarray, v: np.ndarr
     m_hat = m / (1.0 - BETA1**t)
     v_hat = v / (1.0 - BETA2**t)
     new_values = params.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ParamBundle(list(params.layer_shapes), new_values)
+    if not np.all(np.isfinite(new_values)):
+        raise NonFiniteError("non-finite parameter values")
+    params.values[:] = new_values

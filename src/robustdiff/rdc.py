@@ -76,9 +76,10 @@ def estimate_pseudo_var(
     """
     y = y_start
     nodes = []
-    for tau, step, scale in _quad_nodes(k):
+    inputs = tape.input_buffers(len(y), k)
+    for (tau, step, scale), net_in in zip(_quad_nodes(k), inputs):
         cond = (y - center) * scale  # cond_channels(y, tau, center)
-        rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
+        rec = net.cond_var(tape, trunk_input(x_context, tau, cond, net_in))
         nodes.append(rec)
         y = y - step * rec.out
     return y, nodes

@@ -28,6 +28,11 @@ parameters (ScoreNetwork.create), every recorded pass and its backward, the
 gradient and Adam's moments, which stay local to `train` with the tape. The
 dataset, the table, the EDM sigma columns, the loss sums and the prototypes
 stay float64. A checkpoint holds what sampling reads, and no training state.
+
+A step allocates no (batch x hidden) arrays once the tape has seen its
+shapes: each pass's trunk input is written, rounded once to float32, into a
+buffer of the tape (MlpTape.input_buffers), and Adam writes the new values
+into the network's parameter array in place, which the tape's views read.
 """
 
 from __future__ import annotations
@@ -47,14 +52,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import network, nn_core, pseudo, rdc
-from .diffusion import (
-    c_in,
-    c_out,
-    edm_residual,
-    loss_weight,
-    mirror_sigma,
-    trunk_input,
-)
+from .diffusion import edm_residual, mirror_sigma, precondition, trunk_input
 from .network import ScoreNetwork
 
 VARIANTS = ("vanilla", "pc_only", "pc_rdc")
@@ -68,6 +66,8 @@ CFG_DROP_PROB = 0.1
 Y0_STD = 1.0
 # Adam scales its float32 update by lr, so lr must be a float32 number.
 LR_MAX = float(np.finfo(np.float32).max)
+# Row c is the one-hot encoding of label c.
+_ONE_HOT = np.eye(data_mod.N_CLASSES)
 
 
 @dataclass
@@ -238,12 +238,12 @@ def loss_step(
     center: np.ndarray | None,
 ) -> LossStepResult:
     """Combined objective value for one batch; its gradient is left in `tape.grads`.
-    `center` is the table's mean, None for vanilla."""
+    `center` is the table's mean, None for vanilla. Each pass's trunk input
+    is written into a buffer of `tape` (tape.input_buffers)."""
     phase1 = config.in_phase1(iteration)
     b = draws.idx.size
     x0 = samples.points[draws.idx]
-    y_til = np.eye(data_mod.N_CLASSES)[samples.noisy[draws.idx]]  # one-hot noisy labels
-    sd = net.sigma_data
+    y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
 
     # The denoising term's condition, before the guidance drop. Table rows are
     # centered by the table mean, so only the informative deviation reaches
@@ -258,18 +258,19 @@ def loss_step(
         cond = table[draws.idx] - center
 
     x_t = x0 + draws.sigma * draws.eps_x
-    x_in = c_in(draws.sigma, sd) * x_t
+    pre = precondition(draws.sigma, net.sigma_data)
+    x_in = pre.c_in * x_t
 
     tape.start(net.params)
-    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond)))
-    out_scale = c_out(draws.sigma, sd)
-    weight = loss_weight(draws.sigma, sd)
-    err = edm_residual(demo.out, x_t, draws.sigma, sd, x0)
+    net_in = trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond),
+                         tape.input_buffers(b, 1)[0])
+    demo = net.demo_var(tape, net_in)
+    err = edm_residual(demo.out, x_t, pre, x0)
     inv_b = 1.0 / b
-    demo_term = ((err * err) * weight).sum() * inv_b
+    demo_term = ((err * err) * pre.weight).sum() * inv_b
     # The denoising pass goes back first: the order in which the passes add
     # into a layer's gradient fixes its bits.
-    tape.backward(demo, ((inv_b * weight) * (2.0 * err)) * out_scale)
+    tape.backward(demo, ((inv_b * pre.weight) * (2.0 * err)) * pre.c_out)
 
     y_phi = None
     cond_term = 0.0
@@ -281,7 +282,8 @@ def loss_step(
                 tape, net, x_in, draws.y_start, center, config.quad_nodes
             )
         else:  # the head at the table row itself, never dropped
-            pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
+            net_in = trunk_input(x_in, draws.sigma, cond, tape.input_buffers(b, 1)[0])
+            pc = net.cond_var(tape, net_in)
             y_phi = pc.out
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b
@@ -338,8 +340,7 @@ def train(
             try:
                 if not np.isfinite(result.loss):
                     raise nn_core.NonFiniteError("non-finite loss")
-                net.params = nn_core.adam_step(net.params, tape.grads, m, v,
-                                               iteration + 1, config.lr)
+                nn_core.adam_step(net.params, tape.grads, m, v, iteration + 1, config.lr)
             except nn_core.NonFiniteError as exc:
                 # The checkpoint holds the state this iteration started from.
                 protos = sampling_prototypes(config, table, samples.noisy)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from robustdiff import nn_core
-from robustdiff.diffusion import Denoiser, loss_weight, trunk_input
+from robustdiff.diffusion import Denoiser, precondition, trunk_input
 from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.rdc import cond_channels, quad_times
 
@@ -46,7 +46,7 @@ def dsm_loss(
     eps = np.asarray(eps, dtype=np.float64).reshape(x0.shape)
     x_t = x0 + sig * eps
     err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
-    return float(np.mean(loss_weight(sig, sigma_data) * err))
+    return float(np.mean(precondition(sig, sigma_data).weight * err))
 
 
 def float64_net(hidden: int, depth: int, sigma_data: float, seed: int) -> ScoreNetwork:

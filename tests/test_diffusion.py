@@ -1,28 +1,28 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from robustdiff import cli, diffusion
 from robustdiff.data import X_DIM
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
-    c_in,
     c_noise,
-    c_out,
-    c_skip,
     denoise,
     edm_residual,
     guided,
     heun_sample,
-    loss_weight,
     mirror_sigma,
+    precondition,
     read_samples,
     sigma_grid,
     trunk_input,
     write_samples,
 )
 from robustdiff.network import ScoreNetwork
+from robustdiff.nn_core import Workspace
 from robustdiff.trainer import TrainConfig
 from oracles import dsm_loss
 
@@ -83,8 +83,8 @@ class TestDenoise:
         assert np.allclose(out, x, atol=1e-6)
 
     def test_cskip_half_at_sigma_data(self):
-        assert c_skip(0.5, 0.5) == pytest.approx(0.5)
-        assert c_skip(2.5, 2.5) == pytest.approx(0.5)
+        assert precondition(0.5, 0.5).c_skip == pytest.approx(0.5)
+        assert precondition(2.5, 2.5).c_skip == pytest.approx(0.5)
 
     def test_composition_oracle(self):
         # recompose denoise from the four constants and a raw trunk+head pass
@@ -92,29 +92,33 @@ class TestDenoise:
         x = np.array([0.9, 0.1])
         sigma = 0.8
         cond = np.array([1.0, 0.0, 0.0, 0.0])
-        sd = net.sigma_data
+        pre = precondition(sigma, net.sigma_data)
         net_in = np.concatenate(
-            [c_in(sigma, sd) * x, [c_noise(sigma)], cond]
+            [pre.c_in * x, [c_noise(sigma)], cond]
         )
         raw = net.demo_out(net_in[None, :])[0]
-        want = c_skip(sigma, sd) * x + c_out(sigma, sd) * raw
+        want = pre.c_skip * x + pre.c_out * raw
         got = denoise(net, x[None, :], sigma, cond)[0]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
+        # non-finite sigma too, as a scalar or as one row of a column
         net = random_net(0)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
                 denoise(net, np.zeros((1, 2)), bad, UNCOND)
+            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+                denoise(net, np.zeros((2, 2)), np.array([[0.5], [bad]]), UNCOND)
 
     def test_residual_is_denoised_minus_x0(self):
         rng = np.random.default_rng(12)
         raw, x_t, x0 = (rng.normal(size=(9, 2)) for _ in range(3))
         sigma = np.exp(rng.normal(size=(9, 1)))
-        denoised = c_skip(sigma, 2.5) * x_t + c_out(sigma, 2.5) * raw
+        pre = precondition(sigma, 2.5)
+        denoised = pre.c_skip * x_t + pre.c_out * raw
         # x0 = 0 is the denoiser's own formula, bit for bit
-        assert np.array_equal(edm_residual(raw, x_t, sigma, 2.5), denoised)
-        assert np.allclose(edm_residual(raw, x_t, sigma, 2.5, x0), denoised - x0, rtol=1e-12)
+        assert np.array_equal(edm_residual(raw, x_t, pre), denoised)
+        assert np.allclose(edm_residual(raw, x_t, pre, x0), denoised - x0, rtol=1e-12)
 
     def test_uncond_equals_zero_vector(self):
         # guidance on the all-zero row is the unconditional branch alone
@@ -152,13 +156,13 @@ class TestDsmLoss:
         assert loss == 0.0
 
     def test_weight_value_at_sigma_data(self):
-        assert loss_weight(0.5, 0.5) == pytest.approx(8.0)
+        assert precondition(0.5, 0.5).weight == pytest.approx(8.0)
 
     def test_weight_uses_given_sigma_data(self):
         # D = x_t + 1 with eps = 0: error 1 per coordinate, weighted at sigma_data
         x0 = np.zeros((1, 2))
         loss = dsm_loss(lambda x, s: x + 1.0, x0, np.array([0.9]), np.zeros((1, 2)), 2.5)
-        assert loss == pytest.approx(2.0 * loss_weight(0.9, 2.5), rel=1e-15)
+        assert loss == pytest.approx(2.0 * precondition(0.9, 2.5).weight, rel=1e-15)
 
     def test_single_sample_recomputation(self):
         net = random_net(6)
@@ -169,7 +173,7 @@ class TestDsmLoss:
             lambda x, s: denoise(net, x, s, np.zeros(4)), x0, sigma, eps, net.sigma_data
         )
         den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4))[0]
-        want = loss_weight(0.9, net.sigma_data) * float(((den - x0[0]) ** 2).sum())
+        want = precondition(0.9, net.sigma_data).weight * float(((den - x0[0]) ** 2).sum())
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -252,6 +256,55 @@ class TestHeunSample:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             heun_sample(lambda x, s: x, 2, 4, 0, 0)
+
+
+class TestSamplingWorkspace:
+    """A sampling run's denoiser calls write into one workspace."""
+
+    HIDDEN = 64
+    ROWS = 1000
+
+    def production_net(self, seed):
+        # ScoreNetwork.create's float32 network, heads moved off zero
+        net = ScoreNetwork.create(hidden=self.HIDDEN, depth=3, sigma_data=2.5, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        net.params.values[:] = rng.normal(0, 0.2, net.params.values.size)
+        return net
+
+    def test_steady_state_denoise_allocates_no_hidden_array(self, monkeypatch):
+        # Every denoise call of cli.sample_per_class runs under tracemalloc;
+        # after the first, none peaks a (ROWS, HIDDEN) array above its start.
+        real, peaks = diffusion.denoise, []
+
+        def measured(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                out = real(*args, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - start)
+            return out
+
+        monkeypatch.setattr(diffusion, "denoise", measured)
+        config = TrainConfig(num_steps=3)
+        cli.sample_per_class(self.production_net(0), config, self.ROWS, 0, None, np.eye(4))
+        hidden_array = self.ROWS * self.HIDDEN * np.dtype(np.float32).itemsize
+        assert len(peaks) == 4 * 2 * (2 * config.num_steps - 1)
+        assert peaks[0] >= 2 * hidden_array  # the first call fills the workspace
+        assert max(peaks[1:]) < hidden_array
+
+    def test_one_workspace_across_rows_and_branches_is_bitwise_fresh(self):
+        net = self.production_net(1)
+        cond = np.array([0.3, -0.1, 0.0, -0.2])
+        ws = Workspace()
+        for count in (self.ROWS, 20, self.ROWS):
+            got = heun_sample(guided(net, cond, 2.0, ws), X_DIM, 4, count, seed=count)
+            # a fresh workspace for every call
+            want = heun_sample(lambda x, s: guided(net, cond, 2.0)(x, s), X_DIM, 4, count,
+                               seed=count)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSampleDump:

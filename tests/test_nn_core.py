@@ -275,6 +275,30 @@ class TestTapeSlots:
         assert all(a is b for a, b in zip(third.h + third.dact, second.h + second.dact))
         assert not any(a is b for a, b in zip(third.h + third.dact, first.h + first.dact))
 
+    def test_input_buffers_hold_one_input_per_live_pass(self):
+        # five live passes, one at a time, outgrow the input store four
+        # times; every pass keeps the input written for it, and a
+        # walked-back pass lends its own
+        params = init_params([(2, 3), (3, 1)], seed=3)
+        tape = MlpTape()
+        tape.start(params)
+        recs = []
+        for n in range(5):
+            x = tape.input_buffers(4, 1)[0]
+            assert x.shape == (4, 2) and x.dtype == params.values.dtype
+            x[:] = n
+            recs.append(tape.record(x, [0, 1]))
+        assert all(np.all(rec.x == n) for n, rec in enumerate(recs))
+        tape.backward(recs[-1], np.ones((4, 1)))
+        assert not np.shares_memory(tape.input_buffers(4, 1), recs[-2].x)
+        assert np.shares_memory(tape.input_buffers(4, 1), recs[-1].x)
+        # slots for the next passes all at once: one per pass, the live one
+        # left alone
+        slots = tape.input_buffers(4, 3)
+        assert slots.shape == (3, 4, 2) and not np.shares_memory(slots, recs[-2].x)
+        assert not np.shares_memory(slots[0], slots[1])
+        assert not np.shares_memory(slots[1], slots[2])
+
     def test_pass_below_a_live_one_rejected(self):
         params = init_params([(2, 3), (3, 1)], seed=2)
         tape = MlpTape()
@@ -305,12 +329,19 @@ def zero_moments(params):
     return np.zeros_like(params.values), np.zeros_like(params.values)
 
 
+def stepped(params, grads, m, v, t, lr):
+    """adam_step on a copy of `params`, returned; `params` keep their values."""
+    out = ParamBundle(params.layer_shapes, params.values.copy())
+    adam_step(out, grads, m, v, t, lr)
+    return out
+
+
 class TestAdam:
     def test_zero_gradient_fresh_state_keeps_params(self):
         params = init_params([(2, 2)], seed=3)
         before = params.values.copy()
         m, v = zero_moments(params)
-        new_params = adam_step(params, np.zeros_like(before), m, v, 1, 1e-3)
+        new_params = stepped(params, np.zeros_like(before), m, v, 1, 1e-3)
         assert np.array_equal(new_params.values, before)
         assert not np.any(m) and not np.any(v)
 
@@ -319,7 +350,7 @@ class TestAdam:
         params = ParamBundle([(1, 1)], np.array([0.25, 0.0]))
         g = np.array([1.0, 0.0])
         m, v = zero_moments(params)
-        new_params = adam_step(params, g, m, v, 1, 1e-3)
+        new_params = stepped(params, g, m, v, 1, 1e-3)
         expected = 0.25 - 1e-3 * 1.0 / (np.sqrt(1.0) + nn_core.ADAM_EPS)
         assert new_params.values[0] == pytest.approx(expected, rel=1e-15)
         # the moments were updated in place
@@ -332,9 +363,9 @@ class TestAdam:
         params = ParamBundle([(1, 1)], np.array([1.0, 0.0]))
         g = np.array([0.5, 0.0])
         m, v = zero_moments(params)
-        p1 = adam_step(params, g, m, v, 1, lr)
-        p2 = adam_step(p1, g, m, v, 2, lr)
-        p3 = adam_step(p2, np.zeros_like(g), m, v, 3, lr)  # momentum alone moves theta
+        p1 = stepped(params, g, m, v, 1, lr)
+        p2 = stepped(p1, g, m, v, 2, lr)
+        p3 = stepped(p2, np.zeros_like(g), m, v, 3, lr)  # momentum alone moves theta
         # hand recursion
         m1 = (1 - b1) * 0.5
         v1 = (1 - b2) * 0.25
@@ -374,6 +405,40 @@ class TestAdam:
         params = init_params([(2, 1)], seed=1)
         with pytest.raises(ShapeError):
             adam_step(params, np.zeros(2), *zero_moments(params), 1, 1e-3)
+
+    @pytest.mark.parametrize("grad, lr, message", [
+        (np.nan, 1e-3, "non-finite gradient entries"),
+        (1e200, 1e-3, "second moment overflows"),
+        (-1.0, 1e308, "non-finite parameter values"),  # 1e308 + ~1e308 overflows
+    ], ids=["nan_gradient", "moment_overflow", "value_overflow"])
+    def test_rejected_step_leaves_values_bitwise(self, grad, lr, message):
+        params = ParamBundle([(1, 1)], np.array([1e308, -0.0]))
+        values, before = params.values, params.values.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteError, match=message):
+                adam_step(params, np.array([grad, 0.0]), *zero_moments(params), 1, lr)
+        assert params.values is values and params.values.tobytes() == before
+
+    def test_tape_reads_the_stepped_values(self):
+        # Adam writes into the array the tape's views read: the next step's
+        # pass and gradient equal a fresh tape's on a copy of the new values
+        params = init_params([(3, 4), (4, 2)], seed=4)
+        x = np.random.default_rng(4).normal(size=(5, 3))
+        tape = MlpTape()
+        tape.start(params)
+        rec = tape.record(x, [0, 1])
+        tape.backward(rec, np.ones_like(rec.out))
+        values, before = params.values, params.values.copy()
+        assert adam_step(params, tape.grads, *zero_moments(params), 1, 0.1) is None
+        assert params.values is values and not np.array_equal(values, before)
+        fresh = MlpTape()
+        fresh.start(ParamBundle(params.layer_shapes, params.values.copy()))
+        tape.start(params)
+        got, want = tape.record(x, [0, 1]), fresh.record(x, [0, 1])
+        assert got.out.tobytes() == want.out.tobytes()
+        tape.backward(got, np.ones_like(got.out))
+        fresh.backward(want, np.ones_like(want.out))
+        assert tape.grads.tobytes() == fresh.grads.tobytes()
 
 class TestParamBundle:
     def test_count_invariant_enforced(self):
@@ -428,7 +493,7 @@ class TestCheckpointIO:
         params.values[:] = rng.normal(size=params.values.size)
         grads = rng.normal(size=params.values.size)
         m, v = zero_moments(params)
-        params = adam_step(params, grads, m, v, 1, 1e-3)
+        adam_step(params, grads, m, v, 1, 1e-3)
         assert np.any(v) and m.dtype == v.dtype == dtype  # moved in place, in their dtype
         ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 1, cfg.digest(), np.eye(4))
         trainer.save_checkpoint(tmp_path, ckpt, cfg)

@@ -5,9 +5,9 @@ from robustdiff import nn_core
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
-    c_in,
     c_noise,
     mirror_sigma,
+    precondition,
     sigma_grid,
     trunk_input,
 )
@@ -88,7 +88,7 @@ class TestConditionScoreHead:
         x = np.array([0.4, 0.9])
         y = np.array([0.3, -0.2, 0.5, 0.1])
         tau = sigma_grid(8)[3]
-        x_ctx = c_in(tau, net.sigma_data) * x
+        x_ctx = precondition(tau, net.sigma_data).c_in * x
         got = condition_head(net, x_ctx[None, :], tau, y[None, :])[0]
         # independent recomposition from trunk + head passes
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau)) ** 2 + 1.0)

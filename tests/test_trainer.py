@@ -135,7 +135,7 @@ class TestTrain:
             draws = draw_iteration(rng, len(samples), cfg, False)
             res = loss_step(net, samples, table, cfg, draws, it, tape, None)
             losses.append(res.demo_term)
-            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
         assert np.mean(losses[-100:]) < np.mean(losses[:100])
 
     def test_pc_rdc_writes_table_and_vanilla_does_not_read(self):
@@ -181,7 +181,7 @@ class TestTrain:
             cond_path = cfg.in_phase1(it)
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
             res = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
-            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
         ckpt = train(cfg, samples)
@@ -285,7 +285,7 @@ class TestLossStep:
 
         # condition term: reference quadrature + squared error
         x_t = samples.points[draws.idx] + draws.sigma * draws.eps_x
-        x_ctx = diffusion.c_in(draws.sigma, net.sigma_data) * x_t
+        x_ctx = diffusion.precondition(draws.sigma, net.sigma_data).c_in * x_t
         y_phi = estimate_pseudo(
             head_field(net, center), x_ctx, draws.y_start, cfg.quad_nodes
         )
@@ -394,7 +394,7 @@ class TestLossStep:
             assert np.isfinite(res.loss)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
-            net.params = nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
 
 
 class TestPrototypes:
