@@ -14,6 +14,11 @@ heads. Nor does it hold a precision setting: it computes in the dtype of its
 parameters, and its inputs are cast to that dtype. `create` makes float32
 parameters, the one precision that training and sampling run in.
 
+The trunk layers run nn_core.silu_layer on the parameters times 0.5 (the
+tape halves them once per step, `trunk_features` on every call), and the
+heads on the full ones: bitwise the full-scale features unless an
+intermediate is subnormal.
+
 The off-tape forward (sampling) writes its activations into a
 nn_core.Workspace that the caller passes in: a sampling run owns one for
 all of its network calls (cli.sample_per_class), so it allocates no
@@ -71,12 +76,16 @@ class ScoreNetwork:
         return net_in
 
     def trunk_features(self, net_in: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
-        """The last trunk layer's output, in `ws` (keys "h" and "sigmoid")."""
+        """The last trunk layer's output, in `ws` (keys "h", "sigmoid" and "half")."""
         ws = Workspace() if ws is None else ws
         h = self._check_input(net_in)
         shape = h.shape[:-1] + (self.params.layer_shapes[0][1],)
         s = ws("sigmoid", shape, h.dtype)  # the scratch every trunk layer shares
-        for j, (w, b) in enumerate(self.params.layers()[:DEMO_HEAD]):
+        # The SiLU layers' half-scale parameters, taken afresh on every call so
+        # that they always follow params.values.
+        values = self.params.values
+        half = np.multiply(values, 0.5, out=ws("half", values.shape, values.dtype))
+        for j, (w, b) in enumerate(self.params.layers(half)[:DEMO_HEAD]):
             # Two arrays in turn: a layer never writes the one it reads.
             h = nn_core.silu_layer(h, w, b, out=ws(("h", j % 2), shape, h.dtype), s=s)
         return h

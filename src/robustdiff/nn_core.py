@@ -17,6 +17,14 @@ recorded passes of a training step and the network's off-tape forward
 own, and a sampling run owns one for all of its network calls. A step walks
 its recorded passes back last-in first-out, adding each into one zeroed
 gradient.
+
+The SiLU layers run on half-scale parameters (the parameters times 0.5),
+which saves two elementwise passes per layer: `silu_layer`'s scratch `s`
+holds 2 * sigmoid and its `dact` twice the SiLU derivative, and the tape
+scales the SiLU layers' gradient products by 0.5. Every scaling is by a
+power of two, so activations, outputs and gradients are bitwise those of
+the full-scale formulas unless an intermediate is subnormal (below 1.2e-38
+in float32).
 """
 
 from __future__ import annotations
@@ -123,24 +131,26 @@ class Workspace(dict):
 # ---------------------------------------------------------------------------
 
 
-def silu_layer(x, w, b, out, s, dact=None) -> np.ndarray:
-    """One SiLU layer into the caller's buffers: z = x @ w + b, s = sigmoid(z)
-    and out = h = z * s; with `dact`, also the SiLU derivative s + h * (1 - s).
+def silu_layer(x, w_half, b_half, out, s, dact=None) -> np.ndarray:
+    """One SiLU layer of weights w and bias b, given as w_half = w / 2 and
+    b_half = b / 2, into the caller's buffers.
 
-    The sigmoid is (1 + tanh(z / 2)) / 2, an exact identity that tanh's
-    saturation at +-1 keeps finite for every z, with no clip. The pre-activation
-    z lives in `out` until h overwrites it. The one implementation of the
-    layer, on and off the tape. Returns `out`.
+    out = x @ w_half + b_half is z / 2 for z = x @ w + b; s = 1 + tanh(z / 2)
+    is 2 * sigmoid(z), an exact identity that tanh's saturation at +-1 keeps
+    finite for every z, with no clip; then out = h = (z / 2) * s = z *
+    sigmoid(z). With `dact`, also (2 - s) * h + s, twice the SiLU derivative
+    sigmoid + h * (1 - sigmoid). h and dact / 2 are bitwise those of the
+    full-scale formula, sigmoid = (1 + tanh(z * 0.5)) * 0.5, unless an
+    intermediate is subnormal. The one implementation of the layer, on and
+    off the tape. Returns `out`.
     """
-    np.matmul(x, w, out=out)
-    out += b
-    np.multiply(out, 0.5, out=s)
-    np.tanh(s, out=s)
+    np.matmul(x, w_half, out=out)
+    out += b_half
+    np.tanh(out, out=s)
     s += 1.0
-    s *= 0.5
     out *= s
     if dact is not None:
-        np.subtract(1.0, s, out=dact)
+        np.subtract(2.0, s, out=dact)
         dact *= out
         dact += s
     return out
@@ -152,9 +162,10 @@ class RecordedPass:
 
     The pass ran `x` through `layers` in order: SiLU layers, then one linear
     readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
-    SiLU derivative of layers[j]. They are buffers of the tape that recorded
-    the pass, held until the pass is walked back; the walk overwrites `dact`,
-    and the buffers then go to the tape's next `record`.
+    twice the SiLU derivative of layers[j], as `silu_layer` gives them. They
+    are buffers of the tape that recorded the pass, held until the pass is
+    walked back; the walk overwrites `dact`, and the buffers then go to the
+    tape's next `record`.
     """
 
     layers: list[int]
@@ -172,20 +183,32 @@ class MlpTape:
     walked back) form a stack: `backward` takes only the last one, and the
     n-th live pass holds the n-th set of activation buffers (its `h` and
     `dact`). `start` zeroes `grads`; each `backward` adds its pass's weight
-    and bias gradients into it. Buffers live in the tape's Workspace, so a
-    step allocates no (batch x width) arrays once the batch size and the
-    parameters' dtype stop changing; `grads` is a fresh array per step. The
-    views of the parameters are bound once per values array: `adam_step`
-    writes the new values into it, so the same views read them. Every
-    buffer, `grads` and a pass's output have the parameters' dtype; `record`
-    takes its input in that dtype (ScoreNetwork casts it), which a pass
-    built in `input_buffers` already has.
+    and bias gradients into it.
+
+    The SiLU layers run on half-scale parameters: `start` writes values * 0.5
+    into a tape buffer, whose views `record` reads for every layer but a
+    pass's readout. The walk back carries twice dL/dz through each SiLU
+    layer, so its weight and bias gradient products are scaled by 0.5 before
+    they add into `grads`, and its input gradient is (2 dL/dz) @ (w / 2).T =
+    dL/dz @ w.T, bitwise the full-scale ones unless an intermediate is
+    subnormal.
+
+    Buffers live in the tape's Workspace, so a step allocates no (batch x
+    width) arrays once the batch size and the parameters' dtype stop
+    changing; `grads` is a fresh array per step. The views of the parameters
+    and of their halves are bound once per values array: `adam_step` writes
+    the new values into it, so the same views read them, and `start`
+    rewrites the halves in place. Every buffer, `grads` and a pass's output
+    have the parameters' dtype; `record` takes its input in that dtype
+    (ScoreNetwork casts it), which a pass built in `input_buffers` already
+    has.
     """
 
     def __init__(self):
         self.grads: np.ndarray | None = None
         self._values: np.ndarray | None = None  # the parameter array _layers views
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []  # (w, b) views of params
+        self._half_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of params / 2
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
         self._live: list[RecordedPass] = []
         self._buffers = Workspace()
@@ -193,9 +216,11 @@ class MlpTape:
     def start(self, params: ParamBundle) -> None:
         """Begin a step on `params` with an all-zero gradient and no live pass."""
         self.grads = np.zeros_like(params.values)
+        half = np.multiply(params.values, 0.5, out=self._buffer("half", params.values.shape))
         if params.values is not self._values:
             self._values = params.values
             self._layers = params.layers()
+            self._half_layers = params.layers(half)
         self._grad_layers = params.layers(self.grads)
         self._live = []
 
@@ -220,7 +245,7 @@ class MlpTape:
         n = len(self._live)
         h, hs, dacts = x, [], []
         for j, k in enumerate(layers[:-1]):
-            w, b = self._layers[k]
+            w, b = self._half_layers[k]
             shape = (x.shape[0], w.shape[1])
             dacts.append(self._buffer(("dact", n, j), shape))
             h = silu_layer(h, w, b, self._buffer(("h", n, j), shape),
@@ -238,9 +263,9 @@ class MlpTape:
         Adds the pass's weight and bias gradients into `grads` and frees its
         buffers. Returns the columns `input_cols` of dL/d(rec.x), and computes
         no other column, when they are given; otherwise None. g_out is cast to
-        the parameters' dtype first. Each SiLU layer's gradient is formed in
-        place in the pass's `dact`. `rec` must be the last live pass of this
-        step (ValueError otherwise).
+        the parameters' dtype first. Each SiLU layer's gradient, twice dL/dz,
+        is formed in place in the pass's `dact`. `rec` must be the last live
+        pass of this step (ValueError otherwise).
         """
         if not self._live or self._live[-1] is not rec:
             raise ValueError("passes go back last-in first-out: this one was walked back already, "
@@ -251,18 +276,24 @@ class MlpTape:
         ones = self._buffer("ones", g.shape[:1], np.ones)  # bias gradient = ones @ g
         for j in reversed(range(len(rec.layers))):
             k = rec.layers[j]
-            if j < len(rec.dact):
+            silu = j < len(rec.dact)
+            if silu:
                 g = np.multiply(rec.dact[j], g, out=rec.dact[j])
             gw, gb = self._grad_layers[k]
-            gw += np.matmul(inputs[j].T, g, out=self._buffer(("dw", k), gw.shape))
-            gb += np.matmul(ones, g, out=self._buffer(("db", k), gb.shape))
+            dw = np.matmul(inputs[j].T, g, out=self._buffer(("dw", k), gw.shape))
+            db = np.matmul(ones, g, out=self._buffer(("db", k), gb.shape))
+            if silu:  # products of twice dL/dz
+                dw *= 0.5
+                db *= 0.5
+            gw += dw
+            gb += db
             if j == 0:
                 break
-            w, _ = self._layers[k]
+            w, _ = (self._half_layers if silu else self._layers)[k]
             g = np.matmul(g, w.T, out=self._buffer("g", (g.shape[0], w.shape[0])))
         if input_cols is None:
             return None
-        w, _ = self._layers[rec.layers[0]]
+        w, _ = (self._half_layers if rec.dact else self._layers)[rec.layers[0]]
         return g @ w[input_cols].T
 
 

@@ -6,6 +6,10 @@ against. Nothing in the package calls them.
 - `head_field` and `estimate_pseudo`: the condition head as a field over
   continuous time and an Euler quadrature over any such field, against which
   `rdc.estimate_pseudo_var` and its adjoint are checked;
+- `full_scale_silu` and `full_scale_pass`: the SiLU layer and a recorded
+  pass with its backward on full-scale parameters, the formulas that
+  `nn_core.silu_layer` and `MlpTape`, which run on half-scale ones, match
+  bit for bit;
 - `float64_net`: the network `ScoreNetwork.create` makes, on float64
   parameters, the precision at which finite differences and the formula
   checks' tolerances hold.
@@ -47,6 +51,55 @@ def dsm_loss(
     x_t = x0 + sig * eps
     err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
     return float(np.mean(precondition(sig, sigma_data).weight * err))
+
+
+def full_scale_silu(x, w, b) -> tuple[np.ndarray, np.ndarray]:
+    """The SiLU layer on full-scale parameters: z = x @ w + b, sigmoid
+    s = (1 + tanh(z * 0.5)) * 0.5, h = z * s and the derivative
+    s + h * (1 - s). Returns (h, derivative), in the dtype of the inputs."""
+    z = x @ w + b
+    s = np.tanh(z * 0.5)
+    s += 1.0
+    s *= 0.5
+    h = z * s
+    return h, s + h * (1.0 - s)
+
+
+def full_scale_pass(
+    params: nn_core.ParamBundle,
+    x: np.ndarray,
+    layers: list[int],
+    g_out: np.ndarray,
+    input_cols: slice,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x through `layers` of `params`, full_scale_silu on all but the last,
+    then the walk back from g_out = dL/d(out): the chain rule on full-scale
+    weights, each layer's gradient added into one zeroed array.
+
+    Returns the pass's output, the flat parameter gradient and the columns
+    `input_cols` of dL/dx.
+    """
+    wb = params.layers()
+    inputs, dacts = [x], []
+    for k in layers[:-1]:
+        h, dact = full_scale_silu(inputs[-1], *wb[k])
+        inputs.append(h)
+        dacts.append(dact)
+    w, b = wb[layers[-1]]
+    out = inputs[-1] @ w + b
+    grads = np.zeros_like(params.values)
+    grad_layers = params.layers(grads)
+    g = np.asarray(g_out, dtype=grads.dtype)
+    ones = np.ones(g.shape[0], grads.dtype)
+    for j in reversed(range(len(layers))):
+        if j < len(dacts):
+            g = dacts[j] * g  # dL/dz
+        gw, gb = grad_layers[layers[j]]
+        gw += inputs[j].T @ g
+        gb += ones @ g
+        if j > 0:
+            g = g @ wb[layers[j]][0].T
+    return out, grads, g @ wb[layers[0]][0][input_cols].T
 
 
 def float64_net(hidden: int, depth: int, sigma_data: float, seed: int) -> ScoreNetwork:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustdiff import nn_core, trainer
 from robustdiff.data import N_CLASSES, X_DIM
-from robustdiff.network import DEMO_HEAD, IN_DIM, ScoreNetwork
+from robustdiff.network import COND_HEAD, DEMO_HEAD, IN_DIM, ScoreNetwork
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
@@ -12,7 +14,7 @@ from robustdiff.nn_core import (
     adam_step,
     init_params,
 )
-from oracles import float64_net
+from oracles import float64_net, full_scale_pass, full_scale_silu
 
 
 def hand_forward(net, x):
@@ -247,17 +249,81 @@ class TestSiluLayer:
         with np.errstate(over="ignore"):
             s = 1.0 / (1.0 + np.exp(-z))
         want_h, want_dact = z * s, s * (1.0 + z * (1.0 - s))
-        # z = x @ [[1]] + 0 is each value exactly.
+        # The layer takes half-scale parameters: z / 2 = x @ [[0.5]] + 0 is
+        # each value halved exactly, and dact is twice the derivative.
         x = z.astype(dtype)[:, None]
         out, sig, dact = (np.empty((z.size, 1), dtype) for _ in range(3))
         with np.errstate(all="raise"):  # no clip, yet nothing overflows
-            h = nn_core.silu_layer(x, np.ones((1, 1), dtype), np.zeros(1, dtype), out, sig, dact)
+            h = nn_core.silu_layer(x, np.full((1, 1), 0.5, dtype), np.zeros(1, dtype),
+                                   out, sig, dact)
         assert h is out and h.dtype == dtype
         # atol = rtol: for z << 0, 1 + tanh(z / 2) cancels, so the tanh form is
         # exact on the unit scale of the sigmoid rather than relative to a
         # vanishing value.
         np.testing.assert_allclose(h[:, 0], want_h, rtol=rtol, atol=rtol)
-        np.testing.assert_allclose(dact[:, 0], want_dact, rtol=rtol, atol=rtol)
+        np.testing.assert_allclose(dact[:, 0] / 2, want_dact, rtol=rtol, atol=rtol)
+
+
+def in_z_range(magnitude=st.floats(1e-30, 1e4)):
+    """±0, or a value whose magnitude lies in [1e-30, 1e4]."""
+    signed = st.tuples(magnitude, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+    return st.one_of(st.sampled_from([0.0, -0.0]), signed)
+
+
+class TestHalfScaleExactness:
+    """silu_layer and the tape run on halved parameters, with the results of
+    the full-scale formulas bit for bit (oracles.full_scale_silu and
+    full_scale_pass): every halving is by a power of two."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+    def test_layer_on_halved_parameters_is_bitwise_the_full_scale_formula(self, data, dtype):
+        rows = data.draw(st.integers(1, 8), label="rows")
+        # Each pre-activation on its own: z = x @ [[1]] + (-0), which keeps
+        # the sign of a zero, over the whole range.
+        z = np.array(data.draw(st.lists(in_z_range(), min_size=rows, max_size=rows),
+                               label="z"), dtype)[:, None]
+        cases = [(z, np.ones((1, 1), dtype), np.full(1, -0.0, dtype))]
+        # A product of several columns: inputs and bias over the same range,
+        # weights of magnitude 1/2 to 4, so that no product, nor a difference
+        # of two, is subnormal even halved.
+        m, n = data.draw(st.integers(1, 4), label="in"), data.draw(st.integers(1, 4), label="out")
+        draw = lambda size, values, label: np.array(
+            data.draw(st.lists(values, min_size=size, max_size=size), label=label), dtype)
+        cases.append((draw(rows * m, in_z_range(), "x").reshape(rows, m),
+                      draw(m * n, in_z_range(st.floats(0.5, 4)), "w").reshape(m, n),
+                      draw(n, in_z_range(), "b")))
+        for x, w, b in cases:
+            want_h, want_dact = full_scale_silu(x, w, b)
+            out, s, dact = (np.empty(want_h.shape, dtype) for _ in range(3))
+            with np.errstate(all="raise"):
+                h = nn_core.silu_layer(x, w * 0.5, b * 0.5, out, s, dact)
+            assert h.dtype == dtype
+            assert h.tobytes() == want_h.tobytes()
+            assert dact.tobytes() == (2 * want_dact).tobytes()
+
+    @pytest.mark.parametrize("head", [DEMO_HEAD, COND_HEAD], ids=["demo", "cond"])
+    def test_tape_gradients_are_bitwise_the_full_scale_backward(self, head):
+        # The production layout and precision: a float32 network of three
+        # 64-wide trunk layers, one 512-row pass, the condition columns of
+        # the input gradient as the RDC adjoint asks for them.
+        net = ScoreNetwork.create(hidden=64, depth=3, sigma_data=2.5, seed=4)
+        rng = np.random.default_rng(5)
+        net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
+        n = len(net.params.layer_shapes)
+        layers = [0, 1, 2, n + head]
+        x = rng.normal(size=(512, IN_DIM)).astype(np.float32)
+        cols = slice(-N_CLASSES, None)
+        tape = MlpTape()
+        tape.start(net.params)
+        rec = tape.record(x, layers)
+        g_out = rng.normal(size=rec.out.shape).astype(np.float32)
+        want_out, want_grads, want_cols = full_scale_pass(net.params, x, layers, g_out, cols)
+        assert rec.out.tobytes() == want_out.tobytes()
+        got_cols = tape.backward(rec, g_out, cols)
+        assert got_cols.tobytes() == want_cols.tobytes()
+        assert tape.grads.tobytes() == want_grads.tobytes()  # every weight and bias
+        assert np.any(tape.grads)
 
 
 class TestTapeSlots:

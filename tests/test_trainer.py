@@ -257,7 +257,8 @@ class TestLossStep:
         for it in range(2):
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
             loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
-            slots = {key[1] for key in tape._buffers if key[0] in ("h", "dact")}
+            slots = {key[1] for key in tape._buffers
+                     if isinstance(key, tuple) and key[0] in ("h", "dact")}
             assert slots == set(range(cfg.quad_nodes))
 
     def test_pc_rdc_hand_recomposition(self):
