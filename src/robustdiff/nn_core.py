@@ -14,9 +14,10 @@ into that array in place, so a tape binds its views of the parameters once
 and they stay current across steps. `silu_layer` is the one SiLU layer: the
 recorded passes of a training step and the network's off-tape forward
 (sampling) both run it, into arrays kept in a `Workspace`: a tape has its
-own, and a sampling run owns one for all of its network calls. A step walks
-its recorded passes back last-in first-out, adding each into one zeroed
-gradient.
+own, holding the half-scale parameters and the (rows x hidden) arrays, and
+everything smaller is a plain array. A sampling run owns one for all of its
+network calls. A step walks its recorded passes back last-in first-out,
+adding each into one zeroed gradient.
 
 The SiLU layers run on half-scale parameters (the parameters times 0.5),
 which saves two elementwise passes per layer: `silu_layer`'s scratch `s`
@@ -110,19 +111,21 @@ class Workspace(dict):
     """Arrays kept from one call to the next, one per key.
 
     `workspace(key, shape, dtype)` returns the array kept under `key`, made
-    by `init` (np.empty by default: contents undefined) only when there is
-    none yet or its shape or dtype differs from the one asked for. A loop
-    that asks for the same shapes allocates nothing after its first pass,
-    and an array handed out under a key is the next user's to overwrite.
+    (np.empty: contents undefined) only when there is none yet or its shape
+    or dtype differs from the one asked for. A loop that asks for the same
+    shapes allocates nothing after its first pass, and an array handed out
+    under a key is the next user's to overwrite. A tape keeps only its
+    half-scale parameters and (rows x hidden) arrays in one; anything
+    smaller is a plain array.
     The lookup is a call rather than a public method so that perfbench's
     tracer, which wraps public methods, records no span for each of the
     hundreds of lookups in a training step.
     """
 
-    def __call__(self, key, shape: tuple[int, ...], dtype, init=np.empty) -> np.ndarray:
+    def __call__(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
         buf = self.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self[key] = init(shape, dtype)
+            buf = self[key] = np.empty(shape, dtype)
         return buf
 
 
@@ -193,15 +196,16 @@ class MlpTape:
     dL/dz @ w.T, bitwise the full-scale ones unless an intermediate is
     subnormal.
 
-    Buffers live in the tape's Workspace, so a step allocates no (batch x
-    width) arrays once the batch size and the parameters' dtype stop
-    changing; `grads` is a fresh array per step. The views of the parameters
-    and of their halves are bound once per values array: `adam_step` writes
-    the new values into it, so the same views read them, and `start`
-    rewrites the halves in place. Every buffer, `grads` and a pass's output
-    have the parameters' dtype; `record` takes its input in that dtype
-    (ScoreNetwork casts it), which a pass built in `input_buffers` already
-    has.
+    The tape's Workspace holds the half-scale parameters and the (rows x
+    hidden) arrays `h`, `dact`, `sigmoid` and `g`, so a step allocates none
+    of those once the batch size and the parameters' dtype stop changing.
+    Everything smaller is a plain array: a pass's input, the gradient
+    products and `grads`, fresh per step. The views of the parameters and of
+    their halves are bound once per values array: `adam_step` writes the new
+    values into it, so the same views read them, and `start` rewrites the
+    halves in place. Every buffer, `grads` and a pass's output have the
+    parameters' dtype; `record` takes its input in that dtype (ScoreNetwork
+    casts it).
     """
 
     def __init__(self):
@@ -224,21 +228,8 @@ class MlpTape:
         self._grad_layers = params.layers(self.grads)
         self._live = []
 
-    def _buffer(self, key, shape: tuple[int, ...], init=np.empty) -> np.ndarray:
-        return self._buffers(key, shape, self.grads.dtype, init)
-
-    def input_buffers(self, rows: int, count: int) -> np.ndarray:
-        """(count, rows, input width) in the parameters' dtype: row j is for
-        the caller to write the input of the j-th of the next `count` passes
-        into. Each live pass holds its own until it is walked back; a later
-        pass at the same depth of the stack reuses it."""
-        # Slices of one (depth, rows, width) array, regrown only for a deeper
-        # stack, so a step's inputs take one allocation: one per pass, placed
-        # between a step's temporaries, raised perfbench's sample_eval peak
-        # RSS by about 0.4 MB.
-        n, store = len(self._live), self._buffers.get("x")
-        depth = n + count if store is None else max(n + count, len(store))
-        return self._buffer("x", (depth, rows, self._layers[0][0].shape[0]))[n : n + count]
+    def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
+        return self._buffers(key, shape, self.grads.dtype)
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
         """Run x through `layers`, SiLU on all but the last, and record it."""
@@ -273,15 +264,15 @@ class MlpTape:
         self._live.pop()
         inputs = [rec.x] + rec.h
         g = np.asarray(g_out, dtype=self.grads.dtype)
-        ones = self._buffer("ones", g.shape[:1], np.ones)  # bias gradient = ones @ g
+        ones = np.ones(len(g), g.dtype)  # bias gradient = ones @ g
         for j in reversed(range(len(rec.layers))):
             k = rec.layers[j]
             silu = j < len(rec.dact)
             if silu:
                 g = np.multiply(rec.dact[j], g, out=rec.dact[j])
             gw, gb = self._grad_layers[k]
-            dw = np.matmul(inputs[j].T, g, out=self._buffer(("dw", k), gw.shape))
-            db = np.matmul(ones, g, out=self._buffer(("db", k), gb.shape))
+            dw = inputs[j].T @ g
+            db = ones @ g
             if silu:  # products of twice dL/dz
                 dw *= 0.5
                 db *= 0.5

@@ -71,15 +71,15 @@ def estimate_pseudo_var(
     context `x_context` (B, x_dim) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
     nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
-    `tape`. Returns the estimate and the k node passes, which
-    estimate_pseudo_adjoint walks back.
+    `tape` on a plain trunk-input array (the tape's workspace keeps only the
+    half-scale parameters and the (B x hidden) arrays). Returns the estimate
+    and the k node passes, which estimate_pseudo_adjoint walks back.
     """
     y = y_start
     nodes = []
-    inputs = tape.input_buffers(len(y), k)
-    for (tau, step, scale), net_in in zip(_quad_nodes(k), inputs):
+    for tau, step, scale in _quad_nodes(k):
         cond = (y - center) * scale  # cond_channels(y, tau, center)
-        rec = net.cond_var(tape, trunk_input(x_context, tau, cond, net_in))
+        rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
         nodes.append(rec)
         y = y - step * rec.out
     return y, nodes

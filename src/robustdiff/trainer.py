@@ -30,9 +30,10 @@ dataset, the table, the EDM sigma columns, the loss sums and the prototypes
 stay float64. A checkpoint holds what sampling reads, and no training state.
 
 A step allocates no (batch x hidden) arrays once the tape has seen its
-shapes: each pass's trunk input is written, rounded once to float32, into a
-buffer of the tape (MlpTape.input_buffers), and Adam writes the new values
-into the network's parameter array in place, which the tape's views read.
+shapes: the tape's workspace holds them and the half-scale parameters, and
+everything smaller, such as each pass's trunk input, is a plain array. Adam
+writes the new values into the network's parameter array in place, which
+the tape's views read.
 """
 
 from __future__ import annotations
@@ -239,9 +240,9 @@ def loss_step(
 ) -> LossStepResult:
     """Combined objective value for one batch; its gradient is left in `tape.grads`.
     `center` is the table's mean, None for vanilla. Each pass's trunk input
-    is written into a buffer of `tape` (tape.input_buffers)."""
+    is a plain array: the tape's workspace keeps only the half-scale
+    parameters and the (batch x hidden) arrays."""
     phase1 = config.in_phase1(iteration)
-    b = draws.idx.size
     x0 = samples.points[draws.idx]
     y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
 
@@ -262,11 +263,9 @@ def loss_step(
     x_in = pre.c_in * x_t
 
     tape.start(net.params)
-    net_in = trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond),
-                         tape.input_buffers(b, 1)[0])
-    demo = net.demo_var(tape, net_in)
+    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond)))
     err = edm_residual(demo.out, x_t, pre, x0)
-    inv_b = 1.0 / b
+    inv_b = 1.0 / draws.idx.size
     demo_term = ((err * err) * pre.weight).sum() * inv_b
     # The denoising pass goes back first: the order in which the passes add
     # into a layer's gradient fixes its bits.
@@ -282,8 +281,7 @@ def loss_step(
                 tape, net, x_in, draws.y_start, center, config.quad_nodes
             )
         else:  # the head at the table row itself, never dropped
-            net_in = trunk_input(x_in, draws.sigma, cond, tape.input_buffers(b, 1)[0])
-            pc = net.cond_var(tape, net_in)
+            pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
             y_phi = pc.out
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b

@@ -341,30 +341,6 @@ class TestTapeSlots:
         assert all(a is b for a, b in zip(third.h + third.dact, second.h + second.dact))
         assert not any(a is b for a, b in zip(third.h + third.dact, first.h + first.dact))
 
-    def test_input_buffers_hold_one_input_per_live_pass(self):
-        # five live passes, one at a time, outgrow the input store four
-        # times; every pass keeps the input written for it, and a
-        # walked-back pass lends its own
-        params = init_params([(2, 3), (3, 1)], seed=3)
-        tape = MlpTape()
-        tape.start(params)
-        recs = []
-        for n in range(5):
-            x = tape.input_buffers(4, 1)[0]
-            assert x.shape == (4, 2) and x.dtype == params.values.dtype
-            x[:] = n
-            recs.append(tape.record(x, [0, 1]))
-        assert all(np.all(rec.x == n) for n, rec in enumerate(recs))
-        tape.backward(recs[-1], np.ones((4, 1)))
-        assert not np.shares_memory(tape.input_buffers(4, 1), recs[-2].x)
-        assert np.shares_memory(tape.input_buffers(4, 1), recs[-1].x)
-        # slots for the next passes all at once: one per pass, the live one
-        # left alone
-        slots = tape.input_buffers(4, 3)
-        assert slots.shape == (3, 4, 2) and not np.shares_memory(slots, recs[-2].x)
-        assert not np.shares_memory(slots[0], slots[1])
-        assert not np.shares_memory(slots[1], slots[2])
-
     def test_pass_below_a_live_one_rejected(self):
         params = init_params([(2, 3), (3, 1)], seed=2)
         tape = MlpTape()

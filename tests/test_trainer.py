@@ -245,21 +245,35 @@ class TestLossStep:
         )
         assert res.demo_term == pytest.approx(want, rel=1e-12)
 
-    def test_phase1_step_holds_one_activation_slot_per_node(self):
+    def test_phase1_step_holds_one_activation_slot_per_node(self, monkeypatch):
         # The denoising pass goes back before the k node passes are recorded,
-        # so node 0 takes its slot: k slots, not k + 1.
+        # so node 0 takes its activations: k sets, not k + 1. The next step
+        # records into the same arrays, and each live node pass keeps its
+        # own input.
         cfg = tiny_config(quad_nodes=8)
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
                                   sigma_data=cfg.sigma_data, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
+        record, passes, steps = tape.record, [], []
+
+        def spy(*args):
+            passes.append(record(*args))
+            return passes[-1]
+
+        monkeypatch.setattr(tape, "record", spy)
         for it in range(2):
+            passes.clear()
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
             loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
-            slots = {key[1] for key in tape._buffers
-                     if isinstance(key, tuple) and key[0] in ("h", "dact")}
-            assert slots == set(range(cfg.quad_nodes))
+            assert len(passes) == 1 + cfg.quad_nodes  # the denoising pass, then the nodes
+            steps.append([rec.h + rec.dact for rec in passes])
+            assert len({tuple(map(id, acts)) for acts in steps[-1]}) == cfg.quad_nodes
+            nodes = passes[1:]
+            assert not any(np.shares_memory(a.x, b.x)
+                           for i, a in enumerate(nodes) for b in nodes[i + 1:])
+        assert all(a is b for first, second in zip(*steps) for a, b in zip(first, second))
 
     def test_pc_rdc_hand_recomposition(self):
         cfg = tiny_config(batch_size=4)
