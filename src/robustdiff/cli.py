@@ -129,13 +129,11 @@ def cmd_gen_data(args) -> int:
         spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
         samples = data_mod.inject_noise(samples, spec)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     data_mod.save_dataset(out, samples)
     flips = int(np.count_nonzero(samples.noisy != samples.clean))
     print(f"wrote {len(samples)} samples to {out}")
     print(f"classes {data_mod.N_CLASSES} x {args.n_per_class}, "
           f"flipped {flips} ({flips / len(samples):.3f})")
-    print(f"empirical point std {data_mod.empirical_std(samples):.4f}")
     return 0
 
 
@@ -178,13 +176,8 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
     ws = nn_core.Workspace()
     out = {}
     for c in range(data_mod.N_CLASSES):
-        out[c] = diffusion.heun_sample(
-            diffusion.guided(net, prototypes[c], guidance, ws),
-            data_mod.X_DIM,
-            config.num_steps,
-            per_class,
-            seed + c,
-        )
+        out[c] = diffusion.heun_sample(diffusion.guided(net, prototypes[c], guidance, ws),
+                                       config.num_steps, per_class, seed + c)
     return out
 
 
@@ -209,7 +202,7 @@ def cmd_sample(args) -> int:
         [np.full(len(per_class[c]), c) for c in sorted(per_class)]
     )
     out = Path(args.out) if args.out else out_root() / "samples.csv"
-    diffusion.write_samples(out, pts, cids)
+    data_mod.write_samples(out, pts, cids)
     print(f"wrote {len(pts)} samples to {out}")
     if args.svg:
         svg.scatter_svg(args.svg, per_class)
@@ -225,14 +218,14 @@ def cmd_sample(args) -> int:
 def evaluate_samples(samples, per_class: dict[int, np.ndarray]) -> tuple[float, float]:
     """Class-averaged nearest-neighbor MAE plus centroid controllability."""
     pts, clean = samples.points, samples.clean
-    centroids = metrics.fit_centroids(pts, clean, int(clean.max()) + 1)
+    centroids = metrics.fit_centroids(pts, clean)
     maes = [metrics.mae(per_class[c], pts[clean == c]) for c in sorted(per_class)]
     return float(np.mean(maes)), metrics.controllability_acc(per_class, centroids)
 
 
 def cmd_eval(args) -> int:
     samples = data_mod.load_dataset(args.dataset)
-    pts, cids = diffusion.read_samples(args.samples)
+    pts, cids = data_mod.read_samples(args.samples)
     per_class = {int(c): pts[cids == c] for c in np.unique(cids)}
     mae_avg, ctrl = evaluate_samples(samples, per_class)
     line = f"mae {mae_avg:.6f} controllability {ctrl:.6f}"
@@ -337,7 +330,7 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
     cell_dir = outdir / "cells" / f"{variant}_{sweep.noise}{eta:g}_s{seed}"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    centroids = metrics.fit_centroids(samples.points, samples.clean, data_mod.N_CLASSES)
+    centroids = metrics.fit_centroids(samples.points, samples.clean)
     dyn_rows = []
 
     def snapshot(iteration, net, table):

@@ -1,4 +1,5 @@
-"""Synthetic four-class 2-D dataset and label-noise injection.
+"""Synthetic four-class 2-D dataset, label-noise injection and the
+point-record files (datasets and samples).
 
 A dataset is one `Dataset` of three row-aligned arrays: `points` (n, X_DIM)
 float64, and the `clean` and `noisy` class ids (n,) int64 in 0..N_CLASSES-1.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +21,9 @@ N_CLASSES = 4
 # Four Gaussian blobs, one per quadrant. Class order: (+,+), (-,+), (-,-), (+,-).
 CENTROIDS = np.array([[2.5, 2.5], [-2.5, 2.5], [-2.5, -2.5], [2.5, -2.5]])
 BLOB_STD = 0.375
+# The EDM sigma_data (Karras et al. 2022): the layout's per-coordinate std,
+# sqrt(2.5^2 + BLOB_STD^2) ~ 2.53, rounded.
+SIGMA_DATA = 2.5
 # Similar-class pair flips for asymmetric noise: neighbors along x.
 PAIR_MAP = {0: 1, 1: 0, 2: 3, 3: 2}
 
@@ -107,23 +112,36 @@ def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
 
 
 def noisy_labels(samples: Dataset) -> np.ndarray:
-    # Read only by perfbench/run.py; it goes with ROADMAP direction 1(e).
+    # Read only by perfbench/run.py; it goes with ROADMAP direction 2.
     return samples.noisy
 
 
-def empirical_std(samples: Dataset) -> float:
-    """Per-coordinate standard deviation of the point cloud (preconditioning aid)."""
-    return float(samples.points.std())
-
-
 DATASET_HEADER = "x1,x2,clean,noisy"
+SAMPLES_HEADER = "x1,x2,class"
+
+
+def write_records(path, header: str, points: np.ndarray, ids: np.ndarray) -> None:
+    """Write the file read_records reads: `header`, then one record per line,
+    the coordinates of `points` (n, 2) then the class ids `ids`
+    (n, columns - 2). The non-finite coordinates read_records refuses are
+    refused before anything is made; the parent directory is created."""
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"{path}: non-finite coordinates, not written")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(repr, coords + cids)) + "\n"
+                     for coords, cids in zip(points.tolist(), ids.tolist()))
 
 
 def save_dataset(path, samples: Dataset) -> None:
-    with open(path, "w") as f:
-        f.write(DATASET_HEADER + "\n")
-        rows = zip(samples.points.tolist(), samples.clean.tolist(), samples.noisy.tolist())
-        f.writelines(f"{x1!r},{x2!r},{clean},{noisy}\n" for (x1, x2), clean, noisy in rows)
+    write_records(path, DATASET_HEADER, samples.points,
+                  np.column_stack([samples.clean, samples.noisy]))
+
+
+def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
+    """Samples and their class ids (n,) as a SAMPLES_HEADER file."""
+    write_records(path, SAMPLES_HEADER, samples, np.asarray(class_ids)[:, None])
 
 
 def read_records(path, header: str) -> tuple[np.ndarray, np.ndarray]:
@@ -165,3 +183,10 @@ def load_dataset(path) -> Dataset:
     """Read a save_dataset file, checked as read_records checks it."""
     points, ids = read_records(path, DATASET_HEADER)
     return Dataset(points, ids[:, 0].copy(), ids[:, 1].copy())
+
+
+def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a write_samples file: points (n, 2) and class ids (n,), checked
+    as read_records checks them."""
+    pts, ids = read_records(path, SAMPLES_HEADER)
+    return pts, ids[:, 0]

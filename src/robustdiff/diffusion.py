@@ -1,6 +1,6 @@
 """Demonstration-side diffusion: sigma grid, denoiser parameterization
-and its residual, trunk input, guidance, the deterministic second-order
-sampler and the samples file.
+and its residual, trunk input, guidance and the deterministic second-order
+sampler. The samples file is data's.
 
 Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
 forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
@@ -20,16 +20,14 @@ arrays after its first call. The workspace lives for that one run; what
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import N_CLASSES, X_DIM, read_records
+from .data import N_CLASSES, X_DIM
 from .network import IN_DIM, ScoreNetwork
 from .nn_core import Workspace
 
-SAMPLES_HEADER = "x1,x2,class"
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
 # EDM noise range and grid exponent (Karras et al. 2022).
@@ -109,8 +107,7 @@ def edm_residual(raw, x_t, pre: Preconditioning, x0=0.0):
     return pre.c_out * raw + (pre.c_skip * x_t - x0)
 
 
-def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond,
-            ws: Workspace | None = None) -> np.ndarray:
+def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> np.ndarray:
     """Preconditioned denoiser on a (batch, x_dim) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
@@ -119,12 +116,11 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond,
     row shared by the batch; the all-zero row is the unconditional branch.
     The point and the result are float64; F runs in the dtype of the
     network's parameters, its input written straight into that dtype in `ws`
-    (key "input"), as are its activations (fresh arrays when `ws` is None).
+    (key "input"), as are its activations.
     """
     sig = np.asarray(sigma, dtype=np.float64)
     if not np.all(np.isfinite(sig) & (sig > 0)):
         raise ValueError("sigma must be finite and > 0")
-    ws = Workspace() if ws is None else ws
     x = np.asarray(x_t, dtype=np.float64)
     pre = precondition(sig, net.sigma_data)
     net_in = ws("input", (x.shape[0], IN_DIM), net.params.values.dtype)
@@ -132,19 +128,17 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond,
     return edm_residual(raw, x, pre)
 
 
-def guided(net: ScoreNetwork, cond, w: float, ws: Workspace | None = None) -> Denoiser:
+def guided(net: ScoreNetwork, cond, w: float, ws: Workspace) -> Denoiser:
     """Classifier-free guidance (Ho & Salimans 2022) as a denoiser.
 
     Returns (x, sigma) -> D_u + w * (D_c - D_u), where D_c is conditioned on
     `cond` and D_u on the all-zero row; w = 1 is D_c alone. Since the score is
     (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u). Both
-    branches run in `ws`, the sampling run's workspace (one of the
-    denoiser's own when None).
+    branches run in `ws`, the sampling run's workspace.
     """
     if not 1.0 <= w < np.inf:
         raise ValueError("guidance scale w must be >= 1 and finite")
     uncond = np.zeros(N_CLASSES)
-    ws = Workspace() if ws is None else ws
 
     def fn(x, sigma):
         d_cond = denoise(net, x, sigma, cond, ws)
@@ -156,21 +150,18 @@ def guided(net: ScoreNetwork, cond, w: float, ws: Workspace | None = None) -> De
     return fn
 
 
-def heun_sample(
-    denoiser: Denoiser, x_dim: int, num_steps: int, count: int, seed: int
-) -> np.ndarray:
+def heun_sample(denoiser: Denoiser, num_steps: int, count: int, seed: int) -> np.ndarray:
     """Deterministic probability-flow sampler, Heun second order.
 
-    Starts from N(0, SIGMA_MAX^2 I) in x_dim dimensions and walks
-    sigma_grid(num_steps); per step the slope is d = (x - D(x, sigma)) /
-    sigma, with a midpoint correction except on the final step to sigma = 0,
-    which is Euler-only.
+    Starts from N(0, SIGMA_MAX^2 I) and walks sigma_grid(num_steps); per
+    step the slope is d = (x - D(x, sigma)) / sigma, with a midpoint
+    correction except on the final step to sigma = 0, which is Euler-only.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     grid = sigma_grid(num_steps)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((count, x_dim)) * grid[0]
+    x = rng.standard_normal((count, X_DIM)) * grid[0]
     for i in range(len(grid) - 1):
         s, s_next = grid[i], grid[i + 1]
         d = (x - denoiser(x, s)) / s
@@ -181,23 +172,3 @@ def heun_sample(
             d_next = (x_euler - denoiser(x_euler, s_next)) / s_next
             x = x + (s_next - s) * 0.5 * (d + d_next)
     return x
-
-
-def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
-    """One record per line: comma-separated coordinates then the class id. The
-    non-finite points read_samples refuses are refused before anything is made."""
-    if not np.all(np.isfinite(samples)):
-        raise ValueError(f"{path}: non-finite sample coordinates, not written")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(SAMPLES_HEADER + "\n")
-        for row, cid in zip(samples, class_ids):
-            coords = ",".join(repr(float(v)) for v in row)
-            f.write(f"{coords},{int(cid)}\n")
-
-
-def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a write_samples file: points (n, 2) and class ids (n,), checked
-    as data.read_records checks them."""
-    pts, ids = read_records(path, SAMPLES_HEADER)
-    return pts, ids[:, 0]

@@ -14,6 +14,7 @@ from statistics import median
 
 import numpy as np
 
+from .data import N_CLASSES
 
 # Squared distances held at once by `mae`: 2**16 float64 entries, 512 KiB
 # per array, so a block and its scratch array fit in a 2 MB L2 cache.
@@ -59,12 +60,12 @@ def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
     return float(total / n_gen)
 
 
-def fit_centroids(pts: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Class-mean centroids (n_classes, 2) over clean data; every class must be present."""
+def fit_centroids(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Class-mean centroids (N_CLASSES, 2) over clean data; every class must be present."""
     pts = np.asarray(pts, dtype=np.float64)
     labels = np.asarray(labels)
-    cents = np.zeros((n_classes, pts.shape[1]))
-    for c in range(n_classes):
+    cents = np.zeros((N_CLASSES, pts.shape[1]))
+    for c in range(N_CLASSES):
         mask = labels == c
         if not mask.any():
             raise ValueError(f"class {c} missing from the reference data")

@@ -23,7 +23,7 @@ The off-tape forward (sampling) writes its activations into a
 nn_core.Workspace that the caller passes in: a sampling run owns one for
 all of its network calls (cli.sample_per_class), so it allocates no
 (batch x hidden) arrays after its first call. What it returns lives in that
-workspace until the next call. Without one, a call gets fresh arrays.
+workspace until the next call.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn_core
-from .data import N_CLASSES, X_DIM
+from .data import N_CLASSES, SIGMA_DATA, X_DIM
 from .nn_core import MlpTape, ParamBundle, RecordedPass, Workspace
 
 # Trunk input: the point, the noise channel and the condition channels.
@@ -57,14 +57,16 @@ class ScoreNetwork:
     passes on a tape that the caller owns."""
 
     params: ParamBundle
-    sigma_data: float
+    # Always data.SIGMA_DATA in production; a field while perfbench/run.py
+    # passes it (ROADMAP direction 2).
+    sigma_data: float = SIGMA_DATA
 
     @classmethod
-    def create(cls, hidden: int, depth: int, sigma_data: float, seed: int) -> "ScoreNetwork":
+    def create(cls, hidden: int, depth: int, seed: int) -> "ScoreNetwork":
         """Fresh float32 network; trunk Glorot-initialized, both heads start at zero."""
         params = nn_core.init_params(layer_shapes(hidden, depth), seed,
                                      zero_layers=(depth, depth + 1))
-        return cls(ParamBundle(params.layer_shapes, params.values.astype(np.float32)), sigma_data)
+        return cls(ParamBundle(params.layer_shapes, params.values.astype(np.float32)))
 
     # -- off-tape path (sampling) ---------------------------------------------
 
@@ -75,9 +77,8 @@ class ScoreNetwork:
             raise nn_core.ShapeError(f"network input width {net_in.shape[-1]}, expected {IN_DIM}")
         return net_in
 
-    def trunk_features(self, net_in: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    def trunk_features(self, net_in: np.ndarray, ws: Workspace) -> np.ndarray:
         """The last trunk layer's output, in `ws` (keys "h", "sigmoid" and "half")."""
-        ws = Workspace() if ws is None else ws
         h = self._check_input(net_in)
         shape = h.shape[:-1] + (self.params.layer_shapes[0][1],)
         s = ws("sigmoid", shape, h.dtype)  # the scratch every trunk layer shares
@@ -90,9 +91,8 @@ class ScoreNetwork:
             h = nn_core.silu_layer(h, w, b, out=ws(("h", j % 2), shape, h.dtype), s=s)
         return h
 
-    def demo_out(self, net_in: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    def demo_out(self, net_in: np.ndarray, ws: Workspace) -> np.ndarray:
         """The demonstration head's output, in `ws` (key "demo_out")."""
-        ws = Workspace() if ws is None else ws
         w, b = self.params.layers()[DEMO_HEAD]
         feats = self.trunk_features(net_in, ws)
         out = np.matmul(feats, w, out=ws("demo_out", feats.shape[:-1] + w.shape[1:], w.dtype))

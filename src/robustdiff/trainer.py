@@ -19,9 +19,9 @@ batch. The table's mean centers the conditions; `train` takes it on every
 phase-1 iteration and once for the frozen table of phase 2. The problem's
 shape is no setting: it is data.X_DIM and data.N_CLASSES, and the network's
 layout is network.layer_shapes. Nor are the fixed choices: the EDM
-sigma_data and the prototype floor are TrainConfig class constants, and the
-draws of an iteration (the log-normal noise level, the guidance drop rate,
-the boundary state's std) are constants of this module.
+sigma_data is data.SIGMA_DATA, the prototype floor a TrainConfig class
+constant, and the draws of an iteration (the log-normal noise level, the
+guidance drop rate, the boundary state's std) are constants of this module.
 
 Nor is the precision a setting. The network trains in float32: its
 parameters (ScoreNetwork.create), every recorded pass and its backward, the
@@ -84,11 +84,10 @@ class TrainConfig:
     quad_nodes: int = 8  # RDC quadrature nodes
     lr: float = 1e-3
     seed: int = 0
-    # Constants, not settings: the EDM sigma_data matched to the toy layout's
-    # per-coordinate std, the prototype reliability floor. cond_dim, read only
-    # by perfbench/run.py, goes with ROADMAP direction 1(e).
+    # Constants, not settings: the prototype reliability floor. cond_dim and
+    # sigma_data, read only by perfbench/run.py, go with ROADMAP direction 2.
     cond_dim: ClassVar[int] = data_mod.N_CLASSES
-    sigma_data: ClassVar[float] = 2.5
+    sigma_data: ClassVar[float] = data_mod.SIGMA_DATA
     proto_floor: ClassVar[float] = 0.012
 
     def __post_init__(self):
@@ -315,7 +314,7 @@ def train(
     """
     if not samples:
         raise ValueError("dataset must be non-empty")
-    net = ScoreNetwork.create(config.hidden, config.depth, config.sigma_data, config.seed)
+    net = ScoreNetwork.create(config.hidden, config.depth, config.seed)
     table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
     center = None
     tape = nn_core.MlpTape()
@@ -460,7 +459,7 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
         raise ValueError(f"{path}: config digest {config.digest()} != stored {digest}")
     shapes = network.layer_shapes(config.hidden, config.depth)
     params = nn_core.ParamBundle(shapes, entry("params", "f", (nn_core.param_count(shapes),)))
-    net = ScoreNetwork(params, config.sigma_data)
+    net = ScoreNetwork(params)
     table = entry("table_entries", "f", (None, data_mod.N_CLASSES))
     protos = entry("prototypes", "f", (data_mod.N_CLASSES, data_mod.N_CLASSES))
     ckpt = Checkpoint(params, table, int(entry("iteration", "i", ())), digest, protos,

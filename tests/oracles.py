@@ -102,11 +102,10 @@ def full_scale_pass(
     return out, grads, g @ wb[layers[0]][0][input_cols].T
 
 
-def float64_net(hidden: int, depth: int, sigma_data: float, seed: int) -> ScoreNetwork:
+def float64_net(hidden: int, depth: int, seed: int) -> ScoreNetwork:
     """ScoreNetwork.create's network with its parameters cast to float64."""
-    params = ScoreNetwork.create(hidden, depth, sigma_data, seed).params
-    return ScoreNetwork(nn_core.ParamBundle(params.layer_shapes, params.values.astype(np.float64)),
-                        sigma_data)
+    params = ScoreNetwork.create(hidden, depth, seed).params
+    return ScoreNetwork(nn_core.ParamBundle(params.layer_shapes, params.values.astype(np.float64)))
 
 
 def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
@@ -119,7 +118,8 @@ def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
 
     def field(x, t, y):
         w, b = net.params.layers()[COND_HEAD]
-        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center))) @ w + b
+        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center)),
+                                  nn_core.Workspace()) @ w + b
 
     return field
 

@@ -422,6 +422,17 @@ class TestReaders:
         assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples)]) == 2
         assert f"error: {samples}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", [1, 3])
+    def test_dataset_without_a_class_rejected(self, tmp_path, capsys, missing):
+        # Controllability is scored on the centroids of all N_CLASSES classes.
+        data, samples = tmp_path / "data.csv", tmp_path / "samples.csv"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(line for line in lines if line.split(",")[2] != str(missing)))
+        samples.write_text("x1,x2,class\n0.5,0.5,0\n")
+        assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples)]) == 2
+        assert f"error: class {missing} missing from the reference data" in capsys.readouterr().err
+
 
 class TestTrain:
     # x_dim and cond_dim are the data's shape; rho, beta1, guidance_w and
@@ -566,7 +577,7 @@ class TestSample:
         code = cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "3", "--w", "1e300",
                          "--out", str(out)])
         assert code == 2
-        assert f"error: {out}: non-finite sample coordinates" in capsys.readouterr().err
+        assert f"error: {out}: non-finite coordinates, not written" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
     def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):

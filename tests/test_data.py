@@ -46,6 +46,11 @@ class TestMakeToyDataset:
             mean = pts[labels == c].mean(axis=0)
             assert np.all(np.abs(mean - CENTROIDS[c]) < 0.02)
 
+    def test_sigma_data_is_the_layout_std(self):
+        samples = make_toy_dataset(2000, seed=0)
+        # four blobs at +-2.5 with std 0.375: per-coordinate std just over 2.5
+        assert abs(samples.points.std() - data_mod.SIGMA_DATA) < 0.1
+
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             make_toy_dataset(0, seed=0)
@@ -167,12 +172,6 @@ class TestDatasetFile:
         path = tmp_path / "data.csv"
         save_dataset(path, make_toy_dataset(2, seed=0))
         assert path.read_text().splitlines()[0] == "x1,x2,clean,noisy"
-
-    def test_empirical_std_reported(self):
-        samples = make_toy_dataset(2000, seed=0)
-        std = data_mod.empirical_std(samples)
-        # four blobs at +-2.5 with std 0.375: per-coordinate std just over 2.5
-        assert abs(std - 2.5) < 0.1
 
 
 class TestDataset:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustdiff import cli, diffusion
-from robustdiff.data import X_DIM
+from robustdiff.data import X_DIM, read_samples, write_samples
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
@@ -16,10 +16,8 @@ from robustdiff.diffusion import (
     heun_sample,
     mirror_sigma,
     precondition,
-    read_samples,
     sigma_grid,
     trunk_input,
-    write_samples,
 )
 from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import Workspace
@@ -27,8 +25,8 @@ from robustdiff.trainer import TrainConfig
 from oracles import dsm_loss
 
 
-def random_net(seed=0, hidden=12, depth=2, sigma_data=0.5):
-    net = ScoreNetwork.create(hidden=hidden, depth=depth, sigma_data=sigma_data, seed=seed)
+def random_net(seed=0, hidden=12, depth=2):
+    net = ScoreNetwork(ScoreNetwork.create(hidden=hidden, depth=depth, seed=seed).params, 0.5)
     rng = np.random.default_rng(seed + 100)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net
@@ -72,14 +70,14 @@ UNCOND = np.zeros(4)
 
 def score(net, x, sigma, cond):
     """Score from the denoiser through the exact relation (D - x) / sigma^2."""
-    return (denoise(net, x, sigma, cond) - x) / sigma**2
+    return (denoise(net, x, sigma, cond, Workspace()) - x) / sigma**2
 
 
 class TestDenoise:
     def test_small_sigma_limit_returns_input(self):
         net = random_net(1)
         x = np.array([[0.4, -1.2]])
-        out = denoise(net, x, 1e-8, UNCOND)
+        out = denoise(net, x, 1e-8, UNCOND, Workspace())
         assert np.allclose(out, x, atol=1e-6)
 
     def test_cskip_half_at_sigma_data(self):
@@ -96,9 +94,9 @@ class TestDenoise:
         net_in = np.concatenate(
             [pre.c_in * x, [c_noise(sigma)], cond]
         )
-        raw = net.demo_out(net_in[None, :])[0]
+        raw = net.demo_out(net_in[None, :], Workspace())[0]
         want = pre.c_skip * x + pre.c_out * raw
-        got = denoise(net, x[None, :], sigma, cond)[0]
+        got = denoise(net, x[None, :], sigma, cond, Workspace())[0]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_nonpositive_sigma_rejected(self):
@@ -106,9 +104,9 @@ class TestDenoise:
         net = random_net(0)
         for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-                denoise(net, np.zeros((1, 2)), bad, UNCOND)
+                denoise(net, np.zeros((1, 2)), bad, UNCOND, Workspace())
             with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-                denoise(net, np.zeros((2, 2)), np.array([[0.5], [bad]]), UNCOND)
+                denoise(net, np.zeros((2, 2)), np.array([[0.5], [bad]]), UNCOND, Workspace())
 
     def test_residual_is_denoised_minus_x0(self):
         rng = np.random.default_rng(12)
@@ -124,8 +122,8 @@ class TestDenoise:
         # guidance on the all-zero row is the unconditional branch alone
         net = random_net(5)
         x = np.array([[0.1, 0.2]])
-        a = guided(net, np.zeros(4), 3.0)(x, 1.0)
-        b = denoise(net, x, 1.0, np.zeros(4))
+        a = guided(net, np.zeros(4), 3.0, Workspace())(x, 1.0)
+        b = denoise(net, x, 1.0, np.zeros(4), Workspace())
         assert np.array_equal(a, b)
 
 
@@ -169,10 +167,9 @@ class TestDsmLoss:
         x0 = np.array([[1.0, -0.5]])
         eps = np.array([[0.3, 0.8]])
         sigma = np.array([0.9])
-        got = dsm_loss(
-            lambda x, s: denoise(net, x, s, np.zeros(4)), x0, sigma, eps, net.sigma_data
-        )
-        den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4))[0]
+        got = dsm_loss(lambda x, s: denoise(net, x, s, np.zeros(4), Workspace()),
+                       x0, sigma, eps, net.sigma_data)
+        den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4), Workspace())[0]
         want = precondition(0.9, net.sigma_data).weight * float(((den - x0[0]) ** 2).sum())
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -189,8 +186,8 @@ class TestCfgScore:
         net = random_net(7)
         x = np.array([[0.2, 0.4]])
         cond = np.array([0.0, 1.0, 0.0, 0.0])
-        got = guided(net, cond, 1.0)(x, 1.0)
-        assert np.array_equal(got, denoise(net, x, 1.0, cond))
+        got = guided(net, cond, 1.0, Workspace())(x, 1.0)
+        assert np.array_equal(got, denoise(net, x, 1.0, cond, Workspace()))
         assert np.array_equal((got - x) / 1.0**2, score(net, x, 1.0, cond))
 
     def test_formula_arithmetic(self):
@@ -203,7 +200,7 @@ class TestCfgScore:
         x = np.array([[-0.3, 0.9]])
         cond = np.array([0.0, 0.0, 1.0, 0.0])
         for w in (1.5, 2.0, 3.0):
-            got = (guided(net, cond, w)(x, 0.7) - x) / 0.7**2
+            got = (guided(net, cond, w, Workspace())(x, 0.7) - x) / 0.7**2
             s_c = score(net, x, 0.7, cond)
             s_u = score(net, x, 0.7, UNCOND)
             assert np.allclose(got, s_u + w * (s_c - s_u), rtol=1e-12)
@@ -216,46 +213,46 @@ class TestCfgScore:
         s_c = score(net, x, 1.2, cond)
         s_u = score(net, x, 1.2, UNCOND)
         synthetic = s_u + 2.0 * (s_c - s_u) + s_u  # algebra check of Eq. shape
-        got = (guided(net, cond, 2.0)(x, 1.2) - x) / 1.2**2
+        got = (guided(net, cond, 2.0, Workspace())(x, 1.2) - x) / 1.2**2
         assert np.allclose(got + s_u, synthetic, rtol=1e-12)
 
     def test_w_below_one_rejected(self):
         net = random_net(0)
         with pytest.raises(ValueError):
-            guided(net, np.zeros(4), 0.5)
+            guided(net, np.zeros(4), 0.5, Workspace())
 
     @pytest.mark.parametrize("w", [np.nan, np.inf])
     def test_non_finite_w_rejected(self, w):
         with pytest.raises(ValueError, match="w must be >= 1 and finite"):
-            guided(random_net(0), np.zeros(4), w)
+            guided(random_net(0), np.zeros(4), w, Workspace())
 
 
 class TestHeunSample:
     def test_zero_denoiser_collapses_to_origin(self):
         # With D == 0 each step maps x -> x * sigma_next / sigma_cur exactly,
         # so the final step to sigma = 0 lands every chain on the origin.
-        out = heun_sample(lambda x, s: np.zeros_like(x), 2, 6, 64, seed=5)
+        out = heun_sample(lambda x, s: np.zeros_like(x), 6, 64, seed=5)
         assert np.array_equal(out, np.zeros((64, 2)))
 
     def test_analytic_gaussian_moments(self):
-        out = heun_sample(lambda x, s: x / (1 + s * s), 2, 18, 10_000, seed=16)
+        out = heun_sample(lambda x, s: x / (1 + s * s), 18, 10_000, seed=16)
         assert np.all(np.abs(out.mean(axis=0)) < 0.05)
         assert np.all(np.abs(out.var(axis=0) - 1.0) < 0.1)
 
     def test_same_seed_bitwise_identical(self):
         net = random_net(10)
         cond = np.array([1.0, 0, 0, 0])
-        a = heun_sample(guided(net, cond, 2.0), X_DIM, 5, 16, seed=3)
-        b = heun_sample(guided(net, cond, 2.0), X_DIM, 5, 16, seed=3)
+        a = heun_sample(guided(net, cond, 2.0, Workspace()), 5, 16, seed=3)
+        b = heun_sample(guided(net, cond, 2.0, Workspace()), 5, 16, seed=3)
         assert np.array_equal(a, b)
 
     def test_x_dim_sets_sample_width(self):
-        out = heun_sample(lambda x, s: np.zeros_like(x), 3, 4, 5, 0)
-        assert out.shape == (5, 3)
+        out = heun_sample(lambda x, s: np.zeros_like(x), 4, 5, 0)
+        assert out.shape == (5, X_DIM)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            heun_sample(lambda x, s: x, 2, 4, 0, 0)
+            heun_sample(lambda x, s: x, 4, 0, 0)
 
 
 class TestSamplingWorkspace:
@@ -266,7 +263,7 @@ class TestSamplingWorkspace:
 
     def production_net(self, seed):
         # ScoreNetwork.create's float32 network, heads moved off zero
-        net = ScoreNetwork.create(hidden=self.HIDDEN, depth=3, sigma_data=2.5, seed=seed)
+        net = ScoreNetwork.create(hidden=self.HIDDEN, depth=3, seed=seed)
         rng = np.random.default_rng(seed + 100)
         net.params.values[:] = rng.normal(0, 0.2, net.params.values.size)
         return net
@@ -300,9 +297,9 @@ class TestSamplingWorkspace:
         cond = np.array([0.3, -0.1, 0.0, -0.2])
         ws = Workspace()
         for count in (self.ROWS, 20, self.ROWS):
-            got = heun_sample(guided(net, cond, 2.0, ws), X_DIM, 4, count, seed=count)
+            got = heun_sample(guided(net, cond, 2.0, ws), 4, count, seed=count)
             # a fresh workspace for every call
-            want = heun_sample(lambda x, s: guided(net, cond, 2.0)(x, s), X_DIM, 4, count,
+            want = heun_sample(lambda x, s: guided(net, cond, 2.0, Workspace())(x, s), 4, count,
                                seed=count)
             assert got.tobytes() == want.tobytes()
 
@@ -320,7 +317,7 @@ class TestSampleDump:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_point_refused_before_opening(self, tmp_path, bad):
         path = tmp_path / "samples.csv"
-        with pytest.raises(ValueError, match="non-finite sample coordinates"):
+        with pytest.raises(ValueError, match="non-finite coordinates, not written"):
             write_samples(path, np.array([[0.5, 1.0], [bad, 2.0]]), np.array([0, 1]))
         assert not path.exists()
 

@@ -143,14 +143,14 @@ class TestMaeMemory:
 
 class TestCentroids:
     def test_single_point_per_class(self):
-        pts = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(fit_centroids(pts, np.array([0, 1]), 2), pts)
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [-4.0, 0.5], [1.5, -2.0]])
+        assert np.array_equal(fit_centroids(pts, np.arange(4)), pts)
 
     def test_blob_means_near_layout(self):
         from robustdiff import data as data_mod
 
         samples = data_mod.make_toy_dataset(2000, seed=0)
-        cents = fit_centroids(samples.points, samples.clean, 4)
+        cents = fit_centroids(samples.points, samples.clean)
         assert np.all(np.abs(cents - data_mod.CENTROIDS) < 0.02)
 
     def test_order_invariance(self):
@@ -159,14 +159,14 @@ class TestCentroids:
         labels = rng.integers(0, 4, 40)
         while len(set(labels)) < 4:
             labels = rng.integers(0, 4, 40)
-        cents1 = fit_centroids(pts, labels, 4)
+        cents1 = fit_centroids(pts, labels)
         perm = rng.permutation(40)
-        cents2 = fit_centroids(pts[perm], labels[perm], 4)
+        cents2 = fit_centroids(pts[perm], labels[perm])
         assert np.allclose(cents1, cents2, rtol=1e-12)
 
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError):
-            fit_centroids(np.zeros((3, 2)), np.array([0, 1, 1]), 4)
+            fit_centroids(np.zeros((3, 2)), np.array([0, 1, 1]))
 
 
 class TestControllability:

@@ -11,6 +11,7 @@ from robustdiff.nn_core import (
     NonFiniteError,
     ParamBundle,
     ShapeError,
+    Workspace,
     adam_step,
     init_params,
 )
@@ -37,7 +38,7 @@ def hand_forward(net, x):
 
 
 def random_net(seed, hidden=5, depth=2, create=ScoreNetwork.create):
-    net = create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
+    net = create(hidden=hidden, depth=depth, seed=seed)
     rng = np.random.default_rng(seed + 7)
     net.params.values[:] = rng.normal(0, 0.7, net.params.values.size)
     return net
@@ -97,20 +98,20 @@ class TestMlpForward:
         w[:] = np.eye(2)
         b[:] = 0.0
         x = np.random.default_rng(1).normal(size=(3, IN_DIM))
-        assert np.array_equal(net.demo_out(x), net.trunk_features(x))
+        assert np.array_equal(net.demo_out(x, Workspace()), net.trunk_features(x, Workspace()))
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
-        net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
+        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         _, b = net.params.layers()[DEMO_HEAD]
         b[:] = 0.5
         for x in ([1.0, 2.0, 3.0, 0, 0, 0, 1.0], [-4.0, 0.0, 9.0, 1.0, 0, 0, 0]):
-            assert np.array_equal(net.demo_out(np.array([x])), np.full((1, 2), 0.5))
+            assert np.array_equal(net.demo_out(np.array([x]), Workspace()), np.full((1, 2), 0.5))
 
     def test_two_layer_matches_hand_oracle(self):
         net = random_net(4, create=float64_net)
         x = np.random.default_rng(11).normal(size=IN_DIM)
-        got = net.demo_out(x[None, :])[0]
+        got = net.demo_out(x[None, :], Workspace())[0]
         want = hand_forward(net, x)
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
@@ -127,39 +128,39 @@ class TestMlpForward:
         demo = net.demo_var(tape, x)
         cond = net.cond_var(tape, x)
         assert (demo.layers, cond.layers) == ([0, 1, 2], [0, 1, 3])
-        assert demo.out.shape == net.demo_out(x).shape == (3, X_DIM)
+        assert demo.out.shape == net.demo_out(x, Workspace()).shape == (3, X_DIM)
         assert cond.out.shape == (3, N_CLASSES)
 
     def test_dimension_mismatch_rejected(self):
-        net = ScoreNetwork.create(hidden=4, depth=2, sigma_data=0.5, seed=0)
+        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         with pytest.raises(ShapeError):
-            net.demo_out(np.zeros((1, IN_DIM + 1)))
+            net.demo_out(np.zeros((1, IN_DIM + 1)), Workspace())
 
     def test_pure_function_bitwise(self):
         net = random_net(1, hidden=8)
         x = np.random.default_rng(2).normal(size=(6, IN_DIM))
-        assert np.array_equal(net.demo_out(x), net.demo_out(x))
+        assert np.array_equal(net.demo_out(x, Workspace()), net.demo_out(x, Workspace()))
 
     def test_batched_matches_per_row(self):
         net = random_net(9, hidden=4, create=float64_net)
         x = np.random.default_rng(3).normal(size=(5, IN_DIM))
-        batched = net.demo_out(x)
-        rows = np.concatenate([net.demo_out(r[None, :]) for r in x])
+        batched = net.demo_out(x, Workspace())
+        rows = np.concatenate([net.demo_out(r[None, :], Workspace()) for r in x])
         assert np.allclose(batched, rows, rtol=1e-14)
 
     @pytest.mark.parametrize("batch", [1, 7, 512])
     def test_recorded_pass_equals_off_tape_forward(self, batch):
         # Sampling (demo_out) and the training step (demo_var) run the same
         # nn_core.silu_layer, so they agree bit for bit.
-        net = ScoreNetwork.create(hidden=64, depth=3, sigma_data=2.5, seed=3)  # trained widths
+        net = ScoreNetwork.create(hidden=64, depth=3, seed=3)  # trained widths
         rng = np.random.default_rng(batch)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
         x = rng.normal(size=(batch, IN_DIM))
         tape = MlpTape()
         tape.start(net.params)
         rec = net.demo_var(tape, x)
-        assert np.array_equal(net.trunk_features(x), rec.h[-1])
-        assert np.array_equal(net.demo_out(x), rec.out)
+        assert np.array_equal(net.trunk_features(x, Workspace()), rec.h[-1])
+        assert np.array_equal(net.demo_out(x, Workspace()), rec.out)
 
 
 class TestGrad:
@@ -307,7 +308,7 @@ class TestHalfScaleExactness:
         # The production layout and precision: a float32 network of three
         # 64-wide trunk layers, one 512-row pass, the condition columns of
         # the input gradient as the RDC adjoint asks for them.
-        net = ScoreNetwork.create(hidden=64, depth=3, sigma_data=2.5, seed=4)
+        net = ScoreNetwork.create(hidden=64, depth=3, seed=4)
         rng = np.random.default_rng(5)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
         n = len(net.params.layer_shapes)
@@ -515,7 +516,7 @@ class TestCheckpointIO:
 
     def test_round_trip_bitwise(self, tmp_path):
         cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
-        net = ScoreNetwork.create(hidden=5, depth=1, sigma_data=cfg.sigma_data, seed=13)
+        net = ScoreNetwork.create(hidden=5, depth=1, seed=13)
         params = net.params
         params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
         ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 0, cfg.digest(), np.eye(4))
@@ -530,7 +531,7 @@ class TestCheckpointIO:
                              ids=["float32", "float64"])
     def test_round_trip_keeps_the_dtype_of_params_and_moments(self, tmp_path, create, dtype):
         cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
-        params = create(hidden=5, depth=1, sigma_data=cfg.sigma_data, seed=13).params
+        params = create(hidden=5, depth=1, seed=13).params
         rng = np.random.default_rng(2)
         params.values[:] = rng.normal(size=params.values.size)
         grads = rng.normal(size=params.values.size)

@@ -123,7 +123,7 @@ class TestEarlyStop:
 def _save_table(ckpt_dir, table):
     """Save `table` inside a checkpoint of a small untrained network."""
     cfg = trainer.TrainConfig(hidden=4, depth=1, total_iters=0)
-    net = ScoreNetwork.create(hidden=4, depth=1, sigma_data=cfg.sigma_data, seed=0)
+    net = ScoreNetwork.create(hidden=4, depth=1, seed=0)
     ckpt = trainer.Checkpoint(net.params, table, 0, cfg.digest(), np.eye(4))
     trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
 

@@ -25,7 +25,7 @@ ZERO = np.zeros(4)  # the condition center of an all-zero table
 
 
 def random_net(seed=0, hidden=10, depth=2, create=ScoreNetwork.create):
-    net = create(hidden=hidden, depth=depth, sigma_data=0.5, seed=seed)
+    net = ScoreNetwork(create(hidden=hidden, depth=depth, seed=seed).params, 0.5)
     rng = np.random.default_rng(seed + 50)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net
@@ -64,7 +64,7 @@ class TestConditionScoreHead:
     """The condition head over continuous time, as the training step records it."""
 
     def test_zero_initialized_head_returns_zero(self):
-        net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=0.5, seed=4)  # zero heads
+        net = ScoreNetwork.create(hidden=8, depth=2, seed=4)  # zero heads
         out = condition_head(net, np.array([[0.5, -0.5]]), 0.7, np.ones((1, 4)))
         assert np.array_equal(out, np.zeros((1, 4)))
 
@@ -74,11 +74,11 @@ class TestConditionScoreHead:
         y = np.array([[0.2, 0.1, 0.0, 0.0]])
         from robustdiff.diffusion import denoise
 
-        demo_before = denoise(net, x, 1.0, y)
+        demo_before = denoise(net, x, 1.0, y, nn_core.Workspace())
         cond_before = condition_head(net, x, 1.0, y)
         # nudge one trunk weight: both heads must move
         net.params.values[3] += 0.05
-        demo_after = denoise(net, x, 1.0, y)
+        demo_after = denoise(net, x, 1.0, y, nn_core.Workspace())
         cond_after = condition_head(net, x, 1.0, y)
         assert not np.allclose(demo_before, demo_after)
         assert not np.allclose(cond_before, cond_after)
@@ -93,7 +93,7 @@ class TestConditionScoreHead:
         # independent recomposition from trunk + head passes
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau)) ** 2 + 1.0)
         net_in = np.concatenate([x_ctx, [c_noise(tau)], scale * y])
-        feats = net.trunk_features(net_in[None, :])
+        feats = net.trunk_features(net_in[None, :], nn_core.Workspace())
         w, b = net.params.layers()[COND_HEAD]
         want = (feats @ w + b)[0]
         assert np.allclose(got, want, rtol=1e-12)
@@ -115,14 +115,14 @@ class TestEstimatePseudo:
     quadrature over any field (tests/oracles.py) it is checked against."""
 
     def test_zero_head_returns_start_exactly(self):
-        net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=0.5, seed=1)  # zero cond head
+        net = ScoreNetwork.create(hidden=8, depth=2, seed=1)  # zero cond head
         y0 = np.array([[0.7, -0.3, 0.2, 0.0]])
         got = recorded_estimate(net, np.zeros((1, 2)), y0, 8)
         assert np.array_equal(got, y0)
 
     def test_constant_head_matches_direct_summation(self):
         # constant head via zero weights + bias; oracle sums dt / (2 t) directly
-        net = float64_net(hidden=8, depth=2, sigma_data=0.5, seed=2)
+        net = float64_net(hidden=8, depth=2, seed=2)
         c = np.array([1.0, -2.0, 0.5, 0.25])
         _, bias = net.params.layers()[COND_HEAD]
         bias[:] = c

@@ -95,14 +95,14 @@ class TestTrain:
         samples = tiny_dataset()
         ckpt = train(cfg, samples)
         fresh = ScoreNetwork.create(
-            hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=cfg.seed
+            hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
         )
         assert np.array_equal(ckpt.params.values, fresh.params.values)
         assert np.array_equal(ckpt.pseudo, np.zeros((len(samples), 4)))
         assert ckpt.iteration == 0
 
     def test_create_and_train_yield_float32(self):
-        net = ScoreNetwork.create(hidden=8, depth=2, sigma_data=2.5, seed=0)
+        net = ScoreNetwork.create(hidden=8, depth=2, seed=0)
         assert net.params.values.dtype == np.float32
         ckpt = train(tiny_config(), tiny_dataset())
         assert ckpt.params.values.dtype == np.float32
@@ -124,7 +124,7 @@ class TestTrain:
             hidden=16, depth=2, seed=1,
         )
         net = ScoreNetwork.create(
-            hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=cfg.seed
+            hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
         )
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
@@ -147,8 +147,7 @@ class TestTrain:
         assert np.array_equal(ckpt_v.prototypes, np.eye(4))
         # a vanilla step reads nothing of the table: an all-NaN one changes nothing
         cfg = tiny_config(variant="vanilla")
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=2)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=2)
         draws = draw_iteration(np.random.default_rng(4), len(samples), cfg, False)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
@@ -172,7 +171,7 @@ class TestTrain:
         # loop that takes it on every iteration gives the same bits.
         cfg = tiny_config(variant=variant, total_iters=8, early_stop_iters=4)
         samples = tiny_dataset()
-        net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.sigma_data, cfg.seed)
+        net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.seed)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
@@ -192,7 +191,7 @@ class TestTrain:
         cfg = tiny_config()
         samples = tiny_dataset()
         net = ScoreNetwork.create(
-            hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=3
+            hidden=cfg.hidden, depth=cfg.depth, seed=3
         )
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         rng = np.random.default_rng(0)
@@ -230,8 +229,7 @@ class TestLossStep:
     def test_vanilla_equals_dsm_alone(self):
         cfg = tiny_config(variant="vanilla")
         samples = tiny_dataset()
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=5)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = draw_iteration(np.random.default_rng(1), len(samples), cfg, False)
         res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape(), None)
@@ -240,7 +238,7 @@ class TestLossStep:
         # independent recomputation through the reference loss
         cond = np.where(draws.drop, 0.0, np.eye(4)[samples.noisy[draws.idx]])
         want = dsm_loss(
-            lambda x, sig: diffusion.denoise(net, x, sig, cond),
+            lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert res.demo_term == pytest.approx(want, rel=1e-12)
@@ -252,8 +250,7 @@ class TestLossStep:
         # own input.
         cfg = tiny_config(quad_nodes=8)
         samples = tiny_dataset()
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=5)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         record, passes, steps = tape.record, [], []
@@ -278,7 +275,7 @@ class TestLossStep:
     def test_pc_rdc_hand_recomposition(self):
         cfg = tiny_config(batch_size=4)
         samples = tiny_dataset()
-        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=6)
+        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, seed=6)
         rng0 = np.random.default_rng(9)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
@@ -293,7 +290,7 @@ class TestLossStep:
         cond = rdc.cond_channels(y_t, draws.sigma, center)
         cond = np.where(draws.drop, 0.0, cond)
         demo_want = dsm_loss(
-            lambda x, sig: diffusion.denoise(net, x, sig, cond),
+            lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert res.demo_term == pytest.approx(demo_want, rel=1e-10)
@@ -314,7 +311,7 @@ class TestLossStep:
     def test_combined_gradient_matches_finite_differences(self):
         cfg = tiny_config(batch_size=3, quad_nodes=3, hidden=6, depth=2)
         samples = tiny_dataset(n=10)
-        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, sigma_data=cfg.sigma_data, seed=7)
+        net = float64_net(hidden=cfg.hidden, depth=cfg.depth, seed=7)
         rng0 = np.random.default_rng(11)
         net.params.values[:] = rng0.normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
@@ -345,11 +342,10 @@ class TestLossStep:
         # would fail it.
         cfg = TrainConfig(variant=variant)
         samples = tiny_dataset(n=200)
-        net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.sigma_data, seed=5)
+        net = ScoreNetwork.create(cfg.hidden, cfg.depth, seed=5)
         net.params.values += np.random.default_rng(5).normal(0, 0.1, net.params.values.size)
         net64 = ScoreNetwork(nn_core.ParamBundle(net.params.layer_shapes,
-                                                 net.params.values.astype(np.float64)),
-                             cfg.sigma_data)
+                                                 net.params.values.astype(np.float64)))
         table = np.random.default_rng(3).normal(0, 0.3, (len(samples), data_mod.N_CLASSES))
         center = None if variant == "vanilla" else table.mean(axis=0)
         draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
@@ -369,8 +365,7 @@ class TestLossStep:
         # one tape reuses its buffers from one step to the next
         cfg = tiny_config(batch_size=3)
         samples = tiny_dataset()
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=8)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=8)
         net.params.values[:] = np.random.default_rng(8).normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = [draw_iteration(np.random.default_rng(s), len(samples), cfg, True) for s in (1, 2)]
@@ -396,8 +391,7 @@ class TestLossStep:
     def test_loss_finite_through_run(self):
         cfg = tiny_config(total_iters=30, early_stop_iters=10)
         samples = tiny_dataset()
-        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth,
-                                  sigma_data=cfg.sigma_data, seed=cfg.seed)
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
@@ -514,7 +508,7 @@ class TestCheckpointIO:
         # Parameters saved under a different depth than the config echo holds.
         cfg = tiny_config(total_iters=4, early_stop_iters=2)
         save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
-        other = ScoreNetwork.create(cfg.hidden, cfg.depth + 1, cfg.sigma_data, seed=0)
+        other = ScoreNetwork.create(cfg.hidden, cfg.depth + 1, seed=0)
         edit_archive(tmp_path, params=other.params.values)
         with pytest.raises(ValueError, match=f"{CHECKPOINT_FILE}: 'params' is float32"):
             load_checkpoint(tmp_path)
