@@ -1,16 +1,18 @@
 """Command-line interface: gen-data, train, sample, eval, reproduce.
 
-Settings are key=value pairs, each source overriding the one before: a
-`--config` file (one pair a line), each `--set KEY=VALUE`, then the named
-flags. Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Settings are key=value pairs in four layers, each overriding the one
+before: the defaults, a `--config` file (one pair a line, `#` starts a
+comment), each `--set KEY=VALUE`, then the named flags. Each value is read
+once, whichever layer gives it. Exit codes: 0 success, 1 usage error, 2
+runtime failure.
 
 `reproduce` runs one cell per (variant, eta, seed). Its keys, with defaults:
 etas 0.2,0.4,0.6,0.8; seeds 0,1,2; variants vanilla,pc_only,pc_rdc; noise
 sym; jobs 1; n_per_class 2000 (training points per class); per_class_samples
 1000 (scored samples per class); and the train settings but variant and seed.
-A --manifest file's values (it names etas, seeds and variants) replace the
-defaults before --config, --set and the flags apply. Every value is checked
-before the output directory exists; its manifest.txt reruns the sweep.
+Every value is checked before the output directory exists. The run's
+manifest.txt is a config file, so `robustdiff reproduce --config
+<out>/manifest.txt` reruns the sweep.
 """
 
 from __future__ import annotations
@@ -51,18 +53,22 @@ def out_root() -> Path:
     return Path(os.environ.get("ROBUST_DIFF_OUT", "out"))
 
 
-def parse_config_file(path) -> dict[str, str]:
+def _parse_settings(items) -> dict[str, str]:
+    """The key=value `items` as a dict, key and value stripped; a later item
+    overrides an earlier one."""
     values: dict[str, str] = {}
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            k, v = line.split("=", 1)
-            values[k.strip()] = v.strip()
+    for item in items:
+        if "=" not in item:
+            raise UsageError(f"expected key=value, got {item!r}")
+        k, v = item.split("=", 1)
+        values[k.strip()] = v.strip()
     return values
+
+
+def parse_config_file(path) -> dict[str, str]:
+    with open(path) as f:
+        lines = [line.split("#", 1)[0].strip() for line in f]
+    return _parse_settings(line for line in lines if line)
 
 
 def _convert(key: str, raw: str, kind):
@@ -101,14 +107,10 @@ def build_train_config(values: dict[str, str], **fixed) -> TrainConfig:
 
 def _merge_settings(args, flags) -> dict[str, str]:
     """The --config file's settings, then each --set, then each of the
-    named `flags` given."""
+    named `flags` given, all as written."""
     values = parse_config_file(args.config) if args.config else {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise UsageError(f"--set expects key=value, got {item!r}")
-        k, v = item.split("=", 1)
-        values[k.strip()] = v.strip()
-    values.update((k, str(getattr(args, k))) for k in flags if getattr(args, k) is not None)
+    values.update(_parse_settings(args.set or []))
+    values.update((k, getattr(args, k)) for k in flags if getattr(args, k) is not None)
     return values
 
 
@@ -372,15 +374,7 @@ def cmd_reproduce(args) -> int:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    values = parse_config_file(args.manifest) if args.manifest else {}
-    missing = [k for k in ("etas", "seeds", "variants") if args.manifest and k not in values]
-    if missing:
-        raise UsageError(f"manifest {args.manifest} names no {', '.join(missing)}")
-    given = _merge_settings(args, ("etas", "seeds", "variants", "noise", "jobs"))
-    try:
-        sweep = Sweep.from_values({**values, **given})
-    except UsageError as exc:  # name the manifest where no other source can be at fault
-        raise UsageError(f"manifest {exc}" if args.manifest and not given else str(exc)) from None
+    sweep = Sweep.from_values(_merge_settings(args, ("etas", "seeds", "variants", "noise", "jobs")))
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
     blas_env = _worker_blas_env(sweep.jobs)
@@ -480,9 +474,9 @@ def make_parser() -> _Parser:
     t.add_argument("--out")
     t.add_argument("--config")
     t.add_argument("--set", action="append", metavar="KEY=VALUE")
-    t.add_argument("--variant", choices=trainer.VARIANTS)
-    t.add_argument("--total-iters", type=int, dest="total_iters")
-    t.add_argument("--seed", type=int)
+    t.add_argument("--variant")
+    t.add_argument("--total-iters", dest="total_iters")
+    t.add_argument("--seed")
     t.set_defaults(fn=cmd_train)
 
     s = sub.add_parser("sample", help="draw per-class samples from a checkpoint")
@@ -508,9 +502,8 @@ def make_parser() -> _Parser:
     r.add_argument("--etas")
     r.add_argument("--seeds")
     r.add_argument("--variants")
-    r.add_argument("--noise", choices=tuple(NOISE_KINDS))
-    r.add_argument("--jobs", type=int, default=None)
-    r.add_argument("--manifest")
+    r.add_argument("--noise")
+    r.add_argument("--jobs")
     r.set_defaults(fn=cmd_reproduce)
     return p
 

@@ -77,38 +77,24 @@ def make_toy_dataset(n_per_class: int, seed: int) -> Dataset:
     return Dataset(pts, clean, clean.copy())
 
 
-def inject_symmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
-    """Each label flips with probability eta, uniformly to one of the others."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    labels = samples.clean.tolist()
-    others = {c: [o for o in range(N_CLASSES) if o != c] for c in range(N_CLASSES)}
-    noisy = samples.clean.copy()
-    # One draw per row, plus a destination draw after each flip: the
-    # interleaving is the RNG stream, so the rows are walked in order.
-    for i, c in enumerate(labels):
-        if rng.random() < eta:
-            noisy[i] = others[c][rng.integers(len(others[c]))]
-    return Dataset(samples.points, samples.clean, noisy)
-
-
-def inject_asymmetric_noise(samples: Dataset, eta: float, seed: int) -> Dataset:
-    """Each label flips to its PAIR_MAP partner with probability eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    # One uniform per row, in row order: the same stream as scalar draws.
-    flip = np.flatnonzero(rng.random(len(samples)) < eta)
-    noisy = samples.clean.copy()
-    noisy[flip] = [PAIR_MAP[c] for c in samples.clean[flip].tolist()]
-    return Dataset(samples.points, samples.clean, noisy)
-
-
 def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
+    """Each label flips with probability spec.eta: under symmetric noise
+    uniformly to one of the other classes, under asymmetric noise to its
+    PAIR_MAP partner."""
+    rng = np.random.default_rng(spec.seed)
+    noisy = samples.clean.copy()
     if spec.kind == "symmetric":
-        return inject_symmetric_noise(samples, spec.eta, spec.seed)
-    return inject_asymmetric_noise(samples, spec.eta, spec.seed)
+        others = {c: [o for o in range(N_CLASSES) if o != c] for c in range(N_CLASSES)}
+        # One draw per row, plus a destination draw after each flip: the
+        # interleaving is the RNG stream, so the rows are walked in order.
+        for i, c in enumerate(samples.clean.tolist()):
+            if rng.random() < spec.eta:
+                noisy[i] = others[c][rng.integers(len(others[c]))]
+    else:
+        # One uniform per row, in row order: the same stream as scalar draws.
+        flip = np.flatnonzero(rng.random(len(samples)) < spec.eta)
+        noisy[flip] = [PAIR_MAP[c] for c in samples.clean[flip].tolist()]
+    return Dataset(samples.points, samples.clean, noisy)
 
 
 def noisy_labels(samples: Dataset) -> np.ndarray:

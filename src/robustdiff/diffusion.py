@@ -108,7 +108,7 @@ def edm_residual(raw, x_t, pre: Preconditioning, x0=0.0):
 
 
 def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> np.ndarray:
-    """Preconditioned denoiser on a (batch, x_dim) array.
+    """Preconditioned denoiser on a (batch, X_DIM) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
     c_noise(sigma), cond). `sigma` is a scalar or one value per row, finite

@@ -1,6 +1,6 @@
 """Momentum (temporal-ensembling) update of the pseudo-condition table.
 
-The table is a plain (n_samples, cond_dim) float64 array, one condition
+The table is a plain (n_samples, N_CLASSES) float64 array, one condition
 vector per dataset row; training starts it at zero.
 """
 

@@ -68,7 +68,7 @@ def estimate_pseudo_var(
     """Deterministic pseudo-condition estimate, batched.
 
     Solves d y / dt = -s(y_t, t) / (2t), where s is the condition head at the
-    context `x_context` (B, x_dim) on the trunk's preconditioned point scale,
+    context `x_context` (B, X_DIM) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
     nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
     `tape` on a plain trunk-input array (the tape's workspace keeps only the

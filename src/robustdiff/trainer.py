@@ -322,7 +322,7 @@ def train(
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
     # Line-buffered, so a running cell's log can be followed.
-    log_f = open(log_path, "a", buffering=1) if log_path else None
+    log_f = open(log_path, "w", buffering=1) if log_path else None
     t_start = time.perf_counter()
     iteration = 0
     try:

@@ -110,24 +110,22 @@ class TestReproduce:
             manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
                                 "variants = vanilla\nnoise = sym\njobs = 1\n" + extra)
             code = cli.main(["reproduce", "--out", str(tmp_path / "r"),
-                             "--manifest", str(manifest)])
+                             "--config", str(manifest)])
             assert code == 1
-            assert f"unknown setting {named}" in capsys.readouterr().err
+            assert f"usage error: unknown setting {named}" in capsys.readouterr().err
             assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "edit, message",
-        [({"etas": None}, "names no etas"), ({"seeds": None}, "names no seeds"),
-         ({"variants": None}, "names no variants"),
-         ({"noise": "gauss"}, "manifest noise must be one of sym, asym")],
-        ids=["no_etas", "no_seeds", "no_variants", "bad_noise"],
+        [({"noise": "gauss"}, "usage error: noise must be one of sym, asym")],
+        ids=["bad_noise"],
     )
     def test_malformed_manifest_is_usage_error(self, tmp_path, capsys, edit, message):
         manifest = tmp_path / "manifest.txt"
         keys = {"command": "reproduce", "etas": "0.4", "seeds": "0", "variants": "vanilla",
                 "noise": "sym", **edit}
-        manifest.write_text("".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None))
-        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--manifest", str(manifest)])
+        manifest.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--config", str(manifest)])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
@@ -148,11 +146,16 @@ class TestReproduce:
          (["--variants", "vanilla,pc"], "variants must be among vanilla, pc_only, pc_rdc"),
          (["--seeds", "-1"], "seeds must be >= 0"),
          (["--set", "seed=1"], "unknown setting seed"),
-         (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only")],
+         (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only"),
+         # A named flag's value is read as its --set form is.
+         (["--jobs", "two"], "jobs must be an integer, got 'two'"),
+         (["--noise", "gauss"], "noise must be one of sym, asym"),
+         (["--manifest", "manifest.txt"], "unrecognized arguments: --manifest")],
         ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
              "eta_above_one", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
              "seed_twice", "variant_twice", "unknown_variant",
-             "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc"],
+             "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc",
+             "jobs_not_integer", "unknown_noise", "manifest_flag_gone"],
     )
     def test_bad_sweep_value_is_usage_error(self, tmp_path, capsys, extra, message):
         assert cli.main(_reproduce_args(tmp_path / "r", *extra)) == 1
@@ -163,20 +166,19 @@ class TestReproduce:
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("command = reproduce\netas = 0.4\nseeds = 0\n"
                             "variants = vanilla\njobs = two\n")
-        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--manifest", str(manifest)])
+        code = cli.main(["reproduce", "--out", str(tmp_path / "r"), "--config", str(manifest)])
         assert code == 1
-        assert "usage error: manifest jobs must be an integer, got 'two'" in capsys.readouterr().err
+        assert "usage error: jobs must be an integer, got 'two'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_flags_override_set_config_and_manifest(self, tmp_path):
+        # The first run's manifest as the config: --set overrides it, a flag both.
         assert cli.main(_reproduce_args(tmp_path / "first", "--variants", "vanilla")) in (0, 2)
-        conf = tmp_path / "sweep.conf"
-        conf.write_text("hidden = 6\ndepth = 1\n")
         cli.main(["reproduce", "--out", str(tmp_path / "second"),
-                  "--manifest", str(tmp_path / "first" / "manifest.txt"),
-                  "--config", str(conf), "--set", "hidden=5", "--etas", "0.2"])
+                  "--config", str(tmp_path / "first" / "manifest.txt"),
+                  "--set", "hidden=5", "--set", "etas=0.6", "--etas", "0.2"])
         got = cli.parse_config_file(tmp_path / "second" / "manifest.txt")
-        assert (got["etas"], got["hidden"], got["depth"], got["quad_nodes"]) == ("0.2", "5", "1", "3")
+        assert (got["etas"], got["hidden"], got["depth"], got["quad_nodes"]) == ("0.2", "5", "2", "3")
 
     def test_default_manifest(self, tmp_path):
         # A default run's manifest, byte for byte: every key is listed, the
@@ -232,13 +234,16 @@ class TestReproduce:
         cli.main(_reproduce_args(tmp_path / "j1", "--jobs", "1"))
         cli.main(_reproduce_args(tmp_path / "j2", "--jobs", "2"))
         cli.main(["reproduce", "--out", str(tmp_path / "rerun"),
-                  "--manifest", str(tmp_path / "j1" / "manifest.txt")])
+                  "--config", str(tmp_path / "j1" / "manifest.txt")])
         assert (tmp_path / "j1" / "results.csv").read_bytes().count(b"\n") == 3  # header + 2 cells
         for name in ("results.csv", "summary.csv", "mae_delta.csv"):
             want = (tmp_path / "j1" / name).read_bytes()
             assert want
             assert (tmp_path / "j2" / name).read_bytes() == want, name
             assert (tmp_path / "rerun" / name).read_bytes() == want, name
+        # Read as a config, a manifest writes itself back unchanged.
+        manifest = (tmp_path / "j1" / "manifest.txt").read_bytes()
+        assert (tmp_path / "rerun" / "manifest.txt").read_bytes() == manifest
 
 
 GATE_ETAS = (0.2, 0.4, 0.6, 0.8)
@@ -457,16 +462,26 @@ class TestTrain:
          ("lr=fast", "usage error: lr must be a number, got 'fast'"),
          ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'"),
          ("lr=1e50", "usage error: lr must be <= 3.40282e+38, the float32 maximum"),
-         ("seed=-1", "usage error: seed must be >= 0")],
+         ("seed=-1", "usage error: seed must be >= 0"),
+         # A named flag's value is read as its --set form is.
+         ("--total-iters=x", "usage error: total_iters must be an integer, got 'x'"),
+         ("--variant=pc", "usage error: variant must be one of ('vanilla', 'pc_only', 'pc_rdc')")],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         code = cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args(),
-                         "--set", setting])
+                         *([setting] if setting.startswith("--") else ["--set", setting])])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_second_run_into_one_directory_replaces_the_log(self, tmp_path):
+        data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        for _ in range(2):
+            assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
+        assert (ckpt / "train.log").read_text().count("iter 0 ") == 1
 
     def test_vanilla_not_held_to_the_pseudo_budget(self, tmp_path, capsys):
         # The default early_stop_iters is 500; vanilla never reads it.

@@ -10,8 +10,7 @@ from robustdiff.data import (
     N_CLASSES,
     Dataset,
     NoiseSpec,
-    inject_asymmetric_noise,
-    inject_symmetric_noise,
+    inject_noise,
     load_dataset,
     make_toy_dataset,
     save_dataset,
@@ -59,7 +58,7 @@ class TestMakeToyDataset:
 class TestSymmetricNoise:
     def test_eta_zero_identity(self):
         samples = make_toy_dataset(100, seed=0)
-        noisy = inject_symmetric_noise(samples, 0.0, seed=1)
+        noisy = inject_noise(samples, NoiseSpec("symmetric", 0.0, 1))
         assert np.array_equal(noisy.noisy, noisy.clean)
 
     def test_two_class_eta_one_flips_everything(self):
@@ -67,34 +66,34 @@ class TestSymmetricNoise:
         rng = np.random.default_rng(0)
         labels = np.arange(50) % 2
         samples = Dataset(rng.normal(size=(50, 2)), labels, labels.copy())
-        noisy = inject_symmetric_noise(samples, 1.0, seed=2)
+        noisy = inject_noise(samples, NoiseSpec("symmetric", 1.0, 2))
         assert np.all(noisy.noisy != noisy.clean)
         assert set(noisy.noisy.tolist()) == set(range(N_CLASSES))
 
     def test_flip_fraction(self):
         samples = make_toy_dataset(2000, seed=1)
-        noisy = inject_symmetric_noise(samples, 0.4, seed=3)
+        noisy = inject_noise(samples, NoiseSpec("symmetric", 0.4, 3))
         frac = np.mean(noisy.noisy != noisy.clean)
         assert abs(frac - 0.4) < 0.02
 
     def test_points_and_clean_labels_untouched(self):
         samples = make_toy_dataset(100, seed=2)
-        noisy = inject_symmetric_noise(samples, 0.7, seed=4)
+        noisy = inject_noise(samples, NoiseSpec("symmetric", 0.7, 4))
         assert np.array_equal(samples.points, noisy.points)
         assert np.array_equal(samples.clean, noisy.clean)
         assert np.array_equal(samples.noisy, samples.clean)  # the source is not touched
 
     def test_pure_function_of_seed(self):
         samples = make_toy_dataset(200, seed=0)
-        a = inject_symmetric_noise(samples, 0.5, seed=9)
-        b = inject_symmetric_noise(samples, 0.5, seed=9)
+        a = inject_noise(samples, NoiseSpec("symmetric", 0.5, 9))
+        b = inject_noise(samples, NoiseSpec("symmetric", 0.5, 9))
         assert np.array_equal(a.noisy, b.noisy)
 
     def test_destination_uniformity_chi_square(self):
         from scipy.stats import chisquare
 
         samples = make_toy_dataset(25_000, seed=7)  # 100k samples total
-        noisy = inject_symmetric_noise(samples, 0.5, seed=8)
+        noisy = inject_noise(samples, NoiseSpec("symmetric", 0.5, 8))
         pvals = []
         for src in range(4):
             moved = noisy.noisy[(noisy.clean == src) & (noisy.noisy != src)]
@@ -107,18 +106,18 @@ class TestSymmetricNoise:
 class TestAsymmetricNoise:
     def test_eta_zero_identity(self):
         samples = make_toy_dataset(100, seed=0)
-        noisy = inject_asymmetric_noise(samples, 0.0, seed=1)
+        noisy = inject_noise(samples, NoiseSpec("asymmetric", 0.0, 1))
         assert np.array_equal(noisy.noisy, noisy.clean)
 
     def test_eta_one_swaps_pairs(self):
         samples = make_toy_dataset(100, seed=0)
         pair = {0: 1, 1: 0, 2: 3, 3: 2}
-        noisy = inject_asymmetric_noise(samples, 1.0, seed=1)
+        noisy = inject_noise(samples, NoiseSpec("asymmetric", 1.0, 1))
         assert np.array_equal(noisy.noisy, [pair[c] for c in noisy.clean])
 
     def test_per_class_flip_fraction(self):
         samples = make_toy_dataset(2000, seed=1)
-        noisy = inject_asymmetric_noise(samples, 0.4, seed=5)
+        noisy = inject_noise(samples, NoiseSpec("asymmetric", 0.4, 5))
         for c in range(4):
             rows = noisy.clean == c
             frac = np.mean(noisy.noisy[rows] != noisy.clean[rows])
@@ -126,7 +125,7 @@ class TestAsymmetricNoise:
 
     def test_flips_stay_within_pairs(self):
         samples = make_toy_dataset(500, seed=2)
-        noisy = inject_asymmetric_noise(samples, 0.6, seed=6)
+        noisy = inject_noise(samples, NoiseSpec("asymmetric", 0.6, 6))
         pair = data_mod.PAIR_MAP
         paired = np.array([pair[c] for c in noisy.clean])
         assert np.all((noisy.noisy == noisy.clean) | (noisy.noisy == paired))
@@ -141,8 +140,8 @@ class TestNoiseSpec:
 
     def test_dispatch(self):
         samples = make_toy_dataset(100, seed=0)
-        sym = data_mod.inject_noise(samples, NoiseSpec("symmetric", 0.3, 1))
-        asym = data_mod.inject_noise(samples, NoiseSpec("asymmetric", 0.3, 1))
+        sym = inject_noise(samples, NoiseSpec("symmetric", 0.3, 1))
+        asym = inject_noise(samples, NoiseSpec("asymmetric", 0.3, 1))
         assert np.any(sym.noisy != sym.clean)
         assert np.any(asym.noisy != asym.clean)
 
@@ -150,7 +149,7 @@ class TestNoiseSpec:
 class TestDatasetFile:
     def test_round_trip(self, tmp_path):
         samples = make_toy_dataset(25, seed=0)
-        samples = inject_symmetric_noise(samples, 0.5, seed=1)
+        samples = inject_noise(samples, NoiseSpec("symmetric", 0.5, 1))
         path = tmp_path / "data.csv"
         save_dataset(path, samples)
         loaded = load_dataset(path)
@@ -189,7 +188,7 @@ class TestDataset:
         ("asymmetric", "32a3d82477bae494bdbd577134d73a1cc894b0ac25580cb4b232dcef362d0aae"),
     ])
     def test_stream_pinned(self, kind, digest):
-        ds = data_mod.inject_noise(make_toy_dataset(2000, 1000), NoiseSpec(kind, 0.4, 2400))
+        ds = inject_noise(make_toy_dataset(2000, 1000), NoiseSpec(kind, 0.4, 2400))
         got = hashlib.sha256(ds.points.tobytes() + ds.clean.tobytes() + ds.noisy.tobytes())
         assert got.hexdigest() == digest
 
@@ -197,7 +196,7 @@ class TestDataset:
         # Three arrays of 8000 rows take 0.25 MiB.
         tracemalloc.start()
         try:
-            data_mod.inject_noise(make_toy_dataset(2000, 1000), NoiseSpec("symmetric", 0.4, 2400))
+            inject_noise(make_toy_dataset(2000, 1000), NoiseSpec("symmetric", 0.4, 2400))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

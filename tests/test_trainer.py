@@ -51,7 +51,7 @@ def tiny_config(**kw):
 
 def tiny_dataset(n=40, eta=0.4, seed=0):
     samples = data_mod.make_toy_dataset(n, seed=seed)
-    return data_mod.inject_symmetric_noise(samples, eta, seed=seed + 1)
+    return data_mod.inject_noise(samples, data_mod.NoiseSpec("symmetric", eta, seed + 1))
 
 
 class TestTrainConfig:
