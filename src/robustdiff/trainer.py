@@ -420,9 +420,10 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     hidden and depth, and `params` must hold its parameter count. Raises
     FileNotFoundError when `outdir` holds no archive, and ValueError, naming
     the file, when the archive fails its CRC check, lacks an entry, has an
-    entry of the wrong dtype or shape, or stores a config whose digest
-    differs from the stored one. Entries it does not read, such as the Adam
-    moments and the layer shapes that older archives hold, are ignored.
+    entry of the wrong dtype or shape or a non-finite float entry, or stores
+    a config whose digest differs from the stored one. Entries it does not
+    read, such as the Adam moments and the layer shapes that older archives
+    hold, are ignored.
     """
     path = Path(outdir) / CHECKPOINT_FILE
     if not path.is_file():
@@ -448,6 +449,8 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
                 want not in (None, got) for got, want in zip(arr.shape, shape)):
             raise ValueError(f"{path}: {key!r} is {arr.dtype} {arr.shape}, "
                              f"expected kind {kind!r} {shape}")
+        if kind == "f" and not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: {key!r} holds non-finite values")
         return arr
 
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -24,6 +25,8 @@ TINY = [
     "total_iters=20",
     "early_stop_iters=10",
 ]
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # numpy's overflow and invalid-value warnings, expected where a test drives
 # training into divergence on purpose; any other RuntimeWarning fails a test.
@@ -56,14 +59,30 @@ class TestPipeline:
 
 
 def _reproduce_args(out, *extra):
-    return ["reproduce", "--out", str(out), "--etas", "0.4", "--seeds", "0",
-            "--variants", "vanilla,pc_rdc", *_set_args(),
+    return ["reproduce", "--out", str(out), "--set", "etas=0.4", "--set", "seeds=0",
+            "--set", "variants=vanilla,pc_rdc", *_set_args(),
             "--set", "n_per_class=20", "--set", "per_class_samples=10", *extra]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--variant"), ("train", "--total-iters"), ("train", "--seed"),
+     ("reproduce", "--etas"), ("reproduce", "--seeds"), ("reproduce", "--variants"),
+     ("reproduce", "--noise"), ("reproduce", "--jobs")],
+)
+def test_named_setting_flag_is_usage_error(tmp_path, capsys, command, flag):
+    # Each of these repeated a --set key; --set is now the one spelling.
+    out = tmp_path / "out"
+    argv = (_reproduce_args(out) if command == "reproduce" else
+            ["train", "--data", str(tmp_path / "data.csv"), "--out", str(out), *_set_args()])
+    assert cli.main([*argv, flag, "1"]) == 1
+    assert f"usage error: unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestReproduce:
     def test_jobs2_prints_one_line_per_cell(self, tmp_path, capsys):
-        cli.main(_reproduce_args(tmp_path / "r", "--jobs", "2"))
+        cli.main(_reproduce_args(tmp_path / "r", "--set", "jobs=2"))
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("finished ")]
         assert lines == ["finished vanilla eta=0.4 seed=0", "finished pc_rdc eta=0.4 seed=0"]
 
@@ -86,14 +105,14 @@ class TestReproduce:
     def test_manifest_records_blas_threads_as_comment(self, tmp_path, monkeypatch):
         for key in cli.BLAS_THREAD_VARS:
             monkeypatch.delenv(key, raising=False)
-        cli.main(_reproduce_args(tmp_path / "r", "--variants", "vanilla", "--jobs", "2"))
+        cli.main(_reproduce_args(tmp_path / "r", "--set", "variants=vanilla", "--set", "jobs=2"))
         manifest = (tmp_path / "r" / "manifest.txt").read_text()
         assert "# BLAS threads: OPENBLAS_NUM_THREADS=1 " in manifest
         assert not any(key in os.environ for key in cli.BLAS_THREAD_VARS)
 
     def test_jobs_below_one_is_usage_error(self, tmp_path):
-        assert cli.main(_reproduce_args(tmp_path / "r", "--jobs=-1")) == 1
-        assert cli.main(_reproduce_args(tmp_path / "r0", "--jobs", "0")) == 1
+        assert cli.main(_reproduce_args(tmp_path / "r", "--set", "jobs=-1")) == 1
+        assert cli.main(_reproduce_args(tmp_path / "r0", "--set", "jobs=0")) == 1
         assert not (tmp_path / "r0" / "manifest.txt").exists()
 
     def test_unknown_setting_is_usage_error(self, tmp_path, capsys):
@@ -133,23 +152,22 @@ class TestReproduce:
     @pytest.mark.parametrize(
         "extra, message",
         [(["--set", "lr=x"], "lr must be a number, got 'x'"),
-         (["--seeds", "0,x"], "seeds must be an integer, got 'x'"),
+         (["--set", "seeds=0,x"], "seeds must be an integer, got 'x'"),
          (["--set", "per_class_samples=0"], "per_class_samples must be >= 1"),
          (["--set", "n_per_class=abc"], "n_per_class must be an integer, got 'abc'"),
-         (["--etas", "1.5"], "etas must lie in [0, 1]"),
-         (["--etas", "0.4,0.40"], "etas names a value twice: '0.4,0.40'"),
-         (["--etas", "0.1234567,0.1234568"],
+         (["--set", "etas=1.5"], "etas must lie in [0, 1]"),
+         (["--set", "etas=0.4,0.40"], "etas names a value twice: '0.4,0.40'"),
+         (["--set", "etas=0.1234567,0.1234568"],
           "etas 0.1234567 and 0.1234568 share a cell label"),
-         (["--etas", "0.1231,0.1232"], "etas 0.1231 and 0.1232 share a noise seed"),
-         (["--seeds", "0,0"], "seeds names a value twice: '0,0'"),
-         (["--variants", "vanilla,pc_rdc,vanilla"], "variants names a value twice"),
-         (["--variants", "vanilla,pc"], "variants must be among vanilla, pc_only, pc_rdc"),
-         (["--seeds", "-1"], "seeds must be >= 0"),
+         (["--set", "etas=0.1231,0.1232"], "etas 0.1231 and 0.1232 share a noise seed"),
+         (["--set", "seeds=0,0"], "seeds names a value twice: '0,0'"),
+         (["--set", "variants=vanilla,pc_rdc,vanilla"], "variants names a value twice"),
+         (["--set", "variants=vanilla,pc"], "variants must be among vanilla, pc_only, pc_rdc"),
+         (["--set", "seeds=-1"], "seeds must be >= 0"),
          (["--set", "seed=1"], "unknown setting seed"),
          (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only"),
-         # A named flag's value is read as its --set form is.
-         (["--jobs", "two"], "jobs must be an integer, got 'two'"),
-         (["--noise", "gauss"], "noise must be one of sym, asym"),
+         (["--set", "jobs=two"], "jobs must be an integer, got 'two'"),
+         (["--set", "noise=gauss"], "noise must be one of sym, asym"),
          (["--manifest", "manifest.txt"], "unrecognized arguments: --manifest")],
         ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
              "eta_above_one", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
@@ -171,12 +189,13 @@ class TestReproduce:
         assert "usage error: jobs must be an integer, got 'two'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_flags_override_set_config_and_manifest(self, tmp_path):
-        # The first run's manifest as the config: --set overrides it, a flag both.
-        assert cli.main(_reproduce_args(tmp_path / "first", "--variants", "vanilla")) in (0, 2)
+    def test_later_set_overrides_earlier_set_and_config(self, tmp_path):
+        # The first run's manifest as the config: --set overrides it, a later --set both.
+        first = tmp_path / "first"
+        assert cli.main(_reproduce_args(first, "--set", "variants=vanilla")) in (0, 2)
         cli.main(["reproduce", "--out", str(tmp_path / "second"),
-                  "--config", str(tmp_path / "first" / "manifest.txt"),
-                  "--set", "hidden=5", "--set", "etas=0.6", "--etas", "0.2"])
+                  "--config", str(first / "manifest.txt"),
+                  "--set", "hidden=5", "--set", "etas=0.6", "--set", "etas=0.2"])
         got = cli.parse_config_file(tmp_path / "second" / "manifest.txt")
         assert (got["etas"], got["hidden"], got["depth"], got["quad_nodes"]) == ("0.2", "5", "2", "3")
 
@@ -231,8 +250,8 @@ class TestReproduce:
 
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.
-        cli.main(_reproduce_args(tmp_path / "j1", "--jobs", "1"))
-        cli.main(_reproduce_args(tmp_path / "j2", "--jobs", "2"))
+        cli.main(_reproduce_args(tmp_path / "j1", "--set", "jobs=1"))
+        cli.main(_reproduce_args(tmp_path / "j2", "--set", "jobs=2"))
         cli.main(["reproduce", "--out", str(tmp_path / "rerun"),
                   "--config", str(tmp_path / "j1" / "manifest.txt")])
         assert (tmp_path / "j1" / "results.csv").read_bytes().count(b"\n") == 3  # header + 2 cells
@@ -287,6 +306,13 @@ class TestGates:
         assert cli._check_deltas(meds, GATE_ETAS, "sym", tmp_path / "d.csv")
         printed = capsys.readouterr().out.splitlines()
         assert [l.split(":", 1)[0] for l in printed] == lines
+
+    def test_sweep_without_the_gated_pair_says_no_gate_applies(self, tmp_path, capsys):
+        meds = {("pc_only", "sym", eta): (1.0, 0.5) for eta in GATE_ETAS}
+        assert cli._check_deltas(meds, GATE_ETAS, "sym", tmp_path / "d.csv")
+        assert capsys.readouterr().out.splitlines() == [
+            "no gate applies: the gates compare vanilla and pc_rdc"]
+        assert (tmp_path / "d.csv").read_text() == "eta,mae_vanilla,mae_pc_rdc,delta\n"
 
     def test_delta_csv_rows_are_the_printed_deltas(self, tmp_path, capsys):
         meds = _gate_meds(2, -0.3)
@@ -358,6 +384,22 @@ class TestReaders:
         assert code == 2
         assert "'prototypes'" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
+
+    def test_non_finite_parameter_rejected(self, tmp_path, edit_archive):
+        # Run as a program, so an uncaught exception would show as a traceback.
+        _, ckpt = _gen_and_train(tmp_path)
+        path = ckpt / trainer.CHECKPOINT_FILE
+        with np.load(path) as archive:
+            params = archive["params"].copy()
+        params[0] = np.nan
+        edit_archive(ckpt, params=params)
+        out = tmp_path / "samples.csv"
+        run = subprocess.run([sys.executable, "-m", "robustdiff.cli", "sample", "--checkpoint",
+                              str(ckpt), "--per-class", "10", "--out", str(out)],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [f"error: {path}: 'params' holds non-finite values"]
+        assert not out.exists()
 
     def test_flipped_bit_rejected(self, tmp_path, capsys):
         _, ckpt = _gen_and_train(tmp_path)
@@ -463,18 +505,23 @@ class TestTrain:
          ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'"),
          ("lr=1e50", "usage error: lr must be <= 3.40282e+38, the float32 maximum"),
          ("seed=-1", "usage error: seed must be >= 0"),
-         # A named flag's value is read as its --set form is.
-         ("--total-iters=x", "usage error: total_iters must be an integer, got 'x'"),
-         ("--variant=pc", "usage error: variant must be one of ('vanilla', 'pc_only', 'pc_rdc')")],
+         ("total_iters=x", "usage error: total_iters must be an integer, got 'x'"),
+         ("variant=pc", "usage error: variant must be one of ('vanilla', 'pc_only', 'pc_rdc')")],
     )
     def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, setting, message):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         code = cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args(),
-                         *([setting] if setting.startswith("--") else ["--set", setting])])
+                         "--set", setting])
         assert code == 1
         assert message in capsys.readouterr().err
         assert not ckpt.exists()
+
+    def test_help_names_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        shown = " ".join(capsys.readouterr().out.split()).split("KEY is one of ", 1)[1]
+        assert shown.split(", ") == [f.name for f in dataclasses.fields(TrainConfig)]
 
     def test_second_run_into_one_directory_replaces_the_log(self, tmp_path):
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
@@ -489,13 +536,13 @@ class TestTrain:
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         small = ["--set", "batch_size=16", "--set", "hidden=8", "--set", "depth=2"]
         for variant in ("pc_only", "pc_rdc"):
-            code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
-                             variant, "--total-iters", "20", *small])
+            code = cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                             "--set", f"variant={variant}", "--set", "total_iters=20", *small])
             assert code == 1
             assert "total_iters must cover the early-stop budget" in capsys.readouterr().err
             assert not ckpt.exists()
-        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
-                         "vanilla", "--total-iters", "20", *small]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
+                         "--set", "variant=vanilla", "--set", "total_iters=20", *small]) == 0
 
     def test_unknown_setting_in_config_file_is_usage_error(self, tmp_path, capsys):
         data, ckpt, conf = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "train.conf"
@@ -510,14 +557,14 @@ class TestTrain:
         data, ckpt = tmp_path / "data.csv", tmp_path / "ckpt"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         for variant in ("pc_only", "pc_rdc"):
-            code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
-                             variant, *_set_args(), "--set", "early_stop_iters=0"])
+            code = cli.main(["train", "--data", str(data), "--out", str(ckpt), "--set",
+                             f"variant={variant}", *_set_args(), "--set", "early_stop_iters=0"])
             assert code == 1
             assert "early_stop_iters must be >= 1" in capsys.readouterr().err
             assert not ckpt.exists()
         # vanilla has no phase 1 and accepts a zero budget
-        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--variant",
-                         "vanilla", *_set_args(), "--set", "early_stop_iters=0"]) == 0
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--set",
+                         "variant=vanilla", *_set_args(), "--set", "early_stop_iters=0"]) == 0
 
     @pytest.mark.parametrize(
         "variant, lr, message",
@@ -536,7 +583,7 @@ class TestTrain:
         assert cli.main(["gen-data", "--n-per-class", "5", "--eta", "0.4",
                          "--out", str(data)]) == 0
         code = cli.main(["train", "--data", str(data), "--out", str(ckpt),
-                         "--variant", variant, "--total-iters", "60",
+                         "--set", f"variant={variant}", "--set", "total_iters=60",
                          "--set", f"lr={lr}", "--set", "batch_size=16", "--set", "hidden=8",
                          "--set", "depth=2", "--set", "early_stop_iters=30"])
         assert code == 2
@@ -551,12 +598,11 @@ class TestTrain:
 class TestImports:
     def test_no_process_pool_modules_on_import(self):
         # Only `reproduce` starts a pool; the other commands do not load its modules.
-        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         code = ("import sys, robustdiff.cli; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
 
 
@@ -635,7 +681,7 @@ class TestSample:
     @DIVERGES
     def test_diverged_vanilla_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(
-            tmp_path, capsys, "--variant", "vanilla", "--set", "lr=1e30"
+            tmp_path, capsys, "--set", "variant=vanilla", "--set", "lr=1e30"
         )
 
     @DIVERGES
@@ -647,7 +693,7 @@ class TestSample:
         assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
                          "--out", str(data)]) == 0
         assert cli.main(["train", "--data", str(data), "--out", str(ckpt),
-                         "--variant", "vanilla", "--total-iters", "20", "--set", "lr=1e12",
+                         "--set", "variant=vanilla", "--set", "total_iters=20", "--set", "lr=1e12",
                          "--set", "batch_size=16", "--set", "hidden=8", "--set", "depth=2",
                          "--set", "early_stop_iters=0"]) == 2
         assert re.search(r"training diverged: second moment overflows at iteration \d+",

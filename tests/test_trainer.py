@@ -547,6 +547,17 @@ class TestCheckpointIO:
         assert loaded.diverged
         assert_same_checkpoint(loaded, err.value.checkpoint)
 
+    @pytest.mark.parametrize("key", ["params", "table_entries", "prototypes"])
+    def test_non_finite_entry_rejected(self, tmp_path, edit_archive, key):
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
+        with np.load(tmp_path / CHECKPOINT_FILE) as archive:
+            bad = archive[key].copy()
+        bad.flat[1] = np.nan
+        edit_archive(tmp_path, **{key: bad})
+        with pytest.raises(ValueError, match=f"{CHECKPOINT_FILE}: '{key}' holds non-finite"):
+            load_checkpoint(tmp_path)
+
     def test_config_digest_mismatch_rejected(self, tmp_path, edit_archive):
         cfg = tiny_config(total_iters=4, early_stop_iters=2)
         save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
