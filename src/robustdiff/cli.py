@@ -11,7 +11,13 @@ sym; jobs 1; n_per_class 2000 (training points per class); per_class_samples
 1000 (scored samples per class); and the train settings but variant and seed.
 Every value is checked before the output directory exists. The run's
 manifest.txt is a config file, so `robustdiff reproduce --config
-<out>/manifest.txt` reruns the sweep.
+<out>/manifest.txt` reruns the sweep. A sweep writes into --out: manifest.txt;
+four tables, results.csv (a row per cell), summary.csv (the medians over
+seeds), mae_delta.csv (the vanilla minus pc_rdc MAE per eta) and dynamics.csv
+(the eta=0.4 cells' controllability during training, header only when no
+cell trains long enough); dynamics.svg, the curves of dynamics.csv; and per
+cell, cells/<variant>_<noise><eta>_s<seed>/ with checkpoint.npz, train.log
+and, for seed 0 at eta=0.4, scatter.svg.
 """
 
 from __future__ import annotations
@@ -57,9 +63,9 @@ def _parse_settings(items) -> dict[str, str]:
     overrides an earlier one."""
     values: dict[str, str] = {}
     for item in items:
-        if "=" not in item:
+        k, eq, v = item.partition("=")
+        if not (eq and k.strip()):
             raise UsageError(f"expected key=value, got {item!r}")
-        k, v = item.split("=", 1)
         values[k.strip()] = v.strip()
     return values
 
@@ -204,6 +210,7 @@ def cmd_sample(args) -> int:
     data_mod.write_samples(out, pts, cids)
     print(f"wrote {len(pts)} samples to {out}")
     if args.svg:
+        Path(args.svg).parent.mkdir(parents=True, exist_ok=True)
         svg.scatter_svg(args.svg, per_class)
         print(f"wrote scatter to {args.svg}")
     return 0
@@ -230,8 +237,8 @@ def cmd_eval(args) -> int:
     line = f"mae {mae_avg:.6f} controllability {ctrl:.6f}"
     print(line)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(line + "\n")
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        Path(args.out).write_text(line + "\n")
     return 0
 
 
@@ -352,8 +359,7 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
     mae_avg, ctrl = evaluate_samples(samples, per_class)
     if dynamics and seed == 0:
         svg.scatter_svg(cell_dir / "scatter.svg", per_class)
-    result = metrics.RunResult(variant, sweep.noise, eta, seed, mae_avg, ctrl)
-    return {"result": result, "dynamics": dyn_rows}
+    return {"result": (variant, sweep.noise, eta, seed, mae_avg, ctrl), "dynamics": dyn_rows}
 
 
 def _worker_blas_env(jobs: int) -> dict[str, str]:
@@ -401,22 +407,22 @@ def cmd_reproduce(args) -> int:
     results = [o["result"] for o in outcomes if "result" in o]
     dynamics = sorted(row for o in outcomes for row in o["dynamics"])
 
-    metrics.write_results(outdir / "results.csv", results)
+    data_mod.write_table(outdir / "results.csv", "variant,noise,eta,seed,mae,controllability",
+                         "{},{},{:g},{},{:.6f},{:.6f}", results)
     meds = metrics.cell_medians(results)
-    with open(outdir / "summary.csv", "w") as f:
-        f.write("variant,noise,eta,median_mae,median_controllability\n")
-        for key in sorted(meds):
-            m, c = meds[key]
-            f.write(f"{key[0]},{key[1]},{key[2]:g},{m:.6f},{c:.6f}\n")
+    data_mod.write_table(outdir / "summary.csv",
+                         "variant,noise,eta,median_mae,median_controllability",
+                         "{},{},{:g},{:.6f},{:.6f}", (key + meds[key] for key in sorted(meds)))
+    # Written on every run, so a rerun into the same directory keeps no older curves.
+    data_mod.write_table(outdir / "dynamics.csv", "variant,seed,iter,controllability",
+                         "{},{},{},{:.6f}", dynamics)
     if dynamics:
-        with open(outdir / "dynamics.csv", "w") as f:
-            f.write("variant,seed,iter,controllability\n")
-            for variant, seed, iteration, acc in dynamics:
-                f.write(f"{variant},{seed},{iteration},{acc:.6f}\n")
         series: dict[str, list[tuple[float, float]]] = {}
         for variant, seed, iteration, acc in dynamics:
             series.setdefault(f"{variant}_s{seed}", []).append((iteration, acc))
         svg.curves_svg(outdir / "dynamics.svg", series)
+    else:
+        (outdir / "dynamics.svg").unlink(missing_ok=True)
 
     for fail in failures:
         print(f"FAILED CELL: {fail}", file=sys.stderr)
@@ -432,16 +438,16 @@ def _check_deltas(meds, etas, noise_kind, delta_csv: Path) -> bool:
     """Relative claims: the full method beats the baseline on MAE, by a clear
     margin at the highest noise level; and on controllability at eta = 0.4.
     Each eta's MAE delta also goes to `delta_csv` as a row."""
-    gates = []  # (what, value, bound)
-    with open(delta_csv, "w") as f:
-        f.write("eta,mae_vanilla,mae_pc_rdc,delta\n")
-        for eta in etas:
-            v, p = (meds.get((name, noise_kind, eta)) for name in ("vanilla", "pc_rdc"))
-            if v and p:
-                f.write(f"{eta:g},{v[0]:.6f},{p[0]:.6f},{v[0] - p[0]:.6f}\n")
-                need = 0.15 if abs(eta - 0.8) < 1e-9 else 0.0
-                gates.append((f"eta={eta:g}: MAE vanilla {v[0]:.4f} pc_rdc {p[0]:.4f} delta",
-                              v[0] - p[0], need))
+    deltas = []  # (eta, MAE vanilla, MAE pc_rdc, delta)
+    for eta in etas:
+        v, p = (meds.get((name, noise_kind, eta)) for name in ("vanilla", "pc_rdc"))
+        if v and p:
+            deltas.append((eta, v[0], p[0], v[0] - p[0]))
+    data_mod.write_table(delta_csv, "eta,mae_vanilla,mae_pc_rdc,delta",
+                         "{:g},{:.6f},{:.6f},{:.6f}", deltas)
+    # (what, value, bound)
+    gates = [(f"eta={eta:g}: MAE vanilla {mv:.4f} pc_rdc {mp:.4f} delta", delta,
+              0.15 if abs(eta - 0.8) < 1e-9 else 0.0) for eta, mv, mp, delta in deltas]
     v, p = (meds.get((name, noise_kind, DYNAMICS_ETA)) for name in ("vanilla", "pc_rdc"))
     if v and p:
         gates.append((f"eta={DYNAMICS_ETA:g}: controllability pc_rdc {p[1]:.4f} "

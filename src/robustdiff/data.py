@@ -1,5 +1,6 @@
-"""Synthetic four-class 2-D dataset, label-noise injection and the
-point-record files (datasets and samples).
+"""Synthetic four-class 2-D dataset, label-noise injection, the
+point-record files (datasets and samples), and `write_table`, the one CSV
+writer of the package: the point records and the sweep's tables go through it.
 
 A dataset is one `Dataset` of three row-aligned arrays: `points` (n, X_DIM)
 float64, and the `clean` and `noisy` class ids (n,) int64 in 0..N_CLASSES-1.
@@ -106,6 +107,13 @@ DATASET_HEADER = "x1,x2,clean,noisy"
 SAMPLES_HEADER = "x1,x2,class"
 
 
+def write_table(path, header: str, line: str, rows) -> None:
+    """Write `header`, then `line.format(*row)` for each of `rows`, one a line."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(line.format(*row) + "\n" for row in rows)
+
+
 def write_records(path, header: str, points: np.ndarray, ids: np.ndarray) -> None:
     """Write the file read_records reads: `header`, then one record per line,
     the coordinates of `points` (n, 2) then the class ids `ids`
@@ -114,10 +122,8 @@ def write_records(path, header: str, points: np.ndarray, ids: np.ndarray) -> Non
     if not np.all(np.isfinite(points)):
         raise ValueError(f"{path}: non-finite coordinates, not written")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        f.writelines(",".join(map(repr, coords + cids)) + "\n"
-                     for coords, cids in zip(points.tolist(), ids.tolist()))
+    write_table(path, header, ",".join(["{!r}"] * (header.count(",") + 1)),
+                (coords + cids for coords, cids in zip(points.tolist(), ids.tolist())))
 
 
 def save_dataset(path, samples: Dataset) -> None:

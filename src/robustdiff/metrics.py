@@ -9,7 +9,6 @@ layout, so comparisons should always be relative (method vs baseline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import median
 
 import numpy as np
@@ -85,42 +84,10 @@ def controllability_acc(generated_per_class: dict[int, np.ndarray], centroids: n
     return hits / total
 
 
-# ---------------------------------------------------------------------------
-# Results records
-# ---------------------------------------------------------------------------
-
-RESULT_HEADER = "variant,noise,eta,seed,mae,controllability"
-
-
-@dataclass(frozen=True)
-class RunResult:
-    variant: str
-    noise: str
-    eta: float
-    seed: int
-    mae: float
-    controllability: float
-
-    def line(self) -> str:
-        return (
-            f"{self.variant},{self.noise},{self.eta:g},{self.seed},"
-            f"{self.mae:.6f},{self.controllability:.6f}"
-        )
-
-
-def write_results(path, results: list[RunResult]) -> None:
-    with open(path, "w") as f:
-        f.write(RESULT_HEADER + "\n")
-        for r in results:
-            f.write(r.line() + "\n")
-
-
-def cell_medians(results: list[RunResult]) -> dict[tuple, tuple[float, float]]:
-    """Median (mae, controllability) per (variant, noise, eta) cell over seeds."""
-    cells: dict[tuple, list[RunResult]] = {}
-    for r in results:
-        cells.setdefault((r.variant, r.noise, r.eta), []).append(r)
-    return {
-        key: (median(r.mae for r in rs), median(r.controllability for r in rs))
-        for key, rs in cells.items()
-    }
+def cell_medians(rows) -> dict[tuple, tuple[float, float]]:
+    """Median (mae, controllability) per (variant, noise, eta) cell over seeds,
+    from rows (variant, noise, eta, seed, mae, controllability)."""
+    cells: dict[tuple, list[tuple]] = {}
+    for row in rows:
+        cells.setdefault(row[:3], []).append(row[4:])
+    return {key: tuple(median(col) for col in zip(*scores)) for key, scores in cells.items()}

@@ -57,6 +57,15 @@ class TestPipeline:
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
         assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, "train.log"]
 
+    def test_eval_out_into_a_new_directory(self, tmp_path, capsys):
+        data, ckpt = _gen_and_train(tmp_path)
+        samples, out = tmp_path / "samples.csv", tmp_path / "new" / "eval.txt"
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "4",
+                         "--out", str(samples)]) == 0
+        assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples),
+                         "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out.splitlines()[-1] + "\n"
+
 
 def _reproduce_args(out, *extra):
     return ["reproduce", "--out", str(out), "--set", "etas=0.4", "--set", "seeds=0",
@@ -136,8 +145,9 @@ class TestReproduce:
 
     @pytest.mark.parametrize(
         "edit, message",
-        [({"noise": "gauss"}, "usage error: noise must be one of sym, asym")],
-        ids=["bad_noise"],
+        [({"noise": "gauss"}, "usage error: noise must be one of sym, asym"),
+         ({"": "5"}, "usage error: expected key=value, got '= 5'")],
+        ids=["bad_noise", "empty_key"],
     )
     def test_malformed_manifest_is_usage_error(self, tmp_path, capsys, edit, message):
         manifest = tmp_path / "manifest.txt"
@@ -168,12 +178,13 @@ class TestReproduce:
          (["--set", "early_stop_iters=0"], "early_stop_iters must be >= 1 for pc_only"),
          (["--set", "jobs=two"], "jobs must be an integer, got 'two'"),
          (["--set", "noise=gauss"], "noise must be one of sym, asym"),
-         (["--manifest", "manifest.txt"], "unrecognized arguments: --manifest")],
+         (["--manifest", "manifest.txt"], "unrecognized arguments: --manifest"),
+         (["--set", "=5"], "expected key=value, got '=5'")],
         ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
              "eta_above_one", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
              "seed_twice", "variant_twice", "unknown_variant",
              "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc",
-             "jobs_not_integer", "unknown_noise", "manifest_flag_gone"],
+             "jobs_not_integer", "unknown_noise", "manifest_flag_gone", "empty_key"],
     )
     def test_bad_sweep_value_is_usage_error(self, tmp_path, capsys, extra, message):
         assert cli.main(_reproduce_args(tmp_path / "r", *extra)) == 1
@@ -248,14 +259,67 @@ class TestReproduce:
             sweep.write_manifest(path, {"OMP_NUM_THREADS": "1"})
             assert cli.Sweep.from_values(cli.parse_config_file(path)) == sweep
 
+    def test_tables_with_dynamics(self, tmp_path):
+        # At total_iters=DYNAMICS_EVERY each eta=0.4 cell records one snapshot.
+        out = tmp_path / "r"
+        cli.main(_reproduce_args(out, "--set", f"total_iters={cli.DYNAMICS_EVERY}"))
+        num = r"-?\d+\.\d{6}"
+        tables = {
+            "results.csv": ("variant,noise,eta,seed,mae,controllability",
+                            [rf"vanilla,sym,0\.4,0,{num},{num}",
+                             rf"pc_rdc,sym,0\.4,0,{num},{num}"]),
+            "summary.csv": ("variant,noise,eta,median_mae,median_controllability",
+                            [rf"pc_rdc,sym,0\.4,{num},{num}", rf"vanilla,sym,0\.4,{num},{num}"]),
+            "mae_delta.csv": ("eta,mae_vanilla,mae_pc_rdc,delta", [rf"0\.4,{num},{num},{num}"]),
+            "dynamics.csv": ("variant,seed,iter,controllability",
+                             [rf"pc_rdc,0,{cli.DYNAMICS_EVERY},{num}",
+                              rf"vanilla,0,{cli.DYNAMICS_EVERY},{num}"]),
+        }
+        lines = {}
+        for name, (header, rows) in tables.items():
+            lines[name] = (out / name).read_text().splitlines()
+            assert lines[name][0] == header, name
+            assert len(lines[name]) == len(rows) + 1, name
+            for line, row in zip(lines[name][1:], rows):
+                assert re.fullmatch(row, line), (name, line)
+        # One seed: each median is the cell's own result.
+        results = {l.split(",")[0]: l.split(",")[4:] for l in lines["results.csv"][1:]}
+        for line in lines["summary.csv"][1:]:
+            assert line.split(",")[3:] == results[line.split(",")[0]]
+        assert (out / "dynamics.svg").read_text().count("<polyline") == 2
+        for variant in ("vanilla", "pc_rdc"):
+            assert (out / "cells" / f"{variant}_sym0.4_s0" / "scatter.svg").read_text().startswith("<svg")
+
+    def test_rerun_without_dynamics_drops_the_older_curves(self, tmp_path):
+        out = tmp_path / "r"
+        cli.main(_reproduce_args(out, "--set", f"total_iters={cli.DYNAMICS_EVERY}"))
+        assert (out / "dynamics.svg").exists()
+        cli.main(_reproduce_args(out))  # total_iters=20: no snapshot
+        assert (out / "dynamics.csv").read_text() == "variant,seed,iter,controllability\n"
+        assert not (out / "dynamics.svg").exists()
+
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.
-        cli.main(_reproduce_args(tmp_path / "j1", "--set", "jobs=1"))
-        cli.main(_reproduce_args(tmp_path / "j2", "--set", "jobs=2"))
+        # At total_iters=DYNAMICS_EVERY the dynamics files and scatters are written too.
+        dyn = ("--set", f"total_iters={cli.DYNAMICS_EVERY}")
+        cli.main(_reproduce_args(tmp_path / "j1", *dyn, "--set", "jobs=1"))
+        cli.main(_reproduce_args(tmp_path / "j2", *dyn, "--set", "jobs=2"))
         cli.main(["reproduce", "--out", str(tmp_path / "rerun"),
                   "--config", str(tmp_path / "j1" / "manifest.txt")])
         assert (tmp_path / "j1" / "results.csv").read_bytes().count(b"\n") == 3  # header + 2 cells
-        for name in ("results.csv", "summary.csv", "mae_delta.csv"):
+        # Every file but the manifest (its jobs differ), the checkpoints (zip
+        # timestamps) and the training logs (wall times).
+        skip = {"manifest.txt", trainer.CHECKPOINT_FILE, "train.log"}
+
+        def files(run):
+            return sorted(str(p.relative_to(tmp_path / run)) for p in (tmp_path / run).rglob("*")
+                          if p.is_file() and p.name not in skip)
+
+        names = files("j1")
+        assert {"dynamics.csv", "dynamics.svg", "mae_delta.csv", "results.csv",
+                "summary.csv", "cells/vanilla_sym0.4_s0/scatter.svg"} <= set(names)
+        assert files("j2") == files("rerun") == names
+        for name in names:
             want = (tmp_path / "j1" / name).read_bytes()
             assert want
             assert (tmp_path / "j2" / name).read_bytes() == want, name
@@ -640,6 +704,13 @@ class TestSample:
         assert code == 2
         assert f"error: {out}: non-finite coordinates, not written" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+    def test_svg_into_a_new_directory(self, tmp_path):
+        _, ckpt = _gen_and_train(tmp_path)
+        scatter = tmp_path / "new" / "scatter.svg"
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--per-class", "4",
+                         "--out", str(tmp_path / "samples.csv"), "--svg", str(scatter)]) == 0
+        assert scatter.read_text().startswith("<svg")
 
     def test_per_class_below_one_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["sample", "--checkpoint", str(tmp_path / "none"), "--per-class", "0"])

@@ -3,14 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from robustdiff.data import write_table
 from robustdiff.metrics import (
     DIST_BLOCK,
-    RunResult,
     cell_medians,
     controllability_acc,
     fit_centroids,
     mae,
-    write_results,
 )
 
 
@@ -201,12 +200,14 @@ class TestControllability:
 
 class TestResultsRecords:
     def test_round_trip(self, tmp_path):
+        # The results table as `reproduce` writes it.
         rows = [
-            RunResult("vanilla", "sym", 0.4, 0, 0.642132, 0.779),
-            RunResult("pc_rdc", "sym", 0.4, 1, 0.165, 0.936251),
+            ("vanilla", "sym", 0.4, 0, 0.642132, 0.779),
+            ("pc_rdc", "sym", 0.4, 1, 0.165, 0.936251),
         ]
         path = tmp_path / "results.csv"
-        write_results(path, rows)
+        write_table(path, "variant,noise,eta,seed,mae,controllability",
+                    "{},{},{:g},{},{:.6f},{:.6f}", rows)
         assert path.read_text().splitlines() == [
             "variant,noise,eta,seed,mae,controllability",
             "vanilla,sym,0.4,0,0.642132,0.779000",
@@ -215,7 +216,7 @@ class TestResultsRecords:
 
     def test_cell_medians(self):
         rows = [
-            RunResult("v", "sym", 0.2, s, m, a)
+            ("v", "sym", 0.2, s, m, a)
             for s, m, a in [(0, 1.0, 0.5), (1, 3.0, 0.7), (2, 2.0, 0.6)]
         ]
         meds = cell_medians(rows)
