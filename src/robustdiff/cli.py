@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import shutil
 import sys
 import typing
 from pathlib import Path
@@ -380,6 +381,9 @@ def cmd_reproduce(args) -> int:
     sweep = Sweep.from_values(_merge_settings(args))
     outdir = Path(args.out) if args.out else out_root() / "reproduce"
     outdir.mkdir(parents=True, exist_ok=True)
+    # Every cell retrains, so no cell directory of an earlier sweep is kept.
+    if (outdir / "cells").exists():
+        shutil.rmtree(outdir / "cells")
     blas_env = _worker_blas_env(sweep.jobs)
     # Self-contained manifest: rerunning it reproduces every byte of results.
     sweep.write_manifest(outdir / "manifest.txt", blas_env)
@@ -501,7 +505,9 @@ def make_parser() -> _Parser:
                        description=__doc__.rsplit("\n\n", 1)[1])
     r.add_argument("--out")
     r.add_argument("--config")
-    r.add_argument("--set", action="append", metavar="KEY=VALUE")
+    r.add_argument("--set", action="append", metavar="KEY=VALUE", help="KEY is one of " + ", ".join(
+        f.name for cls in (Sweep, TrainConfig) for f in dataclasses.fields(cls)
+        if f.name not in ("config", "variant", "seed")))
     r.set_defaults(fn=cmd_reproduce)
     return p
 

@@ -1,6 +1,6 @@
 """Demonstration-side diffusion: sigma grid, denoiser parameterization
-and its residual, trunk input, guidance and the deterministic second-order
-sampler. The samples file is data's.
+and its residual, guidance and the deterministic second-order sampler. The
+samples file is data's.
 
 Conventions: time equals noise level (sigma(t) = t), drift is zero, so the
 forward kernel is x_t = x0 + sigma * eps. The denoiser D predicts x0 (EDM
@@ -12,10 +12,10 @@ between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
 exponent RHO; only the sampler's step count is a setting.
 
 A sampling run owns one nn_core.Workspace and hands it to every `guided`
-denoiser it builds: each `denoise` call writes its trunk input and the
-network's activations into it, so the run allocates no (batch x hidden)
-arrays after its first call. The workspace lives for that one run; what
-`denoise` returns is a fresh array.
+denoiser it builds: the network writes each `denoise` call's trunk input and
+activations into it, so the run allocates no (batch x hidden) arrays after
+its first call. The workspace lives for that one run; what `denoise` returns
+is a fresh array.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .data import N_CLASSES, X_DIM
-from .network import IN_DIM, ScoreNetwork
+from .network import ScoreNetwork
 from .nn_core import Workspace
 
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
@@ -78,28 +78,6 @@ def precondition(sigma, sigma_data) -> Preconditioning:
                            var / (sigma * sigma_data) ** 2)
 
 
-def c_noise(sigma):
-    return np.log(sigma) / 4.0
-
-
-def trunk_input(x_in: np.ndarray, sigma, cond: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Trunk input rows, written into `out` (a fresh float64 array when
-    None): the preconditioned point x_in = c_in(sigma) * x, the noise channel
-    c_noise(sigma) and the condition channels. Each is computed in float64
-    and rounded once to the dtype of `out`.
-
-    `sigma` is a scalar or one value per row; `cond` has one row per point
-    or a single row shared by all.
-    """
-    if out is None:
-        out = np.empty((x_in.shape[0], X_DIM + 1 + np.shape(cond)[-1]))
-    out[:, :X_DIM] = x_in
-    out[:, X_DIM : X_DIM + 1] = c_noise(sigma)
-    out[:, X_DIM + 1 :] = cond
-    return out
-
-
 def edm_residual(raw, x_t, pre: Preconditioning, x0=0.0):
     """D - x0 for the network output `raw` at the noised point x_t, with the
     scales `pre` of its noise level: c_out * raw + (c_skip * x_t - x0). With
@@ -111,20 +89,19 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> n
     """Preconditioned denoiser on a (batch, X_DIM) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
-    c_noise(sigma), cond). `sigma` is a scalar or one value per row, finite
+    sigma, cond). `sigma` is a scalar or one value per row, finite
     and > 0 (ValueError otherwise). `cond` is one row per point or a single
     row shared by the batch; the all-zero row is the unconditional branch.
     The point and the result are float64; F runs in the dtype of the
-    network's parameters, its input written straight into that dtype in `ws`
-    (key "input"), as are its activations.
+    network's parameters, on a trunk input the network writes straight into
+    that dtype in `ws`, as it does its activations.
     """
     sig = np.asarray(sigma, dtype=np.float64)
     if not np.all(np.isfinite(sig) & (sig > 0)):
         raise ValueError("sigma must be finite and > 0")
     x = np.asarray(x_t, dtype=np.float64)
     pre = precondition(sig, net.sigma_data)
-    net_in = ws("input", (x.shape[0], IN_DIM), net.params.values.dtype)
-    raw = net.demo_out(trunk_input(pre.c_in * x, sig, cond, net_in), ws)
+    raw = net.demo_out(pre.c_in * x, sig, cond, ws)
     return edm_residual(raw, x, pre)
 
 

@@ -205,7 +205,7 @@ class MlpTape:
     values into it, so the same views read them, and `start` rewrites the
     halves in place. Every buffer, `grads` and a pass's output have the
     parameters' dtype; `record` takes its input in that dtype (ScoreNetwork
-    casts it).
+    writes it so).
     """
 
     def __init__(self):

@@ -25,8 +25,8 @@ import functools
 import numpy as np
 
 from . import nn_core
-from .diffusion import RHO, WARP_MAX, WARP_MIN, mirror_sigma, trunk_input
-from .network import ScoreNetwork
+from .diffusion import RHO, WARP_MAX, WARP_MIN, mirror_sigma
+from .network import COND_COLS, ScoreNetwork
 
 
 def cond_channels(y, t, center):
@@ -71,15 +71,14 @@ def estimate_pseudo_var(
     context `x_context` (B, X_DIM) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
     nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
-    `tape` on a plain trunk-input array (the tape's workspace keeps only the
-    half-scale parameters and the (B x hidden) arrays). Returns the estimate
-    and the k node passes, which estimate_pseudo_adjoint walks back.
+    `tape` at the parts (x_context, tau, condition channels). Returns the
+    estimate and the k node passes, which estimate_pseudo_adjoint walks back.
     """
     y = y_start
     nodes = []
     for tau, step, scale in _quad_nodes(k):
         cond = (y - center) * scale  # cond_channels(y, tau, center)
-        rec = net.cond_var(tape, trunk_input(x_context, tau, cond))
+        rec = net.cond_var(tape, x_context, tau, cond)
         nodes.append(rec)
         y = y - step * rec.out
     return y, nodes
@@ -97,13 +96,12 @@ def estimate_pseudo_adjoint(
     walked from the last node to the first. Node n's score gradient goes
     through its recorded pass into tape.grads, and the pass's condition
     channels carry the rest of dL/dy_n: the backward computes those input
-    columns alone. The start state is a draw, so node 0 needs no input
-    gradient.
+    columns, network.COND_COLS, alone. The start state is a draw, so node 0
+    needs no input gradient.
     """
-    cond_cols = slice(-g_y.shape[1], None)
     consts = _quad_nodes(len(nodes))
     for node in reversed(range(len(nodes))):
         _, step, scale = consts[node]
-        g_cond = tape.backward(nodes[node], -g_y * step, cond_cols if node > 0 else None)
+        g_cond = tape.backward(nodes[node], -g_y * step, COND_COLS if node > 0 else None)
         if node > 0:
             g_y = g_y + g_cond * scale

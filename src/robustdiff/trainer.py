@@ -31,9 +31,9 @@ stay float64. A checkpoint holds what sampling reads, and no training state.
 
 A step allocates no (batch x hidden) arrays once the tape has seen its
 shapes: the tape's workspace holds them and the half-scale parameters, and
-everything smaller, such as each pass's trunk input, is a plain array. Adam
-writes the new values into the network's parameter array in place, which
-the tape's views read.
+everything smaller is a plain array, such as each pass's trunk input, which
+the network writes in float32. Adam writes the new values into the network's
+parameter array in place, which the tape's views read.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import network, nn_core, pseudo, rdc
-from .diffusion import edm_residual, mirror_sigma, precondition, trunk_input
+from .diffusion import edm_residual, mirror_sigma, precondition
 from .network import ScoreNetwork
 
 VARIANTS = ("vanilla", "pc_only", "pc_rdc")
@@ -238,9 +238,8 @@ def loss_step(
     center: np.ndarray | None,
 ) -> LossStepResult:
     """Combined objective value for one batch; its gradient is left in `tape.grads`.
-    `center` is the table's mean, None for vanilla. Each pass's trunk input
-    is a plain array: the tape's workspace keeps only the half-scale
-    parameters and the (batch x hidden) arrays."""
+    `center` is the table's mean, None for vanilla. Each pass takes the
+    preconditioned point, its noise level and its condition."""
     phase1 = config.in_phase1(iteration)
     x0 = samples.points[draws.idx]
     y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
@@ -262,7 +261,7 @@ def loss_step(
     x_in = pre.c_in * x_t
 
     tape.start(net.params)
-    demo = net.demo_var(tape, trunk_input(x_in, draws.sigma, np.where(draws.drop, 0.0, cond)))
+    demo = net.demo_var(tape, x_in, draws.sigma, np.where(draws.drop, 0.0, cond))
     err = edm_residual(demo.out, x_t, pre, x0)
     inv_b = 1.0 / draws.idx.size
     demo_term = ((err * err) * pre.weight).sum() * inv_b
@@ -280,7 +279,7 @@ def loss_step(
                 tape, net, x_in, draws.y_start, center, config.quad_nodes
             )
         else:  # the head at the table row itself, never dropped
-            pc = net.cond_var(tape, trunk_input(x_in, draws.sigma, cond))
+            pc = net.cond_var(tape, x_in, draws.sigma, cond)
             y_phi = pc.out
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b

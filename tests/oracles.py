@@ -3,6 +3,8 @@ against. Nothing in the package calls them.
 
 - `dsm_loss`: the denoising score-matching loss through any denoiser
   callable, against which `trainer.loss_step`'s denoising term is checked;
+- `trunk_input`: the trunk input rows in float64, which
+  `ScoreNetwork.trunk_input` matches once they are rounded to its dtype;
 - `head_field` and `estimate_pseudo`: the condition head as a field over
   continuous time and an Euler quadrature over any such field, against which
   `rdc.estimate_pseudo_var` and its adjoint are checked;
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from robustdiff import nn_core
-from robustdiff.diffusion import Denoiser, precondition, trunk_input
+from robustdiff.diffusion import Denoiser, precondition
 from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.rdc import cond_channels, quad_times
 
@@ -51,6 +53,18 @@ def dsm_loss(
     x_t = x0 + sig * eps
     err = ((denoiser(x_t, sig) - x0) ** 2).sum(axis=1, keepdims=True)
     return float(np.mean(precondition(sig, sigma_data).weight * err))
+
+
+def trunk_input(x_in, sigma, cond) -> np.ndarray:
+    """Trunk input rows in float64: the preconditioned point x_in, the noise
+    channel ln(sigma) / 4 (EDM's c_noise) and the condition channels, side
+    by side. `sigma` is a scalar or a (rows, 1) column; `cond` is one row
+    per point or a single row shared by all."""
+    x_in = np.asarray(x_in, dtype=np.float64)
+    rows = len(x_in)
+    noise = np.broadcast_to(np.log(np.asarray(sigma, dtype=np.float64)) / 4.0, (rows, 1))
+    cond = np.asarray(cond, dtype=np.float64)
+    return np.concatenate([x_in, noise, np.broadcast_to(cond, (rows, cond.shape[-1]))], axis=1)
 
 
 def full_scale_silu(x, w, b) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +132,7 @@ def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
 
     def field(x, t, y):
         w, b = net.params.layers()[COND_HEAD]
-        return net.trunk_features(trunk_input(x, t, cond_channels(y, t, center)),
-                                  nn_core.Workspace()) @ w + b
+        return net.trunk_features(x, t, cond_channels(y, t, center), nn_core.Workspace()) @ w + b
 
     return field
 

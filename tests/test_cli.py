@@ -57,6 +57,16 @@ class TestPipeline:
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
         assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, "train.log"]
 
+    def test_outputs_default_under_robust_diff_out(self, tmp_path, monkeypatch):
+        # Without --out, train and sample write under $ROBUST_DIFF_OUT.
+        root, data = tmp_path / "root", tmp_path / "data.csv"
+        monkeypatch.setenv("ROBUST_DIFF_OUT", str(root))
+        assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
+        assert cli.main(["train", "--data", str(data), *_set_args()]) == 0
+        assert (root / "train" / trainer.CHECKPOINT_FILE).is_file()
+        assert cli.main(["sample", "--checkpoint", str(root / "train"), "--per-class", "3"]) == 0
+        assert len(data_mod.read_samples(root / "samples.csv")[0]) == 3 * data_mod.N_CLASSES
+
     def test_eval_out_into_a_new_directory(self, tmp_path, capsys):
         data, ckpt = _gen_and_train(tmp_path)
         samples, out = tmp_path / "samples.csv", tmp_path / "new" / "eval.txt"
@@ -297,6 +307,22 @@ class TestReproduce:
         cli.main(_reproduce_args(out))  # total_iters=20: no snapshot
         assert (out / "dynamics.csv").read_text() == "variant,seed,iter,controllability\n"
         assert not (out / "dynamics.svg").exists()
+
+    def test_rerun_into_one_directory_keeps_only_its_own_cells(self, tmp_path):
+        out = tmp_path / "r"
+        cli.main(_reproduce_args(out, "--set", "etas=0.4,0.6"))
+        assert len(os.listdir(out / "cells")) == 4
+        cli.main(_reproduce_args(out, "--set", "etas=0.2", "--set", "variants=vanilla"))
+        assert os.listdir(out / "cells") == ["vanilla_sym0.2_s0"]
+        assert (out / "results.csv").read_text().count("\n") == 2  # header + 1 cell
+
+    def test_help_names_every_key(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["reproduce", "--help"])
+        shown = " ".join(capsys.readouterr().out.split()).split("KEY is one of ", 1)[1]
+        assert shown.split(", ") == [f.name for cls in (cli.Sweep, TrainConfig)
+                                     for f in dataclasses.fields(cls)
+                                     if f.name not in ("config", "variant", "seed")]
 
     def test_results_byte_identical_across_jobs_and_manifest_rerun(self, tmp_path):
         # The gates may fail on a run this small, so the exit code is not asserted.

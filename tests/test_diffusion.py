@@ -9,7 +9,6 @@ from robustdiff.data import X_DIM, read_samples, write_samples
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
-    c_noise,
     denoise,
     edm_residual,
     guided,
@@ -17,7 +16,6 @@ from robustdiff.diffusion import (
     mirror_sigma,
     precondition,
     sigma_grid,
-    trunk_input,
 )
 from robustdiff.network import ScoreNetwork
 from robustdiff.nn_core import Workspace
@@ -91,10 +89,7 @@ class TestDenoise:
         sigma = 0.8
         cond = np.array([1.0, 0.0, 0.0, 0.0])
         pre = precondition(sigma, net.sigma_data)
-        net_in = np.concatenate(
-            [pre.c_in * x, [c_noise(sigma)], cond]
-        )
-        raw = net.demo_out(net_in[None, :], Workspace())[0]
+        raw = net.demo_out((pre.c_in * x)[None, :], sigma, cond, Workspace())[0]
         want = pre.c_skip * x + pre.c_out * raw
         got = denoise(net, x[None, :], sigma, cond, Workspace())[0]
         assert np.allclose(got, want, rtol=1e-12)
@@ -125,18 +120,6 @@ class TestDenoise:
         a = guided(net, np.zeros(4), 3.0, Workspace())(x, 1.0)
         b = denoise(net, x, 1.0, np.zeros(4), Workspace())
         assert np.array_equal(a, b)
-
-
-class TestTrunkInput:
-    def test_layout_scalar_and_column_sigma(self):
-        x_in = np.array([[1.0, 2.0], [3.0, 4.0]])
-        cond = np.array([[0.5, 0, 0, 0], [0, 0, 0, -0.5]])
-        got = trunk_input(x_in, 0.8, cond)
-        assert np.array_equal(got[:, :2], x_in)
-        assert np.array_equal(got[:, 2], np.full(2, c_noise(0.8)))
-        assert np.array_equal(got[:, 3:], cond)
-        col = np.array([[0.8], [0.8]])
-        assert np.array_equal(trunk_input(x_in, col, cond), got)
 
 
 class TestDsmLoss:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from robustdiff import nn_core, trainer
 from robustdiff.data import N_CLASSES, X_DIM
-from robustdiff.network import COND_HEAD, DEMO_HEAD, IN_DIM, ScoreNetwork
+from robustdiff.network import COND_COLS, COND_HEAD, DEMO_HEAD, IN_DIM, ScoreNetwork, c_noise
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
@@ -15,6 +15,7 @@ from robustdiff.nn_core import (
     adam_step,
     init_params,
 )
+import oracles
 from oracles import float64_net, full_scale_pass, full_scale_silu
 
 
@@ -88,6 +89,60 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b) / scale))
 
 
+def random_parts(rng, batch):
+    """A trunk input's parts: preconditioned points, a column of noise levels
+    and per-row conditions."""
+    return (rng.normal(size=(batch, X_DIM)), np.exp(rng.normal(size=(batch, 1))),
+            rng.normal(size=(batch, N_CLASSES)))
+
+
+class TestTrunkInput:
+    """ScoreNetwork.trunk_input, against the float64 reference builder
+    (oracles.trunk_input)."""
+
+    @pytest.mark.parametrize("sigma_kind", ["scalar", "column"])
+    @pytest.mark.parametrize("cond_kind", ["shared", "per_row"])
+    def test_float32_rows_are_the_reference_cast_once(self, sigma_kind, cond_kind):
+        x_in, sigma, cond = random_parts(np.random.default_rng(21), 6)
+        if sigma_kind == "scalar":
+            sigma = 0.8
+        if cond_kind == "shared":
+            cond = cond[0]
+        net = ScoreNetwork.create(hidden=4, depth=1, seed=0)
+        want = oracles.trunk_input(x_in, sigma, cond).astype(np.float32)
+        got = net.trunk_input(x_in, sigma, cond)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        out = np.full((6, IN_DIM), np.nan, np.float32)  # the sampling path's buffer
+        assert net.trunk_input(x_in, sigma, cond, out) is out
+        assert out.tobytes() == want.tobytes()
+
+    def test_layout_scalar_and_column_sigma(self):
+        net = float64_net(hidden=4, depth=1, seed=0)
+        x_in = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cond = np.array([[0.5, 0, 0, 0], [0, 0, 0, -0.5]])
+        got = net.trunk_input(x_in, 0.8, cond)
+        assert np.array_equal(got[:, :X_DIM], x_in)
+        assert np.array_equal(got[:, X_DIM], np.full(2, c_noise(0.8)))
+        assert np.array_equal(got[:, COND_COLS], cond)
+        col = np.array([[0.8], [0.8]])
+        assert np.array_equal(net.trunk_input(x_in, col, cond), got)
+
+    @pytest.mark.parametrize("width", [N_CLASSES - 1, N_CLASSES + 1])
+    def test_wrong_width_cond_rejected(self, width):
+        # every pass builds its input here, so each one refuses the row
+        net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
+        x_in, cond = np.zeros((3, X_DIM)), np.zeros((3, width))
+        tape = MlpTape()
+        tape.start(net.params)
+        for build in (lambda: net.trunk_input(x_in, 1.0, cond),
+                      lambda: net.demo_out(x_in, 1.0, cond, Workspace()),
+                      lambda: net.demo_var(tape, x_in, 1.0, cond),
+                      lambda: net.cond_var(tape, x_in, 1.0, cond[0])):
+            with pytest.raises(ValueError):
+                build()
+
+
 class TestMlpForward:
     """The plain forward pass, ScoreNetwork.demo_out."""
 
@@ -97,22 +152,25 @@ class TestMlpForward:
         w, b = net.params.layers()[DEMO_HEAD]
         w[:] = np.eye(2)
         b[:] = 0.0
-        x = np.random.default_rng(1).normal(size=(3, IN_DIM))
-        assert np.array_equal(net.demo_out(x, Workspace()), net.trunk_features(x, Workspace()))
+        parts = random_parts(np.random.default_rng(1), 3)
+        assert np.array_equal(net.demo_out(*parts, Workspace()),
+                              net.trunk_features(*parts, Workspace()))
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
         net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         _, b = net.params.layers()[DEMO_HEAD]
         b[:] = 0.5
-        for x in ([1.0, 2.0, 3.0, 0, 0, 0, 1.0], [-4.0, 0.0, 9.0, 1.0, 0, 0, 0]):
-            assert np.array_equal(net.demo_out(np.array([x]), Workspace()), np.full((1, 2), 0.5))
+        for x_in, sigma, cond in (([1.0, 2.0], 3.0, [0, 0, 0, 1.0]),
+                                  ([-4.0, 0.0], 9.0, [1.0, 0, 0, 0])):
+            out = net.demo_out(np.array([x_in]), sigma, np.array(cond), Workspace())
+            assert np.array_equal(out, np.full((1, 2), 0.5))
 
     def test_two_layer_matches_hand_oracle(self):
         net = random_net(4, create=float64_net)
-        x = np.random.default_rng(11).normal(size=IN_DIM)
-        got = net.demo_out(x[None, :], Workspace())[0]
-        want = hand_forward(net, x)
+        parts = random_parts(np.random.default_rng(11), 1)
+        got = net.demo_out(*parts, Workspace())[0]
+        want = hand_forward(net, oracles.trunk_input(*parts)[0])
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_widths_follow_the_parameters(self):
@@ -122,30 +180,34 @@ class TestMlpForward:
         # N_CLASSES columns.
         params = init_params([(7, 16), (16, 16), (16, 2), (16, 4)], seed=0)  # hidden 16, depth 2
         net = ScoreNetwork(params, sigma_data=2.5)
-        x = np.zeros((3, IN_DIM))
+        parts = (np.zeros((3, X_DIM)), 1.0, np.zeros(N_CLASSES))
         tape = MlpTape()
         tape.start(net.params)
-        demo = net.demo_var(tape, x)
-        cond = net.cond_var(tape, x)
+        demo = net.demo_var(tape, *parts)
+        cond = net.cond_var(tape, *parts)
         assert (demo.layers, cond.layers) == ([0, 1, 2], [0, 1, 3])
-        assert demo.out.shape == net.demo_out(x, Workspace()).shape == (3, X_DIM)
+        assert demo.out.shape == net.demo_out(*parts, Workspace()).shape == (3, X_DIM)
         assert cond.out.shape == (3, N_CLASSES)
 
     def test_dimension_mismatch_rejected(self):
+        # a point of the wrong width fails as its columns are written (numpy
+        # broadcasts a width of 1)
         net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
-        with pytest.raises(ShapeError):
-            net.demo_out(np.zeros((1, IN_DIM + 1)), Workspace())
+        for width in (0, X_DIM + 1):
+            with pytest.raises(ValueError):
+                net.demo_out(np.zeros((1, width)), 1.0, np.zeros(N_CLASSES), Workspace())
 
     def test_pure_function_bitwise(self):
         net = random_net(1, hidden=8)
-        x = np.random.default_rng(2).normal(size=(6, IN_DIM))
-        assert np.array_equal(net.demo_out(x, Workspace()), net.demo_out(x, Workspace()))
+        parts = random_parts(np.random.default_rng(2), 6)
+        assert np.array_equal(net.demo_out(*parts, Workspace()), net.demo_out(*parts, Workspace()))
 
     def test_batched_matches_per_row(self):
         net = random_net(9, hidden=4, create=float64_net)
-        x = np.random.default_rng(3).normal(size=(5, IN_DIM))
-        batched = net.demo_out(x, Workspace())
-        rows = np.concatenate([net.demo_out(r[None, :], Workspace()) for r in x])
+        parts = random_parts(np.random.default_rng(3), 5)
+        batched = net.demo_out(*parts, Workspace())
+        rows = np.concatenate([net.demo_out(*(p[i : i + 1] for p in parts), Workspace())
+                               for i in range(5)])
         assert np.allclose(batched, rows, rtol=1e-14)
 
     @pytest.mark.parametrize("batch", [1, 7, 512])
@@ -155,12 +217,12 @@ class TestMlpForward:
         net = ScoreNetwork.create(hidden=64, depth=3, seed=3)  # trained widths
         rng = np.random.default_rng(batch)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
-        x = rng.normal(size=(batch, IN_DIM))
+        parts = random_parts(rng, batch)
         tape = MlpTape()
         tape.start(net.params)
-        rec = net.demo_var(tape, x)
-        assert np.array_equal(net.trunk_features(x, Workspace()), rec.h[-1])
-        assert np.array_equal(net.demo_out(x, Workspace()), rec.out)
+        rec = net.demo_var(tape, *parts)
+        assert np.array_equal(net.trunk_features(*parts, Workspace()), rec.h[-1])
+        assert np.array_equal(net.demo_out(*parts, Workspace()), rec.out)
 
 
 class TestGrad:
@@ -314,7 +376,7 @@ class TestHalfScaleExactness:
         n = len(net.params.layer_shapes)
         layers = [0, 1, 2, n + head]
         x = rng.normal(size=(512, IN_DIM)).astype(np.float32)
-        cols = slice(-N_CLASSES, None)
+        cols = COND_COLS
         tape = MlpTape()
         tape.start(net.params)
         rec = tape.record(x, layers)

@@ -5,20 +5,18 @@ from robustdiff import nn_core
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
-    c_noise,
     mirror_sigma,
     precondition,
     sigma_grid,
-    trunk_input,
 )
-from robustdiff.network import COND_HEAD, ScoreNetwork
+from robustdiff.network import COND_HEAD, DEMO_HEAD, ScoreNetwork
 from robustdiff.rdc import (
     cond_channels,
     estimate_pseudo_adjoint,
     estimate_pseudo_var,
     quad_times,
 )
-from oracles import estimate_pseudo, float64_net, head_field
+from oracles import estimate_pseudo, float64_net, head_field, trunk_input
 
 
 ZERO = np.zeros(4)  # the condition center of an all-zero table
@@ -36,7 +34,7 @@ def condition_head(net, x, t, y):
     step makes (network.cond_var)."""
     tape = nn_core.MlpTape()
     tape.start(net.params)
-    return net.cond_var(tape, trunk_input(x, t, cond_channels(y, t, ZERO))).out
+    return net.cond_var(tape, x, t, cond_channels(y, t, ZERO)).out
 
 
 class TestCondChannels:
@@ -84,18 +82,22 @@ class TestConditionScoreHead:
         assert not np.allclose(cond_before, cond_after)
 
     def test_composition_oracle(self):
-        net = random_net(6)
+        net = random_net(6, create=float64_net)
         x = np.array([0.4, 0.9])
         y = np.array([0.3, -0.2, 0.5, 0.1])
         tau = sigma_grid(8)[3]
         x_ctx = precondition(tau, net.sigma_data).c_in * x
         got = condition_head(net, x_ctx[None, :], tau, y[None, :])[0]
-        # independent recomposition from trunk + head passes
+        # independent recomposition: the reference trunk input through the
+        # SiLU trunk and the condition head
         scale = 1.0 / np.sqrt(float(mirror_sigma(tau)) ** 2 + 1.0)
-        net_in = np.concatenate([x_ctx, [c_noise(tau)], scale * y])
-        feats = net.trunk_features(net_in[None, :], nn_core.Workspace())
-        w, b = net.params.layers()[COND_HEAD]
-        want = (feats @ w + b)[0]
+        h = trunk_input(x_ctx[None, :], tau, scale * y)
+        layers = net.params.layers()
+        for w, b in layers[:DEMO_HEAD]:
+            z = h @ w + b
+            h = z / (1.0 + np.exp(-z))
+        w, b = layers[COND_HEAD]
+        want = (h @ w + b)[0]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_wrong_condition_width_rejected(self):
