@@ -17,7 +17,7 @@ seeds), mae_delta.csv (the vanilla minus pc_rdc MAE per eta) and dynamics.csv
 (the eta=0.4 cells' controllability during training, header only when no
 cell trains long enough); dynamics.svg, the curves of dynamics.csv; and per
 cell, cells/<variant>_<noise><eta>_s<seed>/ with checkpoint.npz, train.log
-and, for seed 0 at eta=0.4, scatter.svg.
+and, for seed 0 at eta=0.4, scatter.svg. An older sweep's cells/ goes first.
 """
 
 from __future__ import annotations
