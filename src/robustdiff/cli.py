@@ -131,9 +131,8 @@ def cmd_gen_data(args) -> int:
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     samples = data_mod.make_toy_dataset(args.n_per_class, args.seed)
-    if args.eta > 0:
-        spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
-        samples = data_mod.inject_noise(samples, spec)
+    spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
+    samples = data_mod.inject_noise(samples, spec)
     out = Path(args.out)
     data_mod.save_dataset(out, samples)
     flips = int(np.count_nonzero(samples.noisy != samples.clean))

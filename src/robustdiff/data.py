@@ -67,8 +67,6 @@ class NoiseSpec:
 def make_toy_dataset(n_per_class: int, seed: int) -> Dataset:
     """An isotropic Gaussian blob of std BLOB_STD around each of CENTROIDS,
     in class order; noisy labels start out clean."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be >= 1")
     rng = np.random.default_rng(seed)
     pts = np.empty((N_CLASSES * n_per_class, X_DIM))
     for c in range(N_CLASSES):
@@ -133,7 +131,7 @@ def save_dataset(path, samples: Dataset) -> None:
 
 def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
     """Samples and their class ids (n,) as a SAMPLES_HEADER file."""
-    write_records(path, SAMPLES_HEADER, samples, np.asarray(class_ids)[:, None])
+    write_records(path, SAMPLES_HEADER, samples, class_ids[:, None])
 
 
 def read_records(path, header: str) -> tuple[np.ndarray, np.ndarray]:

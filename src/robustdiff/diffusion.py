@@ -89,20 +89,16 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> n
     """Preconditioned denoiser on a (batch, X_DIM) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
-    sigma, cond). `sigma` is a scalar or one value per row, finite
-    and > 0 (ValueError otherwise). `cond` is one row per point or a single
-    row shared by the batch; the all-zero row is the unconditional branch.
-    The point and the result are float64; F runs in the dtype of the
-    network's parameters, on a trunk input the network writes straight into
-    that dtype in `ws`, as it does its activations.
+    sigma, cond). `sigma` is a scalar or one value per row, > 0. `cond` is
+    one row per point or a single row shared by the batch; the all-zero row
+    is the unconditional branch. The point and the result are float64; F
+    runs in the dtype of the network's parameters, on a trunk input the
+    network writes straight into that dtype in `ws`, as it does its
+    activations.
     """
-    sig = np.asarray(sigma, dtype=np.float64)
-    if not np.all(np.isfinite(sig) & (sig > 0)):
-        raise ValueError("sigma must be finite and > 0")
-    x = np.asarray(x_t, dtype=np.float64)
-    pre = precondition(sig, net.sigma_data)
-    raw = net.demo_out(pre.c_in * x, sig, cond, ws)
-    return edm_residual(raw, x, pre)
+    pre = precondition(sigma, net.sigma_data)
+    raw = net.demo_out(pre.c_in * x_t, sigma, cond, ws)
+    return edm_residual(raw, x_t, pre)
 
 
 def guided(net: ScoreNetwork, cond, w: float, ws: Workspace) -> Denoiser:
@@ -113,8 +109,6 @@ def guided(net: ScoreNetwork, cond, w: float, ws: Workspace) -> Denoiser:
     (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u). Both
     branches run in `ws`, the sampling run's workspace.
     """
-    if not 1.0 <= w < np.inf:
-        raise ValueError("guidance scale w must be >= 1 and finite")
     uncond = np.zeros(N_CLASSES)
 
     def fn(x, sigma):
@@ -134,8 +128,6 @@ def heun_sample(denoiser: Denoiser, num_steps: int, count: int, seed: int) -> np
     step the slope is d = (x - D(x, sigma)) / sigma, with a midpoint
     correction except on the final step to sigma = 0, which is Euler-only.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
     grid = sigma_grid(num_steps)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((count, X_DIM)) * grid[0]

@@ -20,8 +20,9 @@ from .data import N_CLASSES
 DIST_BLOCK = 2**16
 
 
-def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
-    """Per-axis mean absolute deviation to the nearest clean reference point.
+def mae(gen: np.ndarray, ref: np.ndarray) -> float:
+    """Per-axis mean absolute deviation of the generated points `gen` to the
+    nearest of the clean reference points `ref`.
 
     Memory: the nearest-reference search runs over blocks of generated rows
     and holds one block of squared distances plus one scratch array of the
@@ -33,11 +34,7 @@ def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
     reference at the minimum (`argmin`), then |Δ| averaged over the axes and
     summed into the total.
     """
-    gen = np.atleast_2d(np.asarray(generated, dtype=np.float64))
-    ref = np.atleast_2d(np.asarray(reference_clean, dtype=np.float64))
     n_gen, n_ref = gen.shape[0], ref.shape[0]
-    if n_gen == 0 or n_ref == 0:
-        raise ValueError("generated and reference sets must be non-empty")
     rows = max(1, min(n_gen, DIST_BLOCK // n_ref))
     d2_buf = np.empty((rows, n_ref))
     sq_buf = np.empty((rows, n_ref))
@@ -61,8 +58,6 @@ def mae(generated: np.ndarray, reference_clean: np.ndarray) -> float:
 
 def fit_centroids(pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Class-mean centroids (N_CLASSES, 2) over clean data; every class must be present."""
-    pts = np.asarray(pts, dtype=np.float64)
-    labels = np.asarray(labels)
     cents = np.zeros((N_CLASSES, pts.shape[1]))
     for c in range(N_CLASSES):
         mask = labels == c
@@ -76,8 +71,7 @@ def controllability_acc(generated_per_class: dict[int, np.ndarray], centroids: n
     """Fraction of generated points nearest the centroid of their conditioning class."""
     hits = 0
     total = 0
-    for c in sorted(generated_per_class):
-        pts = np.atleast_2d(np.asarray(generated_per_class[c], dtype=np.float64))
+    for c, pts in sorted(generated_per_class.items()):
         preds = np.argmin(((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
         hits += int((preds == c).sum())
         total += len(preds)

@@ -305,8 +305,6 @@ def adam_step(params: ParamBundle, grads: np.ndarray, m: np.ndarray, v: np.ndarr
     and so does a finite one whose square overflows) or a new value does.
     """
     grads = np.asarray(grads, dtype=params.values.dtype)
-    if grads.shape != params.values.shape:
-        raise ShapeError("gradient length does not match parameter count")
     m *= BETA1
     m += (1.0 - BETA1) * grads
     v *= BETA2

@@ -42,8 +42,6 @@ def cond_channels(y, t, center):
 def quad_times(k: int) -> np.ndarray:
     """k+1 ascending time nodes from SIGMA_MIN to T = SIGMA_MAX along the
     reversed grid law."""
-    if k < 1:
-        raise ValueError("need at least one quadrature node")
     ramp = np.arange(k + 1) / k
     return (WARP_MIN + ramp * (WARP_MAX - WARP_MIN)) ** RHO
 

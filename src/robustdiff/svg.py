@@ -32,13 +32,13 @@ def _write_frame(path, body: list[str]) -> None:
 
 def scatter_svg(path, points_by_class: dict[int, np.ndarray]) -> None:
     """Fixed 600x600 viewport scatter, one fill color per class."""
-    all_pts = np.concatenate([np.atleast_2d(p) for p in points_by_class.values()])
+    all_pts = np.concatenate(list(points_by_class.values()))
     lo = all_pts.min(axis=0) - PAD
     hi = all_pts.max(axis=0) + PAD
     body = []
     for c in sorted(points_by_class):
         color = CLASS_COLORS[c % len(CLASS_COLORS)]
-        for x, y in _project(np.atleast_2d(points_by_class[c]), lo, hi):
+        for x, y in _project(points_by_class[c], lo, hi):
             body.append(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{RADIUS}" fill="{color}" '
                 f'fill-opacity="0.6"/>'
@@ -50,8 +50,6 @@ def curves_svg(path, series: dict[str, list[tuple[float, float]]]) -> None:
     """Polyline chart for (x, y) series, e.g. controllability over iterations."""
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
-    if not xs:
-        raise ValueError("no data to plot")
     lo = np.array([min(xs), min(ys) - 0.02])
     hi = np.array([max(xs), max(ys) + 0.02])
     body = []

@@ -311,8 +311,6 @@ def train(
     Raises TrainingDiverged, carrying the last finite checkpoint, if the loss,
     the gradient or the updated parameters go non-finite.
     """
-    if not samples:
-        raise ValueError("dataset must be non-empty")
     net = ScoreNetwork.create(config.hidden, config.depth, config.seed)
     table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
     center = None

@@ -176,6 +176,8 @@ class TestReproduce:
          (["--set", "per_class_samples=0"], "per_class_samples must be >= 1"),
          (["--set", "n_per_class=abc"], "n_per_class must be an integer, got 'abc'"),
          (["--set", "etas=1.5"], "etas must lie in [0, 1]"),
+         (["--set", "etas=nan"], "etas must lie in [0, 1]"),
+         (["--set", "n_per_class=0"], "n_per_class must be >= 1"),
          (["--set", "etas=0.4,0.40"], "etas names a value twice: '0.4,0.40'"),
          (["--set", "etas=0.1234567,0.1234568"],
           "etas 0.1234567 and 0.1234568 share a cell label"),
@@ -191,7 +193,7 @@ class TestReproduce:
          (["--manifest", "manifest.txt"], "unrecognized arguments: --manifest"),
          (["--set", "=5"], "expected key=value, got '=5'")],
         ids=["lr_not_number", "seed_not_integer", "no_samples", "points_not_integer",
-             "eta_above_one", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
+             "eta_above_one", "eta_nan", "no_points", "eta_twice", "eta_label_shared", "eta_noise_seed_shared",
              "seed_twice", "variant_twice", "unknown_variant",
              "negative_seed", "cell_seed_setting", "config_invalid_for_pc_rdc",
              "jobs_not_integer", "unknown_noise", "manifest_flag_gone", "empty_key"],
@@ -590,6 +592,7 @@ class TestTrain:
         [("num_steps=1", "num_steps must be >= 2"), ("lr=0", "lr must be > 0"),
          ("lr=nan", "lr must be > 0"), ("hidden=0", "hidden must be >= 1"),
          ("depth=0", "depth must be >= 1"), ("quad_nodes=0", "quad_nodes must be >= 1"),
+         ("alpha=nan", "alpha must lie in [0, 1]"), ("alpha=1.5", "alpha must lie in [0, 1]"),
          ("hidden=abc", "usage error: hidden must be an integer, got 'abc'"),
          ("lr=fast", "usage error: lr must be a number, got 'fast'"),
          ("total_iters=1.5", "usage error: total_iters must be an integer, got '1.5'"),

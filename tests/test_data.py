@@ -50,10 +50,6 @@ class TestMakeToyDataset:
         # four blobs at +-2.5 with std 0.375: per-coordinate std just over 2.5
         assert abs(samples.points.std() - data_mod.SIGMA_DATA) < 0.1
 
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            make_toy_dataset(0, seed=0)
-
 
 class TestSymmetricNoise:
     def test_eta_zero_identity(self):

@@ -117,3 +117,30 @@ def test_every_import_is_read():
         unread += [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
                    if name not in read]
     assert unread == []
+
+
+def _parameters(fn):
+    """The names of every parameter of the function or lambda `fn`."""
+    a = fn.args
+    return [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            if arg is not None]
+
+
+def test_every_parameter_is_read():
+    # A parameter that no body reads is a knob with no effect. Nested
+    # functions count as readers of the enclosing function's parameters.
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            for name in _parameters(fn):
+                if name in ("self", "cls"):
+                    continue
+                checked += 1
+                if name not in read:
+                    unread.append(f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({name})")
+    assert checked > 0 and unread == []

@@ -94,15 +94,6 @@ class TestDenoise:
         got = denoise(net, x[None, :], sigma, cond, Workspace())[0]
         assert np.allclose(got, want, rtol=1e-12)
 
-    def test_nonpositive_sigma_rejected(self):
-        # non-finite sigma too, as a scalar or as one row of a column
-        net = random_net(0)
-        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-                denoise(net, np.zeros((1, 2)), bad, UNCOND, Workspace())
-            with pytest.raises(ValueError, match="sigma must be finite and > 0"):
-                denoise(net, np.zeros((2, 2)), np.array([[0.5], [bad]]), UNCOND, Workspace())
-
     def test_residual_is_denoised_minus_x0(self):
         rng = np.random.default_rng(12)
         raw, x_t, x0 = (rng.normal(size=(9, 2)) for _ in range(3))
@@ -199,16 +190,6 @@ class TestCfgScore:
         got = (guided(net, cond, 2.0, Workspace())(x, 1.2) - x) / 1.2**2
         assert np.allclose(got + s_u, synthetic, rtol=1e-12)
 
-    def test_w_below_one_rejected(self):
-        net = random_net(0)
-        with pytest.raises(ValueError):
-            guided(net, np.zeros(4), 0.5, Workspace())
-
-    @pytest.mark.parametrize("w", [np.nan, np.inf])
-    def test_non_finite_w_rejected(self, w):
-        with pytest.raises(ValueError, match="w must be >= 1 and finite"):
-            guided(random_net(0), np.zeros(4), w, Workspace())
-
 
 class TestHeunSample:
     def test_zero_denoiser_collapses_to_origin(self):
@@ -232,10 +213,6 @@ class TestHeunSample:
     def test_x_dim_sets_sample_width(self):
         out = heun_sample(lambda x, s: np.zeros_like(x), 4, 5, 0)
         assert out.shape == (5, X_DIM)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            heun_sample(lambda x, s: x, 4, 0, 0)
 
 
 class TestSamplingWorkspace:

@@ -60,12 +60,6 @@ class TestMae:
         shifted = ref + 0.01
         assert mae(shifted, ref) > 0.0
 
-    def test_empty_sets_rejected(self):
-        with pytest.raises(ValueError):
-            mae(np.zeros((0, 2)), np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            mae(np.zeros((3, 2)), np.zeros((0, 2)))
-
     def test_chunking_consistent(self):
         rng = np.random.default_rng(5)
         gen = rng.normal(size=(1100, 2))  # spans multiple chunks

@@ -203,10 +203,6 @@ class TestTrain:
         assert not np.any(w_grad) and not np.any(b_grad)
         assert res.cond_term == 0.0
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            train(tiny_config(), [])
-
     @DIVERGES
     def test_divergence_aborts_with_checkpoint(self):
         # an absurd learning rate blows the loss up within a few steps
