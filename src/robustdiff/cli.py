@@ -92,21 +92,17 @@ def _convert(key: str, raw: str, kind):
                          f"got {raw!r}") from None
 
 
-def _convert_all(values: dict[str, str], cls, skip=()) -> dict:
-    """`values` converted to the types of the fields of the dataclass `cls`
-    they name. A key that names no field, or one in `skip`, is unknown."""
+def _build(cls, values: dict[str, str], **fixed):
+    """The dataclass `cls` built from the settings `values`, each converted
+    to its field's type, and the fields `fixed`. A key that names no field
+    or a fixed one, a value that is no number and a record that `cls`
+    refuses (ValueError) are usage errors."""
     kinds = typing.get_type_hints(cls)
-    unknown = sorted(set(values) - ({f.name for f in dataclasses.fields(cls)} - set(skip)))
+    unknown = sorted(set(values) - ({f.name for f in dataclasses.fields(cls)} - set(fixed)))
     if unknown:
         raise UsageError(f"unknown setting {', '.join(unknown)}")
-    return {k: _convert(k, v, kinds[k]) for k, v in values.items()}
-
-
-def build_train_config(values: dict[str, str], **fixed) -> TrainConfig:
-    """The TrainConfig the settings `values` and the fields `fixed` give; a
-    setting that names no field, is no number or is out of range is refused."""
     try:
-        return TrainConfig(**_convert_all(values, TrainConfig, skip=fixed), **fixed)
+        return cls(**{k: _convert(k, v, kinds[k]) for k, v in values.items()}, **fixed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -148,7 +144,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = build_train_config(_merge_settings(args))
+    config = _build(TrainConfig, _merge_settings(args))
     samples = data_mod.load_dataset(args.data)
     outdir = Path(args.out) if args.out else out_root() / "train"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -199,16 +195,10 @@ def cmd_sample(args) -> int:
         print(f"{ckpt_dir}: training diverged at iteration {ckpt.iteration}; not sampling it",
               file=sys.stderr)
         return 2
-    per_class = sample_per_class(
-        net, config, args.per_class, args.seed, args.w, ckpt.prototypes
-    )
-    pts = np.concatenate([per_class[c] for c in sorted(per_class)])
-    cids = np.concatenate(
-        [np.full(len(per_class[c]), c) for c in sorted(per_class)]
-    )
+    per_class = sample_per_class(net, config, args.per_class, args.seed, args.w, ckpt.prototypes)
     out = Path(args.out) if args.out else out_root() / "samples.csv"
-    data_mod.write_samples(out, pts, cids)
-    print(f"wrote {len(pts)} samples to {out}")
+    data_mod.write_samples(out, per_class)
+    print(f"wrote {sum(map(len, per_class.values()))} samples to {out}")
     if args.svg:
         Path(args.svg).parent.mkdir(parents=True, exist_ok=True)
         svg.scatter_svg(args.svg, per_class)
@@ -231,9 +221,7 @@ def evaluate_samples(samples, per_class: dict[int, np.ndarray]) -> tuple[float, 
 
 def cmd_eval(args) -> int:
     samples = data_mod.load_dataset(args.dataset)
-    pts, cids = data_mod.read_samples(args.samples)
-    per_class = {int(c): pts[cids == c] for c in np.unique(cids)}
-    mae_avg, ctrl = evaluate_samples(samples, per_class)
+    mae_avg, ctrl = evaluate_samples(samples, data_mod.read_samples(args.samples))
     line = f"mae {mae_avg:.6f} controllability {ctrl:.6f}"
     print(line)
     if args.out:
@@ -278,7 +266,7 @@ class Sweep:
         if values.pop("command", "reproduce") != "reproduce":  # a manifest's first line
             raise UsageError("command must be reproduce")
         own = {f.name for f in dataclasses.fields(cls)} - {"config"}
-        sweep = cls(**_convert_all({k: values.pop(k) for k in own & values.keys()}, cls))
+        sweep = _build(cls, {k: values.pop(k) for k in own & values.keys()})
         for key in ("jobs", "n_per_class", "per_class_samples"):
             if getattr(sweep, key) < 1:
                 raise UsageError(f"{key} must be >= 1")
@@ -300,7 +288,7 @@ class Sweep:
         if not set(sweep.variants) <= set(trainer.VARIANTS):
             raise UsageError(f"variants must be among {', '.join(trainer.VARIANTS)}")
         # The rest are train settings; each cell sets the variant and seed.
-        configs = [build_train_config(values, variant=v, seed=0) for v in sweep.variants]
+        configs = [_build(TrainConfig, values, variant=v, seed=0) for v in sweep.variants]
         return dataclasses.replace(sweep, config=configs[0])
 
     def write_manifest(self, path: Path, blas_env: dict[str, str]) -> None:

@@ -1,6 +1,8 @@
 """Synthetic four-class 2-D dataset, label-noise injection, the
 point-record files (datasets and samples), and `write_table`, the one CSV
 writer of the package: the point records and the sweep's tables go through it.
+A samples file holds a dict {class id: that class's points (n_c, X_DIM)},
+the form in which sampling makes them and evaluation scores them.
 
 A dataset is one `Dataset` of three row-aligned arrays: `points` (n, X_DIM)
 float64, and the `clean` and `noisy` class ids (n,) int64 in 0..N_CLASSES-1.
@@ -129,9 +131,13 @@ def save_dataset(path, samples: Dataset) -> None:
                   np.column_stack([samples.clean, samples.noisy]))
 
 
-def write_samples(path, samples: np.ndarray, class_ids: np.ndarray) -> None:
-    """Samples and their class ids (n,) as a SAMPLES_HEADER file."""
-    write_records(path, SAMPLES_HEADER, samples, class_ids[:, None])
+def write_samples(path, per_class: dict[int, np.ndarray]) -> None:
+    """The samples of each class, per_class[c] (n_c, X_DIM), as a
+    SAMPLES_HEADER file, the classes in ascending order."""
+    classes = sorted(per_class)
+    ids = np.concatenate([np.full(len(per_class[c]), c, np.int64) for c in classes])
+    write_records(path, SAMPLES_HEADER, np.concatenate([per_class[c] for c in classes]),
+                  ids[:, None])
 
 
 def read_records(path, header: str) -> tuple[np.ndarray, np.ndarray]:
@@ -175,8 +181,8 @@ def load_dataset(path) -> Dataset:
     return Dataset(points, ids[:, 0].copy(), ids[:, 1].copy())
 
 
-def read_samples(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a write_samples file: points (n, 2) and class ids (n,), checked
-    as read_records checks them."""
+def read_samples(path) -> dict[int, np.ndarray]:
+    """Read a write_samples file, checked as read_records checks it: the
+    points (n_c, X_DIM) of each class c that has a record, in file order."""
     pts, ids = read_records(path, SAMPLES_HEADER)
-    return pts, ids[:, 0]
+    return {int(c): pts[ids[:, 0] == c] for c in np.unique(ids)}

@@ -36,10 +36,6 @@ from typing import Sequence
 import numpy as np
 
 
-class ShapeError(ValueError):
-    """Dimension mismatch between parameters, inputs, or gradients."""
-
-
 class NonFiniteError(FloatingPointError):
     """A non-finite value showed up where the math requires finite numbers."""
 
@@ -65,13 +61,11 @@ class ParamBundle:
         values = np.asarray(self.values)
         self.values = values if values.dtype == np.float32 else np.asarray(values, np.float64)
         if self.values.ndim != 1:
-            raise ShapeError("parameter values must be a flat 1-D array")
+            raise ValueError("parameter values must be a flat 1-D array")
         expect = param_count(self.layer_shapes)
         if self.values.size != expect:
-            raise ShapeError(
-                f"parameter count {self.values.size} does not match layer "
-                f"shapes (expected {expect})"
-            )
+            raise ValueError(f"parameter count {self.values.size} does not match layer "
+                             f"shapes (expected {expect})")
         if not np.all(np.isfinite(self.values)):
             raise NonFiniteError("parameter values must be finite")
 

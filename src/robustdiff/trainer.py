@@ -219,14 +219,6 @@ def draw_iteration(
     return IterationDraws(idx, sig, eps_x, drop, eps_c, y_start)
 
 
-@dataclass
-class LossStepResult:
-    loss: float
-    demo_term: float
-    cond_term: float
-    y_phi: np.ndarray | None
-
-
 def loss_step(
     net: ScoreNetwork,
     samples: data_mod.Dataset,
@@ -236,10 +228,13 @@ def loss_step(
     iteration: int,
     tape: nn_core.MlpTape,
     center: np.ndarray | None,
-) -> LossStepResult:
-    """Combined objective value for one batch; its gradient is left in `tape.grads`.
-    `center` is the table's mean, None for vanilla. Each pass takes the
-    preconditioned point, its noise level and its condition."""
+) -> tuple[float, float, np.ndarray | None]:
+    """The objective's two terms for one batch, `(demo_term, cond_term,
+    y_phi)`, their sum's gradient left in `tape.grads`. `demo_term` is the
+    denoising loss; `cond_term` and the pseudo-condition estimate `y_phi` are
+    0.0 and None outside phase 1. `center` is the table's mean, None for
+    vanilla. Each pass takes the preconditioned point, its noise level and
+    its condition."""
     phase1 = config.in_phase1(iteration)
     x0 = samples.points[draws.idx]
     y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
@@ -288,12 +283,7 @@ def loss_step(
             rdc.estimate_pseudo_adjoint(tape, nodes, g_y)
         else:
             tape.backward(pc, g_y)
-    return LossStepResult(
-        loss=float(demo_term + cond_term),
-        demo_term=float(demo_term),
-        cond_term=float(cond_term),
-        y_phi=y_phi,
-    )
+    return float(demo_term), float(cond_term), y_phi
 
 
 SnapshotCallback = Callable[[int, ScoreNetwork, np.ndarray], None]
@@ -330,9 +320,10 @@ def train(
             if config.variant != "vanilla" and iteration <= config.early_stop_iters:
                 center = table.mean(axis=0)
             draws = draw_iteration(rng, len(samples), config, cond_path)
-            result = loss_step(net, samples, table, config, draws, iteration, tape, center)
+            demo_term, cond_term, y_phi = loss_step(net, samples, table, config, draws,
+                                                    iteration, tape, center)
             try:
-                if not np.isfinite(result.loss):
+                if not np.isfinite(demo_term + cond_term):
                     raise nn_core.NonFiniteError("non-finite loss")
                 nn_core.adam_step(net.params, tape.grads, m, v, iteration + 1, config.lr)
             except nn_core.NonFiniteError as exc:
@@ -343,11 +334,10 @@ def train(
                     Checkpoint(net.params, table, iteration, digest, protos),
                 ) from exc
             if cond_path:
-                pseudo.ensemble_update(table, draws.idx, result.y_phi, config.alpha)
+                pseudo.ensemble_update(table, draws.idx, y_phi, config.alpha)
             if log_f and (iteration % 100 == 0 or iteration == config.total_iters - 1):
                 log_f.write(
-                    f"iter {iteration} demo {result.demo_term:.6f} "
-                    f"cond {result.cond_term:.6f} "
+                    f"iter {iteration} demo {demo_term:.6f} cond {cond_term:.6f} "
                     f"wall {time.perf_counter() - t_start:.2f}\n"
                 )
             if snapshot_cb and snapshot_every and (iteration + 1) % snapshot_every == 0:

@@ -65,7 +65,8 @@ class TestPipeline:
         assert cli.main(["train", "--data", str(data), *_set_args()]) == 0
         assert (root / "train" / trainer.CHECKPOINT_FILE).is_file()
         assert cli.main(["sample", "--checkpoint", str(root / "train"), "--per-class", "3"]) == 0
-        assert len(data_mod.read_samples(root / "samples.csv")[0]) == 3 * data_mod.N_CLASSES
+        per_class = data_mod.read_samples(root / "samples.csv")
+        assert [len(pts) for pts in per_class.values()] == [3] * data_mod.N_CLASSES
 
     def test_eval_out_into_a_new_directory(self, tmp_path, capsys):
         data, ckpt = _gen_and_train(tmp_path)
@@ -233,6 +234,14 @@ class TestReproduce:
             "lr = 0.001\nn_per_class = 2000\nnum_steps = 18\nper_class_samples = 1000\n"
             "quad_nodes = 8\ntotal_iters = 10000\n"
         )
+
+    def test_manifest_names_every_settable_key(self, tmp_path):
+        # A field missing from the manifest would take its default on a rerun.
+        cli.Sweep.from_values({}).write_manifest(tmp_path / "manifest.txt", {})
+        settable = ({"command"}
+                    | {f.name for f in dataclasses.fields(cli.Sweep)} - {"config"}
+                    | {f.name for f in dataclasses.fields(TrainConfig)} - {"variant", "seed"})
+        assert set(cli.parse_config_file(tmp_path / "manifest.txt")) == settable
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,9 @@ from robustdiff.data import (
     inject_noise,
     load_dataset,
     make_toy_dataset,
+    read_samples,
     save_dataset,
+    write_samples,
 )
 
 
@@ -197,3 +200,50 @@ class TestDataset:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestSampleDump:
+    def test_round_trip(self, tmp_path):
+        # Classes 1 and 2 have no samples, and class 0 has more than class 3.
+        per_class = {3: np.array([[1.0, 2.0]]), 0: np.array([[0.125, -3.5], [-0.5, 0.25]])}
+        path = tmp_path / "samples.csv"
+        write_samples(path, per_class)
+        assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == [
+            "0", "0", "3"]  # the classes in ascending order
+        got = read_samples(path)
+        assert sorted(got) == [0, 3]
+        for c in per_class:
+            assert got[c].dtype == np.float64 and np.array_equal(got[c], per_class[c])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_refused_before_opening(self, tmp_path, bad):
+        path = tmp_path / "samples.csv"
+        with pytest.raises(ValueError, match="non-finite coordinates, not written"):
+            write_samples(path, {0: np.array([[0.5, 1.0]]), 1: np.array([[bad, 2.0]])})
+        assert not path.exists()
+
+    def test_format_one_record_per_line(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        write_samples(path, {2: np.array([[1.5, 2.5]])})
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x1,x2,class"
+        assert lines[1] == "1.5,2.5,2"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("", "no records"),
+            ("1.0,nan,0\n", "record 0 has non-finite coordinates"),
+            ("1.0,2.0,0\n1.0,2.0,7\n", "record 1 has class ids 7; expected 0..3"),
+            ("1.0,2.0\n", "record 0 has 2 fields, expected 3"),
+            ("1.0,2.0,0,1\n", "record 0 has 4 fields, expected 3"),
+            ("1.0,abc,0\n", "record 0 has a non-number in '1.0,abc,0'"),
+            ("1.0,2.0,1.5\n", "record 0 has a non-number in '1.0,2.0,1.5'"),
+        ],
+        ids=["header_only", "nan", "class_7", "short", "long", "not_a_number", "fractional_id"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, body, message):
+        path = tmp_path / "samples.csv"
+        path.write_text("x1,x2,class\n" + body)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+            read_samples(path)

@@ -1,9 +1,9 @@
 """The package holds only code that production runs: every public function,
 method and class in src/robustdiff is read somewhere in src/ or perfbench/
 outside its own definition, and so is every public module-level constant and
-class-level default. Every name an import binds is read in its module. A
-reference implementation that only tests call lives in tests/ (see
-tests/oracles.py)."""
+class-level default. Every name an import binds, in src/ and in tests/, is
+read in its module. A reference implementation that only tests call lives
+in tests/ (see tests/oracles.py)."""
 
 import ast
 from pathlib import Path
@@ -109,8 +109,9 @@ def _imported_names(tree):
 
 
 def test_every_import_is_read():
+    # The tests too: an import that no test reads is a leftover.
     unread = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}

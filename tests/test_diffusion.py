@@ -1,11 +1,10 @@
-import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from robustdiff import cli, diffusion
-from robustdiff.data import X_DIM, read_samples, write_samples
+from robustdiff.data import X_DIM
 from robustdiff.diffusion import (
     SIGMA_MAX,
     SIGMA_MIN,
@@ -262,47 +261,3 @@ class TestSamplingWorkspace:
             want = heun_sample(lambda x, s: guided(net, cond, 2.0, Workspace())(x, s), 4, count,
                                seed=count)
             assert got.tobytes() == want.tobytes()
-
-
-class TestSampleDump:
-    def test_round_trip(self, tmp_path):
-        pts = np.array([[0.125, -3.5], [1.0, 2.0]])
-        cids = np.array([0, 3])
-        path = tmp_path / "samples.csv"
-        write_samples(path, pts, cids)
-        rpts, rcids = read_samples(path)
-        assert np.array_equal(rpts, pts)
-        assert np.array_equal(rcids, cids)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_non_finite_point_refused_before_opening(self, tmp_path, bad):
-        path = tmp_path / "samples.csv"
-        with pytest.raises(ValueError, match="non-finite coordinates, not written"):
-            write_samples(path, np.array([[0.5, 1.0], [bad, 2.0]]), np.array([0, 1]))
-        assert not path.exists()
-
-    def test_format_one_record_per_line(self, tmp_path):
-        path = tmp_path / "samples.csv"
-        write_samples(path, np.array([[1.5, 2.5]]), np.array([2]))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x1,x2,class"
-        assert lines[1] == "1.5,2.5,2"
-
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("", "no records"),
-            ("1.0,nan,0\n", "record 0 has non-finite coordinates"),
-            ("1.0,2.0,0\n1.0,2.0,7\n", "record 1 has class ids 7; expected 0..3"),
-            ("1.0,2.0\n", "record 0 has 2 fields, expected 3"),
-            ("1.0,2.0,0,1\n", "record 0 has 4 fields, expected 3"),
-            ("1.0,abc,0\n", "record 0 has a non-number in '1.0,abc,0'"),
-            ("1.0,2.0,1.5\n", "record 0 has a non-number in '1.0,2.0,1.5'"),
-        ],
-        ids=["header_only", "nan", "class_7", "short", "long", "not_a_number", "fractional_id"],
-    )
-    def test_malformed_file_rejected(self, tmp_path, body, message):
-        path = tmp_path / "samples.csv"
-        path.write_text("x1,x2,class\n" + body)
-        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
-            read_samples(path)

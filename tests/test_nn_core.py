@@ -10,7 +10,6 @@ from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
     ParamBundle,
-    ShapeError,
     Workspace,
     adam_step,
     init_params,
@@ -542,7 +541,7 @@ class TestAdam:
 
 class TestParamBundle:
     def test_count_invariant_enforced(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             ParamBundle([(2, 2)], np.zeros(5))
 
     def test_nonfinite_values_rejected(self):

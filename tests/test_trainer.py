@@ -16,7 +16,6 @@ from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.trainer import (
     CHECKPOINT_FILE,
     Checkpoint,
-    IterationDraws,
     TrainConfig,
     class_prototypes,
     draw_iteration,
@@ -133,8 +132,8 @@ class TestTrain:
         losses = []
         for it in range(cfg.total_iters):
             draws = draw_iteration(rng, len(samples), cfg, False)
-            res = loss_step(net, samples, table, cfg, draws, it, tape, None)
-            losses.append(res.demo_term)
+            demo_term, _, _ = loss_step(net, samples, table, cfg, draws, it, tape, None)
+            losses.append(demo_term)
             nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
         assert np.mean(losses[-100:]) < np.mean(losses[:100])
 
@@ -154,8 +153,8 @@ class TestTrain:
         loss_step(net, samples, table, cfg, draws, 0, tape, None)
         want = tape.grads.copy()
         table[:] = np.nan
-        got = loss_step(net, samples, table, cfg, draws, 0, tape, None)
-        assert np.isfinite(got.loss) and np.array_equal(tape.grads, want)
+        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0, tape, None)
+        assert np.isfinite(demo_term + cond_term) and np.array_equal(tape.grads, want)
 
     def test_phase_boundary_no_updates_after_budget(self):
         samples = tiny_dataset()
@@ -179,10 +178,10 @@ class TestTrain:
         for it in range(cfg.total_iters):
             cond_path = cfg.in_phase1(it)
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            res = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
+            _, _, y_phi = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
             nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
             if cond_path:
-                pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
+                pseudo.ensemble_update(table, draws.idx, y_phi, cfg.alpha)
         ckpt = train(cfg, samples)
         assert np.array_equal(ckpt.params.values, net.params.values)
         assert np.array_equal(ckpt.pseudo, table)
@@ -197,11 +196,11 @@ class TestTrain:
         rng = np.random.default_rng(0)
         draws = draw_iteration(rng, len(samples), cfg, False)
         tape = nn_core.MlpTape()
-        res = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape,
-                        table.mean(axis=0))
+        _, cond_term, _ = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape,
+                                    table.mean(axis=0))
         w_grad, b_grad = net.params.layers(tape.grads)[COND_HEAD]
         assert not np.any(w_grad) and not np.any(b_grad)
-        assert res.cond_term == 0.0
+        assert cond_term == 0.0
 
     @DIVERGES
     def test_divergence_aborts_with_checkpoint(self):
@@ -228,16 +227,17 @@ class TestLossStep:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = draw_iteration(np.random.default_rng(1), len(samples), cfg, False)
-        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape(), None)
-        assert res.loss == res.demo_term
-        assert res.cond_term == 0.0
+        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0,
+                                            nn_core.MlpTape(), None)
+        assert demo_term + cond_term == demo_term
+        assert cond_term == 0.0
         # independent recomputation through the reference loss
         cond = np.where(draws.drop, 0.0, np.eye(4)[samples.noisy[draws.idx]])
         want = dsm_loss(
             lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
-        assert res.demo_term == pytest.approx(want, rel=1e-12)
+        assert demo_term == pytest.approx(want, rel=1e-12)
 
     def test_phase1_step_holds_one_activation_slot_per_node(self, monkeypatch):
         # The denoising pass goes back before the k node passes are recorded,
@@ -278,7 +278,8 @@ class TestLossStep:
         table[:] = rng0.normal(0, 0.2, table.shape)
         draws = draw_iteration(np.random.default_rng(2), len(samples), cfg, True)
         center = table.mean(axis=0)
-        res = loss_step(net, samples, table, cfg, draws, 0, nn_core.MlpTape(), center)
+        demo_term, cond_term, got_y_phi = loss_step(net, samples, table, cfg, draws, 0,
+                                                    nn_core.MlpTape(), center)
 
         # hand path: centered, mirrored, scaled condition into dsm_loss
         sig_c = diffusion.mirror_sigma(draws.sigma)
@@ -289,7 +290,7 @@ class TestLossStep:
             lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
-        assert res.demo_term == pytest.approx(demo_want, rel=1e-10)
+        assert demo_term == pytest.approx(demo_want, rel=1e-10)
 
         # condition term: reference quadrature + squared error
         x_t = samples.points[draws.idx] + draws.sigma * draws.eps_x
@@ -300,9 +301,9 @@ class TestLossStep:
         cond_want = np.mean(
             [((y_phi[i] - np.eye(4)[samples.noisy[draws.idx]][i]) ** 2).sum() for i in range(4)]
         )
-        assert res.cond_term == pytest.approx(cond_want, rel=1e-10)
-        assert res.loss == pytest.approx(demo_want + cond_want, rel=1e-10)
-        assert np.allclose(res.y_phi, y_phi, rtol=1e-12)
+        assert cond_term == pytest.approx(cond_want, rel=1e-10)
+        assert demo_term + cond_term == pytest.approx(demo_want + cond_want, rel=1e-10)
+        assert np.allclose(got_y_phi, y_phi, rtol=1e-12)
 
     def test_combined_gradient_matches_finite_differences(self):
         cfg = tiny_config(batch_size=3, quad_nodes=3, hidden=6, depth=2)
@@ -323,9 +324,9 @@ class TestLossStep:
         h = 1e-5
         for i in range(base.size):
             net.params.values[i] = base[i] + h
-            up = loss_step(net, samples, table, cfg, draws, 0, tape, center).loss
+            up = sum(loss_step(net, samples, table, cfg, draws, 0, tape, center)[:2])
             net.params.values[i] = base[i] - h
-            dn = loss_step(net, samples, table, cfg, draws, 0, tape, center).loss
+            dn = sum(loss_step(net, samples, table, cfg, draws, 0, tape, center)[:2])
             net.params.values[i] = base[i]
             fd[i] = (up - dn) / (2 * h)
         scale = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-6)
@@ -346,8 +347,8 @@ class TestLossStep:
         center = None if variant == "vanilla" else table.mean(axis=0)
         draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
         tape, tape64 = nn_core.MlpTape(), nn_core.MlpTape()
-        got = loss_step(net, samples, table, cfg, draws, 0, tape, center)
-        want = loss_step(net64, samples, table, cfg, draws, 0, tape64, center)
+        _, _, got = loss_step(net, samples, table, cfg, draws, 0, tape, center)
+        _, _, want = loss_step(net64, samples, table, cfg, draws, 0, tape64, center)
         assert (tape.grads.dtype, tape64.grads.dtype) == (np.float32, np.float64)
 
         def rel_l2(a, b):
@@ -355,7 +356,7 @@ class TestLossStep:
 
         assert rel_l2(tape.grads, tape64.grads) <= 1e-5
         if variant == "pc_rdc":
-            assert rel_l2(got.y_phi, want.y_phi) <= 1e-5
+            assert rel_l2(got, want) <= 1e-5
 
     def test_buffer_reuse_leaks_nothing(self):
         # one tape reuses its buffers from one step to the next
@@ -367,22 +368,22 @@ class TestLossStep:
         draws = [draw_iteration(np.random.default_rng(s), len(samples), cfg, True) for s in (1, 2)]
         tape = nn_core.MlpTape()
         center = table.mean(axis=0)
-        first = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
+        *first_terms, first_y_phi = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
         first_grads = tape.grads
-        grads, y_phi = first_grads.copy(), first.y_phi.copy()
+        grads, y_phi = first_grads.copy(), first_y_phi.copy()
         loss_step(net, samples, table, cfg, draws[1], 0, tape, center)
         assert np.array_equal(first_grads, grads)
-        assert np.array_equal(first.y_phi, y_phi)
-        again = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
-        assert np.array_equal(tape.grads, grads) and again.loss == first.loss
+        assert np.array_equal(first_y_phi, y_phi)
+        *again_terms, _ = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
+        assert np.array_equal(tape.grads, grads) and sum(again_terms) == sum(first_terms)
         # batch 3 then 4 on one tape gives what a fresh tape gives
         cfg4 = tiny_config(batch_size=4)
         draws4 = draw_iteration(np.random.default_rng(3), len(samples), cfg4, True)
         fresh = nn_core.MlpTape()
-        got = loss_step(net, samples, table, cfg4, draws4, 0, tape, center)
-        want = loss_step(net, samples, table, cfg4, draws4, 0, fresh, center)
+        _, _, got = loss_step(net, samples, table, cfg4, draws4, 0, tape, center)
+        _, _, want = loss_step(net, samples, table, cfg4, draws4, 0, fresh, center)
         assert np.array_equal(tape.grads, fresh.grads)
-        assert np.array_equal(got.y_phi, want.y_phi)
+        assert np.array_equal(got, want)
 
     def test_loss_finite_through_run(self):
         cfg = tiny_config(total_iters=30, early_stop_iters=10)
@@ -395,10 +396,11 @@ class TestLossStep:
         for it in range(cfg.total_iters):
             cond_path = it < cfg.early_stop_iters
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            res = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
-            assert np.isfinite(res.loss)
+            demo_term, cond_term, y_phi = loss_step(net, samples, table, cfg, draws, it, tape,
+                                                    table.mean(axis=0))
+            assert np.isfinite(demo_term + cond_term)
             if cond_path:
-                pseudo.ensemble_update(table, draws.idx, res.y_phi, cfg.alpha)
+                pseudo.ensemble_update(table, draws.idx, y_phi, cfg.alpha)
             nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
 
 
