@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from . import diffusion, metrics, nn_core, svg, trainer
+from . import diffusion, metrics, svg, trainer
 from .trainer import TrainConfig, TrainingDiverged
 
 DYNAMICS_ETA = 0.4
@@ -169,15 +169,15 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
 
     `prototypes` holds one condition row per class: the identity (one-hot)
     for the vanilla variant, the learned per-label pseudo-condition means for
-    the pseudo-condition variants. `w` None means GUIDANCE_W. Every
-    denoiser call of the run (classes x guidance branches x NFE) writes its
-    network activations into one workspace, dropped when the run returns.
+    the pseudo-condition variants. `w` None means GUIDANCE_W. The run
+    samples on its own network over `net`'s parameters, so that network's
+    scratch goes when the run returns, not when `net` does.
     """
     guidance = GUIDANCE_W if w is None else w
-    ws = nn_core.Workspace()
+    net = dataclasses.replace(net)
     out = {}
     for c in range(data_mod.N_CLASSES):
-        out[c] = diffusion.heun_sample(diffusion.guided(net, prototypes[c], guidance, ws),
+        out[c] = diffusion.heun_sample(diffusion.guided(net, prototypes[c], guidance),
                                        config.num_steps, per_class, seed + c)
     return out
 
@@ -292,22 +292,18 @@ class Sweep:
         return dataclasses.replace(sweep, config=configs[0])
 
     def write_manifest(self, path: Path, blas_env: dict[str, str]) -> None:
-        """Write the settings file from which from_values rebuilds this sweep.
-        The BLAS threads go in a comment, which a rerun does not read."""
-        cell = dataclasses.asdict(self.config)
-        del cell["variant"], cell["seed"]
-        cell.update(n_per_class=self.n_per_class, per_class_samples=self.per_class_samples)
+        """Write the settings file from which from_values rebuilds this sweep:
+        every field of the sweep and its config but the cell's own, in key
+        order. The BLAS threads go in a comment, which a rerun does not read."""
+        settings = dataclasses.asdict(self.config) | dataclasses.asdict(self)
+        for key in ("config", "variant", "seed"):
+            del settings[key]
         threads = " ".join(f"{k}={v}" for k, v in blas_env.items()) or "unset"
-        lines = [
-            "command = reproduce",
-            f"etas = {','.join(map(str, self.etas))}",  # str(float) reads back equal
-            f"seeds = {','.join(map(str, self.seeds))}",
-            f"variants = {','.join(self.variants)}",
-            f"noise = {self.noise}",
-            f"jobs = {self.jobs}",
-            f"# BLAS threads: {threads}",
-            *(f"{k} = {v}" for k, v in sorted(cell.items())),
-        ]
+        lines = ["command = reproduce", f"# BLAS threads: {threads}"]
+        for key, value in sorted(settings.items()):
+            if isinstance(value, tuple):  # str(float) reads back equal
+                value = ",".join(map(str, value))
+            lines.append(f"{key} = {value}")
         path.write_text("".join(line + "\n" for line in lines))
 
 

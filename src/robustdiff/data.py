@@ -183,6 +183,9 @@ def load_dataset(path) -> Dataset:
 
 def read_samples(path) -> dict[int, np.ndarray]:
     """Read a write_samples file, checked as read_records checks it: the
-    points (n_c, X_DIM) of each class c that has a record, in file order."""
+    points (n_c, X_DIM) of each class c, in file order. A file without a
+    record of every class raises ValueError naming the missing ids."""
     pts, ids = read_records(path, SAMPLES_HEADER)
-    return {int(c): pts[ids[:, 0] == c] for c in np.unique(ids)}
+    if missing := sorted(set(range(N_CLASSES)) - set(ids[:, 0].tolist())):
+        raise ValueError(f"{path}: no samples of class {','.join(map(str, missing))}")
+    return {c: pts[ids[:, 0] == c] for c in range(N_CLASSES)}

@@ -9,13 +9,8 @@ the loss weight, and `edm_residual` is its one formula: the sampler's
 denoiser and the training loss both go through them. The sampler sees D
 only as a batched callable (x, sigma) -> denoised. The noise levels run
 between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
-exponent RHO; only the sampler's step count is a setting.
-
-A sampling run owns one nn_core.Workspace and hands it to every `guided`
-denoiser it builds: the network writes each `denoise` call's trunk input and
-activations into it, so the run allocates no (batch x hidden) arrays after
-its first call. The workspace lives for that one run; what `denoise` returns
-is a fresh array.
+exponent RHO; only the sampler's step count is a setting. What `denoise`
+returns is a fresh array; the network keeps its own scratch.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ import numpy as np
 
 from .data import N_CLASSES, X_DIM
 from .network import ScoreNetwork
-from .nn_core import Workspace
 
 Denoiser = Callable[[np.ndarray, float], np.ndarray]
 
@@ -85,7 +79,7 @@ def edm_residual(raw, x_t, pre: Preconditioning, x0=0.0):
     return pre.c_out * raw + (pre.c_skip * x_t - x0)
 
 
-def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> np.ndarray:
+def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond) -> np.ndarray:
     """Preconditioned denoiser on a (batch, X_DIM) array.
 
     denoised = c_skip(sigma) * x_t + c_out(sigma) * F(c_in(sigma) * x_t,
@@ -93,29 +87,27 @@ def denoise(net: ScoreNetwork, x_t: np.ndarray, sigma, cond, ws: Workspace) -> n
     one row per point or a single row shared by the batch; the all-zero row
     is the unconditional branch. The point and the result are float64; F
     runs in the dtype of the network's parameters, on a trunk input the
-    network writes straight into that dtype in `ws`, as it does its
-    activations.
+    network writes straight into that dtype.
     """
     pre = precondition(sigma, net.sigma_data)
-    raw = net.demo_out(pre.c_in * x_t, sigma, cond, ws)
+    raw = net.demo_out(pre.c_in * x_t, sigma, cond)
     return edm_residual(raw, x_t, pre)
 
 
-def guided(net: ScoreNetwork, cond, w: float, ws: Workspace) -> Denoiser:
+def guided(net: ScoreNetwork, cond, w: float) -> Denoiser:
     """Classifier-free guidance (Ho & Salimans 2022) as a denoiser.
 
     Returns (x, sigma) -> D_u + w * (D_c - D_u), where D_c is conditioned on
     `cond` and D_u on the all-zero row; w = 1 is D_c alone. Since the score is
-    (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u). Both
-    branches run in `ws`, the sampling run's workspace.
+    (D - x) / sigma^2, this is the guided score s_u + w * (s_c - s_u).
     """
     uncond = np.zeros(N_CLASSES)
 
     def fn(x, sigma):
-        d_cond = denoise(net, x, sigma, cond, ws)
+        d_cond = denoise(net, x, sigma, cond)
         if w == 1.0:
             return d_cond
-        d_unc = denoise(net, x, sigma, uncond, ws)
+        d_unc = denoise(net, x, sigma, uncond)
         return d_unc + w * (d_cond - d_unc)
 
     return fn

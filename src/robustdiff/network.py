@@ -22,15 +22,15 @@ heads on the full ones: bitwise the full-scale features unless an
 intermediate is subnormal.
 
 The off-tape forward (sampling) writes its trunk input and activations into
-a nn_core.Workspace that the caller passes in: a sampling run owns one for
-all of its network calls (cli.sample_per_class), so it allocates no
-(batch x hidden) arrays after its first call. What it returns lives in that
-workspace until the next call.
+the network's own nn_core.Workspace, which lives as long as the network (a
+network over the same parameters has its own), so a sampling run allocates
+no (batch x hidden) arrays after its first call. What it returns lives in
+that workspace until the network's next off-tape call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,7 @@ class ScoreNetwork:
     # Always data.SIGMA_DATA in production; a field while perfbench/run.py
     # passes it (ROADMAP direction 2).
     sigma_data: float = SIGMA_DATA
+    _ws: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     @classmethod
     def create(cls, hidden: int, depth: int, seed: int) -> "ScoreNetwork":
@@ -92,10 +93,9 @@ class ScoreNetwork:
 
     # -- off-tape path (sampling) ---------------------------------------------
 
-    def trunk_features(self, x_in: np.ndarray, sigma, cond: np.ndarray,
-                       ws: Workspace) -> np.ndarray:
-        """The last trunk layer's output, in `ws` (keys "input", "h", "sigmoid", "half")."""
-        values = self.params.values
+    def trunk_features(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+        """The last trunk layer's output, in the scratch (keys "input", "h", "sigmoid", "half")."""
+        values, ws = self.params.values, self._ws
         h = self.trunk_input(x_in, sigma, cond, ws("input", (len(x_in), IN_DIM), values.dtype))
         shape = (len(h), self.params.layer_shapes[0][1])
         s = ws("sigmoid", shape, h.dtype)  # the scratch every trunk layer shares
@@ -107,11 +107,11 @@ class ScoreNetwork:
             h = nn_core.silu_layer(h, w, b, out=ws(("h", j % 2), shape, h.dtype), s=s)
         return h
 
-    def demo_out(self, x_in: np.ndarray, sigma, cond: np.ndarray, ws: Workspace) -> np.ndarray:
-        """The demonstration head's output, in `ws` (key "demo_out")."""
+    def demo_out(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+        """The demonstration head's output, in the network's scratch (key "demo_out")."""
         w, b = self.params.layers()[DEMO_HEAD]
-        feats = self.trunk_features(x_in, sigma, cond, ws)
-        out = np.matmul(feats, w, out=ws("demo_out", (len(feats), w.shape[1]), w.dtype))
+        feats = self.trunk_features(x_in, sigma, cond)
+        out = np.matmul(feats, w, out=self._ws("demo_out", (len(feats), w.shape[1]), w.dtype))
         out += b
         return out
 

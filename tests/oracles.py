@@ -132,7 +132,7 @@ def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
 
     def field(x, t, y):
         w, b = net.params.layers()[COND_HEAD]
-        return net.trunk_features(x, t, cond_channels(y, t, center), nn_core.Workspace()) @ w + b
+        return net.trunk_features(x, t, cond_channels(y, t, center)) @ w + b
 
     return field
 

@@ -224,15 +224,15 @@ class TestReproduce:
         assert (got["etas"], got["hidden"], got["depth"], got["quad_nodes"]) == ("0.2", "5", "2", "3")
 
     def test_default_manifest(self, tmp_path):
-        # A default run's manifest, byte for byte: every key is listed, the
-        # train settings in key order after the BLAS comment.
+        # A default run's manifest, byte for byte: every key is listed in key
+        # order after the command line and the BLAS comment.
         cli.Sweep.from_values({}).write_manifest(tmp_path / "manifest.txt", {})
         assert (tmp_path / "manifest.txt").read_text() == (
-            "command = reproduce\netas = 0.2,0.4,0.6,0.8\nseeds = 0,1,2\n"
-            "variants = vanilla,pc_only,pc_rdc\nnoise = sym\njobs = 1\n# BLAS threads: unset\n"
-            "alpha = 0.1\nbatch_size = 512\ndepth = 3\nearly_stop_iters = 500\nhidden = 64\n"
-            "lr = 0.001\nn_per_class = 2000\nnum_steps = 18\nper_class_samples = 1000\n"
-            "quad_nodes = 8\ntotal_iters = 10000\n"
+            "command = reproduce\n# BLAS threads: unset\n"
+            "alpha = 0.1\nbatch_size = 512\ndepth = 3\nearly_stop_iters = 500\n"
+            "etas = 0.2,0.4,0.6,0.8\nhidden = 64\njobs = 1\nlr = 0.001\nn_per_class = 2000\n"
+            "noise = sym\nnum_steps = 18\nper_class_samples = 1000\nquad_nodes = 8\n"
+            "seeds = 0,1,2\ntotal_iters = 10000\nvariants = vanilla,pc_only,pc_rdc\n"
         )
 
     def test_manifest_names_every_settable_key(self, tmp_path):
@@ -560,15 +560,20 @@ class TestReaders:
         [("", "no records"),
          ("1.0,nan,0\n", "record 0 has non-finite coordinates"),
          ("1.0,2.0,7\n", "record 0 has class ids 7; expected 0..3"),
-         ("1.0,2.0\n", "record 0 has 2 fields, expected 3")],
-        ids=["header_only", "nan", "class_7", "short"],
+         ("1.0,2.0\n", "record 0 has 2 fields, expected 3"),
+         # scored as if whole, a file of some classes would read a MAE over those alone
+         ("1.0,2.0,0\n3.0,4.0,2\n", "no samples of class 1,3")],
+        ids=["header_only", "nan", "class_7", "short", "missing_class"],
     )
     def test_malformed_samples_file_rejected(self, tmp_path, capsys, body, message):
         data, samples = tmp_path / "data.csv", tmp_path / "samples.csv"
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         samples.write_text("x1,x2,class\n" + body)
+        capsys.readouterr()
         assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples)]) == 2
-        assert f"error: {samples}: {message}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: {samples}: {message}" in captured.err
+        assert "mae" not in captured.out
 
     @pytest.mark.parametrize("missing", [1, 3])
     def test_dataset_without_a_class_rejected(self, tmp_path, capsys, missing):
@@ -577,7 +582,7 @@ class TestReaders:
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         lines = data.read_text().splitlines(keepends=True)
         data.write_text("".join(line for line in lines if line.split(",")[2] != str(missing)))
-        samples.write_text("x1,x2,class\n0.5,0.5,0\n")
+        samples.write_text("x1,x2,class\n0.5,0.5,0\n0.5,0.5,1\n0.5,0.5,2\n0.5,0.5,3\n")
         assert cli.main(["eval", "--dataset", str(data), "--samples", str(samples)]) == 2
         assert f"error: class {missing} missing from the reference data" in capsys.readouterr().err
 

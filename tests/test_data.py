@@ -204,14 +204,16 @@ class TestDataset:
 
 class TestSampleDump:
     def test_round_trip(self, tmp_path):
-        # Classes 1 and 2 have no samples, and class 0 has more than class 3.
-        per_class = {3: np.array([[1.0, 2.0]]), 0: np.array([[0.125, -3.5], [-0.5, 0.25]])}
+        # Every class, with unequal counts, given out of order.
+        per_class = {3: np.array([[1.0, 2.0]]), 0: np.array([[0.125, -3.5], [-0.5, 0.25]]),
+                     2: np.array([[4.0, -1.0], [0.0, 0.5], [-2.25, 3.0]]),
+                     1: np.array([[7.5, -0.75]])}
         path = tmp_path / "samples.csv"
         write_samples(path, per_class)
         assert [line.rsplit(",", 1)[1] for line in path.read_text().splitlines()[1:]] == [
-            "0", "0", "3"]  # the classes in ascending order
+            "0", "0", "1", "2", "2", "2", "3"]  # the classes in ascending order
         got = read_samples(path)
-        assert sorted(got) == [0, 3]
+        assert sorted(got) == [0, 1, 2, 3]
         for c in per_class:
             assert got[c].dtype == np.float64 and np.array_equal(got[c], per_class[c])
 
@@ -239,8 +241,10 @@ class TestSampleDump:
             ("1.0,2.0,0,1\n", "record 0 has 4 fields, expected 3"),
             ("1.0,abc,0\n", "record 0 has a non-number in '1.0,abc,0'"),
             ("1.0,2.0,1.5\n", "record 0 has a non-number in '1.0,2.0,1.5'"),
+            ("1.0,2.0,0\n3.0,4.0,2\n", "no samples of class 1,3"),
         ],
-        ids=["header_only", "nan", "class_7", "short", "long", "not_a_number", "fractional_id"],
+        ids=["header_only", "nan", "class_7", "short", "long", "not_a_number", "fractional_id",
+             "missing_class"],
     )
     def test_malformed_file_rejected(self, tmp_path, body, message):
         path = tmp_path / "samples.csv"

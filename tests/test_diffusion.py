@@ -17,7 +17,6 @@ from robustdiff.diffusion import (
     sigma_grid,
 )
 from robustdiff.network import ScoreNetwork
-from robustdiff.nn_core import Workspace
 from robustdiff.trainer import TrainConfig
 from oracles import dsm_loss
 
@@ -67,14 +66,14 @@ UNCOND = np.zeros(4)
 
 def score(net, x, sigma, cond):
     """Score from the denoiser through the exact relation (D - x) / sigma^2."""
-    return (denoise(net, x, sigma, cond, Workspace()) - x) / sigma**2
+    return (denoise(net, x, sigma, cond) - x) / sigma**2
 
 
 class TestDenoise:
     def test_small_sigma_limit_returns_input(self):
         net = random_net(1)
         x = np.array([[0.4, -1.2]])
-        out = denoise(net, x, 1e-8, UNCOND, Workspace())
+        out = denoise(net, x, 1e-8, UNCOND)
         assert np.allclose(out, x, atol=1e-6)
 
     def test_cskip_half_at_sigma_data(self):
@@ -88,9 +87,9 @@ class TestDenoise:
         sigma = 0.8
         cond = np.array([1.0, 0.0, 0.0, 0.0])
         pre = precondition(sigma, net.sigma_data)
-        raw = net.demo_out((pre.c_in * x)[None, :], sigma, cond, Workspace())[0]
+        raw = net.demo_out((pre.c_in * x)[None, :], sigma, cond)[0]
         want = pre.c_skip * x + pre.c_out * raw
-        got = denoise(net, x[None, :], sigma, cond, Workspace())[0]
+        got = denoise(net, x[None, :], sigma, cond)[0]
         assert np.allclose(got, want, rtol=1e-12)
 
     def test_residual_is_denoised_minus_x0(self):
@@ -107,8 +106,8 @@ class TestDenoise:
         # guidance on the all-zero row is the unconditional branch alone
         net = random_net(5)
         x = np.array([[0.1, 0.2]])
-        a = guided(net, np.zeros(4), 3.0, Workspace())(x, 1.0)
-        b = denoise(net, x, 1.0, np.zeros(4), Workspace())
+        a = guided(net, np.zeros(4), 3.0)(x, 1.0)
+        b = denoise(net, x, 1.0, np.zeros(4))
         assert np.array_equal(a, b)
 
 
@@ -140,9 +139,9 @@ class TestDsmLoss:
         x0 = np.array([[1.0, -0.5]])
         eps = np.array([[0.3, 0.8]])
         sigma = np.array([0.9])
-        got = dsm_loss(lambda x, s: denoise(net, x, s, np.zeros(4), Workspace()),
+        got = dsm_loss(lambda x, s: denoise(net, x, s, np.zeros(4)),
                        x0, sigma, eps, net.sigma_data)
-        den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4), Workspace())[0]
+        den = denoise(net, x0 + 0.9 * eps, 0.9, np.zeros(4))[0]
         want = precondition(0.9, net.sigma_data).weight * float(((den - x0[0]) ** 2).sum())
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -159,8 +158,8 @@ class TestCfgScore:
         net = random_net(7)
         x = np.array([[0.2, 0.4]])
         cond = np.array([0.0, 1.0, 0.0, 0.0])
-        got = guided(net, cond, 1.0, Workspace())(x, 1.0)
-        assert np.array_equal(got, denoise(net, x, 1.0, cond, Workspace()))
+        got = guided(net, cond, 1.0)(x, 1.0)
+        assert np.array_equal(got, denoise(net, x, 1.0, cond))
         assert np.array_equal((got - x) / 1.0**2, score(net, x, 1.0, cond))
 
     def test_formula_arithmetic(self):
@@ -173,7 +172,7 @@ class TestCfgScore:
         x = np.array([[-0.3, 0.9]])
         cond = np.array([0.0, 0.0, 1.0, 0.0])
         for w in (1.5, 2.0, 3.0):
-            got = (guided(net, cond, w, Workspace())(x, 0.7) - x) / 0.7**2
+            got = (guided(net, cond, w)(x, 0.7) - x) / 0.7**2
             s_c = score(net, x, 0.7, cond)
             s_u = score(net, x, 0.7, UNCOND)
             assert np.allclose(got, s_u + w * (s_c - s_u), rtol=1e-12)
@@ -186,7 +185,7 @@ class TestCfgScore:
         s_c = score(net, x, 1.2, cond)
         s_u = score(net, x, 1.2, UNCOND)
         synthetic = s_u + 2.0 * (s_c - s_u) + s_u  # algebra check of Eq. shape
-        got = (guided(net, cond, 2.0, Workspace())(x, 1.2) - x) / 1.2**2
+        got = (guided(net, cond, 2.0)(x, 1.2) - x) / 1.2**2
         assert np.allclose(got + s_u, synthetic, rtol=1e-12)
 
 
@@ -205,8 +204,8 @@ class TestHeunSample:
     def test_same_seed_bitwise_identical(self):
         net = random_net(10)
         cond = np.array([1.0, 0, 0, 0])
-        a = heun_sample(guided(net, cond, 2.0, Workspace()), 5, 16, seed=3)
-        b = heun_sample(guided(net, cond, 2.0, Workspace()), 5, 16, seed=3)
+        a = heun_sample(guided(net, cond, 2.0), 5, 16, seed=3)
+        b = heun_sample(guided(net, cond, 2.0), 5, 16, seed=3)
         assert np.array_equal(a, b)
 
     def test_x_dim_sets_sample_width(self):
@@ -215,7 +214,7 @@ class TestHeunSample:
 
 
 class TestSamplingWorkspace:
-    """A sampling run's denoiser calls write into one workspace."""
+    """A network's off-tape calls write into its own workspace."""
 
     HIDDEN = 64
     ROWS = 1000
@@ -254,10 +253,38 @@ class TestSamplingWorkspace:
     def test_one_workspace_across_rows_and_branches_is_bitwise_fresh(self):
         net = self.production_net(1)
         cond = np.array([0.3, -0.1, 0.0, -0.2])
-        ws = Workspace()
         for count in (self.ROWS, 20, self.ROWS):
-            got = heun_sample(guided(net, cond, 2.0, ws), 4, count, seed=count)
-            # a fresh workspace for every call
-            want = heun_sample(lambda x, s: guided(net, cond, 2.0, Workspace())(x, s), 4, count,
-                               seed=count)
+            got = heun_sample(guided(net, cond, 2.0), 4, count, seed=count)
+            # a fresh network on the same parameters, so fresh scratch, for every call
+            want = heun_sample(
+                lambda x, s: guided(ScoreNetwork(net.params, net.sigma_data), cond, 2.0)(x, s),
+                4, count, seed=count)
             assert got.tobytes() == want.tobytes()
+
+    def test_networks_on_one_bundle_keep_separate_scratch(self):
+        a = self.production_net(2)
+        b = ScoreNetwork(a.params, a.sigma_data)
+        cond_a, cond_b = np.array([0.3, -0.1, 0.0, -0.2]), np.array([0.0, 0.5, -0.25, 0.0])
+
+        def fresh(cond):
+            return guided(ScoreNetwork(a.params, a.sigma_data), cond, 2.0)
+
+        den_a, den_b = guided(a, cond_a, 2.0), guided(b, cond_b, 2.0)
+        calls, got_b = [], []
+
+        def a_then_b(x, s):
+            out = den_a(x, s)
+            calls.append((x.copy(), s))
+            got_b.append(den_b(x, s))
+            return out
+
+        got_a = heun_sample(a_then_b, 4, self.ROWS, seed=0)
+        assert got_a.tobytes() == heun_sample(fresh(cond_a), 4, self.ROWS, seed=0).tobytes()
+        for (x, s), got in zip(calls, got_b):
+            assert got.tobytes() == fresh(cond_b)(x, s).tobytes()
+        # an off-tape result outlives the other network's call of its shape
+        x = np.random.default_rng(3).standard_normal((self.ROWS, X_DIM))
+        out_a = a.demo_out(x, 0.7, cond_a)
+        out_b = b.demo_out(-x, 1.3, cond_b)
+        assert out_a.tobytes() == ScoreNetwork(a.params).demo_out(x, 0.7, cond_a).tobytes()
+        assert out_b.tobytes() == ScoreNetwork(a.params).demo_out(-x, 1.3, cond_b).tobytes()

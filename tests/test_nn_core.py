@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustdiff import nn_core, trainer
+from robustdiff import nn_core
 from robustdiff.data import N_CLASSES, X_DIM
 from robustdiff.network import COND_COLS, COND_HEAD, DEMO_HEAD, IN_DIM, ScoreNetwork, c_noise
 from robustdiff.nn_core import (
     MlpTape,
     NonFiniteError,
     ParamBundle,
-    Workspace,
     adam_step,
     init_params,
 )
@@ -135,7 +134,7 @@ class TestTrunkInput:
         tape = MlpTape()
         tape.start(net.params)
         for build in (lambda: net.trunk_input(x_in, 1.0, cond),
-                      lambda: net.demo_out(x_in, 1.0, cond, Workspace()),
+                      lambda: net.demo_out(x_in, 1.0, cond),
                       lambda: net.demo_var(tape, x_in, 1.0, cond),
                       lambda: net.cond_var(tape, x_in, 1.0, cond[0])):
             with pytest.raises(ValueError):
@@ -152,8 +151,8 @@ class TestMlpForward:
         w[:] = np.eye(2)
         b[:] = 0.0
         parts = random_parts(np.random.default_rng(1), 3)
-        assert np.array_equal(net.demo_out(*parts, Workspace()),
-                              net.trunk_features(*parts, Workspace()))
+        assert np.array_equal(net.demo_out(*parts),
+                              net.trunk_features(*parts))
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
@@ -162,13 +161,13 @@ class TestMlpForward:
         b[:] = 0.5
         for x_in, sigma, cond in (([1.0, 2.0], 3.0, [0, 0, 0, 1.0]),
                                   ([-4.0, 0.0], 9.0, [1.0, 0, 0, 0])):
-            out = net.demo_out(np.array([x_in]), sigma, np.array(cond), Workspace())
+            out = net.demo_out(np.array([x_in]), sigma, np.array(cond))
             assert np.array_equal(out, np.full((1, 2), 0.5))
 
     def test_two_layer_matches_hand_oracle(self):
         net = random_net(4, create=float64_net)
         parts = random_parts(np.random.default_rng(11), 1)
-        got = net.demo_out(*parts, Workspace())[0]
+        got = net.demo_out(*parts)[0]
         want = hand_forward(net, oracles.trunk_input(*parts)[0])
         assert np.allclose(got, want, rtol=1e-12, atol=0)
 
@@ -185,7 +184,7 @@ class TestMlpForward:
         demo = net.demo_var(tape, *parts)
         cond = net.cond_var(tape, *parts)
         assert (demo.layers, cond.layers) == ([0, 1, 2], [0, 1, 3])
-        assert demo.out.shape == net.demo_out(*parts, Workspace()).shape == (3, X_DIM)
+        assert demo.out.shape == net.demo_out(*parts).shape == (3, X_DIM)
         assert cond.out.shape == (3, N_CLASSES)
 
     def test_dimension_mismatch_rejected(self):
@@ -194,18 +193,19 @@ class TestMlpForward:
         net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         for width in (0, X_DIM + 1):
             with pytest.raises(ValueError):
-                net.demo_out(np.zeros((1, width)), 1.0, np.zeros(N_CLASSES), Workspace())
+                net.demo_out(np.zeros((1, width)), 1.0, np.zeros(N_CLASSES))
 
     def test_pure_function_bitwise(self):
         net = random_net(1, hidden=8)
         parts = random_parts(np.random.default_rng(2), 6)
-        assert np.array_equal(net.demo_out(*parts, Workspace()), net.demo_out(*parts, Workspace()))
+        # the first result is copied: the second call writes the same scratch
+        assert np.array_equal(net.demo_out(*parts).copy(), net.demo_out(*parts))
 
     def test_batched_matches_per_row(self):
         net = random_net(9, hidden=4, create=float64_net)
         parts = random_parts(np.random.default_rng(3), 5)
-        batched = net.demo_out(*parts, Workspace())
-        rows = np.concatenate([net.demo_out(*(p[i : i + 1] for p in parts), Workspace())
+        batched = net.demo_out(*parts).copy()  # each call writes the network's scratch
+        rows = np.concatenate([net.demo_out(*(p[i : i + 1] for p in parts)).copy()
                                for i in range(5)])
         assert np.allclose(batched, rows, rtol=1e-14)
 
@@ -220,8 +220,8 @@ class TestMlpForward:
         tape = MlpTape()
         tape.start(net.params)
         rec = net.demo_var(tape, *parts)
-        assert np.array_equal(net.trunk_features(*parts, Workspace()), rec.h[-1])
-        assert np.array_equal(net.demo_out(*parts, Workspace()), rec.out)
+        assert np.array_equal(net.trunk_features(*parts), rec.h[-1])
+        assert np.array_equal(net.demo_out(*parts), rec.out)
 
 
 class TestGrad:
@@ -561,46 +561,3 @@ class TestParamBundle:
         assert (gw.shape, gb.shape) == ((2, 1), (1,))
         gb[0] = 7.0
         assert grads[-1] == 7.0 and np.count_nonzero(grads) == 1
-
-
-class TestCheckpointIO:
-    """The parameter bundle's trip through the checkpoint archive.
-
-    A second save is no longer byte-identical to the first: zip entries carry
-    the time of writing.
-    """
-
-    def test_round_trip_bitwise(self, tmp_path):
-        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
-        net = ScoreNetwork.create(hidden=5, depth=1, seed=13)
-        params = net.params
-        params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
-        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 0, cfg.digest(), np.eye(4))
-        trainer.save_checkpoint(tmp_path, ckpt, cfg)
-        _, _, loaded = trainer.load_checkpoint(tmp_path)
-        assert loaded.params.layer_shapes == params.layer_shapes
-        assert loaded.params.values.dtype == np.float32
-        assert np.array_equal(loaded.params.values, params.values)
-
-    @pytest.mark.parametrize("create, dtype", [(ScoreNetwork.create, np.float32),
-                                               (float64_net, np.float64)],
-                             ids=["float32", "float64"])
-    def test_round_trip_keeps_the_dtype_of_params_and_moments(self, tmp_path, create, dtype):
-        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
-        params = create(hidden=5, depth=1, seed=13).params
-        rng = np.random.default_rng(2)
-        params.values[:] = rng.normal(size=params.values.size)
-        grads = rng.normal(size=params.values.size)
-        m, v = zero_moments(params)
-        adam_step(params, grads, m, v, 1, 1e-3)
-        assert np.any(v) and m.dtype == v.dtype == dtype  # moved in place, in their dtype
-        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 1, cfg.digest(), np.eye(4))
-        trainer.save_checkpoint(tmp_path, ckpt, cfg)
-        _, _, loaded = trainer.load_checkpoint(tmp_path)
-        got, want = loaded.params.values, params.values
-        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
-
-    def test_bad_header_rejected(self, tmp_path):
-        (tmp_path / trainer.CHECKPOINT_FILE).write_bytes(b"not a checkpoint\n")
-        with pytest.raises(ValueError, match="unreadable checkpoint archive"):
-            trainer.load_checkpoint(tmp_path)

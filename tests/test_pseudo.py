@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdiff import trainer
-from robustdiff.network import ScoreNetwork
 from robustdiff.pseudo import ensemble_update
-from robustdiff.trainer import TrainConfig
 
 
 class TestEnsembleUpdate:
@@ -77,71 +74,3 @@ class TestEnsembleUpdate:
             idx = rng.integers(0, 4, size=8)
             ensemble_update(table, idx, rng.normal(size=(8, 3)), alpha=float(rng.uniform(0, 1)))
         assert np.all(np.isfinite(table))
-
-
-class TestEarlyStop:
-    """The early-stop budget ends the table updates: TrainConfig.in_phase1."""
-
-    def test_before_budget(self):
-        assert TrainConfig(early_stop_iters=500).in_phase1(0)
-
-    def test_at_budget(self):
-        assert not TrainConfig(early_stop_iters=500).in_phase1(500)
-
-    def test_after_budget(self):
-        assert not TrainConfig(early_stop_iters=500).in_phase1(501)
-
-    def test_monotone(self):
-        for variant in ("pc_only", "pc_rdc"):
-            config = TrainConfig(variant=variant, early_stop_iters=7, total_iters=20)
-            flags = [config.in_phase1(i) for i in range(20)]
-            assert flags == [True] * 7 + [False] * 13
-        vanilla = TrainConfig(variant="vanilla", early_stop_iters=7, total_iters=20)
-        assert not any(vanilla.in_phase1(i) for i in range(20))
-
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            TrainConfig(early_stop_iters=0)
-
-
-def _save_table(ckpt_dir, table):
-    """Save `table` inside a checkpoint of a small untrained network."""
-    cfg = trainer.TrainConfig(hidden=4, depth=1, total_iters=0)
-    net = ScoreNetwork.create(hidden=4, depth=1, seed=0)
-    ckpt = trainer.Checkpoint(net.params, table, 0, cfg.digest(), np.eye(4))
-    trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
-
-
-class TestSnapshot:
-    """The pseudo table's trip through the checkpoint archive."""
-
-    def test_round_trip(self, tmp_path):
-        table = np.random.default_rng(0).normal(size=(4, 4))
-        ensemble_update(table, np.array([1, 1, 3]), np.ones((3, 4)), 0.5)
-        _save_table(tmp_path, table)
-        loaded = trainer.load_checkpoint(tmp_path)[2].pseudo
-        assert loaded.dtype == np.float64 and np.array_equal(loaded, table)
-
-    def test_table_is_one_float64_entry(self, tmp_path):
-        table = np.zeros((2, 4))
-        table[1] = [0.5, -0.25, 0.0, 1.0]
-        _save_table(tmp_path, table)
-        with np.load(tmp_path / trainer.CHECKPOINT_FILE) as archive:
-            entries = archive["table_entries"]
-            assert "table_updates" not in archive.files
-        assert entries.dtype == np.float64
-        assert entries.tolist() == [[0.0, 0.0, 0.0, 0.0], [0.5, -0.25, 0.0, 1.0]]
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            {"table_entries": np.zeros((3, 2))},  # rows narrower than N_CLASSES
-            {},  # no table at all
-        ],
-        ids=["unequal_width", "empty"],
-    )
-    def test_malformed_table_rejected(self, tmp_path, edit_archive, edit):
-        _save_table(tmp_path, np.zeros((3, 4)))
-        edit_archive(tmp_path, drop=() if edit else ("table_entries",), **edit)
-        with pytest.raises(ValueError, match="table_"):
-            trainer.load_checkpoint(tmp_path)

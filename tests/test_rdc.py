@@ -72,11 +72,11 @@ class TestConditionScoreHead:
         y = np.array([[0.2, 0.1, 0.0, 0.0]])
         from robustdiff.diffusion import denoise
 
-        demo_before = denoise(net, x, 1.0, y, nn_core.Workspace())
+        demo_before = denoise(net, x, 1.0, y)
         cond_before = condition_head(net, x, 1.0, y)
         # nudge one trunk weight: both heads must move
         net.params.values[3] += 0.05
-        demo_after = denoise(net, x, 1.0, y, nn_core.Workspace())
+        demo_after = denoise(net, x, 1.0, y)
         cond_after = condition_head(net, x, 1.0, y)
         assert not np.allclose(demo_before, demo_after)
         assert not np.allclose(cond_before, cond_after)

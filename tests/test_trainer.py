@@ -88,6 +88,31 @@ class TestTrainConfig:
         assert TrainConfig(alpha=0.2).digest() != a.digest()
 
 
+class TestEarlyStop:
+    """The early-stop budget ends the table updates: TrainConfig.in_phase1."""
+
+    def test_before_budget(self):
+        assert TrainConfig(early_stop_iters=500).in_phase1(0)
+
+    def test_at_budget(self):
+        assert not TrainConfig(early_stop_iters=500).in_phase1(500)
+
+    def test_after_budget(self):
+        assert not TrainConfig(early_stop_iters=500).in_phase1(501)
+
+    def test_monotone(self):
+        for variant in ("pc_only", "pc_rdc"):
+            config = TrainConfig(variant=variant, early_stop_iters=7, total_iters=20)
+            flags = [config.in_phase1(i) for i in range(20)]
+            assert flags == [True] * 7 + [False] * 13
+        vanilla = TrainConfig(variant="vanilla", early_stop_iters=7, total_iters=20)
+        assert not any(vanilla.in_phase1(i) for i in range(20))
+
+    def test_invalid_budget(self):
+        with pytest.raises(ValueError):
+            TrainConfig(early_stop_iters=0)
+
+
 class TestTrain:
     def test_zero_iters_returns_initialized_state(self):
         cfg = tiny_config(total_iters=0)
@@ -234,7 +259,7 @@ class TestLossStep:
         # independent recomputation through the reference loss
         cond = np.where(draws.drop, 0.0, np.eye(4)[samples.noisy[draws.idx]])
         want = dsm_loss(
-            lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
+            lambda x, sig: diffusion.denoise(net, x, sig, cond),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert demo_term == pytest.approx(want, rel=1e-12)
@@ -287,7 +312,7 @@ class TestLossStep:
         cond = rdc.cond_channels(y_t, draws.sigma, center)
         cond = np.where(draws.drop, 0.0, cond)
         demo_want = dsm_loss(
-            lambda x, sig: diffusion.denoise(net, x, sig, cond, nn_core.Workspace()),
+            lambda x, sig: diffusion.denoise(net, x, sig, cond),
             samples.points[draws.idx], draws.sigma.ravel(), draws.eps_x, net.sigma_data,
         )
         assert demo_term == pytest.approx(demo_want, rel=1e-10)
@@ -472,6 +497,12 @@ def assert_same_checkpoint(loaded, ckpt):
 
 
 class TestCheckpointIO:
+    """The checkpoint's trip through its archive.
+
+    A second save is no longer byte-identical to the first: zip entries carry
+    the time of writing.
+    """
+
     def test_round_trip(self, tmp_path):
         cfg = tiny_config(total_iters=12, early_stop_iters=6)
         samples = tiny_dataset()
@@ -566,6 +597,84 @@ class TestCheckpointIO:
     def test_missing_archive_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=CHECKPOINT_FILE):
             load_checkpoint(tmp_path)
+
+    def test_round_trip_bitwise(self, tmp_path):
+        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
+        net = ScoreNetwork.create(hidden=5, depth=1, seed=13)
+        params = net.params
+        params.values[:] = np.random.default_rng(1).normal(size=params.values.size)
+        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 0, cfg.digest(), np.eye(4))
+        trainer.save_checkpoint(tmp_path, ckpt, cfg)
+        _, _, loaded = trainer.load_checkpoint(tmp_path)
+        assert loaded.params.layer_shapes == params.layer_shapes
+        assert loaded.params.values.dtype == np.float32
+        assert np.array_equal(loaded.params.values, params.values)
+
+    @pytest.mark.parametrize("create, dtype", [(ScoreNetwork.create, np.float32),
+                                               (float64_net, np.float64)],
+                             ids=["float32", "float64"])
+    def test_round_trip_keeps_the_dtype_of_params_and_moments(self, tmp_path, create, dtype):
+        cfg = trainer.TrainConfig(hidden=5, depth=1, total_iters=0)
+        params = create(hidden=5, depth=1, seed=13).params
+        rng = np.random.default_rng(2)
+        params.values[:] = rng.normal(size=params.values.size)
+        grads = rng.normal(size=params.values.size)
+        m, v = np.zeros_like(params.values), np.zeros_like(params.values)
+        nn_core.adam_step(params, grads, m, v, 1, 1e-3)
+        assert np.any(v) and m.dtype == v.dtype == dtype  # moved in place, in their dtype
+        ckpt = trainer.Checkpoint(params, np.zeros((3, 4)), 1, cfg.digest(), np.eye(4))
+        trainer.save_checkpoint(tmp_path, ckpt, cfg)
+        _, _, loaded = trainer.load_checkpoint(tmp_path)
+        got, want = loaded.params.values, params.values
+        assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
+
+    def test_bad_header_rejected(self, tmp_path):
+        (tmp_path / trainer.CHECKPOINT_FILE).write_bytes(b"not a checkpoint\n")
+        with pytest.raises(ValueError, match="unreadable checkpoint archive"):
+            trainer.load_checkpoint(tmp_path)
+
+
+def _save_table(ckpt_dir, table):
+    """Save `table` inside a checkpoint of a small untrained network."""
+    cfg = trainer.TrainConfig(hidden=4, depth=1, total_iters=0)
+    net = ScoreNetwork.create(hidden=4, depth=1, seed=0)
+    ckpt = trainer.Checkpoint(net.params, table, 0, cfg.digest(), np.eye(4))
+    trainer.save_checkpoint(ckpt_dir, ckpt, cfg)
+
+
+class TestSnapshot:
+    """The pseudo table's trip through the checkpoint archive."""
+
+    def test_round_trip(self, tmp_path):
+        table = np.random.default_rng(0).normal(size=(4, 4))
+        pseudo.ensemble_update(table, np.array([1, 1, 3]), np.ones((3, 4)), 0.5)
+        _save_table(tmp_path, table)
+        loaded = trainer.load_checkpoint(tmp_path)[2].pseudo
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, table)
+
+    def test_table_is_one_float64_entry(self, tmp_path):
+        table = np.zeros((2, 4))
+        table[1] = [0.5, -0.25, 0.0, 1.0]
+        _save_table(tmp_path, table)
+        with np.load(tmp_path / trainer.CHECKPOINT_FILE) as archive:
+            entries = archive["table_entries"]
+            assert "table_updates" not in archive.files
+        assert entries.dtype == np.float64
+        assert entries.tolist() == [[0.0, 0.0, 0.0, 0.0], [0.5, -0.25, 0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"table_entries": np.zeros((3, 2))},  # rows narrower than N_CLASSES
+            {},  # no table at all
+        ],
+        ids=["unequal_width", "empty"],
+    )
+    def test_malformed_table_rejected(self, tmp_path, edit_archive, edit):
+        _save_table(tmp_path, np.zeros((3, 4)))
+        edit_archive(tmp_path, drop=() if edit else ("table_entries",), **edit)
+        with pytest.raises(ValueError, match="table_"):
+            trainer.load_checkpoint(tmp_path)
 
 
 @pytest.fixture(scope="module")
