@@ -3,7 +3,9 @@
 `train` and `reproduce` read their settings as key=value pairs in three
 layers, each overriding the one before: the defaults, a `--config` file (one
 pair a line, `#` starts a comment), then each `--set KEY=VALUE` in order.
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 runtime failure. A command that
+cannot finish raises, and `main` prints each failure once, as one line on
+stderr; only `reproduce` also reports there, each failed cell as it ends.
 
 `reproduce` runs one cell per (variant, eta, seed). Its keys, with defaults:
 etas 0.2,0.4,0.6,0.8; seeds 0,1,2; variants vanilla,pc_only,pc_rdc; noise
@@ -152,8 +154,7 @@ def cmd_train(args) -> int:
         ckpt = trainer.train(config, samples, log_path=outdir / "train.log")
     except TrainingDiverged as exc:
         trainer.save_checkpoint(outdir, exc.checkpoint, config)
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return 2
+        raise
     trainer.save_checkpoint(outdir, ckpt, config)
     print(f"trained {config.variant} for {ckpt.iteration} iterations -> {outdir}")
     return 0
@@ -192,9 +193,8 @@ def cmd_sample(args) -> int:
     ckpt_dir = Path(args.checkpoint)
     net, config, ckpt = trainer.load_checkpoint(ckpt_dir)
     if ckpt.diverged:
-        print(f"{ckpt_dir}: training diverged at iteration {ckpt.iteration}; not sampling it",
-              file=sys.stderr)
-        return 2
+        raise RuntimeError(f"{ckpt_dir}: training diverged at iteration {ckpt.iteration}; "
+                           "not sampling it")
     per_class = sample_per_class(net, config, args.per_class, args.seed, args.w, ckpt.prototypes)
     out = Path(args.out) if args.out else out_root() / "samples.csv"
     data_mod.write_samples(out, per_class)
@@ -385,12 +385,14 @@ def cmd_reproduce(args) -> int:
             mapped = (pool.map if sweep.jobs > 1 else map)(run, cells)
             for (variant, eta, seed), outcome in zip(cells, mapped):
                 outcomes.append(outcome)
-                print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
+                if "failed" in outcome:
+                    print(f"FAILED CELL: {outcome['failed']}", file=sys.stderr, flush=True)
+                else:
+                    print(f"finished {variant} eta={eta:g} seed={seed}", flush=True)
     finally:
         for k in added:
             del os.environ[k]
 
-    failures = [o["failed"] for o in outcomes if "failed" in o]
     results = [o["result"] for o in outcomes if "result" in o]
     dynamics = sorted(row for o in outcomes for row in o["dynamics"])
 
@@ -411,14 +413,9 @@ def cmd_reproduce(args) -> int:
     else:
         (outdir / "dynamics.svg").unlink(missing_ok=True)
 
-    for fail in failures:
-        print(f"FAILED CELL: {fail}", file=sys.stderr)
-
     ok = _check_deltas(meds, sweep.etas, sweep.noise, outdir / "mae_delta.csv")
     print(f"wrote results to {outdir}")
-    if failures or not ok:
-        return 2
-    return 0
+    return 2 if not ok or any("failed" in o for o in outcomes) else 0
 
 
 def _check_deltas(meds, etas, noise_kind, delta_csv: Path) -> bool:
@@ -498,10 +495,6 @@ def make_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

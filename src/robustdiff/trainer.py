@@ -180,10 +180,11 @@ def sampling_prototypes(config: TrainConfig, table: np.ndarray, noisy) -> np.nda
 
 
 class TrainingDiverged(RuntimeError):
-    """Carries the last finite parameters and table, flagged never to be sampled."""
+    """`training diverged: <reason> at iteration N`, carrying the last finite
+    parameters and table, flagged never to be sampled."""
 
-    def __init__(self, message: str, checkpoint: Checkpoint):
-        super().__init__(message)
+    def __init__(self, reason: str, checkpoint: Checkpoint):
+        super().__init__(f"training diverged: {reason} at iteration {checkpoint.iteration}")
         self.checkpoint = replace(checkpoint, diverged=True)
 
 
@@ -330,8 +331,7 @@ def train(
                 # The checkpoint holds the state this iteration started from.
                 protos = sampling_prototypes(config, table, samples.noisy)
                 raise TrainingDiverged(
-                    f"{exc} at iteration {iteration}",
-                    Checkpoint(net.params, table, iteration, digest, protos),
+                    str(exc), Checkpoint(net.params, table, iteration, digest, protos)
                 ) from exc
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, y_phi, config.alpha)
@@ -440,8 +440,9 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
             raise ValueError(f"{path}: {key!r} holds non-finite values")
         return arr
 
+    echo = str(entry("config_json", "U", ()))
     try:
-        config = TrainConfig(**json.loads(str(entry("config_json", "U", ()))))
+        config = TrainConfig(**json.loads(echo))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config echo ({exc})") from exc
     digest = str(entry("config_digest", "U", ()))

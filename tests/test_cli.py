@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -100,11 +101,72 @@ def test_named_setting_flag_is_usage_error(tmp_path, capsys, command, flag):
     assert not out.exists()
 
 
+class TestReporting:
+    """A command that cannot finish raises, and main alone prints the failure."""
+
+    FAILURES = {  # case: (exit code, the one stderr line)
+        "train_diverges": (2, r"error: training diverged: .+ at iteration \d+"),
+        "sample_diverged": (2, r"error: .+: training diverged at iteration \d+; not sampling it"),
+        "train_missing_data": (2, r"error: .+missing\.csv.*"),
+        "train_unknown_setting": (1, r"usage error: unknown setting hiden"),
+        "sample_guidance_below_one": (1, r"usage error: --w must be >= 1 and finite"),
+    }
+
+    @pytest.mark.parametrize("case", FAILURES)
+    @DIVERGES
+    def test_one_stderr_line_per_failure(self, tmp_path, capsys, case):
+        code, line = self.FAILURES[case]
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
+        assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
+                         "--out", str(data)]) == 0
+        train = ["train", "--data", str(data), "--out", str(ckpt), *_set_args()]
+        diverge = [*train, "--set", "lr=1e18"]
+        sample = ["sample", "--checkpoint", str(ckpt), "--per-class", "10", "--out", str(out)]
+        if case == "sample_diverged":
+            assert cli.main(diverge) == 2
+        argv = {"train_diverges": diverge,
+                "sample_diverged": sample,
+                "train_missing_data": ["train", "--data", str(tmp_path / "missing.csv"),
+                                       "--out", str(ckpt), *_set_args()],
+                "train_unknown_setting": [*train, "--set", "hiden=8"],
+                "sample_guidance_below_one": [*sample, "--w", "0.5"]}[case]
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.fullmatch(line, err[0]), err
+        assert not out.exists()
+
+    def test_only_main_and_reproduce_write_stderr(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        writers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Attribute) and node.attr == "stderr"
+                   and isinstance(node.value, ast.Name) and node.value.id == "sys"}
+        assert "main" in writers
+        assert writers <= {"main", "cmd_reproduce"}
+
+
 class TestReproduce:
     def test_jobs2_prints_one_line_per_cell(self, tmp_path, capsys):
         cli.main(_reproduce_args(tmp_path / "r", "--set", "jobs=2"))
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("finished ")]
         assert lines == ["finished vanilla eta=0.4 seed=0", "finished pc_rdc eta=0.4 seed=0"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @DIVERGES
+    def test_failed_cells_reported_once_as_they_end(self, tmp_path, capsys, jobs):
+        out = tmp_path / "r"
+        assert cli.main(_reproduce_args(out, "--set", "lr=1e18", "--set", f"jobs={jobs}")) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 2
+        for line, variant in zip(err, ("vanilla", "pc_rdc")):
+            assert re.fullmatch(f"FAILED CELL: {variant} eta=0.4 seed=0: "
+                                r"training diverged: .+ at iteration \d+", line), line
+        assert not [l for l in captured.out.splitlines() if l.startswith("finished")]
+        assert (out / "results.csv").read_text() == "variant,noise,eta,seed,mae,controllability\n"
+        for variant in ("vanilla", "pc_rdc"):
+            assert trainer.load_checkpoint(out / "cells" / f"{variant}_sym0.4_s0")[2].diverged
 
     @pytest.mark.parametrize(
         "jobs, user, want",

@@ -22,7 +22,7 @@ from oracles import dsm_loss
 
 
 def random_net(seed=0, hidden=12, depth=2):
-    net = ScoreNetwork(ScoreNetwork.create(hidden=hidden, depth=depth, seed=seed).params, 0.5)
+    net = ScoreNetwork.create(hidden=hidden, depth=depth, seed=seed)
     rng = np.random.default_rng(seed + 100)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net
@@ -257,17 +257,17 @@ class TestSamplingWorkspace:
             got = heun_sample(guided(net, cond, 2.0), 4, count, seed=count)
             # a fresh network on the same parameters, so fresh scratch, for every call
             want = heun_sample(
-                lambda x, s: guided(ScoreNetwork(net.params, net.sigma_data), cond, 2.0)(x, s),
+                lambda x, s: guided(ScoreNetwork(net.params), cond, 2.0)(x, s),
                 4, count, seed=count)
             assert got.tobytes() == want.tobytes()
 
     def test_networks_on_one_bundle_keep_separate_scratch(self):
         a = self.production_net(2)
-        b = ScoreNetwork(a.params, a.sigma_data)
+        b = ScoreNetwork(a.params)
         cond_a, cond_b = np.array([0.3, -0.1, 0.0, -0.2]), np.array([0.0, 0.5, -0.25, 0.0])
 
         def fresh(cond):
-            return guided(ScoreNetwork(a.params, a.sigma_data), cond, 2.0)
+            return guided(ScoreNetwork(a.params), cond, 2.0)
 
         den_a, den_b = guided(a, cond_a, 2.0), guided(b, cond_b, 2.0)
         calls, got_b = [], []

@@ -177,7 +177,7 @@ class TestMlpForward:
         # layer but the last two is trunk, and the heads give X_DIM and
         # N_CLASSES columns.
         params = init_params([(7, 16), (16, 16), (16, 2), (16, 4)], seed=0)  # hidden 16, depth 2
-        net = ScoreNetwork(params, sigma_data=2.5)
+        net = ScoreNetwork(params)
         parts = (np.zeros((3, X_DIM)), 1.0, np.zeros(N_CLASSES))
         tape = MlpTape()
         tape.start(net.params)

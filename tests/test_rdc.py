@@ -23,7 +23,7 @@ ZERO = np.zeros(4)  # the condition center of an all-zero table
 
 
 def random_net(seed=0, hidden=10, depth=2, create=ScoreNetwork.create):
-    net = ScoreNetwork(create(hidden=hidden, depth=depth, seed=seed).params, 0.5)
+    net = create(hidden=hidden, depth=depth, seed=seed)
     rng = np.random.default_rng(seed + 50)
     net.params.values[:] = rng.normal(0, 0.4, net.params.values.size)
     return net

@@ -594,6 +594,15 @@ class TestCheckpointIO:
         with pytest.raises(ValueError, match="config digest"):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("key", ["config_json", "config_digest", "params", "iteration"])
+    def test_missing_entry_named_once(self, tmp_path, edit_archive, key):
+        cfg = tiny_config(total_iters=4, early_stop_iters=2)
+        save_checkpoint(tmp_path, train(cfg, tiny_dataset()), cfg)
+        edit_archive(tmp_path, drop=(key,))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(tmp_path)
+        assert str(err.value) == f"{tmp_path / CHECKPOINT_FILE}: no {key!r} entry"
+
     def test_missing_archive_is_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError, match=CHECKPOINT_FILE):
             load_checkpoint(tmp_path)
