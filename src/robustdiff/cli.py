@@ -1,4 +1,5 @@
 """Command-line interface: gen-data, train, sample, eval, reproduce.
+From an uninstalled `src/`, the command is `python -m robustdiff.cli`.
 
 `train` and `reproduce` read their settings as key=value pairs in three
 layers, each overriding the one before: the defaults, a `--config` file (one
@@ -149,13 +150,7 @@ def cmd_train(args) -> int:
     config = _build(TrainConfig, _merge_settings(args))
     samples = data_mod.load_dataset(args.data)
     outdir = Path(args.out) if args.out else out_root() / "train"
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        ckpt = trainer.train(config, samples, log_path=outdir / "train.log")
-    except TrainingDiverged as exc:
-        trainer.save_checkpoint(outdir, exc.checkpoint, config)
-        raise
-    trainer.save_checkpoint(outdir, ckpt, config)
+    ckpt = trainer.train(config, samples, outdir)
     print(f"trained {config.variant} for {ckpt.iteration} iterations -> {outdir}")
     return 0
 
@@ -318,8 +313,6 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
     dynamics = abs(eta - DYNAMICS_ETA) < 1e-9
 
     cell_dir = outdir / "cells" / f"{variant}_{sweep.noise}{eta:g}_s{seed}"
-    cell_dir.mkdir(parents=True, exist_ok=True)
-
     centroids = metrics.fit_centroids(samples.points, samples.clean)
     dyn_rows = []
 
@@ -330,12 +323,9 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
         dyn_rows.append((variant, seed, iteration, acc))
 
     try:
-        ckpt = trainer.train(config, samples, cell_dir / "train.log",
-                             DYNAMICS_EVERY if dynamics else 0, snapshot)
+        trainer.train(config, samples, cell_dir, DYNAMICS_EVERY if dynamics else 0, snapshot)
     except TrainingDiverged as exc:
-        trainer.save_checkpoint(cell_dir, exc.checkpoint, config)
         return {"failed": f"{variant} eta={eta} seed={seed}: {exc}", "dynamics": dyn_rows}
-    trainer.save_checkpoint(cell_dir, ckpt, config)
 
     net, _, loaded = trainer.load_checkpoint(cell_dir)
     per_class = sample_per_class(net, config, sweep.per_class_samples, seeds["eval"], None,

@@ -99,7 +99,7 @@ def inject_noise(samples: Dataset, spec: NoiseSpec) -> Dataset:
 
 
 def noisy_labels(samples: Dataset) -> np.ndarray:
-    # Read only by perfbench/run.py; it goes with ROADMAP direction 2.
+    # Read only by perfbench/run.py; it goes with ROADMAP direction 1(a).
     return samples.noisy
 
 

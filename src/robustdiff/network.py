@@ -66,7 +66,7 @@ class ScoreNetwork:
 
     params: ParamBundle
     # Always data.SIGMA_DATA in production; a field while perfbench/run.py
-    # passes it (ROADMAP direction 2).
+    # passes it (ROADMAP direction 1(a)).
     sigma_data: float = SIGMA_DATA
     _ws: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 

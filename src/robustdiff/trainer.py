@@ -34,6 +34,9 @@ shapes: the tape's workspace holds them and the half-scale parameters, and
 everything smaller is a plain array, such as each pass's trunk input, which
 the network writes in float32. Adam writes the new values into the network's
 parameter array in place, which the tape's views read.
+
+A run given a directory owns it: it writes LOG_FILE there as it goes, and
+CHECKPOINT_FILE when it ends, diverged or not.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import struct
 import time
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, ClassVar
 
@@ -85,7 +88,7 @@ class TrainConfig:
     lr: float = 1e-3
     seed: int = 0
     # Constants, not settings: the prototype reliability floor. cond_dim and
-    # sigma_data, read only by perfbench/run.py, go with ROADMAP direction 2.
+    # sigma_data, read only by perfbench/run.py, go with ROADMAP direction 1(a).
     cond_dim: ClassVar[int] = data_mod.N_CLASSES
     sigma_data: ClassVar[float] = data_mod.SIGMA_DATA
     proto_floor: ClassVar[float] = 0.012
@@ -180,12 +183,8 @@ def sampling_prototypes(config: TrainConfig, table: np.ndarray, noisy) -> np.nda
 
 
 class TrainingDiverged(RuntimeError):
-    """`training diverged: <reason> at iteration N`, carrying the last finite
-    parameters and table, flagged never to be sampled."""
-
-    def __init__(self, reason: str, checkpoint: Checkpoint):
-        super().__init__(f"training diverged: {reason} at iteration {checkpoint.iteration}")
-        self.checkpoint = replace(checkpoint, diverged=True)
+    """`training diverged: <reason> at iteration N`; the run's checkpoint holds
+    the state iteration N started from, flagged never to be sampled."""
 
 
 @dataclass
@@ -290,17 +289,20 @@ def loss_step(
 SnapshotCallback = Callable[[int, ScoreNetwork, np.ndarray], None]
 
 
+# The loop checks the loss and Adam's values; numpy's warnings would report a divergence twice.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     config: TrainConfig,
     samples,
-    log_path=None,
+    outdir=None,
     snapshot_every: int = 0,
     snapshot_cb: SnapshotCallback | None = None,
 ) -> Checkpoint:
-    """Run the full loop; returns the final checkpoint.
-
-    Raises TrainingDiverged, carrying the last finite checkpoint, if the loss,
-    the gradient or the updated parameters go non-finite.
+    """Run the full loop; returns the final checkpoint. With an `outdir`, the
+    run makes it, writes LOG_FILE there as it goes and saves the checkpoint
+    there when it ends. Raises TrainingDiverged if the loss, the gradient or
+    the updated parameters go non-finite; the checkpoint then holds the state
+    the failing iteration started from, flagged diverged.
     """
     net = ScoreNetwork.create(config.hidden, config.depth, config.seed)
     table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
@@ -309,10 +311,12 @@ def train(
     m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
+    if outdir:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
     # Line-buffered, so a running cell's log can be followed.
-    log_f = open(log_path, "w", buffering=1) if log_path else None
+    log_f = open(Path(outdir) / LOG_FILE, "w", buffering=1) if outdir else None
     t_start = time.perf_counter()
-    iteration = 0
+    failure = None
     try:
         for iteration in range(config.total_iters):
             cond_path = config.in_phase1(iteration)
@@ -328,11 +332,8 @@ def train(
                     raise nn_core.NonFiniteError("non-finite loss")
                 nn_core.adam_step(net.params, tape.grads, m, v, iteration + 1, config.lr)
             except nn_core.NonFiniteError as exc:
-                # The checkpoint holds the state this iteration started from.
-                protos = sampling_prototypes(config, table, samples.noisy)
-                raise TrainingDiverged(
-                    str(exc), Checkpoint(net.params, table, iteration, digest, protos)
-                ) from exc
+                failure = exc  # the state this iteration started from is intact
+                break
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, y_phi, config.alpha)
             if log_f and (iteration % 100 == 0 or iteration == config.total_iters - 1):
@@ -345,8 +346,14 @@ def train(
     finally:
         if log_f:
             log_f.close()
-    protos = sampling_prototypes(config, table, samples.noisy)
-    return Checkpoint(net.params, table, config.total_iters, digest, protos)
+    reached = iteration if failure else config.total_iters
+    ckpt = Checkpoint(net.params, table, reached, digest,
+                      sampling_prototypes(config, table, samples.noisy), failure is not None)
+    if outdir:
+        save_checkpoint(outdir, ckpt, config)
+    if failure:
+        raise TrainingDiverged(f"training diverged: {failure} at iteration {reached}") from failure
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +361,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FILE = "checkpoint.npz"
+LOG_FILE = "train.log"
 
 
 def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None:

@@ -30,7 +30,8 @@ TINY = [
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # numpy's overflow and invalid-value warnings, expected where a test drives
-# training into divergence on purpose; any other RuntimeWarning fails a test.
+# sampling past the float32 range on purpose; any other RuntimeWarning fails a
+# test. Training reports its own divergence and lets numpy print nothing.
 DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                       "ignore:invalid value encountered:RuntimeWarning")
 
@@ -56,7 +57,7 @@ class TestPipeline:
             assert cli.main(argv) == 0, argv[0]
         out = capsys.readouterr().out.splitlines()
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
-        assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, "train.log"]
+        assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, trainer.LOG_FILE]
 
     def test_outputs_default_under_robust_diff_out(self, tmp_path, monkeypatch):
         # Without --out, train and sample write under $ROBUST_DIFF_OUT.
@@ -113,7 +114,6 @@ class TestReporting:
     }
 
     @pytest.mark.parametrize("case", FAILURES)
-    @DIVERGES
     def test_one_stderr_line_per_failure(self, tmp_path, capsys, case):
         code, line = self.FAILURES[case]
         data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
@@ -136,6 +136,20 @@ class TestReporting:
         assert len(err) == 1 and re.fullmatch(line, err[0]), err
         assert not out.exists()
 
+    def test_diverged_train_in_a_fresh_process_prints_one_line(self, tmp_path):
+        # No warning filter here: the interpreter's own defaults decide what
+        # numpy's RuntimeWarnings would print.
+        data = tmp_path / "data.csv"
+        assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
+                         "--out", str(data)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "robustdiff.cli", "train", "--data", str(data),
+             "--out", str(tmp_path / "ckpt"), *_set_args(), "--set", "lr=1e18"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged:"), err
+
     def test_only_main_and_reproduce_write_stderr(self):
         tree = ast.parse(Path(cli.__file__).read_text())
         writers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -153,11 +167,11 @@ class TestReproduce:
         assert lines == ["finished vanilla eta=0.4 seed=0", "finished pc_rdc eta=0.4 seed=0"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @DIVERGES
-    def test_failed_cells_reported_once_as_they_end(self, tmp_path, capsys, jobs):
+    def test_failed_cells_reported_once_as_they_end(self, tmp_path, capfd, jobs):
+        # capfd, so that what the spawned workers print reaches `err` too.
         out = tmp_path / "r"
         assert cli.main(_reproduce_args(out, "--set", "lr=1e18", "--set", f"jobs={jobs}")) == 2
-        captured = capsys.readouterr()
+        captured = capfd.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 2
         for line, variant in zip(err, ("vanilla", "pc_rdc")):
@@ -408,7 +422,7 @@ class TestReproduce:
         assert (tmp_path / "j1" / "results.csv").read_bytes().count(b"\n") == 3  # header + 2 cells
         # Every file but the manifest (its jobs differ), the checkpoints (zip
         # timestamps) and the training logs (wall times).
-        skip = {"manifest.txt", trainer.CHECKPOINT_FILE, "train.log"}
+        skip = {"manifest.txt", trainer.CHECKPOINT_FILE, trainer.LOG_FILE}
 
         def files(run):
             return sorted(str(p.relative_to(tmp_path / run)) for p in (tmp_path / run).rglob("*")
@@ -697,7 +711,7 @@ class TestTrain:
         assert cli.main(["gen-data", "--n-per-class", "5", "--out", str(data)]) == 0
         for _ in range(2):
             assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
-        assert (ckpt / "train.log").read_text().count("iter 0 ") == 1
+        assert (ckpt / trainer.LOG_FILE).read_text().count("iter 0 ") == 1
 
     def test_vanilla_not_held_to_the_pseudo_budget(self, tmp_path, capsys):
         # The default early_stop_iters is 500; vanilla never reads it.
@@ -744,7 +758,6 @@ class TestTrain:
         ],
         ids=["pc_rdc_gradient", "vanilla_gradient", "vanilla_second_moment"],
     )
-    @DIVERGES
     def test_non_finite_update_ends_as_diverged(self, tmp_path, capsys, variant, lr, message):
         # The loss stays finite; the Adam step meets the non-finite values:
         # the gradient itself, or its square in the second moment.
@@ -850,17 +863,14 @@ class TestSample:
         assert f"usage error: {message}" in capsys.readouterr().err
         assert not data.parent.exists()
 
-    @DIVERGES
     def test_diverged_pc_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(tmp_path, capsys)
 
-    @DIVERGES
     def test_diverged_vanilla_checkpoint_not_sampled(self, tmp_path, capsys):
         self._assert_diverged_not_sampled(
             tmp_path, capsys, "--set", "variant=vanilla", "--set", "lr=1e30"
         )
 
-    @DIVERGES
     def test_overflowing_second_moment_not_sampled(self, tmp_path, capsys):
         # Every gradient entry stays finite, but its square overflows Adam's
         # second moment; left alone, no later step would move the parameters

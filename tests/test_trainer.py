@@ -2,6 +2,7 @@ import errno
 import gc
 import io
 import os
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from robustdiff import diffusion, nn_core, pseudo, rdc, trainer
 from robustdiff.network import COND_HEAD, ScoreNetwork
 from robustdiff.trainer import (
     CHECKPOINT_FILE,
-    Checkpoint,
+    LOG_FILE,
     TrainConfig,
     class_prototypes,
     draw_iteration,
@@ -25,12 +26,6 @@ from robustdiff.trainer import (
     train,
 )
 from oracles import dsm_loss, estimate_pseudo, float64_net, head_field
-
-# numpy's overflow and invalid-value warnings, expected where a test drives
-# training into divergence on purpose; any other RuntimeWarning fails a test.
-DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                      "ignore:invalid value encountered:RuntimeWarning")
-
 
 def tiny_config(**kw):
     base = dict(
@@ -227,22 +222,34 @@ class TestTrain:
         assert not np.any(w_grad) and not np.any(b_grad)
         assert cond_term == 0.0
 
-    @DIVERGES
-    def test_divergence_aborts_with_checkpoint(self):
-        # an absurd learning rate blows the loss up within a few steps
-        cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=5)
+    def test_divergence_aborts_with_checkpoint(self, tmp_path):
+        # An absurd learning rate blows the loss up within a few steps; a
+        # one-iteration budget lets the reference run below stop anywhere.
+        cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=1)
         samples = tiny_dataset()
-        with pytest.raises(trainer.TrainingDiverged) as err:
-            train(cfg, samples)
-        assert isinstance(err.value.checkpoint, Checkpoint)
-        assert err.value.checkpoint.diverged
+        with pytest.raises(trainer.TrainingDiverged,
+                           match=r"^training diverged: .+ at iteration \d+$") as err:
+            train(cfg, samples, tmp_path)
+        n = int(re.search(r"\d+$", str(err.value)).group())
+        assert sorted(os.listdir(tmp_path)) == [CHECKPOINT_FILE, LOG_FILE]
+        _, _, loaded = load_checkpoint(tmp_path)
+        assert loaded.diverged and (loaded.iteration, loaded.config_digest) == (n, cfg.digest())
+        # The saved state is the one iteration n started from: that of the
+        # same run stopped after n iterations.
+        assert n >= 1
+        ref = train(replace(cfg, total_iters=n), samples)
+        assert_same_checkpoint(loaded, replace(ref, config_digest=cfg.digest(), diverged=True))
+        assert np.any(loaded.pseudo)
 
     def test_log_line_on_disk_while_training(self, tmp_path):
-        log = tmp_path / "train.log"
+        run = tmp_path / "new" / "run"
         seen = []
-        train(tiny_config(total_iters=12, early_stop_iters=6), tiny_dataset(), log_path=log,
-              snapshot_every=1, snapshot_cb=lambda *_: seen.append(log.read_text()))
+        ckpt = train(tiny_config(total_iters=12, early_stop_iters=6), tiny_dataset(), run,
+                     snapshot_every=1,
+                     snapshot_cb=lambda *_: seen.append((run / LOG_FILE).read_text()))
         assert seen[0].startswith("iter 0 demo ")
+        assert sorted(os.listdir(run)) == [CHECKPOINT_FILE, LOG_FILE]
+        assert_same_checkpoint(load_checkpoint(run)[2], ckpt)
 
 
 class TestLossStep:
@@ -566,15 +573,17 @@ class TestCheckpointIO:
         assert np.array_equal(loaded.pseudo, np.zeros((len(samples), 4)))
         assert np.array_equal(loaded.prototypes, np.eye(4))
 
-    @DIVERGES
     def test_diverged_flag_round_trip(self, tmp_path):
         cfg = tiny_config(lr=1e18, total_iters=30, early_stop_iters=5)
         with pytest.raises(trainer.TrainingDiverged) as err:
-            train(cfg, tiny_dataset())
-        save_checkpoint(tmp_path, err.value.checkpoint, cfg)
-        _, _, loaded = load_checkpoint(tmp_path)
-        assert loaded.diverged
-        assert_same_checkpoint(loaded, err.value.checkpoint)
+            train(cfg, tiny_dataset(), tmp_path / "run")
+        _, cfg2, loaded = load_checkpoint(tmp_path / "run")
+        assert cfg2 == cfg
+        assert loaded.diverged and str(err.value).endswith(f"at iteration {loaded.iteration}")
+        save_checkpoint(tmp_path / "again", loaded, cfg)
+        _, _, again = load_checkpoint(tmp_path / "again")
+        assert again.diverged
+        assert_same_checkpoint(again, loaded)
 
     @pytest.mark.parametrize("key", ["params", "table_entries", "prototypes"])
     def test_non_finite_entry_rejected(self, tmp_path, edit_archive, key):
