@@ -178,6 +178,8 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
     return out
 
 
+# data.write_records refuses non-finite points; numpy's warnings would report an overflow twice.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_sample(args) -> int:
     if args.w is not None and not 1.0 <= args.w < np.inf:
         raise UsageError("--w must be >= 1 and finite")

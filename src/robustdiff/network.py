@@ -62,12 +62,13 @@ def c_noise(sigma):
 class ScoreNetwork:
     """The network's parameters, laid out as layer_shapes lays them out, and
     its EDM sigma_data: all that sampling reads. A training step records its
-    passes on a tape that the caller owns."""
+    passes on the network's own `tape`, started on `params`."""
 
     params: ParamBundle
     # Always data.SIGMA_DATA in production; a field while perfbench/run.py
     # passes it (ROADMAP direction 1(a)).
     sigma_data: float = SIGMA_DATA
+    tape: MlpTape = field(default_factory=MlpTape, init=False, repr=False, compare=False)
     _ws: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     @classmethod
@@ -117,15 +118,16 @@ class ScoreNetwork:
 
     # -- recorded paths (training step) --------------------------------------
 
-    def _record(self, tape: MlpTape, head: int, x_in, sigma, cond) -> RecordedPass:
-        """Record a pass through every layer but the heads, then `head`."""
+    def _record(self, head: int, x_in, sigma, cond) -> RecordedPass:
+        """Record a pass through every layer but the heads, then `head`, on `tape`."""
         n = len(self.params.layer_shapes)
-        return tape.record(self.trunk_input(x_in, sigma, cond), [*range(n + DEMO_HEAD), n + head])
+        return self.tape.record(self.trunk_input(x_in, sigma, cond),
+                                [*range(n + DEMO_HEAD), n + head])
 
-    def demo_var(self, tape: MlpTape, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
+    def demo_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
         """Record a trunk + demonstration-head pass on `tape`."""
-        return self._record(tape, DEMO_HEAD, x_in, sigma, cond)
+        return self._record(DEMO_HEAD, x_in, sigma, cond)
 
-    def cond_var(self, tape: MlpTape, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
+    def cond_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
         """Record a trunk + condition-head pass on `tape`."""
-        return self._record(tape, COND_HEAD, x_in, sigma, cond)
+        return self._record(COND_HEAD, x_in, sigma, cond)

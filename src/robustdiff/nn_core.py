@@ -15,9 +15,9 @@ and they stay current across steps. `silu_layer` is the one SiLU layer: the
 recorded passes of a training step and the network's off-tape forward
 (sampling) both run it, into arrays kept in a `Workspace`: a tape has its
 own, holding the half-scale parameters and the (rows x hidden) arrays, and
-everything smaller is a plain array. A network has its own for its off-tape
-forward. A step walks its recorded passes back last-in first-out, adding
-each into one zeroed gradient.
+everything smaller is a plain array. A network has a tape of its own for its
+training step, and a Workspace for its off-tape forward. A step walks its
+recorded passes back last-in first-out, adding each into one zeroed gradient.
 
 The SiLU layers run on half-scale parameters (the parameters times 0.5),
 which saves two elementwise passes per layer: `silu_layer`'s scratch `s`

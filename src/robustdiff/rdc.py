@@ -56,7 +56,6 @@ def _quad_nodes(k: int) -> tuple[tuple[float, float, float], ...]:
 
 
 def estimate_pseudo_var(
-    tape: nn_core.MlpTape,
     net: ScoreNetwork,
     x_context: np.ndarray,
     y_start: np.ndarray,
@@ -69,30 +68,28 @@ def estimate_pseudo_var(
     context `x_context` (B, X_DIM) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
     nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
-    `tape` at the parts (x_context, tau, condition channels). Returns the
+    net.tape at the parts (x_context, tau, condition channels). Returns the
     estimate and the k node passes, which estimate_pseudo_adjoint walks back.
     """
     y = y_start
     nodes = []
     for tau, step, scale in _quad_nodes(k):
         cond = (y - center) * scale  # cond_channels(y, tau, center)
-        rec = net.cond_var(tape, x_context, tau, cond)
+        rec = net.cond_var(x_context, tau, cond)
         nodes.append(rec)
         y = y - step * rec.out
     return y, nodes
 
 
 def estimate_pseudo_adjoint(
-    tape: nn_core.MlpTape,
-    nodes: list[nn_core.RecordedPass],
-    g_y: np.ndarray,
+    net: ScoreNetwork, nodes: list[nn_core.RecordedPass], g_y: np.ndarray
 ) -> None:
     """Backward of estimate_pseudo_var from g_y = dL/d(estimate).
 
     Discretise-then-differentiate (the discrete Neural-ODE adjoint of Chen et
     al. 2018): the Euler steps y_{n+1} = y_n - dt_n / (2 tau_n) * s_n are
     walked from the last node to the first. Node n's score gradient goes
-    through its recorded pass into tape.grads, and the pass's condition
+    through its recorded pass into net.tape.grads, and the pass's condition
     channels carry the rest of dL/dy_n: the backward computes those input
     columns, network.COND_COLS, alone. The start state is a draw, so node 0
     needs no input gradient.
@@ -100,6 +97,6 @@ def estimate_pseudo_adjoint(
     consts = _quad_nodes(len(nodes))
     for node in reversed(range(len(nodes))):
         _, step, scale = consts[node]
-        g_cond = tape.backward(nodes[node], -g_y * step, COND_COLS if node > 0 else None)
+        g_cond = net.tape.backward(nodes[node], -g_y * step, COND_COLS if node > 0 else None)
         if node > 0:
             g_y = g_y + g_cond * scale

@@ -25,15 +25,15 @@ guidance drop rate, the boundary state's std) are constants of this module.
 
 Nor is the precision a setting. The network trains in float32: its
 parameters (ScoreNetwork.create), every recorded pass and its backward, the
-gradient and Adam's moments, which stay local to `train` with the tape. The
-dataset, the table, the EDM sigma columns, the loss sums and the prototypes
-stay float64. A checkpoint holds what sampling reads, and no training state.
+gradient and Adam's moments, which stay local to `train`. The dataset, the
+table, the EDM sigma columns, the loss sums and the prototypes stay float64.
+A checkpoint holds what sampling reads and the table, no optimizer state.
 
-A step allocates no (batch x hidden) arrays once the tape has seen its
-shapes: the tape's workspace holds them and the half-scale parameters, and
-everything smaller is a plain array, such as each pass's trunk input, which
-the network writes in float32. Adam writes the new values into the network's
-parameter array in place, which the tape's views read.
+A step allocates no (batch x hidden) arrays once the network's tape has seen
+its shapes: the tape's workspace holds them and the half-scale parameters,
+and everything smaller is a plain array, such as each pass's trunk input,
+which the network writes in float32. Adam writes the new values into the
+network's parameter array in place, which the tape's views read.
 
 A run given a directory owns it: it writes LOG_FILE there as it goes, and
 CHECKPOINT_FILE when it ends, diverged or not.
@@ -129,7 +129,8 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """What sampling reads, the iteration reached and the config digest."""
+    """What sampling reads, the pseudo table, the iteration reached, the
+    config digest and whether the run diverged (never sampled then)."""
 
     params: nn_core.ParamBundle
     pseudo: np.ndarray  # (N, C) pseudo-condition table
@@ -226,15 +227,14 @@ def loss_step(
     config: TrainConfig,
     draws: IterationDraws,
     iteration: int,
-    tape: nn_core.MlpTape,
     center: np.ndarray | None,
 ) -> tuple[float, float, np.ndarray | None]:
     """The objective's two terms for one batch, `(demo_term, cond_term,
-    y_phi)`, their sum's gradient left in `tape.grads`. `demo_term` is the
-    denoising loss; `cond_term` and the pseudo-condition estimate `y_phi` are
-    0.0 and None outside phase 1. `center` is the table's mean, None for
-    vanilla. Each pass takes the preconditioned point, its noise level and
-    its condition."""
+    y_phi)`, their sum's gradient left in `net.tape.grads`: the step starts
+    the network's tape on its parameters. `demo_term` is the denoising loss;
+    `cond_term` and the pseudo-condition estimate `y_phi` are 0.0 and None
+    outside phase 1. `center` is the table's mean, None for vanilla. Each
+    pass takes the preconditioned point, its noise level and its condition."""
     phase1 = config.in_phase1(iteration)
     x0 = samples.points[draws.idx]
     y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
@@ -255,14 +255,14 @@ def loss_step(
     pre = precondition(draws.sigma, net.sigma_data)
     x_in = pre.c_in * x_t
 
-    tape.start(net.params)
-    demo = net.demo_var(tape, x_in, draws.sigma, np.where(draws.drop, 0.0, cond))
+    net.tape.start(net.params)
+    demo = net.demo_var(x_in, draws.sigma, np.where(draws.drop, 0.0, cond))
     err = edm_residual(demo.out, x_t, pre, x0)
     inv_b = 1.0 / draws.idx.size
     demo_term = ((err * err) * pre.weight).sum() * inv_b
     # The denoising pass goes back first: the order in which the passes add
     # into a layer's gradient fixes its bits.
-    tape.backward(demo, ((inv_b * pre.weight) * (2.0 * err)) * pre.c_out)
+    net.tape.backward(demo, ((inv_b * pre.weight) * (2.0 * err)) * pre.c_out)
 
     y_phi = None
     cond_term = 0.0
@@ -270,19 +270,18 @@ def loss_step(
         # Context = the same noised point the denoiser consumes, already on
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
-            y_phi, nodes = rdc.estimate_pseudo_var(
-                tape, net, x_in, draws.y_start, center, config.quad_nodes
-            )
+            y_phi, nodes = rdc.estimate_pseudo_var(net, x_in, draws.y_start, center,
+                                                   config.quad_nodes)
         else:  # the head at the table row itself, never dropped
-            pc = net.cond_var(tape, x_in, draws.sigma, cond)
+            pc = net.cond_var(x_in, draws.sigma, cond)
             y_phi = pc.out
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b
         g_y = inv_b * (2.0 * diff)
         if config.variant == "pc_rdc":
-            rdc.estimate_pseudo_adjoint(tape, nodes, g_y)
+            rdc.estimate_pseudo_adjoint(net, nodes, g_y)
         else:
-            tape.backward(pc, g_y)
+            net.tape.backward(pc, g_y)
     return float(demo_term), float(cond_term), y_phi
 
 
@@ -307,7 +306,6 @@ def train(
     net = ScoreNetwork.create(config.hidden, config.depth, config.seed)
     table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
     center = None
-    tape = nn_core.MlpTape()
     m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
     digest = config.digest()
@@ -326,11 +324,11 @@ def train(
                 center = table.mean(axis=0)
             draws = draw_iteration(rng, len(samples), config, cond_path)
             demo_term, cond_term, y_phi = loss_step(net, samples, table, config, draws,
-                                                    iteration, tape, center)
+                                                    iteration, center)
             try:
                 if not np.isfinite(demo_term + cond_term):
                     raise nn_core.NonFiniteError("non-finite loss")
-                nn_core.adam_step(net.params, tape.grads, m, v, iteration + 1, config.lr)
+                nn_core.adam_step(net.params, net.tape.grads, m, v, iteration + 1, config.lr)
             except nn_core.NonFiniteError as exc:
                 failure = exc  # the state this iteration started from is intact
                 break
@@ -365,9 +363,9 @@ LOG_FILE = "train.log"
 
 
 def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None:
-    """Write `checkpoint` and its config to `outdir/checkpoint.npz`, an
-    uncompressed np.savez archive of these entries (P parameters, N table
-    rows, C = data.N_CLASSES condition channels):
+    """Write `checkpoint` and its config to `outdir/checkpoint.npz` in an
+    existing `outdir`: an uncompressed np.savez archive of these entries (P
+    parameters, N table rows, C = data.N_CLASSES condition channels):
 
     - `params` (P,) in the parameters' dtype, float32 from `train`, laid out
       as network.layer_shapes lays out the config's hidden and depth;
@@ -382,7 +380,6 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
     a mix, and a failed write leaves no temporary file.
     """
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     entries = {
         "params": checkpoint.params.values,
         "table_entries": checkpoint.pseudo,

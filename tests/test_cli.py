@@ -29,12 +29,6 @@ TINY = [
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-# numpy's overflow and invalid-value warnings, expected where a test drives
-# sampling past the float32 range on purpose; any other RuntimeWarning fails a
-# test. Training reports its own divergence and lets numpy print nothing.
-DIVERGES = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                      "ignore:invalid value encountered:RuntimeWarning")
-
 
 def _set_args():
     return [arg for item in TINY for arg in ("--set", item)]
@@ -138,17 +132,25 @@ class TestReporting:
 
     def test_diverged_train_in_a_fresh_process_prints_one_line(self, tmp_path):
         # No warning filter here: the interpreter's own defaults decide what
-        # numpy's RuntimeWarnings would print.
-        data = tmp_path / "data.csv"
+        # numpy's RuntimeWarnings would print. Training and sampling past the
+        # float32 range each end with their own one line.
+        data, ckpt, out = tmp_path / "data.csv", tmp_path / "ckpt", tmp_path / "samples.csv"
         assert cli.main(["gen-data", "--n-per-class", "20", "--eta", "0.4",
                          "--out", str(data)]) == 0
-        proc = subprocess.run(
-            [sys.executable, "-m", "robustdiff.cli", "train", "--data", str(data),
-             "--out", str(tmp_path / "ckpt"), *_set_args(), "--set", "lr=1e18"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
-        assert proc.returncode == 2
-        err = proc.stderr.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: training diverged:"), err
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), *_set_args()]) == 0
+        cases = [
+            (["train", "--data", str(data), "--out", str(tmp_path / "diverged"), *_set_args(),
+              "--set", "lr=1e18"], r"error: training diverged: .+"),
+            (["sample", "--checkpoint", str(ckpt), "--per-class", "3", "--w", "1e300",
+              "--out", str(out)], re.escape(f"error: {out}: non-finite coordinates, not written")),
+        ]
+        for argv, line in cases:
+            proc = subprocess.run([sys.executable, "-m", "robustdiff.cli", *argv],
+                                  capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": SRC})
+            assert proc.returncode == 2, argv[0]
+            err = proc.stderr.splitlines()
+            assert len(err) == 1 and re.fullmatch(line, err[0]), err
 
     def test_only_main_and_reproduce_write_stderr(self):
         tree = ast.parse(Path(cli.__file__).read_text())
@@ -158,6 +160,23 @@ class TestReporting:
                    and isinstance(node.value, ast.Name) and node.value.id == "sys"}
         assert "main" in writers
         assert writers <= {"main", "cmd_reproduce"}
+
+    def test_numpy_silenced_only_where_the_code_checks_the_result(self):
+        # train checks the loss and Adam's values, and cmd_sample the points
+        # it writes. Elsewhere numpy's warning may be the only sign of trouble:
+        # run_cell does not check its samples.
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            parent = {child: node for node in ast.walk(tree)
+                      for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(tree):
+                if getattr(node, "attr", getattr(node, "id", None)) in ("errstate", "seterr"):
+                    owner = node
+                    while owner in parent and not isinstance(owner, ast.FunctionDef):
+                        owner = parent[owner]
+                    found.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+        assert sorted(found) == ["cli.cmd_sample", "trainer.train"]
 
 
 class TestReproduce:
@@ -394,6 +413,28 @@ class TestReproduce:
         cli.main(_reproduce_args(out))  # total_iters=20: no snapshot
         assert (out / "dynamics.csv").read_text() == "variant,seed,iter,controllability\n"
         assert not (out / "dynamics.svg").exists()
+
+    @pytest.mark.parametrize("variant", trainer.VARIANTS)
+    def test_snapshot_leaves_the_run_bitwise_unchanged(self, variant):
+        # A dynamics snapshot samples the training network as run_cell's
+        # does; the run then ends bitwise as one without snapshots.
+        cfg = TrainConfig(variant=variant, batch_size=16, hidden=8, depth=2, quad_nodes=3,
+                          num_steps=6, total_iters=20, early_stop_iters=10)
+        samples = data_mod.inject_noise(data_mod.make_toy_dataset(20, seed=0),
+                                        data_mod.NoiseSpec("symmetric", 0.4, 1))
+        seen = []
+
+        def snapshot(iteration, net, table):
+            protos = trainer.sampling_prototypes(cfg, table, samples.noisy)
+            seen.append(cli.sample_per_class(net, cfg, 10, 7, None, protos))
+
+        plain = trainer.train(cfg, samples)
+        snapped = trainer.train(cfg, samples, snapshot_every=3, snapshot_cb=snapshot)
+        assert len(seen) == 6
+        for got, want in [(snapped.params.values, plain.params.values),
+                          (snapped.pseudo, plain.pseudo),
+                          (snapped.prototypes, plain.prototypes)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_rerun_into_one_directory_keeps_only_its_own_cells(self, tmp_path):
         out = tmp_path / "r"
@@ -807,7 +848,6 @@ class TestSample:
         assert "usage error: --w must be >= 1 and finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @DIVERGES
     def test_overflowing_guidance_writes_no_samples(self, tmp_path, capsys):
         # A finite scale this large drives the sampler past the float32 range,
         # so the points come out nan; they are refused before the file opens

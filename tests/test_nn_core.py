@@ -131,12 +131,11 @@ class TestTrunkInput:
         # every pass builds its input here, so each one refuses the row
         net = ScoreNetwork.create(hidden=4, depth=2, seed=0)
         x_in, cond = np.zeros((3, X_DIM)), np.zeros((3, width))
-        tape = MlpTape()
-        tape.start(net.params)
+        net.tape.start(net.params)
         for build in (lambda: net.trunk_input(x_in, 1.0, cond),
                       lambda: net.demo_out(x_in, 1.0, cond),
-                      lambda: net.demo_var(tape, x_in, 1.0, cond),
-                      lambda: net.cond_var(tape, x_in, 1.0, cond[0])):
+                      lambda: net.demo_var(x_in, 1.0, cond),
+                      lambda: net.cond_var(x_in, 1.0, cond[0])):
             with pytest.raises(ValueError):
                 build()
 
@@ -179,10 +178,9 @@ class TestMlpForward:
         params = init_params([(7, 16), (16, 16), (16, 2), (16, 4)], seed=0)  # hidden 16, depth 2
         net = ScoreNetwork(params)
         parts = (np.zeros((3, X_DIM)), 1.0, np.zeros(N_CLASSES))
-        tape = MlpTape()
-        tape.start(net.params)
-        demo = net.demo_var(tape, *parts)
-        cond = net.cond_var(tape, *parts)
+        net.tape.start(net.params)
+        demo = net.demo_var(*parts)
+        cond = net.cond_var(*parts)
         assert (demo.layers, cond.layers) == ([0, 1, 2], [0, 1, 3])
         assert demo.out.shape == net.demo_out(*parts).shape == (3, X_DIM)
         assert cond.out.shape == (3, N_CLASSES)
@@ -217,9 +215,8 @@ class TestMlpForward:
         rng = np.random.default_rng(batch)
         net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
         parts = random_parts(rng, batch)
-        tape = MlpTape()
-        tape.start(net.params)
-        rec = net.demo_var(tape, *parts)
+        net.tape.start(net.params)
+        rec = net.demo_var(*parts)
         assert np.array_equal(net.trunk_features(*parts), rec.h[-1])
         assert np.array_equal(net.demo_out(*parts), rec.out)
 

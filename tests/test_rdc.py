@@ -32,9 +32,8 @@ def random_net(seed=0, hidden=10, depth=2, create=ScoreNetwork.create):
 def condition_head(net, x, t, y):
     """The condition head at (x, t, y) through the recorded pass the training
     step makes (network.cond_var)."""
-    tape = nn_core.MlpTape()
-    tape.start(net.params)
-    return net.cond_var(tape, x, t, cond_channels(y, t, ZERO)).out
+    net.tape.start(net.params)
+    return net.cond_var(x, t, cond_channels(y, t, ZERO)).out
 
 
 class TestCondChannels:
@@ -106,10 +105,9 @@ class TestConditionScoreHead:
 
 
 def recorded_estimate(net, x_ctx, y0, k):
-    """rdc.estimate_pseudo_var on a fresh tape, zero center: the estimate alone."""
-    tape = nn_core.MlpTape()
-    tape.start(net.params)
-    return estimate_pseudo_var(tape, net, x_ctx, y0, ZERO, k)[0]
+    """rdc.estimate_pseudo_var on a started tape, zero center: the estimate alone."""
+    net.tape.start(net.params)
+    return estimate_pseudo_var(net, x_ctx, y0, ZERO, k)[0]
 
 
 class TestEstimatePseudo:
@@ -174,9 +172,8 @@ class TestEstimatePseudo:
         x_ctx = rng.normal(size=(5, 2))
         y0 = rng.normal(size=(5, 4))
         fast = estimate_pseudo(head_field(net, ZERO), x_ctx, y0, 6)
-        tape = nn_core.MlpTape()
-        tape.start(net.params)
-        slow, nodes = estimate_pseudo_var(tape, net, x_ctx, y0, ZERO, 6)
+        net.tape.start(net.params)
+        slow, nodes = estimate_pseudo_var(net, x_ctx, y0, ZERO, 6)
         assert np.allclose(fast, slow, rtol=1e-12)
         assert len(nodes) == 6
 
@@ -187,11 +184,10 @@ class TestEstimatePseudo:
         y0 = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))
 
-        tape = nn_core.MlpTape()
-        tape.start(net.params)
-        y_phi, nodes = estimate_pseudo_var(tape, net, x_ctx, y0, ZERO, 4)
-        estimate_pseudo_adjoint(tape, nodes, 2.0 * (y_phi - target) / 3.0)
-        g = tape.grads
+        net.tape.start(net.params)
+        y_phi, nodes = estimate_pseudo_var(net, x_ctx, y0, ZERO, 4)
+        estimate_pseudo_adjoint(net, nodes, 2.0 * (y_phi - target) / 3.0)
+        g = net.tape.grads
 
         def loss():  # through the numpy quadrature, independent of the tape
             y = estimate_pseudo(head_field(net, ZERO), x_ctx, y0, 4)

@@ -146,15 +146,14 @@ class TestTrain:
             hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed
         )
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(cfg.seed + 1)
         losses = []
         for it in range(cfg.total_iters):
             draws = draw_iteration(rng, len(samples), cfg, False)
-            demo_term, _, _ = loss_step(net, samples, table, cfg, draws, it, tape, None)
+            demo_term, _, _ = loss_step(net, samples, table, cfg, draws, it, None)
             losses.append(demo_term)
-            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            nn_core.adam_step(net.params, net.tape.grads, m, v, it + 1, cfg.lr)
         assert np.mean(losses[-100:]) < np.mean(losses[:100])
 
     def test_pc_rdc_writes_table_and_vanilla_does_not_read(self):
@@ -169,12 +168,11 @@ class TestTrain:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=2)
         draws = draw_iteration(np.random.default_rng(4), len(samples), cfg, False)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        tape = nn_core.MlpTape()
-        loss_step(net, samples, table, cfg, draws, 0, tape, None)
-        want = tape.grads.copy()
+        loss_step(net, samples, table, cfg, draws, 0, None)
+        want = net.tape.grads.copy()
         table[:] = np.nan
-        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0, tape, None)
-        assert np.isfinite(demo_term + cond_term) and np.array_equal(tape.grads, want)
+        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0, None)
+        assert np.isfinite(demo_term + cond_term) and np.array_equal(net.tape.grads, want)
 
     def test_phase_boundary_no_updates_after_budget(self):
         samples = tiny_dataset()
@@ -192,14 +190,13 @@ class TestTrain:
         samples = tiny_dataset()
         net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.seed)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(cfg.seed + 1)
         for it in range(cfg.total_iters):
             cond_path = cfg.in_phase1(it)
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            _, _, y_phi = loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
-            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            _, _, y_phi = loss_step(net, samples, table, cfg, draws, it, table.mean(axis=0))
+            nn_core.adam_step(net.params, net.tape.grads, m, v, it + 1, cfg.lr)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, y_phi, cfg.alpha)
         ckpt = train(cfg, samples)
@@ -215,10 +212,9 @@ class TestTrain:
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         rng = np.random.default_rng(0)
         draws = draw_iteration(rng, len(samples), cfg, False)
-        tape = nn_core.MlpTape()
-        _, cond_term, _ = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters, tape,
+        _, cond_term, _ = loss_step(net, samples, table, cfg, draws, cfg.early_stop_iters,
                                     table.mean(axis=0))
-        w_grad, b_grad = net.params.layers(tape.grads)[COND_HEAD]
+        w_grad, b_grad = net.params.layers(net.tape.grads)[COND_HEAD]
         assert not np.any(w_grad) and not np.any(b_grad)
         assert cond_term == 0.0
 
@@ -259,8 +255,7 @@ class TestLossStep:
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = draw_iteration(np.random.default_rng(1), len(samples), cfg, False)
-        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0,
-                                            nn_core.MlpTape(), None)
+        demo_term, cond_term, _ = loss_step(net, samples, table, cfg, draws, 0, None)
         assert demo_term + cond_term == demo_term
         assert cond_term == 0.0
         # independent recomputation through the reference loss
@@ -280,18 +275,17 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        tape = nn_core.MlpTape()
-        record, passes, steps = tape.record, [], []
+        record, passes, steps = net.tape.record, [], []
 
         def spy(*args):
             passes.append(record(*args))
             return passes[-1]
 
-        monkeypatch.setattr(tape, "record", spy)
+        monkeypatch.setattr(net.tape, "record", spy)
         for it in range(2):
             passes.clear()
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
-            loss_step(net, samples, table, cfg, draws, it, tape, table.mean(axis=0))
+            loss_step(net, samples, table, cfg, draws, it, table.mean(axis=0))
             assert len(passes) == 1 + cfg.quad_nodes  # the denoising pass, then the nodes
             steps.append([rec.h + rec.dact for rec in passes])
             assert len({tuple(map(id, acts)) for acts in steps[-1]}) == cfg.quad_nodes
@@ -310,8 +304,7 @@ class TestLossStep:
         table[:] = rng0.normal(0, 0.2, table.shape)
         draws = draw_iteration(np.random.default_rng(2), len(samples), cfg, True)
         center = table.mean(axis=0)
-        demo_term, cond_term, got_y_phi = loss_step(net, samples, table, cfg, draws, 0,
-                                                    nn_core.MlpTape(), center)
+        demo_term, cond_term, got_y_phi = loss_step(net, samples, table, cfg, draws, 0, center)
 
         # hand path: centered, mirrored, scaled condition into dsm_loss
         sig_c = diffusion.mirror_sigma(draws.sigma)
@@ -346,19 +339,18 @@ class TestLossStep:
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         table[:] = rng0.normal(0, 0.3, table.shape)
         draws = draw_iteration(np.random.default_rng(3), len(samples), cfg, True)
-        tape = nn_core.MlpTape()
         center = table.mean(axis=0)
-        loss_step(net, samples, table, cfg, draws, 0, tape, center)
-        grads = tape.grads
+        loss_step(net, samples, table, cfg, draws, 0, center)
+        grads = net.tape.grads
 
         base = net.params.values.copy()
         fd = np.zeros_like(base)
         h = 1e-5
         for i in range(base.size):
             net.params.values[i] = base[i] + h
-            up = sum(loss_step(net, samples, table, cfg, draws, 0, tape, center)[:2])
+            up = sum(loss_step(net, samples, table, cfg, draws, 0, center)[:2])
             net.params.values[i] = base[i] - h
-            dn = sum(loss_step(net, samples, table, cfg, draws, 0, tape, center)[:2])
+            dn = sum(loss_step(net, samples, table, cfg, draws, 0, center)[:2])
             net.params.values[i] = base[i]
             fd[i] = (up - dn) / (2 * h)
         scale = np.maximum(np.maximum(np.abs(grads), np.abs(fd)), 1e-6)
@@ -378,15 +370,15 @@ class TestLossStep:
         table = np.random.default_rng(3).normal(0, 0.3, (len(samples), data_mod.N_CLASSES))
         center = None if variant == "vanilla" else table.mean(axis=0)
         draws = draw_iteration(np.random.default_rng(7), len(samples), cfg, cfg.in_phase1(0))
-        tape, tape64 = nn_core.MlpTape(), nn_core.MlpTape()
-        _, _, got = loss_step(net, samples, table, cfg, draws, 0, tape, center)
-        _, _, want = loss_step(net64, samples, table, cfg, draws, 0, tape64, center)
-        assert (tape.grads.dtype, tape64.grads.dtype) == (np.float32, np.float64)
+        _, _, got = loss_step(net, samples, table, cfg, draws, 0, center)
+        _, _, want = loss_step(net64, samples, table, cfg, draws, 0, center)
+        grads, grads64 = net.tape.grads, net64.tape.grads
+        assert (grads.dtype, grads64.dtype) == (np.float32, np.float64)
 
         def rel_l2(a, b):
             return np.linalg.norm(a - b) / np.linalg.norm(b)
 
-        assert rel_l2(tape.grads, tape64.grads) <= 1e-5
+        assert rel_l2(grads, grads64) <= 1e-5
         if variant == "pc_rdc":
             assert rel_l2(got, want) <= 1e-5
 
@@ -398,23 +390,23 @@ class TestLossStep:
         net.params.values[:] = np.random.default_rng(8).normal(0, 0.3, net.params.values.size)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
         draws = [draw_iteration(np.random.default_rng(s), len(samples), cfg, True) for s in (1, 2)]
-        tape = nn_core.MlpTape()
         center = table.mean(axis=0)
-        *first_terms, first_y_phi = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
-        first_grads = tape.grads
+        *first_terms, first_y_phi = loss_step(net, samples, table, cfg, draws[0], 0, center)
+        first_grads = net.tape.grads
         grads, y_phi = first_grads.copy(), first_y_phi.copy()
-        loss_step(net, samples, table, cfg, draws[1], 0, tape, center)
+        loss_step(net, samples, table, cfg, draws[1], 0, center)
         assert np.array_equal(first_grads, grads)
         assert np.array_equal(first_y_phi, y_phi)
-        *again_terms, _ = loss_step(net, samples, table, cfg, draws[0], 0, tape, center)
-        assert np.array_equal(tape.grads, grads) and sum(again_terms) == sum(first_terms)
-        # batch 3 then 4 on one tape gives what a fresh tape gives
+        *again_terms, _ = loss_step(net, samples, table, cfg, draws[0], 0, center)
+        assert np.array_equal(net.tape.grads, grads) and sum(again_terms) == sum(first_terms)
+        # batch 3 then 4 on one tape gives what a fresh tape gives: that of a
+        # network over the same parameters, which has its own
         cfg4 = tiny_config(batch_size=4)
         draws4 = draw_iteration(np.random.default_rng(3), len(samples), cfg4, True)
-        fresh = nn_core.MlpTape()
-        _, _, got = loss_step(net, samples, table, cfg4, draws4, 0, tape, center)
-        _, _, want = loss_step(net, samples, table, cfg4, draws4, 0, fresh, center)
-        assert np.array_equal(tape.grads, fresh.grads)
+        fresh = replace(net)
+        _, _, got = loss_step(net, samples, table, cfg4, draws4, 0, center)
+        _, _, want = loss_step(fresh, samples, table, cfg4, draws4, 0, center)
+        assert np.array_equal(net.tape.grads, fresh.tape.grads)
         assert np.array_equal(got, want)
 
     def test_loss_finite_through_run(self):
@@ -422,18 +414,17 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=cfg.seed)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        tape = nn_core.MlpTape()
         m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
         rng = np.random.default_rng(5)
         for it in range(cfg.total_iters):
             cond_path = it < cfg.early_stop_iters
             draws = draw_iteration(rng, len(samples), cfg, cond_path)
-            demo_term, cond_term, y_phi = loss_step(net, samples, table, cfg, draws, it, tape,
+            demo_term, cond_term, y_phi = loss_step(net, samples, table, cfg, draws, it,
                                                     table.mean(axis=0))
             assert np.isfinite(demo_term + cond_term)
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, y_phi, cfg.alpha)
-            nn_core.adam_step(net.params, tape.grads, m, v, it + 1, cfg.lr)
+            nn_core.adam_step(net.params, net.tape.grads, m, v, it + 1, cfg.lr)
 
 
 class TestPrototypes:
@@ -580,6 +571,7 @@ class TestCheckpointIO:
         _, cfg2, loaded = load_checkpoint(tmp_path / "run")
         assert cfg2 == cfg
         assert loaded.diverged and str(err.value).endswith(f"at iteration {loaded.iteration}")
+        (tmp_path / "again").mkdir()
         save_checkpoint(tmp_path / "again", loaded, cfg)
         _, _, again = load_checkpoint(tmp_path / "again")
         assert again.diverged
