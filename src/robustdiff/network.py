@@ -17,9 +17,9 @@ parameters, its trunk input written in that dtype. `create` makes float32
 parameters, the one precision that training and sampling run in.
 
 The trunk layers run nn_core.silu_layer on the parameters times 0.5 (the
-tape halves them once per step, `trunk_features` on every call), and the
-heads on the full ones: bitwise the full-scale features unless an
-intermediate is subnormal.
+tape, built on `params` with the network, halves them once per step,
+`trunk_features` on every call), and the heads on the full ones: bitwise
+the full-scale features unless an intermediate is subnormal.
 
 The off-tape forward (sampling) writes its trunk input and activations into
 the network's own nn_core.Workspace, which lives as long as the network (a
@@ -36,7 +36,7 @@ import numpy as np
 
 from . import nn_core
 from .data import N_CLASSES, SIGMA_DATA, X_DIM
-from .nn_core import MlpTape, ParamBundle, RecordedPass, Workspace
+from .nn_core import MlpTape, ParamBundle, Workspace
 
 # Trunk input: the point, the noise channel and the condition channels.
 IN_DIM = X_DIM + 1 + N_CLASSES
@@ -62,14 +62,18 @@ def c_noise(sigma):
 class ScoreNetwork:
     """The network's parameters, laid out as layer_shapes lays them out, and
     its EDM sigma_data: all that sampling reads. A training step records its
-    passes on the network's own `tape`, started on `params`."""
+    passes on the network's own `tape`, built on `params` with the network
+    (a network over the same parameters has its own)."""
 
     params: ParamBundle
     # Always data.SIGMA_DATA in production; a field while perfbench/run.py
     # passes it (ROADMAP direction 1(a)).
     sigma_data: float = SIGMA_DATA
-    tape: MlpTape = field(default_factory=MlpTape, init=False, repr=False, compare=False)
+    tape: MlpTape = field(init=False, repr=False, compare=False)
     _ws: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.tape = MlpTape(self.params)
 
     @classmethod
     def create(cls, hidden: int, depth: int, seed: int) -> "ScoreNetwork":
@@ -118,16 +122,17 @@ class ScoreNetwork:
 
     # -- recorded paths (training step) --------------------------------------
 
-    def _record(self, head: int, x_in, sigma, cond) -> RecordedPass:
-        """Record a pass through every layer but the heads, then `head`, on `tape`."""
+    def _record(self, head: int, x_in, sigma, cond) -> np.ndarray:
+        """Record a pass through every layer but the heads, then `head`, on
+        `tape`; returns the head's output."""
         n = len(self.params.layer_shapes)
         return self.tape.record(self.trunk_input(x_in, sigma, cond),
                                 [*range(n + DEMO_HEAD), n + head])
 
-    def demo_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
-        """Record a trunk + demonstration-head pass on `tape`."""
+    def demo_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+        """Record a trunk + demonstration-head pass on `tape`; returns the head's output."""
         return self._record(DEMO_HEAD, x_in, sigma, cond)
 
-    def cond_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> RecordedPass:
-        """Record a trunk + condition-head pass on `tape`."""
+    def cond_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+        """Record a trunk + condition-head pass on `tape`; returns the head's output."""
         return self._record(COND_HEAD, x_in, sigma, cond)

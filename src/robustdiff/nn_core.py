@@ -10,14 +10,15 @@ differences are a valid oracle. Parameters of a network live in one flat
 array; `ParamBundle.layers`, the one reading of its layout, gives per-layer
 weight/bias views of it or of a gradient, so the optimizer and checkpointing
 never have to know the layer structure. `adam_step` writes the new values
-into that array in place, so a tape binds its views of the parameters once
-and they stay current across steps. `silu_layer` is the one SiLU layer: the
-recorded passes of a training step and the network's off-tape forward
-(sampling) both run it, into arrays kept in a `Workspace`: a tape has its
-own, holding the half-scale parameters and the (rows x hidden) arrays, and
+into that array in place, so a tape, built on one ParamBundle, binds its
+views of the parameters once and they stay current across steps.
+`silu_layer` is the one SiLU layer: the recorded passes of a training step
+and the network's off-tape forward (sampling) both run it, into arrays kept
+in a `Workspace`: a tape has its own for the (rows x hidden) arrays, and
 everything smaller is a plain array. A network has a tape of its own for its
-training step, and a Workspace for its off-tape forward. A step walks its
-recorded passes back last-in first-out, adding each into one zeroed gradient.
+training step, and a Workspace for its off-tape forward. The tape is a
+stack: a step walks its recorded passes back last-in first-out, with no
+handle to name them, adding each into one zeroed gradient.
 
 The SiLU layers run on half-scale parameters (the parameters times 0.5),
 which saves two elementwise passes per layer: `silu_layer`'s scratch `s`
@@ -158,75 +159,72 @@ class RecordedPass:
     """What the backward of one pass reads.
 
     The pass ran `x` through `layers` in order: SiLU layers, then one linear
-    readout whose value is `out`. `h[j]` and `dact[j]` are the SiLU output and
-    twice the SiLU derivative of layers[j], as `silu_layer` gives them. They
-    are buffers of the tape that recorded the pass, held until the pass is
-    walked back; the walk overwrites `dact`, and the buffers then go to the
-    tape's next `record`.
+    readout. `h[j]` and `dact[j]` are the SiLU output and twice the SiLU
+    derivative of layers[j], as `silu_layer` gives them. They are buffers of
+    the tape that recorded the pass, held until the pass is walked back; the
+    walk overwrites `dact`, and the buffers then go to the tape's next
+    `record`.
     """
 
     layers: list[int]
     x: np.ndarray
     h: list[np.ndarray]
     dact: list[np.ndarray]
-    out: np.ndarray
 
 
 class MlpTape:
-    """Passes recorded through one ParamBundle, and the gradient they give.
+    """A stack of passes recorded through one ParamBundle, and the gradient
+    they give.
 
-    One step calls `start`, then `record` once per pass and `backward` once
-    on each pass that reaches the loss. The live passes (recorded, not yet
-    walked back) form a stack: `backward` takes only the last one, and the
-    n-th live pass holds the n-th set of activation buffers (its `h` and
-    `dact`). `start` zeroes `grads`; each `backward` adds its pass's weight
-    and bias gradients into it.
+    The tape binds its views of the parameters, and of a half-scale copy of
+    them, when it is built: `adam_step` writes the new values into the same
+    array, so the views read them. One step calls `start`, then `record`
+    once per pass and `backward` once per recorded pass. The live passes
+    (recorded, not yet walked back) form a stack: `backward` walks back the
+    last one, and the n-th live pass holds the n-th set of activation
+    buffers (its `h` and `dact`). `start` makes `grads` a fresh zero array,
+    so a step's gradient outlives the next step; each `backward` adds its
+    pass's weight and bias gradients into it.
 
-    The SiLU layers run on half-scale parameters: `start` writes values * 0.5
-    into a tape buffer, whose views `record` reads for every layer but a
-    pass's readout. The walk back carries twice dL/dz through each SiLU
+    The SiLU layers run on half-scale parameters: `start` rewrites values *
+    0.5 into the tape's copy, whose views `record` reads for every layer but
+    a pass's readout. The walk back carries twice dL/dz through each SiLU
     layer, so its weight and bias gradient products are scaled by 0.5 before
     they add into `grads`, and its input gradient is (2 dL/dz) @ (w / 2).T =
     dL/dz @ w.T, bitwise the full-scale ones unless an intermediate is
     subnormal.
 
-    The tape's Workspace holds the half-scale parameters and the (rows x
-    hidden) arrays `h`, `dact`, `sigmoid` and `g`, so a step allocates none
-    of those once the batch size and the parameters' dtype stop changing.
-    Everything smaller is a plain array: a pass's input, the gradient
-    products and `grads`, fresh per step. The views of the parameters and of
-    their halves are bound once per values array: `adam_step` writes the new
-    values into it, so the same views read them, and `start` rewrites the
-    halves in place. Every buffer, `grads` and a pass's output have the
-    parameters' dtype; `record` takes its input in that dtype (ScoreNetwork
-    writes it so).
+    The tape's Workspace holds the (rows x hidden) arrays `h`, `dact`,
+    `sigmoid` and `g`, so a step allocates none of those once the batch size
+    stops changing. Everything smaller is a plain array: a pass's input and
+    output, the gradient products and `grads`. Every buffer, `grads` and a
+    pass's output have the parameters' dtype; `record` takes its input in
+    that dtype (ScoreNetwork writes it so).
     """
 
-    def __init__(self):
+    def __init__(self, params: ParamBundle):
+        self._params = params
+        self._layers = params.layers()  # (w, b) views of params
+        self._half = params.values * 0.5  # rewritten by every start
+        self._half_layers = params.layers(self._half)  # the same views of params / 2
         self.grads: np.ndarray | None = None
-        self._values: np.ndarray | None = None  # the parameter array _layers views
-        self._layers: list[tuple[np.ndarray, np.ndarray]] = []  # (w, b) views of params
-        self._half_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of params / 2
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
         self._live: list[RecordedPass] = []
         self._buffers = Workspace()
 
-    def start(self, params: ParamBundle) -> None:
-        """Begin a step on `params` with an all-zero gradient and no live pass."""
-        self.grads = np.zeros_like(params.values)
-        half = np.multiply(params.values, 0.5, out=self._buffer("half", params.values.shape))
-        if params.values is not self._values:
-            self._values = params.values
-            self._layers = params.layers()
-            self._half_layers = params.layers(half)
-        self._grad_layers = params.layers(self.grads)
+    def start(self) -> None:
+        """Begin a step with an all-zero gradient and no live pass."""
+        self.grads = np.zeros_like(self._half)
+        np.multiply(self._params.values, 0.5, out=self._half)
+        self._grad_layers = self._params.layers(self.grads)
         self._live = []
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        return self._buffers(key, shape, self.grads.dtype)
+        return self._buffers(key, shape, self._half.dtype)
 
-    def record(self, x: np.ndarray, layers: Sequence[int]) -> RecordedPass:
-        """Run x through `layers`, SiLU on all but the last, and record it."""
+    def record(self, x: np.ndarray, layers: Sequence[int]) -> np.ndarray:
+        """Run x through `layers`, SiLU on all but the last, record the pass
+        and return its output."""
         n = len(self._live)
         h, hs, dacts = x, [], []
         for j, k in enumerate(layers[:-1]):
@@ -236,26 +234,21 @@ class MlpTape:
             h = silu_layer(h, w, b, self._buffer(("h", n, j), shape),
                            self._buffer("sigmoid", shape), dacts[-1])
             hs.append(h)
+        self._live.append(RecordedPass(list(layers), x, hs, dacts))
         w, b = self._layers[layers[-1]]
-        self._live.append(RecordedPass(list(layers), x, hs, dacts, h @ w + b))
-        return self._live[-1]
+        return h @ w + b
 
-    def backward(
-        self, rec: RecordedPass, g_out: np.ndarray, input_cols: slice | None = None
-    ) -> np.ndarray | None:
-        """Walk `rec` in reverse from g_out = dL/d(rec.out).
+    def backward(self, g_out: np.ndarray, input_cols: slice | None = None) -> np.ndarray | None:
+        """Walk the last live pass in reverse from g_out = dL/d(its output).
 
         Adds the pass's weight and bias gradients into `grads` and frees its
-        buffers. Returns the columns `input_cols` of dL/d(rec.x), and computes
-        no other column, when they are given; otherwise None. g_out is cast to
-        the parameters' dtype first. Each SiLU layer's gradient, twice dL/dz,
-        is formed in place in the pass's `dact`. `rec` must be the last live
-        pass of this step (ValueError otherwise).
+        buffers. Returns the columns `input_cols` of dL/d(its input), and
+        computes no other column, when they are given; otherwise None. g_out
+        is cast to the parameters' dtype first. Each SiLU layer's gradient,
+        twice dL/dz, is formed in place in the pass's `dact`. Raises
+        IndexError when no pass is live.
         """
-        if not self._live or self._live[-1] is not rec:
-            raise ValueError("passes go back last-in first-out: this one was walked back already, "
-                             "belongs to an earlier step or was recorded before a live pass")
-        self._live.pop()
+        rec = self._live.pop()
         inputs = [rec.x] + rec.h
         g = np.asarray(g_out, dtype=self.grads.dtype)
         ones = np.ones(len(g), g.dtype)  # bias gradient = ones @ g

@@ -24,7 +24,6 @@ import functools
 
 import numpy as np
 
-from . import nn_core
 from .diffusion import RHO, WARP_MAX, WARP_MIN, mirror_sigma
 from .network import COND_COLS, ScoreNetwork
 
@@ -61,42 +60,38 @@ def estimate_pseudo_var(
     y_start: np.ndarray,
     center: np.ndarray,
     k: int,
-) -> tuple[np.ndarray, list[nn_core.RecordedPass]]:
+) -> np.ndarray:
     """Deterministic pseudo-condition estimate, batched.
 
     Solves d y / dt = -s(y_t, t) / (2t), where s is the condition head at the
     context `x_context` (B, X_DIM) on the trunk's preconditioned point scale,
     from the random boundary state `y_start` (B, C) up to t = T with k Euler
     nodes on [SIGMA_MIN, T]. Each node's condition-head pass is recorded on
-    net.tape at the parts (x_context, tau, condition channels). Returns the
-    estimate and the k node passes, which estimate_pseudo_adjoint walks back.
+    net.tape at the parts (x_context, tau, condition channels), so the k
+    node passes are the tape's last k; estimate_pseudo_adjoint walks them
+    back. Returns the estimate.
     """
     y = y_start
-    nodes = []
     for tau, step, scale in _quad_nodes(k):
         cond = (y - center) * scale  # cond_channels(y, tau, center)
-        rec = net.cond_var(x_context, tau, cond)
-        nodes.append(rec)
-        y = y - step * rec.out
-    return y, nodes
+        y = y - step * net.cond_var(x_context, tau, cond)
+    return y
 
 
-def estimate_pseudo_adjoint(
-    net: ScoreNetwork, nodes: list[nn_core.RecordedPass], g_y: np.ndarray
-) -> None:
-    """Backward of estimate_pseudo_var from g_y = dL/d(estimate).
+def estimate_pseudo_adjoint(net: ScoreNetwork, k: int, g_y: np.ndarray) -> None:
+    """Backward of estimate_pseudo_var with k nodes from g_y = dL/d(estimate).
 
     Discretise-then-differentiate (the discrete Neural-ODE adjoint of Chen et
     al. 2018): the Euler steps y_{n+1} = y_n - dt_n / (2 tau_n) * s_n are
-    walked from the last node to the first. Node n's score gradient goes
-    through its recorded pass into net.tape.grads, and the pass's condition
-    channels carry the rest of dL/dy_n: the backward computes those input
-    columns, network.COND_COLS, alone. The start state is a draw, so node 0
-    needs no input gradient.
+    walked from the last node to the first, as the tape's stack hands the
+    node passes back. Node n's score gradient goes through its pass into
+    net.tape.grads, and the pass's condition channels carry the rest of
+    dL/dy_n: the backward computes those input columns, network.COND_COLS,
+    alone. The start state is a draw, so node 0 needs no input gradient.
     """
-    consts = _quad_nodes(len(nodes))
-    for node in reversed(range(len(nodes))):
+    consts = _quad_nodes(k)
+    for node in reversed(range(k)):
         _, step, scale = consts[node]
-        g_cond = net.tape.backward(nodes[node], -g_y * step, COND_COLS if node > 0 else None)
+        g_cond = net.tape.backward(-g_y * step, COND_COLS if node > 0 else None)
         if node > 0:
             g_y = g_y + g_cond * scale

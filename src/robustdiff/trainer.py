@@ -30,10 +30,10 @@ table, the EDM sigma columns, the loss sums and the prototypes stay float64.
 A checkpoint holds what sampling reads and the table, no optimizer state.
 
 A step allocates no (batch x hidden) arrays once the network's tape has seen
-its shapes: the tape's workspace holds them and the half-scale parameters,
-and everything smaller is a plain array, such as each pass's trunk input,
-which the network writes in float32. Adam writes the new values into the
-network's parameter array in place, which the tape's views read.
+its shapes: the tape's workspace holds them, the tape itself the half-scale
+parameters, and everything smaller is a plain array, such as each pass's
+trunk input, which the network writes in float32. Adam writes the new values
+into the network's parameter array in place, which the tape's views read.
 
 A run given a directory owns it: it writes LOG_FILE there as it goes, and
 CHECKPOINT_FILE when it ends, diverged or not.
@@ -231,10 +231,11 @@ def loss_step(
 ) -> tuple[float, float, np.ndarray | None]:
     """The objective's two terms for one batch, `(demo_term, cond_term,
     y_phi)`, their sum's gradient left in `net.tape.grads`: the step starts
-    the network's tape on its parameters. `demo_term` is the denoising loss;
-    `cond_term` and the pseudo-condition estimate `y_phi` are 0.0 and None
-    outside phase 1. `center` is the table's mean, None for vanilla. Each
-    pass takes the preconditioned point, its noise level and its condition."""
+    the network's tape and walks back every pass it records. `demo_term` is
+    the denoising loss; `cond_term` and the pseudo-condition estimate `y_phi`
+    are 0.0 and None outside phase 1. `center` is the table's mean, None for
+    vanilla. Each pass takes the preconditioned point, its noise level and
+    its condition."""
     phase1 = config.in_phase1(iteration)
     x0 = samples.points[draws.idx]
     y_til = _ONE_HOT[samples.noisy[draws.idx]]  # one-hot noisy labels
@@ -255,14 +256,14 @@ def loss_step(
     pre = precondition(draws.sigma, net.sigma_data)
     x_in = pre.c_in * x_t
 
-    net.tape.start(net.params)
+    net.tape.start()
     demo = net.demo_var(x_in, draws.sigma, np.where(draws.drop, 0.0, cond))
-    err = edm_residual(demo.out, x_t, pre, x0)
+    err = edm_residual(demo, x_t, pre, x0)
     inv_b = 1.0 / draws.idx.size
     demo_term = ((err * err) * pre.weight).sum() * inv_b
     # The denoising pass goes back first: the order in which the passes add
     # into a layer's gradient fixes its bits.
-    net.tape.backward(demo, ((inv_b * pre.weight) * (2.0 * err)) * pre.c_out)
+    net.tape.backward(((inv_b * pre.weight) * (2.0 * err)) * pre.c_out)
 
     y_phi = None
     cond_term = 0.0
@@ -270,18 +271,16 @@ def loss_step(
         # Context = the same noised point the denoiser consumes, already on
         # the preconditioned scale for its own noise level.
         if config.variant == "pc_rdc":
-            y_phi, nodes = rdc.estimate_pseudo_var(net, x_in, draws.y_start, center,
-                                                   config.quad_nodes)
+            y_phi = rdc.estimate_pseudo_var(net, x_in, draws.y_start, center, config.quad_nodes)
         else:  # the head at the table row itself, never dropped
-            pc = net.cond_var(x_in, draws.sigma, cond)
-            y_phi = pc.out
+            y_phi = net.cond_var(x_in, draws.sigma, cond)
         diff = y_phi - y_til
         cond_term = (diff * diff).sum() * inv_b
         g_y = inv_b * (2.0 * diff)
         if config.variant == "pc_rdc":
-            rdc.estimate_pseudo_adjoint(net, nodes, g_y)
+            rdc.estimate_pseudo_adjoint(net, config.quad_nodes, g_y)
         else:
-            net.tape.backward(pc, g_y)
+            net.tape.backward(g_y)
     return float(demo_term), float(cond_term), y_phi
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustdiff import trainer
+from robustdiff import nn_core, trainer
 
 
 def _edit_archive(ckpt_dir, drop=(), **entries):
@@ -20,3 +20,17 @@ def _edit_archive(ckpt_dir, drop=(), **entries):
 @pytest.fixture
 def edit_archive():
     return _edit_archive
+
+
+@pytest.fixture
+def silu_calls(monkeypatch):
+    """(x, out, dact) of every nn_core.silu_layer call from here on, in call
+    order: the arrays a tape hands each layer of a pass it records."""
+    calls, layer = [], nn_core.silu_layer
+
+    def spy(x, w_half, b_half, out, s, dact=None):
+        calls.append((x, out, dact))
+        return layer(x, w_half, b_half, out, s, dact)
+
+    monkeypatch.setattr(nn_core, "silu_layer", spy)
+    return calls

@@ -828,6 +828,18 @@ class TestImports:
                              check=True, env={**os.environ, "PYTHONPATH": SRC})
         assert out.stdout.strip() == "[]"
 
+    def test_package_needs_only_the_standard_library_and_numpy(self):
+        # The north star's "no runtime dependency beyond numpy", as a check.
+        found = set()
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found |= {alias.name.split(".")[0] for alias in node.names}
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add(node.module.split(".")[0])
+        assert "numpy" in found
+        assert found - set(sys.stdlib_module_names) <= {"numpy", "robustdiff"}
+
 
 class TestSample:
     def test_guidance_below_one_is_usage_error(self, tmp_path, capsys):

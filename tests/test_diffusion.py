@@ -168,14 +168,15 @@ class TestCfgScore:
         assert np.array_equal(s_u + 1.5 * (s_c - s_u), np.array([4.0, 0.0]))
 
     def test_matches_two_call_combination(self):
+        # bit for bit, so a sampler that batches the two branches must keep the bits
         net = random_net(8)
-        x = np.array([[-0.3, 0.9]])
+        x = np.random.default_rng(8).normal(size=(6, X_DIM))
         cond = np.array([0.0, 0.0, 1.0, 0.0])
         for w in (1.5, 2.0, 3.0):
-            got = (guided(net, cond, w)(x, 0.7) - x) / 0.7**2
-            s_c = score(net, x, 0.7, cond)
-            s_u = score(net, x, 0.7, UNCOND)
-            assert np.allclose(got, s_u + w * (s_c - s_u), rtol=1e-12)
+            got = guided(net, cond, w)(x, 0.7)
+            d_c = denoise(net, x, 0.7, cond)
+            d_u = denoise(net, x, 0.7, UNCOND)
+            assert np.array_equal(got, d_u + w * (d_c - d_u))
 
     def test_zero_uncond_linearity(self):
         # when the unconditional score is exactly zero, w scales the conditional

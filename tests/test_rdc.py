@@ -32,8 +32,8 @@ def random_net(seed=0, hidden=10, depth=2, create=ScoreNetwork.create):
 def condition_head(net, x, t, y):
     """The condition head at (x, t, y) through the recorded pass the training
     step makes (network.cond_var)."""
-    net.tape.start(net.params)
-    return net.cond_var(x, t, cond_channels(y, t, ZERO)).out
+    net.tape.start()
+    return net.cond_var(x, t, cond_channels(y, t, ZERO))
 
 
 class TestCondChannels:
@@ -105,9 +105,9 @@ class TestConditionScoreHead:
 
 
 def recorded_estimate(net, x_ctx, y0, k):
-    """rdc.estimate_pseudo_var on a started tape, zero center: the estimate alone."""
-    net.tape.start(net.params)
-    return estimate_pseudo_var(net, x_ctx, y0, ZERO, k)[0]
+    """rdc.estimate_pseudo_var on a started tape, zero center."""
+    net.tape.start()
+    return estimate_pseudo_var(net, x_ctx, y0, ZERO, k)
 
 
 class TestEstimatePseudo:
@@ -172,10 +172,13 @@ class TestEstimatePseudo:
         x_ctx = rng.normal(size=(5, 2))
         y0 = rng.normal(size=(5, 4))
         fast = estimate_pseudo(head_field(net, ZERO), x_ctx, y0, 6)
-        net.tape.start(net.params)
-        slow, nodes = estimate_pseudo_var(net, x_ctx, y0, ZERO, 6)
+        net.tape.start()
+        slow = estimate_pseudo_var(net, x_ctx, y0, ZERO, 6)
         assert np.allclose(fast, slow, rtol=1e-12)
-        assert len(nodes) == 6
+        # it recorded the 6 node passes the adjoint walks back, and no more
+        estimate_pseudo_adjoint(net, 6, np.ones_like(slow))
+        with pytest.raises(IndexError):
+            net.tape.backward(np.ones_like(slow))
 
     def test_gradient_through_quadrature_matches_fd(self):
         net = random_net(8, hidden=6, depth=2, create=float64_net)
@@ -184,9 +187,9 @@ class TestEstimatePseudo:
         y0 = rng.normal(size=(3, 4))
         target = rng.normal(size=(3, 4))
 
-        net.tape.start(net.params)
-        y_phi, nodes = estimate_pseudo_var(net, x_ctx, y0, ZERO, 4)
-        estimate_pseudo_adjoint(net, nodes, 2.0 * (y_phi - target) / 3.0)
+        net.tape.start()
+        y_phi = estimate_pseudo_var(net, x_ctx, y0, ZERO, 4)
+        estimate_pseudo_adjoint(net, 4, 2.0 * (y_phi - target) / 3.0)
         g = net.tape.grads
 
         def loss():  # through the numpy quadrature, independent of the tape

@@ -266,7 +266,7 @@ class TestLossStep:
         )
         assert demo_term == pytest.approx(want, rel=1e-12)
 
-    def test_phase1_step_holds_one_activation_slot_per_node(self, monkeypatch):
+    def test_phase1_step_holds_one_activation_slot_per_node(self, silu_calls):
         # The denoising pass goes back before the k node passes are recorded,
         # so node 0 takes its activations: k sets, not k + 1. The next step
         # records into the same arrays, and each live node pass keeps its
@@ -275,24 +275,34 @@ class TestLossStep:
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
         table = np.zeros((len(samples), data_mod.N_CLASSES))
-        record, passes, steps = net.tape.record, [], []
-
-        def spy(*args):
-            passes.append(record(*args))
-            return passes[-1]
-
-        monkeypatch.setattr(net.tape, "record", spy)
+        steps = []
         for it in range(2):
-            passes.clear()
+            silu_calls.clear()
             draws = draw_iteration(np.random.default_rng(it), len(samples), cfg, True)
             loss_step(net, samples, table, cfg, draws, it, table.mean(axis=0))
-            assert len(passes) == 1 + cfg.quad_nodes  # the denoising pass, then the nodes
-            steps.append([rec.h + rec.dact for rec in passes])
+            # one call per trunk layer and pass: the denoising pass, then the nodes
+            assert len(silu_calls) == cfg.depth * (1 + cfg.quad_nodes)
+            passes = [silu_calls[i : i + cfg.depth] for i in range(0, len(silu_calls), cfg.depth)]
+            steps.append([[a for _, out, dact in calls for a in (out, dact)] for calls in passes])
             assert len({tuple(map(id, acts)) for acts in steps[-1]}) == cfg.quad_nodes
-            nodes = passes[1:]
-            assert not any(np.shares_memory(a.x, b.x)
-                           for i, a in enumerate(nodes) for b in nodes[i + 1:])
+            inputs = [calls[0][0] for calls in passes[1:]]
+            assert not any(np.shares_memory(a, b)
+                           for i, a in enumerate(inputs) for b in inputs[i + 1:])
         assert all(a is b for first, second in zip(*steps) for a, b in zip(first, second))
+
+    @pytest.mark.parametrize("variant, iteration", [
+        ("pc_only", 0), ("pc_rdc", 0), ("pc_rdc", 10), ("vanilla", 0),
+    ], ids=["pc_only_phase1", "pc_rdc_phase1", "pc_rdc_phase2", "vanilla"])
+    def test_every_recorded_pass_goes_back(self, variant, iteration):
+        cfg = tiny_config(variant=variant)
+        samples = tiny_dataset()
+        net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
+        table = np.zeros((len(samples), data_mod.N_CLASSES))
+        draws = draw_iteration(np.random.default_rng(1), len(samples), cfg,
+                               cfg.in_phase1(iteration))
+        loss_step(net, samples, table, cfg, draws, iteration, table.mean(axis=0))
+        with pytest.raises(IndexError):
+            net.tape.backward(np.ones((cfg.batch_size, data_mod.N_CLASSES)))
 
     def test_pc_rdc_hand_recomposition(self):
         cfg = tiny_config(batch_size=4)
