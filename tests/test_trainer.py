@@ -294,6 +294,7 @@ class TestLossStep:
         ("pc_only", 0), ("pc_rdc", 0), ("pc_rdc", 10), ("vanilla", 0),
     ], ids=["pc_only_phase1", "pc_rdc_phase1", "pc_rdc_phase2", "vanilla"])
     def test_every_recorded_pass_goes_back(self, variant, iteration):
+        # A step leaves no pass live (iteration 10 is past tiny_config's budget).
         cfg = tiny_config(variant=variant)
         samples = tiny_dataset()
         net = ScoreNetwork.create(hidden=cfg.hidden, depth=cfg.depth, seed=5)
