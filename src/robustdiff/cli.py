@@ -167,7 +167,8 @@ def sample_per_class(net, config: TrainConfig, per_class: int, seed: int, w, pro
     for the vanilla variant, the learned per-label pseudo-condition means for
     the pseudo-condition variants. `w` None means GUIDANCE_W. The run
     samples on its own network over `net`'s parameters, so that network's
-    scratch goes when the run returns, not when `net` does.
+    tape, and the buffers its passes keep, go when the run returns, not when
+    `net` does.
     """
     guidance = GUIDANCE_W if w is None else w
     net = dataclasses.replace(net)

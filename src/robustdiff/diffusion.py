@@ -10,7 +10,7 @@ denoiser and the training loss both go through them. The sampler sees D
 only as a batched callable (x, sigma) -> denoised. The noise levels run
 between the EDM constants SIGMA_MAX and SIGMA_MIN along a power law of
 exponent RHO; only the sampler's step count is a setting. What `denoise`
-returns is a fresh array; the network keeps its own scratch.
+returns is a fresh array.
 """
 
 from __future__ import annotations

@@ -16,16 +16,8 @@ heads. Nor does it hold a precision setting: it computes in the dtype of its
 parameters, its trunk input written in that dtype. `create` makes float32
 parameters, the one precision that training and sampling run in.
 
-The trunk layers run nn_core.silu_layer on the parameters times 0.5 (the
-tape, built on `params` with the network, halves them once per step,
-`trunk_features` on every call), and the heads on the full ones: bitwise
-the full-scale features unless an intermediate is subnormal.
-
-The off-tape forward (sampling) writes its trunk input and activations into
-the network's own nn_core.Workspace, which lives as long as the network (a
-network over the same parameters has its own), so a sampling run allocates
-no (batch x hidden) arrays after its first call. What it returns lives in
-that workspace until the network's next off-tape call.
+Every pass runs on the network's nn_core.MlpTape: recorded for a training
+step, unrecorded for sampling.
 """
 
 from __future__ import annotations
@@ -36,7 +28,7 @@ import numpy as np
 
 from . import nn_core
 from .data import N_CLASSES, SIGMA_DATA, X_DIM
-from .nn_core import MlpTape, ParamBundle, Workspace
+from .nn_core import MlpTape, ParamBundle
 
 # Trunk input: the point, the noise channel and the condition channels.
 IN_DIM = X_DIM + 1 + N_CLASSES
@@ -61,16 +53,15 @@ def c_noise(sigma):
 @dataclass
 class ScoreNetwork:
     """The network's parameters, laid out as layer_shapes lays them out, and
-    its EDM sigma_data: all that sampling reads. A training step records its
-    passes on the network's own `tape`, built on `params` with the network
-    (a network over the same parameters has its own)."""
+    its EDM sigma_data: all that sampling reads. Its passes run on its own
+    `tape`, built on `params` with the network (a network over the same
+    parameters has its own)."""
 
     params: ParamBundle
     # Always data.SIGMA_DATA in production; a field while perfbench/run.py
     # passes it (ROADMAP direction 1(a)).
     sigma_data: float = SIGMA_DATA
     tape: MlpTape = field(init=False, repr=False, compare=False)
-    _ws: Workspace = field(default_factory=Workspace, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.tape = MlpTape(self.params)
@@ -82,52 +73,31 @@ class ScoreNetwork:
                                      zero_layers=(depth, depth + 1))
         return cls(ParamBundle(params.layer_shapes, params.values.astype(np.float32)))
 
-    def trunk_input(self, x_in: np.ndarray, sigma, cond: np.ndarray,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        """Trunk input rows in the parameters' dtype, written into `out` (a
-        fresh array when None): x_in, c_noise(sigma) and `cond`, each computed
-        in float64 and rounded once. `sigma` is a scalar or one value per row;
-        `cond` is one row per point or a single row shared by all. A part
-        whose width is neither its columns' nor 1 raises numpy's ValueError."""
-        if out is None:
-            out = np.empty((len(x_in), IN_DIM), self.params.values.dtype)
+    def trunk_input(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
+        """Trunk input rows in the parameters' dtype: x_in, c_noise(sigma) and
+        `cond`, each computed in float64 and rounded once. `sigma` is a scalar
+        or one value per row; `cond` is one row per point or a single row
+        shared by all. A part whose width is neither its columns' nor 1 raises
+        numpy's ValueError."""
+        out = np.empty((len(x_in), IN_DIM), self.params.values.dtype)
         out[:, :X_DIM] = x_in
         out[:, X_DIM : X_DIM + 1] = c_noise(sigma)
         out[:, COND_COLS] = cond
         return out
 
-    # -- off-tape path (sampling) ---------------------------------------------
-
-    def trunk_features(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
-        """The last trunk layer's output, in the scratch (keys "input", "h", "sigmoid", "half")."""
-        values, ws = self.params.values, self._ws
-        h = self.trunk_input(x_in, sigma, cond, ws("input", (len(x_in), IN_DIM), values.dtype))
-        shape = (len(h), self.params.layer_shapes[0][1])
-        s = ws("sigmoid", shape, h.dtype)  # the scratch every trunk layer shares
-        # The SiLU layers' half-scale parameters, taken afresh on every call so
-        # that they always follow params.values.
-        half = np.multiply(values, 0.5, out=ws("half", values.shape, values.dtype))
-        for j, (w, b) in enumerate(self.params.layers(half)[:DEMO_HEAD]):
-            # Two arrays in turn: a layer never writes the one it reads.
-            h = nn_core.silu_layer(h, w, b, out=ws(("h", j % 2), shape, h.dtype), s=s)
-        return h
+    def _layers(self, head: int) -> list[int]:
+        """Every layer but the heads, then `head`."""
+        n = len(self.params.layer_shapes)
+        return [*range(n + DEMO_HEAD), n + head]
 
     def demo_out(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
-        """The demonstration head's output, in the network's scratch (key "demo_out")."""
-        w, b = self.params.layers()[DEMO_HEAD]
-        feats = self.trunk_features(x_in, sigma, cond)
-        out = np.matmul(feats, w, out=self._ws("demo_out", (len(feats), w.shape[1]), w.dtype))
-        out += b
-        return out
-
-    # -- recorded paths (training step) --------------------------------------
+        """An unrecorded trunk + demonstration-head pass (sampling); returns
+        the head's output, a fresh array."""
+        return self.tape.forward(self.trunk_input(x_in, sigma, cond), self._layers(DEMO_HEAD))
 
     def _record(self, head: int, x_in, sigma, cond) -> np.ndarray:
-        """Record a pass through every layer but the heads, then `head`, on
-        `tape`; returns the head's output."""
-        n = len(self.params.layer_shapes)
-        return self.tape.record(self.trunk_input(x_in, sigma, cond),
-                                [*range(n + DEMO_HEAD), n + head])
+        """Record a trunk + `head` pass on `tape`; returns the head's output."""
+        return self.tape.record(self.trunk_input(x_in, sigma, cond), self._layers(head))
 
     def demo_var(self, x_in: np.ndarray, sigma, cond: np.ndarray) -> np.ndarray:
         """Record a trunk + demonstration-head pass on `tape`; returns the head's output."""

@@ -1,10 +1,9 @@
-"""Minimal MLP machinery: flat parameter bundles, the SiLU layer, recorded
-passes with a hand-written backward, Adam, and the workspace their buffers
-live in.
+"""Minimal MLP machinery: flat parameter bundles, the SiLU layer, the tape
+that runs a network's passes, with a hand-written backward, and Adam.
 
 Everything computes in the dtype of the parameters, float32 or float64: the
-recorded passes, their buffers, the gradient and Adam's moments, which the
-caller owns and `adam_step` updates in place. Production trains float32
+passes, their buffers, the gradient and Adam's moments, which the caller
+owns and `adam_step` updates in place. Production trains float32
 parameters; the tests check the formulas on float64 ones, where finite
 differences are a valid oracle. Parameters of a network live in one flat
 array; `ParamBundle.layers`, the one reading of its layout, gives per-layer
@@ -12,11 +11,9 @@ weight/bias views of it or of a gradient, so the optimizer and checkpointing
 never have to know the layer structure. `adam_step` writes the new values
 into that array in place, so a tape, built on one ParamBundle, binds its
 views of the parameters once and they stay current across steps.
-`silu_layer` is the one SiLU layer: the recorded passes of a training step
-and the network's off-tape forward (sampling) both run it, into arrays kept
-in a `Workspace`: a tape has its own for the (rows x hidden) arrays, and
-everything smaller is a plain array. A network has a tape of its own for its
-training step, and a Workspace for its off-tape forward. The tape is a
+`silu_layer` is the one SiLU layer, and `MlpTape` the one code that runs
+it: its recorded passes for a training step and its unrecorded `forward`
+for sampling, into (rows x hidden) arrays the tape keeps. The tape is a
 stack: a step walks its recorded passes back last-in first-out, with no
 handle to name them, adding each into one zeroed gradient.
 
@@ -26,7 +23,7 @@ holds 2 * sigmoid and its `dact` twice the SiLU derivative, and the tape
 scales the SiLU layers' gradient products by 0.5. Every scaling is by a
 power of two, so activations, outputs and gradients are bitwise those of
 the full-scale formulas unless an intermediate is subnormal (below 1.2e-38
-in float32).
+in float32). No other module knows of the halving.
 """
 
 from __future__ import annotations
@@ -102,30 +99,8 @@ def init_params(
     return bundle
 
 
-class Workspace(dict):
-    """Arrays kept from one call to the next, one per key.
-
-    `workspace(key, shape, dtype)` returns the array kept under `key`, made
-    (np.empty: contents undefined) only when there is none yet or its shape
-    or dtype differs from the one asked for. A loop that asks for the same
-    shapes allocates nothing after its first pass, and an array handed out
-    under a key is the next user's to overwrite. A tape keeps only its
-    half-scale parameters and (rows x hidden) arrays in one; anything
-    smaller is a plain array.
-    The lookup is a call rather than a public method so that perfbench's
-    tracer, which wraps public methods, records no span for each of the
-    hundreds of lookups in a training step.
-    """
-
-    def __call__(self, key, shape: tuple[int, ...], dtype) -> np.ndarray:
-        buf = self.get(key)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
-            buf = self[key] = np.empty(shape, dtype)
-        return buf
-
-
 # ---------------------------------------------------------------------------
-# The SiLU layer, recorded passes and their hand-written backward
+# The SiLU layer and the tape: passes, recorded or not, and their backward
 # ---------------------------------------------------------------------------
 
 
@@ -139,8 +114,8 @@ def silu_layer(x, w_half, b_half, out, s, dact=None) -> np.ndarray:
     sigmoid(z). With `dact`, also (2 - s) * h + s, twice the SiLU derivative
     sigmoid + h * (1 - sigmoid). h and dact / 2 are bitwise those of the
     full-scale formula, sigmoid = (1 + tanh(z * 0.5)) * 0.5, unless an
-    intermediate is subnormal. The one implementation of the layer, on and
-    off the tape. Returns `out`.
+    intermediate is subnormal. The one implementation of the layer, in
+    recorded passes and unrecorded ones. Returns `out`.
     """
     np.matmul(x, w_half, out=out)
     out += b_half
@@ -173,8 +148,8 @@ class RecordedPass:
 
 
 class MlpTape:
-    """A stack of passes recorded through one ParamBundle, and the gradient
-    they give.
+    """A stack of passes recorded through one ParamBundle, the gradient they
+    give, and the unrecorded `forward`.
 
     The tape binds its views of the parameters, and of a half-scale copy of
     them, when it is built: `adam_step` writes the new values into the same
@@ -186,31 +161,31 @@ class MlpTape:
     so a step's gradient outlives the next step; each `backward` adds its
     pass's weight and bias gradients into it.
 
-    The SiLU layers run on half-scale parameters: `start` rewrites values *
-    0.5 into the tape's copy, whose views `record` reads for every layer but
-    a pass's readout. The walk back carries twice dL/dz through each SiLU
-    layer, so its weight and bias gradient products are scaled by 0.5 before
-    they add into `grads`, and its input gradient is (2 dL/dz) @ (w / 2).T =
-    dL/dz @ w.T, bitwise the full-scale ones unless an intermediate is
-    subnormal.
+    The SiLU layers run on half-scale parameters: `start` and `forward`
+    rewrite values * 0.5 into the tape's copy, whose views every SiLU layer
+    reads; a pass's readout reads the full ones. The walk back carries twice
+    dL/dz through each SiLU layer, so its weight and bias gradient products
+    are scaled by 0.5 before they add into `grads`, and its input gradient
+    is (2 dL/dz) @ (w / 2).T = dL/dz @ w.T, bitwise the full-scale ones
+    unless an intermediate is subnormal.
 
-    The tape's Workspace holds the (rows x hidden) arrays `h`, `dact`,
-    `sigmoid` and `g`, so a step allocates none of those once the batch size
-    stops changing. Everything smaller is a plain array: a pass's input and
-    output, the gradient products and `grads`. Every buffer, `grads` and a
-    pass's output have the parameters' dtype; `record` takes its input in
-    that dtype (ScoreNetwork writes it so).
+    The tape keeps the (rows x hidden) arrays `h`, `dact`, `sigmoid`, `g`
+    and `forward`'s two, one per key, so neither a step nor a sampling run
+    allocates those once its row count stops changing. Everything smaller is a plain array:
+    a pass's input and output, the gradient products and `grads`. Every
+    buffer, `grads` and a pass's output have the parameters' dtype; `record`
+    and `forward` take their input in that dtype (ScoreNetwork writes it so).
     """
 
     def __init__(self, params: ParamBundle):
         self._params = params
         self._layers = params.layers()  # (w, b) views of params
-        self._half = params.values * 0.5  # rewritten by every start
+        self._half = params.values * 0.5  # rewritten by every start and forward
         self._half_layers = params.layers(self._half)  # the same views of params / 2
         self.grads: np.ndarray | None = None
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
         self._live: list[RecordedPass] = []
-        self._buffers = Workspace()
+        self._buffers: dict = {}
 
     def start(self) -> None:
         """Begin a step with an all-zero gradient and no live pass."""
@@ -220,7 +195,32 @@ class MlpTape:
         self._live = []
 
     def _buffer(self, key, shape: tuple[int, ...]) -> np.ndarray:
-        return self._buffers(key, shape, self._half.dtype)
+        """The array kept under `key`, made (contents undefined) when there is
+        none yet or its shape differs: the next user of `key` overwrites it."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape, self._half.dtype)
+        return buf
+
+    def forward(self, x: np.ndarray, layers: Sequence[int]) -> np.ndarray:
+        """Run x through `layers` as `record` does, recording nothing, and
+        return the output, a fresh array.
+
+        Halves the parameters afresh on every call, so it follows values
+        changed in place since the last `start`. A live pass is left as it
+        was: its layers read nothing `forward` writes but the half-scale
+        copy, rewritten with the same values when none changed.
+        """
+        np.multiply(self._params.values, 0.5, out=self._half)
+        h = x
+        for j, k in enumerate(layers[:-1]):
+            w, b = self._half_layers[k]
+            shape = (x.shape[0], w.shape[1])
+            # Two arrays in turn: a layer never writes the one it reads.
+            h = silu_layer(h, w, b, self._buffer(("forward", j % 2), shape),
+                           self._buffer("sigmoid", shape))
+        w, b = self._layers[layers[-1]]
+        return h @ w + b
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> np.ndarray:
         """Run x through `layers`, SiLU on all but the last, record the pass

@@ -10,7 +10,7 @@ import numpy as np
 
 
 def ensemble_update(table: np.ndarray, idx: np.ndarray, y_phi: np.ndarray,
-                    alpha: float) -> np.ndarray:
+                    alpha: float) -> None:
     """Momentum update y <- alpha * y + (1 - alpha) * y_phi of rows `idx`, in
     place: `idx` (B,) holds table rows and `y_phi` (B, C) one estimate each."""
     # The update runs in the table's float64; pc_only's estimate is float32.
@@ -25,4 +25,3 @@ def ensemble_update(table: np.ndarray, idx: np.ndarray, y_phi: np.ndarray,
         i = idx[rows]
         table[i] = alpha * table[i] + (1.0 - alpha) * y_phi[rows]
         pending = np.delete(pending, first)
-    return table

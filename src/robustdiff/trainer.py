@@ -30,10 +30,10 @@ table, the EDM sigma columns, the loss sums and the prototypes stay float64.
 A checkpoint holds what sampling reads and the table, no optimizer state.
 
 A step allocates no (batch x hidden) arrays once the network's tape has seen
-its shapes: the tape's workspace holds them, the tape itself the half-scale
-parameters, and everything smaller is a plain array, such as each pass's
-trunk input, which the network writes in float32. Adam writes the new values
-into the network's parameter array in place, which the tape's views read.
+its shapes: the tape keeps them and the half-scale parameters, and
+everything smaller is a plain array, such as each pass's trunk input, which
+the network writes in float32. Adam writes the new values into the
+network's parameter array in place, which the tape's views read.
 
 A run given a directory owns it: it writes LOG_FILE there as it goes, and
 CHECKPOINT_FILE when it ends, diverged or not.

@@ -6,8 +6,9 @@ against. Nothing in the package calls them.
 - `trunk_input`: the trunk input rows in float64, which
   `ScoreNetwork.trunk_input` matches once they are rounded to its dtype;
 - `head_field` and `estimate_pseudo`: the condition head as a field over
-  continuous time and an Euler quadrature over any such field, against which
-  `rdc.estimate_pseudo_var` and its adjoint are checked;
+  continuous time, on `trunk_input` and `full_scale_silu`, and an Euler
+  quadrature over any such field, against which `rdc.estimate_pseudo_var`
+  and its adjoint are checked;
 - `full_scale_silu` and `full_scale_pass`: the SiLU layer and a recorded
   pass with its backward on full-scale parameters, the formulas that
   `nn_core.silu_layer` and `MlpTape`, which run on half-scale ones, match
@@ -25,7 +26,7 @@ import numpy as np
 
 from robustdiff import nn_core
 from robustdiff.diffusion import Denoiser, precondition
-from robustdiff.network import COND_HEAD, ScoreNetwork
+from robustdiff.network import COND_HEAD, DEMO_HEAD, ScoreNetwork
 from robustdiff.rdc import cond_channels, quad_times
 
 FieldFn = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
@@ -123,16 +124,21 @@ def float64_net(hidden: int, depth: int, seed: int) -> ScoreNetwork:
 
 
 def head_field(net: ScoreNetwork, center: np.ndarray) -> FieldFn:
-    """The condition head of `net` as a field (x, t, y) -> s, off the tape,
-    with condition values centered by `center`.
+    """The condition head of `net` as a field (x, t, y) -> s, with condition
+    values centered by `center`: `trunk_input` rounded to the parameters'
+    dtype, full_scale_silu on the trunk layers, then the condition head.
 
     `x` is the context on the trunk's preconditioned point scale (the caller
     applies c_in for whatever noise level the context carries).
     """
 
     def field(x, t, y):
-        w, b = net.params.layers()[COND_HEAD]
-        return net.trunk_features(x, t, cond_channels(y, t, center)) @ w + b
+        layers = net.params.layers()
+        h = trunk_input(x, t, cond_channels(y, t, center)).astype(net.params.values.dtype)
+        for w, b in layers[:DEMO_HEAD]:
+            h, _ = full_scale_silu(h, w, b)
+        w, b = layers[COND_HEAD]
+        return h @ w + b
 
     return field
 

@@ -840,6 +840,19 @@ class TestImports:
         assert "numpy" in found
         assert found - set(sys.stdlib_module_names) <= {"numpy", "robustdiff"}
 
+    def test_one_module_runs_the_layers_and_one_builds_tapes(self):
+        # nn_core alone calls silu_layer, so it alone knows of the half-scale
+        # parameters; network alone builds an MlpTape, one per network.
+        callers = {"silu_layer": set(), "MlpTape": set()}
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in callers:
+                        callers[name].add(path.stem)
+        assert callers == {"silu_layer": {"nn_core"}, "MlpTape": {"network"}}
+
 
 class TestSample:
     def test_guidance_below_one_is_usage_error(self, tmp_path, capsys):

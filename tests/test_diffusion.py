@@ -215,7 +215,8 @@ class TestHeunSample:
 
 
 class TestSamplingWorkspace:
-    """A network's off-tape calls write into its own workspace."""
+    """A network's unrecorded passes keep their (rows x hidden) arrays on its
+    own tape, and what they return is a fresh array."""
 
     HIDDEN = 64
     ROWS = 1000
@@ -248,7 +249,7 @@ class TestSamplingWorkspace:
         cli.sample_per_class(self.production_net(0), config, self.ROWS, 0, None, np.eye(4))
         hidden_array = self.ROWS * self.HIDDEN * np.dtype(np.float32).itemsize
         assert len(peaks) == 4 * 2 * (2 * config.num_steps - 1)
-        assert peaks[0] >= 2 * hidden_array  # the first call fills the workspace
+        assert peaks[0] >= 2 * hidden_array  # the first call makes the tape's arrays
         assert max(peaks[1:]) < hidden_array
 
     def test_one_workspace_across_rows_and_branches_is_bitwise_fresh(self):
@@ -256,7 +257,7 @@ class TestSamplingWorkspace:
         cond = np.array([0.3, -0.1, 0.0, -0.2])
         for count in (self.ROWS, 20, self.ROWS):
             got = heun_sample(guided(net, cond, 2.0), 4, count, seed=count)
-            # a fresh network on the same parameters, so fresh scratch, for every call
+            # a fresh network on the same parameters, so a fresh tape, for every call
             want = heun_sample(
                 lambda x, s: guided(ScoreNetwork(net.params), cond, 2.0)(x, s),
                 4, count, seed=count)
@@ -283,7 +284,7 @@ class TestSamplingWorkspace:
         assert got_a.tobytes() == heun_sample(fresh(cond_a), 4, self.ROWS, seed=0).tobytes()
         for (x, s), got in zip(calls, got_b):
             assert got.tobytes() == fresh(cond_b)(x, s).tobytes()
-        # an off-tape result outlives the other network's call of its shape
+        # a result outlives the other network's call of its shape
         x = np.random.default_rng(3).standard_normal((self.ROWS, X_DIM))
         out_a = a.demo_out(x, 0.7, cond_a)
         out_b = b.demo_out(-x, 1.3, cond_b)

@@ -110,9 +110,6 @@ class TestTrunkInput:
         got = net.trunk_input(x_in, sigma, cond)
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
-        out = np.full((6, IN_DIM), np.nan, np.float32)  # the sampling path's buffer
-        assert net.trunk_input(x_in, sigma, cond, out) is out
-        assert out.tobytes() == want.tobytes()
 
     def test_layout_scalar_and_column_sigma(self):
         net = float64_net(hidden=4, depth=1, seed=0)
@@ -142,15 +139,16 @@ class TestTrunkInput:
 class TestMlpForward:
     """The plain forward pass, ScoreNetwork.demo_out."""
 
-    def test_identity_layer(self):
+    def test_identity_layer(self, silu_calls):
         # an identity demonstration head reads the trunk features out unchanged
         net = random_net(0, hidden=2, depth=1)
         w, b = net.params.layers()[DEMO_HEAD]
         w[:] = np.eye(2)
         b[:] = 0.0
         parts = random_parts(np.random.default_rng(1), 3)
-        assert np.array_equal(net.demo_out(*parts),
-                              net.trunk_features(*parts))
+        out = net.demo_out(*parts)
+        _, features, _ = silu_calls[-1]  # the last trunk layer's output
+        assert np.array_equal(out, features)
 
     def test_constant_bias_layer(self):
         # zero head weights, bias 0.5: every input maps to 0.5
@@ -201,15 +199,14 @@ class TestMlpForward:
     def test_pure_function_bitwise(self):
         net = random_net(1, hidden=8)
         parts = random_parts(np.random.default_rng(2), 6)
-        # the first result is copied: the second call writes the same scratch
-        assert np.array_equal(net.demo_out(*parts).copy(), net.demo_out(*parts))
+        first = net.demo_out(*parts)
+        assert first.tobytes() == net.demo_out(*parts).tobytes()
 
     def test_batched_matches_per_row(self):
         net = random_net(9, hidden=4, create=float64_net)
         parts = random_parts(np.random.default_rng(3), 5)
-        batched = net.demo_out(*parts).copy()  # each call writes the network's scratch
-        rows = np.concatenate([net.demo_out(*(p[i : i + 1] for p in parts)).copy()
-                               for i in range(5)])
+        batched = net.demo_out(*parts)
+        rows = np.concatenate([net.demo_out(*(p[i : i + 1] for p in parts)) for i in range(5)])
         assert np.allclose(batched, rows, rtol=1e-14)
 
     @pytest.mark.parametrize("batch", [1, 7, 512])
@@ -222,9 +219,50 @@ class TestMlpForward:
         parts = random_parts(rng, batch)
         net.tape.start()
         out = net.demo_var(*parts)
-        _, features, _ = silu_calls[-1]  # the recorded pass's last trunk layer
-        assert np.array_equal(net.trunk_features(*parts), features)
-        assert np.array_equal(net.demo_out(*parts), out)
+        _, recorded, _ = silu_calls[-1]  # each pass's last trunk layer
+        assert net.demo_out(*parts).tobytes() == out.tobytes()
+        _, unrecorded, _ = silu_calls[-1]
+        assert unrecorded is not recorded
+        assert unrecorded.tobytes() == recorded.tobytes()
+
+    @pytest.mark.parametrize("rows", [16, 9], ids=["same_rows", "other_rows"])
+    def test_unrecorded_pass_leaves_a_live_step_bitwise(self, rows):
+        # demo_out rewrites the tape's half-scale copy and the "sigmoid"
+        # buffer the live passes share; a step with it run between a pass and
+        # its backward gives the gradient of a step without it.
+        net = ScoreNetwork.create(hidden=64, depth=3, seed=6)
+        rng = np.random.default_rng(6)
+        net.params.values[:] = rng.normal(0, 0.3, net.params.values.size)
+        parts, other = random_parts(rng, 16), random_parts(rng, rows)
+
+        def step(sample):
+            net.tape.start()
+            demo = net.demo_var(*parts)
+            cond = net.cond_var(*parts)
+            if sample:
+                net.demo_out(*other)
+            g_cond = net.tape.backward(np.ones_like(cond), COND_COLS)
+            if sample:
+                net.demo_out(*other)
+            net.tape.backward(demo)
+            return net.tape.grads, g_cond
+
+        want_grads, want_cond = step(sample=False)
+        got_grads, got_cond = step(sample=True)
+        assert got_grads.tobytes() == want_grads.tobytes()
+        assert got_cond.tobytes() == want_cond.tobytes()
+
+    def test_follows_parameters_stepped_in_place(self):
+        # no tape.start() between the calls: each demo_out halves the
+        # parameters as they are now
+        net = random_net(5, hidden=8)
+        parts = random_parts(np.random.default_rng(6), 4)
+        before = net.demo_out(*parts)
+        grads = np.random.default_rng(7).normal(size=net.params.values.size)
+        adam_step(net.params, grads, *zero_moments(net.params), 1, 0.1)
+        after = net.demo_out(*parts)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == ScoreNetwork(net.params).demo_out(*parts).tobytes()
 
 
 class TestGrad:
