@@ -25,7 +25,7 @@ def edit_archive():
 @pytest.fixture
 def silu_calls(monkeypatch):
     """(x, out, dact) of every nn_core.silu_layer call from here on, in call
-    order: the arrays a tape hands each layer of a pass it records."""
+    order: the arrays a tape hands each layer of a pass, recorded or not."""
     calls, layer = [], nn_core.silu_layer
 
     def spy(x, w_half, b_half, out, s, dact=None):
