@@ -41,7 +41,6 @@ CHECKPOINT_FILE when it ends, diverged or not.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -122,20 +121,15 @@ class TrainConfig:
         table: the pc_* variants before the early-stop budget, never vanilla."""
         return self.variant != "vanilla" and iteration < self.early_stop_iters
 
-    def digest(self) -> str:
-        canon = ";".join(f"{k}={v}" for k, v in sorted(asdict(self).items()))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
 
 @dataclass
 class Checkpoint:
-    """What sampling reads, the pseudo table, the iteration reached, the
-    config digest and whether the run diverged (never sampled then)."""
+    """What sampling reads, the pseudo table, the iteration reached and
+    whether the run diverged (never sampled then)."""
 
     params: nn_core.ParamBundle
     pseudo: np.ndarray  # (N, C) pseudo-condition table
     iteration: int
-    config_digest: str
     prototypes: np.ndarray  # (C, C) sampling conditions per class
     diverged: bool = False
 
@@ -307,7 +301,6 @@ def train(
     center = None
     m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
-    digest = config.digest()
     if outdir:
         Path(outdir).mkdir(parents=True, exist_ok=True)
     # Line-buffered, so a running cell's log can be followed.
@@ -344,7 +337,7 @@ def train(
         if log_f:
             log_f.close()
     reached = iteration if failure else config.total_iters
-    ckpt = Checkpoint(net.params, table, reached, digest,
+    ckpt = Checkpoint(net.params, table, reached,
                       sampling_prototypes(config, table, samples.noisy), failure is not None)
     if outdir:
         save_checkpoint(outdir, ckpt, config)
@@ -371,8 +364,7 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
     - `table_entries` float64 (N, C);
     - `prototypes` float64 (C, C);
     - `iteration` int64 (), `diverged` bool ();
-    - `config_digest` str (), `config_json` str (): the digest and every
-      TrainConfig field as a JSON object.
+    - `config_json` str (): every TrainConfig field as a JSON object.
 
     The archive is written to a temporary file and moved over the old one
     with os.replace: a reader finds the old checkpoint or the new one, never
@@ -385,7 +377,6 @@ def save_checkpoint(outdir, checkpoint: Checkpoint, config: TrainConfig) -> None
         "prototypes": checkpoint.prototypes,
         "iteration": np.int64(checkpoint.iteration),
         "diverged": np.bool_(checkpoint.diverged),
-        "config_digest": np.str_(checkpoint.config_digest),
         "config_json": np.str_(json.dumps(asdict(config))),
     }
     tmp = outdir / (CHECKPOINT_FILE + ".tmp")
@@ -412,8 +403,8 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
     FileNotFoundError when `outdir` holds no archive, and ValueError, naming
     the file, when the archive fails its CRC check, lacks an entry, has an
     entry of the wrong dtype or shape or a non-finite float entry, or stores
-    a config whose digest differs from the stored one. Entries it does not
-    read, such as the Adam moments and the layer shapes that older archives
+    a config that TrainConfig refuses. Entries it does not read, such as the
+    Adam moments, the layer shapes and the config hash that older archives
     hold, are ignored.
     """
     path = Path(outdir) / CHECKPOINT_FILE
@@ -449,14 +440,10 @@ def load_checkpoint(outdir) -> tuple[ScoreNetwork, TrainConfig, Checkpoint]:
         config = TrainConfig(**json.loads(echo))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad config echo ({exc})") from exc
-    digest = str(entry("config_digest", "U", ()))
-    if config.digest() != digest:
-        raise ValueError(f"{path}: config digest {config.digest()} != stored {digest}")
     shapes = network.layer_shapes(config.hidden, config.depth)
     params = nn_core.ParamBundle(shapes, entry("params", "f", (nn_core.param_count(shapes),)))
     net = ScoreNetwork(params)
     table = entry("table_entries", "f", (None, data_mod.N_CLASSES))
     protos = entry("prototypes", "f", (data_mod.N_CLASSES, data_mod.N_CLASSES))
-    ckpt = Checkpoint(params, table, int(entry("iteration", "i", ())), digest, protos,
-                      bool(entry("diverged", "b", ())))
-    return net, config, ckpt
+    return net, config, Checkpoint(params, table, int(entry("iteration", "i", ())), protos,
+                                   bool(entry("diverged", "b", ())))

@@ -1,7 +1,7 @@
 """The package holds only code that production runs: every public function,
 method and class in src/robustdiff is read somewhere in src/ or perfbench/
-outside its own definition, and so is every public module-level constant and
-class-level default. Every name an import binds, in src/ and in tests/, is
+outside its own definition, and so is every public module-level constant,
+class-level default and annotated class field. Every name an import binds, in src/ and in tests/, is
 read in its module. A reference implementation that only tests call lives
 in tests/ (see tests/oracles.py)."""
 
@@ -52,12 +52,12 @@ def test_every_public_definition_is_used():
 
 
 def _assigned_names(body):
-    """(name, line) of every public name an assignment with a value in
-    `body` binds."""
+    """(name, line) of every public name an assignment in `body` binds or
+    an annotation in it declares, such as a dataclass field with no default."""
     for node in body:
         if isinstance(node, ast.Assign):
             targets = node.targets
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        elif isinstance(node, ast.AnnAssign):
             targets = [node.target]
         else:
             continue
@@ -69,8 +69,9 @@ def _assigned_names(body):
 
 def test_every_constant_and_class_default_is_read():
     # A module constant is read by its name or as a module attribute; a
-    # class-level default only as an attribute, so a local variable or a
-    # parameter of the same name does not count as its reader.
+    # class-level default or field only as an attribute, so a local variable
+    # or a parameter of the same name does not count as its reader. A field
+    # that a constructor stores and nothing reads is dead state.
     trees = _parsed()
     names, attrs = set(), set()
     for tree in trees.values():
