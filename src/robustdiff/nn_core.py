@@ -9,21 +9,22 @@ differences are a valid oracle. Parameters of a network live in one flat
 array; `ParamBundle.layers`, the one reading of its layout, gives per-layer
 weight/bias views of it or of a gradient, so the optimizer and checkpointing
 never have to know the layer structure. `adam_step` writes the new values
-into that array in place, so a tape, built on one ParamBundle, binds its
-views of the parameters once and they stay current across steps.
+into that array in place, so a tape, built on one ParamBundle, reads the
+current values at every step.
 `silu_layer` is the one SiLU layer, and `MlpTape` the one code that runs
 it: its recorded passes for a training step and its unrecorded `forward`
-for sampling, into (rows x hidden) arrays the tape keeps. The tape is a
-stack: a step walks its recorded passes back last-in first-out, with no
-handle to name them, adding each into one zeroed gradient.
+for sampling, through one layer loop, into (rows x hidden) arrays the tape
+keeps. The tape is a stack: a step walks its recorded passes back
+last-in first-out, with no handle to name them, adding each into one zeroed
+gradient.
 
-The SiLU layers run on half-scale parameters (the parameters times 0.5),
-which saves two elementwise passes per layer: `silu_layer`'s scratch `s`
-holds 2 * sigmoid and its `dact` twice the SiLU derivative, and the tape
-scales the SiLU layers' gradient products by 0.5. Every scaling is by a
-power of two, so activations, outputs and gradients are bitwise those of
-the full-scale formulas unless an intermediate is subnormal (below 1.2e-38
-in float32). No other module knows of the halving.
+Every layer runs on half-scale parameters (the parameters times 0.5), and a
+readout doubles its product. That saves two elementwise passes per SiLU
+layer: `silu_layer`'s scratch `s` holds 2 * sigmoid and its `dact` twice the
+SiLU derivative, and the tape scales every gradient product by 0.5. Every
+scaling is by a power of two, so activations, outputs and gradients are
+bitwise those of the full-scale formulas unless an intermediate is
+subnormal (below 1.2e-38 in float32). No other module knows of the halving.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def silu_layer(x, w_half, b_half, out, s, dact=None) -> np.ndarray:
     sigmoid + h * (1 - sigmoid). h and dact / 2 are bitwise those of the
     full-scale formula, sigmoid = (1 + tanh(z * 0.5)) * 0.5, unless an
     intermediate is subnormal. The one implementation of the layer, in
-    recorded passes and unrecorded ones. Returns `out`.
+    recorded passes and unrecorded ones; the tape's readouts read the same
+    half-scale parameters and double their product. Returns `out`.
     """
     np.matmul(x, w_half, out=out)
     out += b_half
@@ -129,49 +131,32 @@ def silu_layer(x, w_half, b_half, out, s, dact=None) -> np.ndarray:
     return out
 
 
-@dataclass
-class RecordedPass:
-    """What the backward of one pass reads.
-
-    The pass ran `x` through `layers` in order: SiLU layers, then one linear
-    readout. `h[j]` and `dact[j]` are the SiLU output and twice the SiLU
-    derivative of layers[j], as `silu_layer` gives them. They are buffers of
-    the tape that recorded the pass, held until the pass is walked back; the
-    walk overwrites `dact`, and the buffers then go to the tape's next
-    `record`.
-    """
-
-    layers: list[int]
-    x: np.ndarray
-    h: list[np.ndarray]
-    dact: list[np.ndarray]
-
-
 class MlpTape:
     """A stack of passes recorded through one ParamBundle, the gradient they
     give, and the unrecorded `forward`.
 
-    The tape binds its views of the parameters, and of a half-scale copy of
-    them, when it is built: `adam_step` writes the new values into the same
-    array, so the views read them. One step calls `start`, then `record`
-    once per pass and `backward` once per recorded pass. The live passes
-    (recorded, not yet walked back) form a stack: `backward` walks back the
-    last one, and the n-th live pass holds the n-th set of activation
-    buffers (its `h` and `dact`). `start` makes `grads` a fresh zero array,
-    so a step's gradient outlives the next step; each `backward` adds its
-    pass's weight and bias gradients into it.
+    The tape binds its views of a half-scale copy of the parameters when it
+    is built; `start` and `forward` rewrite values * 0.5 into that copy, so
+    after `adam_step` writes the new values into the same array the views
+    read them halved. One step calls `start`, then `record` once per pass and
+    `backward` once per recorded pass. The live passes (recorded, not yet
+    walked back) form a stack: `backward` walks back the last one. Every
+    pass runs in the next free slot, slot n when n passes are live, whose
+    buffers are its SiLU outputs `h` and, for a recorded pass, twice their
+    derivatives `dact`. `start` makes `grads` a fresh zero array, so a step's
+    gradient outlives the next step; each `backward` adds its pass's weight
+    and bias gradients into it.
 
-    The SiLU layers run on half-scale parameters: `start` and `forward`
-    rewrite values * 0.5 into the tape's copy, whose views every SiLU layer
-    reads; a pass's readout reads the full ones. The walk back carries twice
-    dL/dz through each SiLU layer, so its weight and bias gradient products
-    are scaled by 0.5 before they add into `grads`, and its input gradient
-    is (2 dL/dz) @ (w / 2).T = dL/dz @ w.T, bitwise the full-scale ones
-    unless an intermediate is subnormal.
+    Every layer runs on the half-scale copy, and a readout doubles its
+    product. The walk back starts from twice dL/d(output) and carries twice
+    dL/dz through each SiLU layer, so every weight and bias gradient product
+    is scaled by 0.5 before it adds into `grads`, and each input gradient is
+    (2 dL/dz) @ (w / 2).T = dL/dz @ w.T, bitwise the full-scale ones unless
+    an intermediate is subnormal.
 
-    The tape keeps the (rows x hidden) arrays `h`, `dact`, `sigmoid`, `g`
-    and `forward`'s two, one per key, so neither a step nor a sampling run
-    allocates those once its row count stops changing. Everything smaller is a plain array:
+    The tape keeps the (rows x hidden) arrays `h`, `dact`, `sigmoid` and
+    `g`, one per key, so neither a step nor a sampling run allocates those
+    once its row count stops changing. Everything smaller is a plain array:
     a pass's input and output, the gradient products and `grads`. Every
     buffer, `grads` and a pass's output have the parameters' dtype; `record`
     and `forward` take their input in that dtype (ScoreNetwork writes it so).
@@ -179,12 +164,11 @@ class MlpTape:
 
     def __init__(self, params: ParamBundle):
         self._params = params
-        self._layers = params.layers()  # (w, b) views of params
         self._half = params.values * 0.5  # rewritten by every start and forward
-        self._half_layers = params.layers(self._half)  # the same views of params / 2
+        self._layers = params.layers(self._half)  # (w / 2, b / 2) views
         self.grads: np.ndarray | None = None
         self._grad_layers: list[tuple[np.ndarray, np.ndarray]] = []  # the same views of grads
-        self._live: list[RecordedPass] = []
+        self._live: list[tuple[list[int], np.ndarray]] = []  # (layers, x) per live pass
         self._buffers: dict = {}
 
     def start(self) -> None:
@@ -202,76 +186,77 @@ class MlpTape:
             buf = self._buffers[key] = np.empty(shape, self._half.dtype)
         return buf
 
+    def _run(self, x: np.ndarray, layers: Sequence[int], recorded: bool) -> np.ndarray:
+        """Run x through `layers`, SiLU on all but the last, in the next free
+        slot, and return the output, a fresh array. An unrecorded pass
+        writes two of the slot's `h` arrays in turn (a layer never writes the
+        one it reads) and no `dact`."""
+        n = len(self._live)
+        h = x
+        for j, k in enumerate(layers[:-1]):
+            w, b = self._layers[k]
+            shape = (x.shape[0], w.shape[1])
+            h = silu_layer(h, w, b, self._buffer(("h", n, j if recorded else j % 2), shape),
+                           self._buffer("sigmoid", shape),
+                           self._buffer(("dact", n, j), shape) if recorded else None)
+        w, b = self._layers[layers[-1]]
+        out = h @ w
+        out += b
+        out *= 2.0
+        return out
+
     def forward(self, x: np.ndarray, layers: Sequence[int]) -> np.ndarray:
         """Run x through `layers` as `record` does, recording nothing, and
         return the output, a fresh array.
 
         Halves the parameters afresh on every call, so it follows values
         changed in place since the last `start`. A live pass is left as it
-        was: its layers read nothing `forward` writes but the half-scale
-        copy, rewritten with the same values when none changed.
+        was: the next free slot is none of theirs, and their layers read
+        nothing else `forward` writes but the half-scale copy, rewritten with
+        the same values when none changed.
         """
         np.multiply(self._params.values, 0.5, out=self._half)
-        h = x
-        for j, k in enumerate(layers[:-1]):
-            w, b = self._half_layers[k]
-            shape = (x.shape[0], w.shape[1])
-            # Two arrays in turn: a layer never writes the one it reads.
-            h = silu_layer(h, w, b, self._buffer(("forward", j % 2), shape),
-                           self._buffer("sigmoid", shape))
-        w, b = self._layers[layers[-1]]
-        return h @ w + b
+        return self._run(x, layers, recorded=False)
 
     def record(self, x: np.ndarray, layers: Sequence[int]) -> np.ndarray:
         """Run x through `layers`, SiLU on all but the last, record the pass
         and return its output."""
-        n = len(self._live)
-        h, hs, dacts = x, [], []
-        for j, k in enumerate(layers[:-1]):
-            w, b = self._half_layers[k]
-            shape = (x.shape[0], w.shape[1])
-            dacts.append(self._buffer(("dact", n, j), shape))
-            h = silu_layer(h, w, b, self._buffer(("h", n, j), shape),
-                           self._buffer("sigmoid", shape), dacts[-1])
-            hs.append(h)
-        self._live.append(RecordedPass(list(layers), x, hs, dacts))
-        w, b = self._layers[layers[-1]]
-        return h @ w + b
+        out = self._run(x, layers, recorded=True)
+        self._live.append((list(layers), x))
+        return out
 
     def backward(self, g_out: np.ndarray, input_cols: slice | None = None) -> np.ndarray | None:
         """Walk the last live pass in reverse from g_out = dL/d(its output).
 
         Adds the pass's weight and bias gradients into `grads` and frees its
-        buffers. Returns the columns `input_cols` of dL/d(its input), and
+        slot. Returns the columns `input_cols` of dL/d(its input), and
         computes no other column, when they are given; otherwise None. g_out
         is cast to the parameters' dtype first. Each SiLU layer's gradient,
-        twice dL/dz, is formed in place in the pass's `dact`. Raises
+        twice dL/dz, is formed in place in the slot's `dact`. Raises
         IndexError when no pass is live.
         """
-        rec = self._live.pop()
-        inputs = [rec.x] + rec.h
-        g = np.asarray(g_out, dtype=self.grads.dtype)
+        layers, x = self._live.pop()
+        n = len(self._live)
+        g = np.asarray(g_out, dtype=self.grads.dtype) * 2.0
         ones = np.ones(len(g), g.dtype)  # bias gradient = ones @ g
-        for j in reversed(range(len(rec.layers))):
-            k = rec.layers[j]
-            silu = j < len(rec.dact)
-            if silu:
-                g = np.multiply(rec.dact[j], g, out=rec.dact[j])
-            gw, gb = self._grad_layers[k]
-            dw = inputs[j].T @ g
+        for j in reversed(range(len(layers))):
+            if j < len(layers) - 1:
+                dact = self._buffers["dact", n, j]
+                g = np.multiply(dact, g, out=dact)
+            gw, gb = self._grad_layers[layers[j]]
+            dw = (x if j == 0 else self._buffers["h", n, j - 1]).T @ g
             db = ones @ g
-            if silu:  # products of twice dL/dz
-                dw *= 0.5
-                db *= 0.5
+            dw *= 0.5
+            db *= 0.5
             gw += dw
             gb += db
             if j == 0:
                 break
-            w, _ = (self._half_layers if silu else self._layers)[k]
+            w, _ = self._layers[layers[j]]
             g = np.matmul(g, w.T, out=self._buffer("g", (g.shape[0], w.shape[0])))
         if input_cols is None:
             return None
-        w, _ = (self._half_layers if rec.dact else self._layers)[rec.layers[0]]
+        w, _ = self._layers[layers[0]]
         return g @ w[input_cols].T
 
 

@@ -25,7 +25,9 @@ def edit_archive():
 @pytest.fixture
 def silu_calls(monkeypatch):
     """(x, out, dact) of every nn_core.silu_layer call from here on, in call
-    order: the arrays a tape hands each layer of a pass, recorded or not."""
+    order: the arrays a tape hands each layer of a pass, recorded or not.
+    `out` is an `h` array of the pass's slot; `dact` is None in an
+    unrecorded pass."""
     calls, layer = [], nn_core.silu_layer
 
     def spy(x, w_half, b_half, out, s, dact=None):

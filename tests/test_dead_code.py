@@ -1,7 +1,7 @@
-"""The package holds only code that production runs: every public function,
-method and class in src/robustdiff is read somewhere in src/ or perfbench/
-outside its own definition, and so is every public module-level constant,
-class-level default and annotated class field. Every name an import binds, in src/ and in tests/, is
+"""The package holds only code that production runs: every function, method
+(but dunders) and class in src/robustdiff is read somewhere in src/ or
+perfbench/ outside its own definition, and so is every public module-level
+constant, class-level default and annotated class field. Every name an import binds, in src/ and in tests/, is
 read in its module. A reference implementation that only tests call lives
 in tests/ (see tests/oracles.py)."""
 
@@ -33,22 +33,51 @@ def _public_definitions(tree):
                         if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
 
 
+def _private_definitions(tree):
+    """Private module-level functions and classes, and the private methods
+    of every class but dunders, which Python itself calls."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name.startswith("_")
+                        and not (item.name.startswith("__") and item.name.endswith("__")))
+
+
 def _parsed():
     files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     return {path: ast.parse(path.read_text(), str(path)) for path in files}
 
 
-def test_every_public_definition_is_used():
+def _unused(definitions):
+    """How many definitions `definitions(tree)` yields over the package's
+    files, and those of them that nothing in src/ or perfbench/ reads
+    outside the definition itself."""
     trees = _parsed()
     reads = [(path, name, line) for path, tree in trees.items() for name, line in _reads(tree)]
-    unused = []
+    checked, unused = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _public_definitions(trees[path]):
+        for node in definitions(trees[path]):
+            checked += 1
             own = range(node.lineno, node.end_lineno + 1)
             if not any(name == node.name and not (where == path and line in own)
                        for where, name, line in reads):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
-    assert unused == []
+    return checked, unused
+
+
+def test_every_public_definition_is_used():
+    checked, unused = _unused(_public_definitions)
+    assert checked > 0 and unused == []
+
+
+def test_every_private_helper_is_used():
+    # A helper that nothing calls any more outlived its caller.
+    checked, unused = _unused(_private_definitions)
+    assert checked > 0 and unused == []
 
 
 def _assigned_names(body):

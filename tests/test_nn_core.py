@@ -447,6 +447,23 @@ class TestTapeSlots:
         assert all(a is b for a, b in zip(third, second))
         assert not any(a is b for a, b in zip(third, first))
 
+    def test_unrecorded_pass_runs_in_the_next_free_slot(self, silu_calls):
+        # the walked-back pass's slot is the next free one: an unrecorded
+        # pass writes its `h` arrays there and leaves the live pass's alone
+        params = init_params([(2, 3), (3, 3), (3, 1)], seed=1)
+        x = np.random.default_rng(1).normal(size=(4, 2))
+        tape = MlpTape(params)
+        tape.start()
+        tape.record(x, [0, 1, 2])
+        tape.record(x, [0, 1, 2])
+        tape.backward(np.ones((4, 1)))
+        tape.forward(x, [0, 1, 2])
+        live, freed, unrecorded = (silu_calls[i : i + 2] for i in (0, 2, 4))
+        assert all(got is want for (_, got, _), (_, want, _) in zip(unrecorded, freed))
+        assert all(dact is None for _, _, dact in unrecorded)
+        kept = [a for _, out, dact in live for a in (out, dact)]
+        assert not any(out is a for _, out, _ in unrecorded for a in kept)
+
     def test_backward_without_a_live_pass_raises(self):
         params = init_params([(2, 3), (3, 1)], seed=2)
         tape = MlpTape(params)
