@@ -137,8 +137,7 @@ class MlpTape:
 
     The tape binds its views of a half-scale copy of the parameters when it
     is built; `start` and `forward` rewrite values * 0.5 into that copy, so
-    after `adam_step` writes the new values into the same array the views
-    read them halved. One step calls `start`, then `record` once per pass and
+    the views read the values `adam_step` wrote in place, halved. One step calls `start`, then `record` once per pass and
     `backward` once per recorded pass. The live passes (recorded, not yet
     walked back) form a stack: `backward` walks back the last one. Every
     pass runs in the next free slot, slot n when n passes are live, whose
