@@ -137,14 +137,15 @@ class MlpTape:
 
     The tape binds its views of a half-scale copy of the parameters when it
     is built; `start` and `forward` rewrite values * 0.5 into that copy, so
-    the views read the values `adam_step` wrote in place, halved. One step calls `start`, then `record` once per pass and
-    `backward` once per recorded pass. The live passes (recorded, not yet
-    walked back) form a stack: `backward` walks back the last one. Every
-    pass runs in the next free slot, slot n when n passes are live, whose
-    buffers are its SiLU outputs `h` and, for a recorded pass, twice their
-    derivatives `dact`. `start` makes `grads` a fresh zero array, so a step's
-    gradient outlives the next step; each `backward` adds its pass's weight
-    and bias gradients into it.
+    the views read the values `adam_step` wrote in place, halved. One step
+    calls `start`, then `record` once per pass and `backward` once per
+    recorded pass. The live passes (recorded, not yet walked back) form a
+    stack: `backward` walks back the last one. Every pass runs in the next
+    free slot, slot n when n passes are live, whose buffers are its SiLU
+    outputs `h` and, for a recorded pass, twice their derivatives `dact`.
+    `start` makes `grads` a fresh zero array, so a step's gradient outlives
+    the next step; each `backward` adds its pass's weight and bias gradients
+    into it.
 
     Every layer runs on the half-scale copy, and a readout doubles its
     product. The walk back starts from twice dL/d(output) and carries twice

@@ -1,9 +1,9 @@
 """The package holds only code that production runs: every function, method
 (but dunders) and class in src/robustdiff is read somewhere in src/ or
 perfbench/ outside its own definition, and so is every public module-level
-constant, class-level default and annotated class field. Every name an import binds, in src/ and in tests/, is
-read in its module. A reference implementation that only tests call lives
-in tests/ (see tests/oracles.py)."""
+constant, class-level default and annotated class field. Every name an
+import binds, in src/ and in tests/, is read in its module. A reference
+implementation that only tests call lives in tests/ (see tests/oracles.py)."""
 
 import ast
 from pathlib import Path
