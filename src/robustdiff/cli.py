@@ -21,6 +21,9 @@ seeds), mae_delta.csv (the vanilla minus pc_rdc MAE per eta) and dynamics.csv
 cell trains long enough); dynamics.svg, the curves of dynamics.csv; and per
 cell, cells/<variant>_<noise><eta>_s<seed>/ with checkpoint.npz, train.log
 and, for seed 0 at eta=0.4, scatter.svg. An older sweep's cells/ goes first.
+`gen-data --noise N --eta e --seed s` writes the dataset of cell (e, s),
+and `train` and `sample` at the train and eval seeds of `_cell_seeds(s, e)`
+rerun the cell.
 """
 
 from __future__ import annotations
@@ -129,9 +132,7 @@ def cmd_gen_data(args) -> int:
         raise UsageError("--eta must lie in [0, 1]")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    samples = data_mod.make_toy_dataset(args.n_per_class, args.seed)
-    spec = data_mod.NoiseSpec(NOISE_KINDS[args.noise], args.eta, args.seed + 1)
-    samples = data_mod.inject_noise(samples, spec)
+    samples = _cell_data(args.n_per_class, args.noise, args.eta, args.seed)
     out = Path(args.out)
     data_mod.save_dataset(out, samples)
     flips = int(np.count_nonzero(samples.noisy != samples.clean))
@@ -242,6 +243,13 @@ def _cell_seeds(seed: int, eta: float) -> dict[str, int]:
     }
 
 
+def _cell_data(n_per_class: int, noise: str, eta: float, seed: int):
+    """The toy dataset of the sweep cell (eta, seed) with `noise` label noise."""
+    seeds = _cell_seeds(seed, eta)
+    samples = data_mod.make_toy_dataset(n_per_class, seeds["data"])
+    return data_mod.inject_noise(samples, data_mod.NoiseSpec(NOISE_KINDS[noise], eta, seeds["noise"]))
+
+
 @dataclasses.dataclass(frozen=True)
 class Sweep:
     """The settings of one `reproduce` run; the module docstring names each
@@ -309,11 +317,9 @@ def run_cell(sweep: Sweep, outdir: Path, cell: tuple[str, float, int]) -> dict:
     """Train + evaluate one (variant, eta, seed) cell. Top level for pickling."""
     variant, eta, seed = cell
     seeds = _cell_seeds(seed, eta)
-    samples = data_mod.make_toy_dataset(sweep.n_per_class, seeds["data"])
-    spec = data_mod.NoiseSpec(NOISE_KINDS[sweep.noise], eta, seeds["noise"])
-    samples = data_mod.inject_noise(samples, spec)
+    samples = _cell_data(sweep.n_per_class, sweep.noise, eta, seed)
     config = dataclasses.replace(sweep.config, variant=variant, seed=seeds["train"])
-    dynamics = abs(eta - DYNAMICS_ETA) < 1e-9
+    dynamics = eta == DYNAMICS_ETA
 
     cell_dir = outdir / "cells" / f"{variant}_{sweep.noise}{eta:g}_s{seed}"
     centroids = metrics.fit_centroids(samples.points, samples.clean)
@@ -424,7 +430,7 @@ def _check_deltas(meds, etas, noise_kind, delta_csv: Path) -> bool:
                          "{:g},{:.6f},{:.6f},{:.6f}", deltas)
     # (what, value, bound)
     gates = [(f"eta={eta:g}: MAE vanilla {mv:.4f} pc_rdc {mp:.4f} delta", delta,
-              0.15 if abs(eta - 0.8) < 1e-9 else 0.0) for eta, mv, mp, delta in deltas]
+              0.15 if eta == 0.8 else 0.0) for eta, mv, mp, delta in deltas]
     v, p = (meds.get((name, noise_kind, DYNAMICS_ETA)) for name in ("vanilla", "pc_rdc"))
     if v and p:
         gates.append((f"eta={DYNAMICS_ETA:g}: controllability pc_rdc {p[1]:.4f} "

@@ -15,13 +15,13 @@ table; `pc_only` reads the condition head directly as the pseudo estimate;
 
 The table is a plain (n_samples, N_CLASSES) array, and a step reads the
 dataset's own arrays: the points and the noisy labels, one-hot encoded per
-batch. The table's mean centers the conditions; `train` takes it on every
-phase-1 iteration and once for the frozen table of phase 2. The problem's
-shape is no setting: it is data.X_DIM and data.N_CLASSES, and the network's
-layout is network.layer_shapes. Nor are the fixed choices: the EDM
-sigma_data is data.SIGMA_DATA, the prototype floor a TrainConfig class
-constant, and the draws of an iteration (the log-normal noise level, the
-guidance drop rate, the boundary state's std) are constants of this module.
+batch. The table's mean centers the conditions; `train` takes it at the
+start and after every ensemble update. The problem's shape is no setting: it
+is data.X_DIM and data.N_CLASSES, and the network's layout is
+network.layer_shapes. Nor are the fixed choices: the EDM sigma_data is
+data.SIGMA_DATA, the prototype floor a TrainConfig class constant, and the
+draws of an iteration (the log-normal noise level, the guidance drop rate,
+the boundary state's std) are constants of this module.
 
 Nor is the precision a setting. The network trains in float32: its
 parameters (ScoreNetwork.create), every recorded pass and its backward, the
@@ -298,7 +298,7 @@ def train(
     """
     net = ScoreNetwork.create(config.hidden, config.depth, config.seed)
     table = np.zeros((len(samples), data_mod.N_CLASSES))  # every sample starts at zero
-    center = None
+    center = None if config.variant == "vanilla" else table.mean(axis=0)
     m, v = np.zeros((2, net.params.values.size), net.params.values.dtype)  # Adam's moments
     rng = np.random.default_rng(config.seed + 1)
     if outdir:
@@ -310,10 +310,6 @@ def train(
     try:
         for iteration in range(config.total_iters):
             cond_path = config.in_phase1(iteration)
-            # The table's mean, on every phase-1 iteration and on the first of
-            # phase 2, which freezes the table and so its mean.
-            if config.variant != "vanilla" and iteration <= config.early_stop_iters:
-                center = table.mean(axis=0)
             draws = draw_iteration(rng, len(samples), config, cond_path)
             demo_term, cond_term, y_phi = loss_step(net, samples, table, config, draws,
                                                     iteration, center)
@@ -326,6 +322,7 @@ def train(
                 break
             if cond_path:
                 pseudo.ensemble_update(table, draws.idx, y_phi, config.alpha)
+                center = table.mean(axis=0)
             if log_f and (iteration % 100 == 0 or iteration == config.total_iters - 1):
                 log_f.write(
                     f"iter {iteration} demo {demo_term:.6f} cond {cond_term:.6f} "

@@ -53,6 +53,28 @@ class TestPipeline:
         assert re.fullmatch(r"mae \S+ controllability \S+", out[-1])
         assert sorted(os.listdir(ckpt)) == [trainer.CHECKPOINT_FILE, trainer.LOG_FILE]
 
+    def test_four_commands_rerun_a_sweep_cell(self, tmp_path, capsys):
+        # gen-data writes cell (eta, seed)'s dataset; train and sample at the
+        # cell's train and eval seeds (_cell_seeds: 3000 + seed, 4000 + seed)
+        # then score what the sweep scored.
+        sweep, data, ckpt, samples = (tmp_path / name for name in ("r", "d.csv", "c", "s.csv"))
+        assert cli.main(["reproduce", "--out", str(sweep), "--set", "etas=0.4", "--set", "seeds=1",
+                         "--set", "variants=pc_rdc", *_set_args(), "--set", "n_per_class=20",
+                         "--set", "per_class_samples=10"]) == 0
+        row = (sweep / "results.csv").read_text().splitlines()[1].split(",")
+        steps = [
+            ["gen-data", "--n-per-class", "20", "--noise", "sym", "--eta", "0.4", "--seed", "1",
+             "--out", str(data)],
+            ["train", "--data", str(data), "--out", str(ckpt), *_set_args(),
+             "--set", "variant=pc_rdc", "--set", "seed=3001"],
+            ["sample", "--checkpoint", str(ckpt), "--per-class", "10", "--seed", "4001",
+             "--out", str(samples)],
+            ["eval", "--dataset", str(data), "--samples", str(samples)],
+        ]
+        for argv in steps:
+            assert cli.main(argv) == 0, argv[0]
+        assert capsys.readouterr().out.splitlines()[-1] == f"mae {row[4]} controllability {row[5]}"
+
     def test_outputs_default_under_robust_diff_out(self, tmp_path, monkeypatch):
         # Without --out, train and sample write under $ROBUST_DIFF_OUT.
         root, data = tmp_path / "root", tmp_path / "data.csv"
@@ -405,6 +427,20 @@ class TestReproduce:
         assert (out / "dynamics.svg").read_text().count("<polyline") == 2
         for variant in ("vanilla", "pc_rdc"):
             assert (out / "cells" / f"{variant}_sym0.4_s0" / "scatter.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("eta, special", [("0.4", True), ("0.4000000001", False)])
+    def test_special_cells_and_gate_agree(self, tmp_path, capsys, eta, special):
+        # The eta=0.4 cells record dynamics and seed-0 scatters, and the
+        # controllability gate reads their medians. An eta that only prints
+        # as 0.4 is not 0.4, so it gets none of the three.
+        out = tmp_path / "r"
+        cli.main(_reproduce_args(out, "--set", f"total_iters={cli.DYNAMICS_EVERY}",
+                                 "--set", f"etas={eta}"))
+        gate = "controllability pc_rdc" in capsys.readouterr().out
+        rows = (out / "dynamics.csv").read_text().splitlines()[1:]
+        scatters = sorted(path.parent.name for path in (out / "cells").glob("*/scatter.svg"))
+        want = (True, 2, ["pc_rdc_sym0.4_s0", "vanilla_sym0.4_s0"]) if special else (False, 0, [])
+        assert (gate, len(rows), scatters) == want
 
     def test_rerun_without_dynamics_drops_the_older_curves(self, tmp_path):
         out = tmp_path / "r"

@@ -1,9 +1,10 @@
 """The package holds only code that production runs: every function, method
 (but dunders) and class in src/robustdiff is read somewhere in src/ or
-perfbench/ outside its own definition, and so is every public module-level
-constant, class-level default and annotated class field. Every name an
-import binds, in src/ and in tests/, is read in its module. A reference
-implementation that only tests call lives in tests/ (see tests/oracles.py)."""
+perfbench/ outside its own definition, and so is every module-level constant,
+public or private (but dunders), and every public class-level default and
+annotated class field. Every name an import binds, in src/ and in tests/, is
+read in its module. A reference implementation that only tests call lives in
+tests/ (see tests/oracles.py)."""
 
 import ast
 from pathlib import Path
@@ -81,8 +82,8 @@ def test_every_private_helper_is_used():
 
 
 def _assigned_names(body):
-    """(name, line) of every public name an assignment in `body` binds or
-    an annotation in it declares, such as a dataclass field with no default."""
+    """(name, line) of every name an assignment in `body` binds or an
+    annotation in it declares, such as a dataclass field with no default."""
     for node in body:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -92,7 +93,7 @@ def _assigned_names(body):
             continue
         for target in targets:
             for name in ast.walk(target):
-                if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                if isinstance(name, ast.Name):
                     yield name.id, node.lineno
 
 
@@ -115,14 +116,36 @@ def test_every_constant_and_class_default_is_read():
         classes = [node for node in tree.body
                    if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
         for name, line in _assigned_names(tree.body):
+            if name.startswith("_"):
+                continue
             checked += 1
             if name not in names | attrs:
                 unread.append(f"{path.name}:{line} {name}")
         for cls in classes:
             for name, line in _assigned_names(cls.body):
+                if name.startswith("_"):
+                    continue
                 checked += 1
                 if name not in attrs:
                     unread.append(f"{path.name}:{line} {cls.name}.{name}")
+    assert checked > 0 and unread == []
+
+
+def test_every_private_module_constant_is_read():
+    # A private constant is read by its name in its own module, or as an
+    # attribute of it anywhere; a same-named local elsewhere does not count.
+    # Dunders such as __version__ are read by tools, not by the package.
+    trees = _parsed()
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        own = {name for name, _ in _reads(trees[path])}
+        for name, line in _assigned_names(trees[path].body):
+            if name.startswith("_") and not name.startswith("__"):
+                checked += 1
+                if name not in own | attrs:
+                    unread.append(f"{path.name}:{line} {name}")
     assert checked > 0 and unread == []
 
 

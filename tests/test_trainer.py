@@ -179,8 +179,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("variant", ["pc_only", "pc_rdc"])
     def test_phase2_center_taken_once_equals_every_iteration(self, variant):
-        # train takes the table's mean once for the frozen phase-2 table; a
-        # loop that takes it on every iteration gives the same bits.
+        # train takes the table's mean after every ensemble update, so once
+        # for the frozen phase-2 table; a loop that takes it on every
+        # iteration gives the same bits.
         cfg = tiny_config(variant=variant, total_iters=8, early_stop_iters=4)
         samples = tiny_dataset()
         net = ScoreNetwork.create(cfg.hidden, cfg.depth, cfg.seed)
