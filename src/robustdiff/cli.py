@@ -243,7 +243,7 @@ def _cell_seeds(seed: int, eta: float) -> dict[str, int]:
     }
 
 
-def _cell_data(n_per_class: int, noise: str, eta: float, seed: int):
+def _cell_data(n_per_class: int, noise: str, eta: float, seed: int) -> data_mod.Dataset:
     """The toy dataset of the sweep cell (eta, seed) with `noise` label noise."""
     seeds = _cell_seeds(seed, eta)
     samples = data_mod.make_toy_dataset(n_per_class, seeds["data"])

@@ -81,9 +81,10 @@ def test_every_private_helper_is_used():
     assert checked > 0 and unused == []
 
 
-def _assigned_names(body):
-    """(name, line) of every name an assignment in `body` binds or an
-    annotation in it declares, such as a dataclass field with no default."""
+def _assigned_names(body, private=False):
+    """(name, line) of every public name, or with `private` every private
+    name but dunders, that an assignment in `body` binds or an annotation in
+    it declares, such as a dataclass field with no default."""
     for node in body:
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -93,7 +94,8 @@ def _assigned_names(body):
             continue
         for target in targets:
             for name in ast.walk(target):
-                if isinstance(name, ast.Name):
+                if (isinstance(name, ast.Name) and name.id.startswith("_") == private
+                        and not name.id.startswith("__")):
                     yield name.id, node.lineno
 
 
@@ -116,15 +118,11 @@ def test_every_constant_and_class_default_is_read():
         classes = [node for node in tree.body
                    if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
         for name, line in _assigned_names(tree.body):
-            if name.startswith("_"):
-                continue
             checked += 1
             if name not in names | attrs:
                 unread.append(f"{path.name}:{line} {name}")
         for cls in classes:
             for name, line in _assigned_names(cls.body):
-                if name.startswith("_"):
-                    continue
                 checked += 1
                 if name not in attrs:
                     unread.append(f"{path.name}:{line} {cls.name}.{name}")
@@ -141,11 +139,10 @@ def test_every_private_module_constant_is_read():
     checked, unread = 0, []
     for path in sorted(PACKAGE.glob("*.py")):
         own = {name for name, _ in _reads(trees[path])}
-        for name, line in _assigned_names(trees[path].body):
-            if name.startswith("_") and not name.startswith("__"):
-                checked += 1
-                if name not in own | attrs:
-                    unread.append(f"{path.name}:{line} {name}")
+        for name, line in _assigned_names(trees[path].body, private=True):
+            checked += 1
+            if name not in own | attrs:
+                unread.append(f"{path.name}:{line} {name}")
     assert checked > 0 and unread == []
 
 
